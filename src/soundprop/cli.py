@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -20,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import SoundPropError
+from .errors import InputError, SoundPropError
 from .evalkit import ablation_run, cost_report
 from .fileio import (
     read_field,
@@ -115,11 +116,14 @@ def _bake_one(scene, source):
 
 
 def _load_field_dataset(scene, directory: Path, split: str) -> Dataset:
-    """Dataset from a directory of ``srcNNN_<param>.fld`` files."""
+    """Dataset from a directory of ``srcNNN_<param>.fld`` files, in the
+    numeric order of ``NNN`` (the order of the baked sources file)."""
     directory = Path(directory)
-    indices = sorted(
-        {p.name.split("_")[0] for p in directory.glob("src*_pi.fld")}
-    )
+    prefixes = {p.name.split("_")[0] for p in directory.glob("src*_pi.fld")}
+    for prefix in prefixes:
+        if not re.fullmatch(r"src[0-9]+", prefix):
+            raise InputError(f"field file {prefix}_pi.fld is not named srcNNN_pi.fld")
+    indices = sorted(prefixes, key=lambda prefix: (int(prefix[3:]), prefix))
     sources, fields = [], []
     for idx in indices:
         per_source = {}

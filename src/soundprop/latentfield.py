@@ -211,9 +211,3 @@ def interp_backward(result: InterpResult, upstream: np.ndarray) -> tuple[np.ndar
     upstream = np.asarray(upstream, dtype=float)
     return result.corners, result.weights[:, None] * upstream[None, :]
 
-
-def accumulate_grid_gradient(
-    grad: np.ndarray, corners: np.ndarray, contributions: np.ndarray
-) -> None:
-    """Scatter-add sparse vertex contributions into a dense grid gradient."""
-    np.add.at(grad, (corners[:, 0], corners[:, 1], corners[:, 2]), contributions)

@@ -1,10 +1,11 @@
 """Desk-scale ground-truth generator.
 
 Replaces a full wave-simulation pipeline with analytically known fields:
-geodesic path distances over the free-voxel graph, synthetic level and
-decay-time fields that are smooth-plus-piecewise-constant functions of the
-geometry, and synthetic impulse responses with known parameters for
-round-trip testing of the extractors.
+geodesic path distances over the free-voxel graph (a vectorised frontier
+relaxation that reproduces Dijkstra's distances bit for bit), synthetic
+level and decay-time fields that are smooth-plus-piecewise-constant
+functions of the geometry, and synthetic impulse responses with known
+parameters for round-trip testing of the extractors.
 
 Everything here is a pure function of immutable inputs; per-source field
 generation is embarrassingly parallel across sources.
@@ -12,7 +13,6 @@ generation is embarrassingly parallel across sources.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -80,39 +80,47 @@ class FieldVolume:
 def geodesic_field(scene: VoxelScene, source) -> FieldVolume:
     """Shortest-path distance from ``source`` to every free voxel center.
 
-    Distances are Dijkstra shortest paths over the 26-connected free-voxel
-    graph with Euclidean edge weights, which overestimates the true
-    geodesic by at most a few percent and is exactly reciprocal. The
-    source is seeded at its containing voxel with the offset to that
-    voxel's center, so a source at a center starts at exactly zero.
+    Distances are shortest paths over the 26-connected free-voxel graph
+    with Euclidean edge weights, which overestimates the true geodesic by
+    at most a few percent and is exactly reciprocal. The source is seeded
+    at its containing voxel with the offset to that voxel's center, so a
+    source at a center starts at exactly zero; unreachable voxels hold NaN.
+
+    The search is a label-correcting frontier relaxation: each sweep
+    offers ``d + w * h`` from every voxel whose distance fell in the
+    previous sweep to its 26 neighbours at once and keeps the minimum.
+    Weights are positive and float rounding is monotone, so the min-plus
+    fixpoint is unique: it is the minimum over paths of the same rounded
+    sums that Dijkstra forms, and equals Dijkstra's result bit for bit.
     """
     source = np.asarray(source, dtype=float)
     start = scene.voxel_of(source)
     if scene.occupancy[start]:
         raise InputError("geodesic source lies inside an occupied voxel")
 
-    nx, ny, nz = scene.dims
-    occ = scene.occupancy
-    h = scene.spacing
-    dist = np.full(scene.dims, np.inf)
-    start_cost = float(np.linalg.norm(source - scene.voxel_center(start)))
-    dist[start] = start_cost
-    heap = [(start_cost, start[0], start[1], start[2])]
-    while heap:
-        d, i, j, k = heapq.heappop(heap)
-        if d > dist[i, j, k]:
-            continue
-        for di, dj, dk, w in _OFFSETS:
-            ni, nj, nk = i + di, j + dj, k + dk
-            if not (0 <= ni < nx and 0 <= nj < ny and 0 <= nk < nz):
-                continue
-            if occ[ni, nj, nk]:
-                continue
-            nd = d + w * h
-            if nd < dist[ni, nj, nk]:
-                dist[ni, nj, nk] = nd
-                heapq.heappush(heap, (nd, ni, nj, nk))
+    # Flat grid padded by one blocked voxel per side, so every neighbour of
+    # a free voxel is in bounds. Blocked voxels hold -inf, which no
+    # candidate distance undercuts.
+    padded = tuple(n + 2 for n in scene.dims)
+    dist = np.full(padded, -np.inf)
+    dist[1:-1, 1:-1, 1:-1] = np.where(scene.occupancy, -np.inf, np.inf)
+    dist = dist.ravel()
+    _, pj, pk = padded
+    strides = np.array([(di * pj + dj) * pk + dk for di, dj, dk, _ in _OFFSETS])
+    steps = np.array([w * scene.spacing for *_, w in _OFFSETS])
 
+    s = np.ravel_multi_index(tuple(i + 1 for i in start), padded)
+    dist[s] = float(np.linalg.norm(source - scene.voxel_center(start)))
+    frontier = np.array([s])
+    while frontier.size:
+        targets = (frontier[:, None] + strides).ravel()
+        cand = (dist[frontier][:, None] + steps).ravel()
+        better = cand < dist[targets]
+        targets, cand = targets[better], cand[better]
+        np.minimum.at(dist, targets, cand)
+        frontier = np.unique(targets)
+
+    dist = dist.reshape(padded)[1:-1, 1:-1, 1:-1]
     values = np.where(np.isfinite(dist), dist, np.nan)
     return FieldVolume(
         source=source,

@@ -259,3 +259,21 @@ def test_query_command_reciprocal(tmp_path, capsys, monkeypatch):
     bwd = json.loads(capsys.readouterr().out)
     assert fwd["pi"] == bwd["pi"]
     assert len(fwd["doa"]) == 3
+
+
+def test_field_sets_load_in_numeric_source_order(tmp_path):
+    from soundprop.cli import _load_field_dataset
+    from soundprop.errors import InputError
+
+    scene = sp.build_scene(sp.SceneSpec(kind="empty-box", dims=(6, 4, 6)))
+    names = ["src099", "src100", "src101", "src1000"]
+    sources = [scene.voxel_center(idx) for idx in ((1, 1, 1), (2, 1, 1), (1, 2, 3), (4, 2, 4))]
+    for name, src in zip(names, sources):
+        for field_name, fv in sp.bake_source(scene, src).items():
+            fileio.write_field(tmp_path / f"{name}_{field_name}.fld", fv)
+    ds = _load_field_dataset(scene, tmp_path, "train")
+    assert [tuple(s) for s in ds.sources] == [tuple(s) for s in sources]
+
+    (tmp_path / "srcx_pi.fld").write_bytes(b"")
+    with pytest.raises(InputError):
+        _load_field_dataset(scene, tmp_path, "train")

@@ -6,6 +6,8 @@ from scipy.sparse.csgraph import dijkstra as scipy_dijkstra
 import soundprop as sp
 from soundprop.errors import ConfigurationError, InputError
 
+from oracles import heapq_geodesic
+
 
 
 def scipy_geodesic(scene, source_idx):
@@ -232,3 +234,46 @@ def test_doa_field_points_at_axis_source():
     doa = sp.doa_field(scene, geo)
     d = doa.values[2, 3, 6]
     assert d @ np.array([1.0, 0.0, 0.0]) > np.cos(np.radians(5.0))
+
+
+# ---------------------------------------------------------------------------
+# Frontier relaxation against the heapq Dijkstra oracle, bit for bit
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def forest_with_pocket():
+    """59x8x59 cylinder forest with a walled-off pocket of free voxels."""
+    forest = sp.build_scene(sp.SceneSpec(kind="cylinder-forest", dims=(59, 8, 59), seed=3))
+    occ = forest.occupancy.copy()
+    occ[40:47, 1:-1, 40:47] = True
+    occ[41:46, 1:-1, 41:46] = False
+    return sp.VoxelScene(
+        dims=forest.dims, spacing=forest.spacing, origin=forest.origin, occupancy=occ
+    ), (slice(41, 46), slice(1, 7), slice(41, 46))
+
+
+@pytest.mark.parametrize("where", ["centre", "off-centre", "in-pocket"])
+def test_geodesic_bit_identical_to_heapq_dijkstra(forest_with_pocket, where):
+    scene, pocket = forest_with_pocket
+    rng = np.random.default_rng(11)
+    if where == "in-pocket":
+        src = scene.voxel_center((43, 3, 43))
+    else:
+        free = scene.free_indices()
+        outside = free[~((free[:, 0] >= 40) & (free[:, 0] <= 46) & (free[:, 2] >= 40) & (free[:, 2] <= 46))]
+        src = scene.voxel_center(outside[rng.integers(len(outside))])
+        if where == "off-centre":
+            src = src + np.array([0.37, -0.21, 0.44]) * scene.spacing
+    got = sp.geodesic_field(scene, src).values
+    want = heapq_geodesic(scene, src)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.isnan(got[scene.occupancy]).all()
+    in_pocket = np.zeros(scene.dims, dtype=bool)
+    in_pocket[pocket] = True
+    reached = np.isfinite(got)
+    if where == "in-pocket":
+        assert (reached == in_pocket).all()
+    else:
+        assert not reached[in_pocket].any()
+        assert reached[scene.free_mask() & ~in_pocket].all()

@@ -6,6 +6,8 @@ from soundprop.errors import ConfigurationError, InputError
 from soundprop.oracle import FieldVolume
 from soundprop.training import GROUP_HEADS
 
+from oracles import full_visibility_sources
+
 
 # ---------------------------------------------------------------------------
 # Source sampling
@@ -251,3 +253,42 @@ def test_generalization_held_out_sources_finite(box_scene, box_datasets, trained
     maes = sp.evaluate_mae(trained_box_euclid4, test_ds)
     for head in GROUP_HEADS["distance"]:
         assert np.isfinite(maes[head])
+
+
+SAMPLER_SCENES = {
+    "aperture": sp.SceneSpec(kind="wall-with-aperture", dims=(16, 4, 16)),
+    "maze": sp.SceneSpec(kind="maze", dims=(16, 4, 16), seed=7),
+    "rooms-door1": sp.SceneSpec(kind="coupled-rooms", dims=(14, 4, 10), geometry={"door": 1}),
+    "rooms-door0": sp.SceneSpec(kind="coupled-rooms", dims=(14, 4, 10), geometry={"door": 0}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLER_SCENES))
+def test_sample_sources_matches_full_visibility_sampler(name):
+    scene = sp.build_scene(SAMPLER_SCENES[name])
+    for seed in range(3):
+        for init_count in (1, 20):
+            got = sp.sample_sources(scene, seed=seed, init_count=init_count)
+            want = full_visibility_sources(scene, seed=seed, init_count=init_count)
+            assert len(got) == len(want)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_sample_sources_casts_one_ray_per_uncovered_voxel(monkeypatch):
+    from soundprop import scene as scene_mod
+
+    scene = sp.build_scene(SAMPLER_SCENES["maze"])
+    calls = []
+    los = scene_mod.line_of_sight
+    monkeypatch.setattr(scene_mod, "line_of_sight", lambda *a: calls.append(1) or los(*a))
+    sources = sp.sample_sources(scene, seed=2, init_count=3)
+    monkeypatch.undo()
+
+    expected = 0
+    uncovered = scene.free_mask()
+    for src in sources:
+        expected += np.count_nonzero(uncovered)
+        uncovered &= ~sp.visible_voxels(scene, src)
+    assert not uncovered.any()
+    assert len(calls) == expected
+    assert expected < len(sources) * np.count_nonzero(scene.free_mask())

@@ -123,7 +123,7 @@ def _load_field_dataset(scene, directory: Path, split: str) -> Dataset:
     for prefix in prefixes:
         if not re.fullmatch(r"src[0-9]+", prefix):
             raise InputError(f"field file {prefix}_pi.fld is not named srcNNN_pi.fld")
-    indices = sorted(prefixes, key=lambda prefix: (int(prefix[3:]), prefix))
+    indices = sorted(prefixes, key=lambda prefix: int(prefix[3:]))
     sources, fields = [], []
     for idx in indices:
         per_source = {}

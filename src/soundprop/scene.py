@@ -500,35 +500,28 @@ def _tie_probes(ix, iy, iz, sx, sy, sz, tx, ty, tz):
     return probes
 
 
-def visible_voxels(scene: VoxelScene, p, among=None) -> np.ndarray:
+def visible_voxels(scene: VoxelScene, p) -> np.ndarray:
     """Boolean mask of voxels whose centers are visible from ``p``.
 
     Occupied voxels are always ``False``. If ``p`` sits inside an occupied
     voxel the whole mask is ``False`` (defined fallback, not an error).
-    ``among``, a boolean mask of the scene's shape, limits the rays to the
-    voxels where it is ``True``: the result equals
-    ``visible_voxels(scene, p) & among`` and costs one ray per free voxel
-    of ``among``.
     """
     p = np.asarray(p, dtype=float)
     if not scene.contains(p):
         raise InputError("query point outside the scene bounding box")
-    targets = scene.free_mask()
-    if among is not None:
-        among = np.asarray(among, dtype=bool)
-        if among.shape != scene.dims:
-            raise InputError(f"among mask shape {among.shape} does not match dims {scene.dims}")
-        targets &= among
-    return _visible_targets(scene, p, targets)
+    return visible_targets(scene, p, scene.free_mask())
 
 
-def _visible_targets(scene: VoxelScene, p: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Visibility from ``p`` (inside the scene) of the free voxels marked in
-    ``targets``, one ``line_of_sight`` ray each; all other voxels read
-    ``False``."""
+def visible_targets(scene: VoxelScene, p, targets: np.ndarray) -> np.ndarray:
+    """``visible_voxels(scene, p) & targets`` for ``p`` inside the scene,
+    casting one ``line_of_sight`` ray per free voxel of ``targets`` only."""
     mask = np.zeros(scene.dims, dtype=bool)
     if scene.occupancy[scene.voxel_of(p)]:
         return mask
+    for idx in np.argwhere(targets & ~scene.occupancy):
+        i, j, k = int(idx[0]), int(idx[1]), int(idx[2])
+        mask[i, j, k] = line_of_sight(scene, p, scene.voxel_center((i, j, k)))
+    return mask
     for idx in np.argwhere(targets):
         i, j, k = int(idx[0]), int(idx[1]), int(idx[2])
         mask[i, j, k] = line_of_sight(scene, p, scene.voxel_center((i, j, k)))

@@ -28,7 +28,7 @@ from .decoders import (
 from .errors import ConfigurationError, DivergenceError, InputError
 from .latentfield import LatentGrid, init_latent_grid, interp_latent
 from .oracle import FieldVolume, bake_source
-from .scene import VoxelScene, _visible_targets
+from .scene import VoxelScene, visible_targets
 
 GROUP_HEADS = {
     "distance": ("pi",),
@@ -194,18 +194,15 @@ def sample_sources(scene: VoxelScene, seed: int = 0, init_count: int = 20) -> li
     chosen = rng.choice(len(free), size=k, replace=False)
     sources = [scene.voxel_center(free[i]) for i in sorted(chosen)]
 
-    # The ray core is called directly rather than through
-    # ``visible_voxels(..., among=)``: code that wraps ``visible_voxels``
-    # (the benchmark's coverage counter) relies on its two-argument calls.
     uncovered = scene.free_mask()
     for src in sources:
-        uncovered &= ~_visible_targets(scene, src, uncovered)
+        uncovered &= ~visible_targets(scene, src, uncovered)
     while uncovered.any():
         candidates = np.argwhere(uncovered)
         pick = candidates[rng.integers(len(candidates))]
         src = scene.voxel_center(pick)
         sources.append(src)
-        uncovered &= ~_visible_targets(scene, src, uncovered)
+        uncovered &= ~visible_targets(scene, src, uncovered)
     return sources
 
 

@@ -243,7 +243,9 @@ def test_query_outside_bbox_raises(box_scene):
         sp.visible_voxels(box_scene, (-100.0, 0.0, 0.0))
 
 
-def test_visible_voxels_among_is_masked_full_visibility(aperture_scene):
+def test_visible_targets_is_masked_visibility(aperture_scene):
+    from soundprop.scene import visible_targets
+
     rng = np.random.default_rng(4)
     points = [
         aperture_scene.voxel_center((2, 1, 3)),
@@ -253,21 +255,5 @@ def test_visible_voxels_among_is_masked_full_visibility(aperture_scene):
     for p in points:
         full = sp.visible_voxels(aperture_scene, p)
         for _ in range(3):
-            among = rng.random(aperture_scene.dims) < 0.3
-            assert (sp.visible_voxels(aperture_scene, p, among=among) == (full & among)).all()
-
-
-def test_visible_voxels_among_casts_one_ray_per_free_voxel(aperture_scene, monkeypatch):
-    from soundprop import scene as scene_mod
-
-    calls = []
-    los = scene_mod.line_of_sight
-    monkeypatch.setattr(scene_mod, "line_of_sight", lambda *a: calls.append(1) or los(*a))
-    among = np.random.default_rng(5).random(aperture_scene.dims) < 0.4
-    sp.visible_voxels(aperture_scene, aperture_scene.voxel_center((3, 2, 3)), among=among)
-    assert len(calls) == np.count_nonzero(among & aperture_scene.free_mask())
-
-
-def test_visible_voxels_among_shape_mismatch(box_scene):
-    with pytest.raises(InputError):
-        sp.visible_voxels(box_scene, box_scene.voxel_center((4, 2, 4)), among=np.ones((2, 2, 2), bool))
+            targets = rng.random(aperture_scene.dims) < 0.3
+            assert (visible_targets(aperture_scene, p, targets) == (full & targets)).all()

@@ -38,7 +38,9 @@ from .irparams import (
     arrival_and_distance,
     decay_time,
     doa_from_field,
+    doa_from_sampler,
     extract_params,
+    fd_derivative,
     level_lr_matched,
     schroeder_curve,
     window_level,

@@ -111,10 +111,6 @@ def _read_sources(path) -> list:
     return out
 
 
-def _bake_one(scene, source):
-    return bake_source(scene, source)
-
-
 def _load_field_dataset(scene, directory: Path, split: str) -> Dataset:
     """Dataset from a directory of ``srcNNN_<param>.fld`` files, in the
     numeric order of ``NNN`` (the order of the baked sources file)."""
@@ -195,7 +191,7 @@ def _cmd_bake(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            baked = list(pool.map(_bake_one, [scene] * len(sources), sources))
+            baked = list(pool.map(bake_source, [scene] * len(sources), sources))
     else:
         baked = [bake_source(scene, s) for s in sources]
     outputs = []

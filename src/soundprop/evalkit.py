@@ -8,7 +8,7 @@ import numpy as np
 
 from .decoders import flop_count, make_distance_decoder, param_count
 from .errors import InputError
-from .oracle import FieldVolume
+from .oracle import FieldVolume, valid_pairs
 from .training import (
     Dataset,
     TrainConfig,
@@ -23,23 +23,13 @@ BYTES_PER_VALUE = 4  # float32 storage
 
 def mae_field(pred: FieldVolume, truth: FieldVolume) -> float:
     """Mean absolute error over voxels valid in both fields."""
-    if pred.values.shape != truth.values.shape:
-        raise InputError("field shapes differ")
-    valid = pred.valid_mask() & truth.valid_mask()
-    if not valid.any():
-        raise InputError("no valid voxels to compare")
-    return float(np.mean(np.abs(pred.values[valid] - truth.values[valid])))
+    p, t = valid_pairs(pred, truth)
+    return float(np.mean(np.abs(p - t)))
 
 
 def doa_error(pred: FieldVolume, truth: FieldVolume) -> float:
     """Mean angular error between two direction fields, in degrees."""
-    if pred.values.shape != truth.values.shape:
-        raise InputError("field shapes differ")
-    valid = pred.valid_mask() & truth.valid_mask()
-    if not valid.any():
-        raise InputError("no valid voxels to compare")
-    p = pred.values[valid]
-    t = truth.values[valid]
+    p, t = valid_pairs(pred, truth)
     for name, vecs in (("pred", p), ("truth", t)):
         norms = np.linalg.norm(vecs, axis=-1)
         if np.any(np.abs(norms - 1.0) > 1e-3):

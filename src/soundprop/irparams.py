@@ -2,8 +2,11 @@
 
 Implements the broadband extraction chain: arrival detection and path
 distance, windowed energy levels, the backward-integrated energy curve,
-decay-time estimators, and direction-of-arrival estimation from a path
-distance field. All functions are pure and safe for concurrent use.
+decay-time estimators, and direction of arrival from a distance field by
+the package's one finite-difference stencil, ``fd_derivative`` (applied
+to whole grids by ``oracle.doa_field``, and at points through any field
+sampler by ``doa_from_sampler``). All functions are pure and safe for
+concurrent use.
 
 Levels are window-integrated energies in dB (``10 log10`` of the summed
 squared samples); amplitude gains elsewhere use ``20 log10``.
@@ -11,6 +14,7 @@ squared samples); amplitude gains elsewhere use ``20 log10``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -263,6 +267,56 @@ def extract_params(
     )
 
 
+def fd_derivative(c, p1, p2, m1, m2, h: float):
+    """Derivative along one axis from samples at ``0, +h, +2h, -h, -2h``.
+
+    NaN marks a missing sample. Central differences where both neighbours
+    exist; otherwise the second-order one-sided stencil where two
+    same-side samples exist, first order where only one does, and 0 where
+    neither side exists. Elementwise on arrays, so the grid and the point
+    estimators share it.
+    """
+    has_p1, has_m1 = np.isfinite(p1), np.isfinite(m1)
+    return np.select(
+        [has_p1 & has_m1, has_p1 & np.isfinite(p2), has_p1,
+         has_m1 & np.isfinite(m2), has_m1],
+        [(p1 - m1) / (2.0 * h),
+         (-3.0 * c + 4.0 * p1 - p2) / (2.0 * h),
+         (p1 - c) / h,
+         (3.0 * c - 4.0 * m1 + m2) / (2.0 * h),
+         (c - m1) / h],
+        0.0,
+    )
+
+
+def doa_from_sampler(sample, b, h: float, center) -> np.ndarray:
+    """Unit direction of arrival at ``b``: the negated, normalized gradient.
+
+    ``sample(x)`` returns the field value at ``x`` or None where it cannot
+    be resolved (walls, missing samples); ``center`` is the value at ``b``
+    (or None). Each axis samples ``b +- h`` and, only where one side is
+    missing, ``+-2h`` on the other, then applies ``fd_derivative``.
+    """
+    def at(x):
+        value = sample(x)
+        return np.nan if value is None else value
+
+    b = np.asarray(b, dtype=float)
+    c = np.nan if center is None else center
+    g = np.zeros(3)
+    for axis in range(3):
+        step = np.zeros(3)
+        step[axis] = h
+        p1, m1 = at(b + step), at(b - step)
+        p2 = at(b + 2 * step) if np.isfinite(p1) and not np.isfinite(m1) else np.nan
+        m2 = at(b - 2 * step) if np.isfinite(m1) and not np.isfinite(p1) else np.nan
+        g[axis] = fd_derivative(c, p1, p2, m1, m2, h)
+    norm = float(np.linalg.norm(g))
+    if not norm >= _GRAD_EPS:  # also rejects a NaN gradient
+        raise DegenerateGradientError("field gradient is degenerate at the query point")
+    return -g / norm
+
+
 def _sample_scalar(field, scene: VoxelScene, p) -> float | None:
     """Masked-interpolated field value at ``p``; None when unresolvable."""
     valid = np.isfinite(field.values)
@@ -279,44 +333,8 @@ def doa_from_field(field, b, scene: VoxelScene) -> np.ndarray:
     """Unit direction of arrival from a path-distance field at ``b``.
 
     The direction is the negated, normalized spatial gradient of the field
-    with respect to the receiver, approximated by central finite
-    differences with a one-grid-spacing step. Sides that cannot be
-    resolved (walls, missing samples) fall back to one-sided stencils,
-    second-order when two same-side samples exist.
+    with respect to the receiver, estimated by ``doa_from_sampler`` on the
+    masked-interpolated field at a one-grid-spacing step.
     """
-    b = np.asarray(b, dtype=float)
-    h = scene.spacing
-    center = None
-    g = np.zeros(3)
-    resolved = False
-    for a in range(3):
-        offset = np.zeros(3)
-        offset[a] = h
-        plus = _sample_scalar(field, scene, b + offset)
-        minus = _sample_scalar(field, scene, b - offset)
-        if plus is not None and minus is not None:
-            g[a] = (plus - minus) / (2.0 * h)
-            resolved = True
-            continue
-        if center is None:
-            center = _sample_scalar(field, scene, b)
-        if center is None:
-            raise DegenerateGradientError("field unresolvable at the query point")
-        if plus is not None:
-            plus2 = _sample_scalar(field, scene, b + 2 * offset)
-            if plus2 is not None:
-                g[a] = (-3.0 * center + 4.0 * plus - plus2) / (2.0 * h)
-            else:
-                g[a] = (plus - center) / h
-            resolved = True
-        elif minus is not None:
-            minus2 = _sample_scalar(field, scene, b - 2 * offset)
-            if minus2 is not None:
-                g[a] = (3.0 * center - 4.0 * minus + minus2) / (2.0 * h)
-            else:
-                g[a] = (center - minus) / h
-            resolved = True
-    norm = float(np.linalg.norm(g))
-    if not resolved or norm < _GRAD_EPS:
-        raise DegenerateGradientError("path-distance gradient is degenerate here")
-    return -g / norm
+    sample = functools.partial(_sample_scalar, field, scene)
+    return doa_from_sampler(sample, b, scene.spacing, sample(b))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, InputError
-from .irparams import AcousticParamSet, ImpulseResponse, WindowConfig
+from .irparams import AcousticParamSet, ImpulseResponse, WindowConfig, fd_derivative
 from .scene import VoxelScene
 
 FIELD_KINDS = ("path-distance", "level", "decay-time", "doa")
@@ -75,6 +75,20 @@ class FieldVolume:
         if self.kind == "doa":
             return np.all(np.isfinite(self.values), axis=-1)
         return np.isfinite(self.values)
+
+
+def valid_pairs(pred: FieldVolume, truth: FieldVolume) -> tuple[np.ndarray, np.ndarray]:
+    """Values of two same-shaped fields on the voxels valid in both.
+
+    Raises ``InputError`` when the shapes differ or no voxel is valid in
+    both, so every error metric compares the same voxels.
+    """
+    if pred.values.shape != truth.values.shape:
+        raise InputError("field shapes differ")
+    valid = pred.valid_mask() & truth.valid_mask()
+    if not valid.any():
+        raise InputError("no valid voxels to compare")
+    return pred.values[valid], truth.values[valid]
 
 
 def geodesic_field(scene: VoxelScene, source) -> FieldVolume:
@@ -209,10 +223,9 @@ def _shifted(v: np.ndarray, axis: int, steps: int) -> np.ndarray:
 def doa_field(scene: VoxelScene, geo: FieldVolume) -> FieldVolume:
     """Per-voxel direction of arrival from a path-distance field.
 
-    Central finite differences where both axis neighbors are valid; at
-    walls and field boundaries falls back to second-order one-sided
-    stencils (first-order when only one sample is available). Voxels with
-    a degenerate gradient (notably the source voxel itself) receive NaN
+    ``irparams.fd_derivative`` on the grids shifted by one and two voxels
+    along each axis, with invalid voxels as missing samples. Voxels with a
+    degenerate gradient (notably the source voxel itself) receive NaN
     sentinels.
     """
     if geo.kind != "path-distance":
@@ -220,26 +233,14 @@ def doa_field(scene: VoxelScene, geo: FieldVolume) -> FieldVolume:
     v = geo.values
     valid = np.isfinite(v)
     h = geo.spacing
-    grad = np.zeros(v.shape + (3,))
-    for a in range(3):
-        p1 = _shifted(v, a, 1)
-        p2 = _shifted(v, a, 2)
-        m1 = _shifted(v, a, -1)
-        m2 = _shifted(v, a, -2)
-        has_p1, has_p2 = np.isfinite(p1), np.isfinite(p2)
-        has_m1, has_m2 = np.isfinite(m1), np.isfinite(m2)
-        g = np.zeros_like(v)
-        central = has_p1 & has_m1
-        g[central] = (p1[central] - m1[central]) / (2.0 * h)
-        fwd2 = ~central & has_p1 & has_p2
-        g[fwd2] = (-3.0 * v[fwd2] + 4.0 * p1[fwd2] - p2[fwd2]) / (2.0 * h)
-        fwd1 = ~central & has_p1 & ~has_p2
-        g[fwd1] = (p1[fwd1] - v[fwd1]) / h
-        bwd2 = ~central & ~has_p1 & has_m1 & has_m2
-        g[bwd2] = (3.0 * v[bwd2] - 4.0 * m1[bwd2] + m2[bwd2]) / (2.0 * h)
-        bwd1 = ~central & ~has_p1 & has_m1 & ~has_m2
-        g[bwd1] = (v[bwd1] - m1[bwd1]) / h
-        grad[..., a] = g
+    grad = np.stack(
+        [
+            fd_derivative(v, _shifted(v, a, 1), _shifted(v, a, 2),
+                          _shifted(v, a, -1), _shifted(v, a, -2), h)
+            for a in range(3)
+        ],
+        axis=-1,
+    )
 
     norm = np.linalg.norm(grad, axis=-1)
     # Below half a voxel of path distance the direction is undefined (the

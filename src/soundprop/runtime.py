@@ -3,6 +3,11 @@
 Loaded model bundles, reference tails and speaker layouts are immutable;
 queries and renders are reentrant and safe under concurrent readers.
 
+A query interpolates the source and receiver positions once; every
+bundle's latents reuse those corners and weights, and the direction of
+arrival is ``irparams.doa_from_sampler`` over the predicted distance field
+around the receiver.
+
 The rendering model sums three signal paths: a dry path scaled by the
 direct-sound level and panned toward the direction of arrival, plus early
 and late wet paths built by blending reference tails selected by decay
@@ -16,12 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateGradientError, InputError
-from .irparams import AcousticParamSet, ImpulseResponse, WindowConfig
+from .errors import ConfigurationError, InputError
+from .irparams import AcousticParamSet, ImpulseResponse, WindowConfig, doa_from_sampler
 from .latentfield import interp_latent
 from .scene import VoxelScene
-
-_GRAD_EPS = 1e-9
 
 
 def dry_gain(l_ds: float) -> float:
@@ -290,84 +293,53 @@ def render_offline(
 # ---------------------------------------------------------------------------
 
 
-def _latent(bundle, p):
-    return interp_latent(bundle.grid, bundle.scene, p).latent
+def query_doa(distance_bundle, scene: VoxelScene, u_a: np.ndarray, b, pi: float) -> np.ndarray:
+    """Direction of arrival from the distance field predicted for source
+    latent ``u_a`` around ``b``, where the prediction is ``pi``.
 
-
-def _predict_pi(bundle, u_a: np.ndarray, x) -> float | None:
-    """Distance prediction at receiver position ``x``; None if unresolvable."""
-    try:
-        v = _latent(bundle, x)
-    except InputError:
-        return None
-    return float(bundle.head.predict(u_a[None, :], v[None, :])["pi"][0])
-
-
-def query_doa(distance_bundle, a, b) -> np.ndarray:
-    """Direction of arrival from the predicted distance field around ``b``.
-
-    Central finite differences of the predicted field at one grid spacing,
-    one-sided where a stencil point is occluded or outside the scene.
+    Stencil points inside obstacles or outside the scene are missing
+    samples for ``doa_from_sampler``.
     """
-    scene = distance_bundle.scene
-    u_a = _latent(distance_bundle, a)
-    b = np.asarray(b, dtype=float)
-    h = scene.spacing
-    center = None
-    g = np.zeros(3)
-    resolved = False
-    for axis in range(3):
-        off = np.zeros(3)
-        off[axis] = h
-        plus = _predict_pi(distance_bundle, u_a, b + off)
-        minus = _predict_pi(distance_bundle, u_a, b - off)
-        if plus is not None and minus is not None:
-            g[axis] = (plus - minus) / (2.0 * h)
-            resolved = True
-            continue
-        if center is None:
-            center = _predict_pi(distance_bundle, u_a, b)
-        if center is None:
-            raise DegenerateGradientError("predicted field unresolvable at receiver")
-        if plus is not None:
-            g[axis] = (plus - center) / h
-            resolved = True
-        elif minus is not None:
-            g[axis] = (center - minus) / h
-            resolved = True
-    norm = float(np.linalg.norm(g))
-    if not resolved or norm < _GRAD_EPS:
-        raise DegenerateGradientError("predicted distance gradient is degenerate")
-    return -g / norm
+    def sample(x):
+        try:
+            v = interp_latent(distance_bundle.grid, scene, x).latent
+        except InputError:
+            return None
+        return float(distance_bundle.head.predict(u_a[None, :], v[None, :])["pi"][0])
+
+    return doa_from_sampler(sample, b, scene.spacing, pi)
 
 
 def query_params(bundles: dict, scene: VoxelScene, a, b) -> AcousticParamSet:
     """Predict the full parameter set for one source-receiver pair.
 
     ``bundles`` maps group names (``distance``, ``levels``, ``decays``) to
-    trained model bundles sharing ``scene``. Latents are sampled with
-    visibility masking; the direction of arrival comes from the predicted
-    distance field. A pure function of the checkpoints and positions.
+    trained model bundles over ``scene``. ``a`` and ``b`` are interpolated
+    once with visibility masking; the corners and weights depend only on
+    the scene and the point, so every bundle's latents reuse them. The
+    direction of arrival comes from the predicted distance field. A pure
+    function of the checkpoints and positions.
     """
     if "distance" not in bundles:
         raise ConfigurationError("query needs at least a distance bundle")
     dist = bundles["distance"]
-    u, v = _latent(dist, a), _latent(dist, b)
-    pi = float(dist.head.predict(u[None, :], v[None, :])["pi"][0])
+    ra = interp_latent(dist.grid, scene, a)
+    rb = interp_latent(dist.grid, scene, b)
 
-    l_ds = l_er = tau_er = tau_lr = float("nan")
-    if "levels" in bundles:
-        lv = bundles["levels"]
-        lu, lvv = _latent(lv, a), _latent(lv, b)
-        out = lv.head.predict(lu[None, :], lvv[None, :])
-        l_ds, l_er = float(out["l_ds"][0]), float(out["l_er"][0])
-    if "decays" in bundles:
-        dc = bundles["decays"]
-        du, dv = _latent(dc, a), _latent(dc, b)
-        out = dc.head.predict(du[None, :], dv[None, :])
-        tau_er, tau_lr = float(out["tau_er"][0]), float(out["tau_lr"][0])
+    out = {}
+    for group, bundle in bundles.items():
+        if bundle.grid.dims != scene.dims:
+            raise InputError(f"{group} grid dims do not match scene dims")
+        values = bundle.grid.values
+        u, v = (r.weights @ values[r.corners[:, 0], r.corners[:, 1], r.corners[:, 2]]
+                for r in (ra, rb))
+        out.update(bundle.head.predict(u[None, :], v[None, :]))
+    pi, l_ds, l_er, tau_er, tau_lr = (
+        float(out[h][0]) if h in out else float("nan")
+        for h in ("pi", "l_ds", "l_er", "tau_er", "tau_lr")
+    )
 
-    doa = query_doa(dist, a, b)
+    doa = query_doa(dist, scene, ra.latent, b, pi)
     l_lr = derive_l_lr(l_er, tau_er) if np.isfinite(l_er) and tau_er > 0 else None
     return AcousticParamSet(
         pi=pi, l_ds=l_ds, l_er=l_er, tau_er=tau_er, tau_lr=tau_lr, doa=doa, l_lr=l_lr

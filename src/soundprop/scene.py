@@ -100,10 +100,6 @@ class VoxelScene:
     # -- geometry helpers -------------------------------------------------
 
     @property
-    def shape(self) -> tuple[int, int, int]:
-        return self.dims
-
-    @property
     def n_voxels(self) -> int:
         nx, ny, nz = self.dims
         return nx * ny * nz

@@ -26,8 +26,14 @@ from .decoders import (
     make_distance_decoder,
 )
 from .errors import ConfigurationError, DivergenceError, InputError
-from .latentfield import LatentGrid, init_latent_grid, interp_latent
-from .oracle import FieldVolume, bake_source
+from .latentfield import (
+    InterpResult,
+    LatentGrid,
+    init_latent_grid,
+    interp_backward,
+    interp_latent,
+)
+from .oracle import FieldVolume, bake_source, valid_pairs
 from .scene import VoxelScene, visible_targets
 
 GROUP_HEADS = {
@@ -254,29 +260,30 @@ def build_dataset(scene: VoxelScene, sources, split: str = "train") -> Dataset:
 
 def mse_loss(pred: FieldVolume, truth: FieldVolume) -> float:
     """Mean squared error over voxels valid in both fields."""
-    if pred.values.shape != truth.values.shape:
-        raise InputError("field shapes differ")
-    valid = pred.valid_mask() & truth.valid_mask()
-    if not valid.any():
-        raise InputError("no valid voxels to compare")
-    diff = pred.values[valid] - truth.values[valid]
+    p, t = valid_pairs(pred, truth)
+    diff = p - t
     return float(np.mean(diff * diff))
 
 
-def _latent_at(bundle: ModelBundle, p) -> np.ndarray:
-    """Latent vector at ``p``: direct lookup on centers, masked interp off."""
+def _source_stencil(bundle: ModelBundle, p) -> InterpResult:
+    """Latent at ``p`` with the vertices and weights it is read from: a
+    direct lookup on a voxel centre, masked interpolation off it."""
     scene = bundle.scene
     idx = scene.voxel_of(p)
     center = scene.voxel_center(idx)
     if np.allclose(center, np.asarray(p, dtype=float), atol=1e-9 * scene.spacing):
-        return bundle.grid.values[idx].copy()
-    return interp_latent(bundle.grid, scene, p).latent
+        return InterpResult(
+            latent=bundle.grid.values[idx].copy(),
+            corners=np.array([idx]),
+            weights=np.ones(1),
+        )
+    return interp_latent(bundle.grid, scene, p)
 
 
 def predict_fields(bundle: ModelBundle, source) -> dict[str, FieldVolume]:
     """Predicted receiver fields of this bundle's heads for one source."""
     scene = bundle.scene
-    u = _latent_at(bundle, source)
+    u = _source_stencil(bundle, source).latent
     free = scene.free_indices()
     V = bundle.grid.values[free[:, 0], free[:, 1], free[:, 2]]
     U = np.broadcast_to(u, V.shape)
@@ -301,11 +308,8 @@ def evaluate_mae(bundle: ModelBundle, ds: Dataset) -> dict[str, float]:
     for src, fields in zip(ds.sources, ds.fields):
         preds = predict_fields(bundle, src)
         for head in totals:
-            truth = fields[head]
-            valid = truth.valid_mask() & preds[head].valid_mask()
-            totals[head] += float(
-                np.mean(np.abs(preds[head].values[valid] - truth.values[valid]))
-            )
+            p, t = valid_pairs(preds[head], fields[head])
+            totals[head] += float(np.mean(np.abs(p - t)))
     return {h: t / max(len(ds), 1) for h, t in totals.items()}
 
 
@@ -322,7 +326,7 @@ class TrainResult:
 
 
 def _prepare_source(bundle: ModelBundle, scene: VoxelScene, src, fields):
-    """Receiver index list, truth rows and source voxel for one source."""
+    """Source stencil, receiver index list and truth rows for one source."""
     heads = GROUP_HEADS[bundle.group]
     valid = scene.free_mask()
     for head in heads:
@@ -331,7 +335,7 @@ def _prepare_source(bundle: ModelBundle, scene: VoxelScene, src, fields):
     truths = {
         h: fields[h].values[recv[:, 0], recv[:, 1], recv[:, 2]] for h in heads
     }
-    return scene.voxel_of(src), recv, truths
+    return _source_stencil(bundle, src), recv, truths
 
 
 def train(
@@ -376,8 +380,9 @@ def train(
             grid_grad = grads["grid"]
             batch_loss = 0.0
             for si in batch:
-                src_voxel, recv, truths = prepared[si]
-                u = bundle.grid.values[src_voxel].copy()
+                src, recv, truths = prepared[si]
+                c = src.corners
+                u = src.weights @ bundle.grid.values[c[:, 0], c[:, 1], c[:, 2]]
                 V = bundle.grid.values[recv[:, 0], recv[:, 1], recv[:, 2]]
                 U = np.broadcast_to(u, V.shape)
                 preds = bundle.head.predict(U, V)
@@ -389,7 +394,8 @@ def train(
                 gU, gV, gP = bundle.head.backward(U, V, upstream)
                 np.add.at(grid_grad, (recv[:, 0], recv[:, 1], recv[:, 2]), gV)
                 if not cfg.stop_gradient_at_source:
-                    grid_grad[src_voxel] += gU.sum(axis=0)
+                    corners, g_src = interp_backward(src, gU.sum(axis=0))
+                    np.add.at(grid_grad, (corners[:, 0], corners[:, 1], corners[:, 2]), g_src)
                 for name, g in gP.items():
                     grads[name] += g
             batch_loss /= len(batch)

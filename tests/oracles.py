@@ -74,3 +74,21 @@ def full_visibility_sources(scene, seed=0, init_count=20) -> list:
         covered |= sp.visible_voxels(scene, src)
         uncovered = scene.free_mask() & ~covered
     return sources
+
+
+def per_bundle_query(bundles, a, b) -> dict:
+    """Scalar outputs of a query that interpolates ``a`` and ``b`` afresh
+    for every bundle, on that bundle's own scene.
+
+    ``l_lr`` is derived from the early level and decay as in
+    ``query_params``.
+    """
+    out = {"l_ds": np.nan, "l_er": np.nan, "tau_er": np.nan, "tau_lr": np.nan}
+    for bundle in bundles.values():
+        u = sp.interp_latent(bundle.grid, bundle.scene, a).latent
+        v = sp.interp_latent(bundle.grid, bundle.scene, b).latent
+        for head, values in bundle.head.predict(u[None, :], v[None, :]).items():
+            out[head] = float(values[0])
+    finite = np.isfinite(out["l_er"]) and out["tau_er"] > 0
+    out["l_lr"] = sp.derive_l_lr(out["l_er"], out["tau_er"]) if finite else None
+    return out

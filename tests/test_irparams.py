@@ -356,3 +356,21 @@ def test_extract_params_round_trip_sample():
         assert got.l_er == pytest.approx(truth.l_er, abs=0.5)
         assert got.tau_lr == pytest.approx(truth.tau_lr, rel=0.05)
         assert got.tau_er == pytest.approx(truth.tau_er, rel=0.10)
+
+
+def test_fd_derivative_stencil_orders():
+    """Each stencil is exact on the polynomials its order covers."""
+    h = 0.5
+    f = lambda x: 2.0 + 3.0 * x - 4.0 * x * x  # noqa: E731
+    c, p1, p2, m1, m2 = f(0.0), f(h), f(2 * h), f(-h), f(-2 * h)
+    nan = np.nan
+    assert sp.fd_derivative(c, p1, p2, m1, m2, h) == pytest.approx(3.0, abs=1e-12)
+    assert sp.fd_derivative(c, p1, p2, nan, nan, h) == pytest.approx(3.0, abs=1e-12)
+    assert sp.fd_derivative(c, nan, nan, m1, m2, h) == pytest.approx(3.0, abs=1e-12)
+    assert sp.fd_derivative(c, p1, nan, nan, nan, h) == pytest.approx((p1 - c) / h, abs=1e-12)
+    assert sp.fd_derivative(c, nan, nan, m1, nan, h) == pytest.approx((c - m1) / h, abs=1e-12)
+    assert sp.fd_derivative(c, nan, p2, nan, m2, h) == 0.0
+    # elementwise over arrays, as on the oracle grids
+    got = sp.fd_derivative(np.full(2, c), np.array([p1, nan]), np.array([p2, nan]),
+                           np.array([nan, m1]), np.array([nan, m2]), h)
+    assert np.allclose(got, 3.0, rtol=0.0, atol=1e-12)

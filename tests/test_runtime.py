@@ -2,8 +2,12 @@ import numpy as np
 import pytest
 
 import soundprop as sp
+from soundprop import runtime
 from soundprop.errors import ConfigurationError, InputError
 from soundprop.runtime import render_params
+
+from conftest import random_free_position
+from oracles import per_bundle_query
 
 
 # ---------------------------------------------------------------------------
@@ -259,3 +263,89 @@ def test_query_full_bundle_fields(box_scene, box_datasets):
 def test_query_requires_distance_bundle(box_scene):
     with pytest.raises(ConfigurationError):
         sp.query_params({}, box_scene, np.zeros(3), np.ones(3))
+
+
+# ---------------------------------------------------------------------------
+# One interpolation per query point
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def maze_bundles(maze_scene):
+    """Untrained bundles of all three groups; their warm-started latents
+    vary across the grid, which is all the query path needs."""
+    families = {"distance": "riemann-diag", "levels": "riemann-diag", "decays": "dot-product"}
+    return {g: sp.make_bundle(maze_scene, g, f, 8, seed=3) for g, f in families.items()}
+
+
+def _off_centre_pairs(scene, count, seed):
+    rng = np.random.default_rng(seed)
+    return [(random_free_position(scene, rng), random_free_position(scene, rng))
+            for _ in range(count)]
+
+
+def test_query_scalars_match_per_bundle_interpolation(maze_scene, maze_bundles):
+    """Reusing the corners and weights of ``a`` and ``b`` across bundles
+    leaves every scalar output bit-identical."""
+    for a, b in _off_centre_pairs(maze_scene, 40, seed=11):
+        got = sp.query_params(maze_bundles, maze_scene, a, b)
+        want = per_bundle_query(maze_bundles, a, b)
+        for name in ("pi", "l_ds", "l_er", "tau_er", "tau_lr", "l_lr"):
+            assert getattr(got, name) == want[name], name
+
+
+def test_query_interpolates_each_point_once(maze_scene, maze_bundles, monkeypatch):
+    seen = []
+    real = runtime.interp_latent
+
+    def counting(grid, scene, p):
+        seen.append(tuple(np.asarray(p, dtype=float)))
+        return real(grid, scene, p)
+
+    monkeypatch.setattr(runtime, "interp_latent", counting)
+    for a, b in _off_centre_pairs(maze_scene, 20, seed=12):
+        seen.clear()
+        sp.query_params(maze_bundles, maze_scene, a, b)
+        assert seen[:2] == [tuple(a), tuple(b)]
+        assert len(set(seen)) == len(seen)
+        assert len(seen) <= 2 + 3 * 3  # a, b and at most three stencil points per axis
+
+
+def test_query_rejects_bundle_over_other_grid(maze_scene, maze_bundles, box_scene):
+    a = maze_scene.voxel_center(maze_scene.free_indices()[0])
+    bundles = dict(maze_bundles, levels=sp.make_bundle(box_scene, "levels", "euclidean", 8))
+    with pytest.raises(InputError):
+        sp.query_params(bundles, maze_scene, a, a)
+
+
+def test_query_doa_one_sided_is_second_order():
+    """At a receiver whose +x neighbour is a wall the x derivative uses the
+    second-order one-sided stencil on ``b - h`` and ``b - 2h``."""
+    scene = sp.build_scene(sp.SceneSpec(kind="maze", dims=(16, 6, 16), seed=7))
+    occ = scene.occupancy
+    free = [tuple(i) for i in scene.free_indices()]
+    idx = next(
+        (i, j, k) for i, j, k in free
+        if occ[i + 1, j, k] and not (occ[i - 1, j, k] or occ[i - 2, j, k])
+        and not (occ[i, j - 1, k] or occ[i, j + 1, k] or occ[i, j, k - 1] or occ[i, j, k + 1])
+    )
+    b = scene.voxel_center(idx)
+    a = scene.voxel_center(free[0])
+    dist = sp.make_bundle(scene, "distance", "riemann-diag", 8, seed=3)
+    h = scene.spacing
+    u = sp.interp_latent(dist.grid, scene, a).latent
+
+    def pi_at(axis, k):
+        step = np.zeros(3)
+        step[axis] = k * h
+        v = sp.interp_latent(dist.grid, scene, b + step).latent
+        return float(dist.head.predict(u[None, :], v[None, :])["pi"][0])
+
+    c = pi_at(0, 0)
+    gy, gz = ((pi_at(ax, 1) - pi_at(ax, -1)) / (2.0 * h) for ax in (1, 2))
+    second = np.array([(3.0 * c - 4.0 * pi_at(0, -1) + pi_at(0, -2)) / (2.0 * h), gy, gz])
+    first = np.array([(c - pi_at(0, -1)) / h, gy, gz])
+
+    got = sp.query_params({"distance": dist}, scene, a, b).doa
+    assert np.allclose(got, -second / np.linalg.norm(second), rtol=0.0, atol=1e-12)
+    assert not np.allclose(got, -first / np.linalg.norm(first), rtol=0.0, atol=1e-6)

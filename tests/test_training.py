@@ -292,3 +292,60 @@ def test_sample_sources_casts_one_ray_per_uncovered_voxel(monkeypatch):
     assert not uncovered.any()
     assert len(calls) == expected
     assert expected < len(sources) * np.count_nonzero(scene.free_mask())
+
+
+def test_off_centre_source_latent_matches_predict_fields(box_scene):
+    """Training reads an off-centre source latent by masked interpolation,
+    the same latent that ``predict_fields`` (and so eval) uses."""
+    src = box_scene.voxel_center((3, 1, 4)) + np.array([0.3, 0.2, -0.35]) * box_scene.spacing
+    ds = sp.build_dataset(box_scene, [src])
+    bundle = sp.make_bundle(box_scene, "distance", "euclidean", 4, seed=0)
+    rows = []
+    real = bundle.head.predict
+
+    def recording(U, V):
+        rows.append(np.array(U[0]))
+        return real(U, V)
+
+    bundle.head.predict = recording
+    sp.predict_fields(bundle, src)
+    sp.train(bundle, ds, sp.TrainConfig(epochs=1, eval_interval=0, seed=0))
+    assert len(rows) == 2
+    assert np.array_equal(rows[1], rows[0])
+    assert not np.array_equal(rows[1], bundle.grid.values[box_scene.voxel_of(src)])
+
+
+def test_off_centre_source_gradient_scatters_over_stencil(box_scene):
+    """One off-centre source and one distant receiver: the stop-gradient
+    freezes the source stencil; without it, every stencil vertex moves."""
+    src = box_scene.voxel_center((3, 1, 4)) + np.array([0.3, 0.2, -0.35]) * box_scene.spacing
+    recv_idx = (6, 2, 6)
+    geo = sp.geodesic_field(box_scene, src)
+    lone = np.full(box_scene.dims, np.nan)
+    lone[recv_idx] = geo.values[recv_idx]
+    pi = FieldVolume(source=src, kind="path-distance", values=lone,
+                     spacing=box_scene.spacing, origin=box_scene.origin)
+    ds = sp.Dataset(scene=box_scene, sources=[src], fields=[{"pi": pi}])
+    corners = sp.interp_latent(sp.init_latent_grid(box_scene, 4), box_scene, src).corners
+    assert len(corners) == 8 and recv_idx not in {tuple(c) for c in corners}
+    for stop in (True, False):
+        bundle = sp.make_bundle(box_scene, "distance", "euclidean", 4, seed=0)
+        before = bundle.grid.values.copy()
+        cfg = sp.TrainConfig(epochs=3, eval_interval=0, seed=0, stop_gradient_at_source=stop)
+        sp.train(bundle, ds, cfg)
+        moved = np.any(bundle.grid.values != before, axis=-1)
+        assert moved[recv_idx]
+        assert [bool(moved[tuple(c)]) for c in corners] == [not stop] * 8
+        assert np.count_nonzero(moved) == (1 if stop else 9)
+
+
+def test_evaluate_mae_without_common_valid_voxels_raises(box_scene):
+    src = box_scene.voxel_center((2, 1, 2))
+    fields = sp.bake_source(box_scene, src)
+    fields["pi"] = FieldVolume(source=src, kind="path-distance",
+                               values=np.full(box_scene.dims, np.nan),
+                               spacing=box_scene.spacing, origin=box_scene.origin)
+    ds = sp.Dataset(scene=box_scene, sources=[src], fields=[fields])
+    bundle = sp.make_bundle(box_scene, "distance", "euclidean", 4, seed=0)
+    with pytest.raises(InputError):
+        sp.evaluate_mae(bundle, ds)

@@ -81,6 +81,7 @@ from .scene import (
     VoxelScene,
     build_scene,
     line_of_sight,
+    lines_of_sight,
     visible_voxels,
 )
 from .training import (

@@ -31,7 +31,7 @@ import struct
 import numpy as np
 
 from .decoders import DEFAULT_MAX_DECAY
-from .errors import FormatError
+from .errors import ConfigurationError, FormatError
 from .irparams import ImpulseResponse
 from .oracle import FIELD_KINDS, FieldVolume
 from .runtime import SpeakerLayout
@@ -44,6 +44,9 @@ IR_MAGIC = b"SPIR1"
 CKPT_MAGIC = b"SPCKPT1\x00"
 
 _KIND_CODES = {kind: i for i, kind in enumerate(FIELD_KINDS)}
+# After the magic: dims, kind code, channel count, 2 pad bytes, source,
+# spacing, origin.
+_FIELD_HEADER = struct.Struct("<3IBB2x3dd3d")
 
 
 def sha256_file(path) -> str:
@@ -74,8 +77,10 @@ def _rle_encode(flat: np.ndarray, value_fmt: str) -> bytes:
 
 
 def _rle_decode(buf: memoryview, offset: int, count: int, value_fmt: str, dtype):
+    # Runs are read before anything is allocated, so a header that claims
+    # more voxels than the runs hold fails without a large allocation.
     item = struct.calcsize("<I" + value_fmt)
-    values = np.empty(count, dtype=dtype)
+    lengths, values = [], []
     pos = 0
     while pos < count:
         if offset + item > len(buf):
@@ -84,9 +89,10 @@ def _rle_decode(buf: memoryview, offset: int, count: int, value_fmt: str, dtype)
         offset += item
         if pos + run_len > count:
             raise FormatError("run-length data overruns the array")
-        values[pos : pos + run_len] = run_val
+        lengths.append(run_len)
+        values.append(run_val)
         pos += run_len
-    return values, offset
+    return np.repeat(np.array(values, dtype=dtype), lengths), offset
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +126,10 @@ def write_scene(path, scene: VoxelScene, kind: str = "custom", seed: int = 0) ->
 
 
 def read_scene(path) -> tuple[VoxelScene, dict]:
-    """Scene plus its header metadata (kind, seed)."""
+    """Scene plus its header metadata (kind, seed).
+
+    Raises ``FormatError`` for a file that is not a well-formed scene.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     sep = blob.find(b"\n\n")
@@ -128,29 +137,38 @@ def read_scene(path) -> tuple[VoxelScene, dict]:
         raise FormatError(f"{path} is not a scene file")
     meta = {}
     region_params = {}
-    for line in blob[:sep].decode().splitlines()[1:]:
-        key, _, value = line.partition("=")
-        if key.startswith("region."):
-            te, tl, ler = (float(x) for x in value.split(","))
-            region_params[int(key.split(".", 1)[1])] = RegionAcoustics(te, tl, ler)
-        else:
-            meta[key] = value
-    dims = tuple(int(x) for x in meta["dims"].split("x"))
-    spacing = float(meta["spacing"])
-    origin = np.array([float(x) for x in meta["origin"].split(",")])
+    try:
+        for line in blob[:sep].decode().splitlines()[1:]:
+            key, _, value = line.partition("=")
+            if key.startswith("region."):
+                te, tl, ler = (float(x) for x in value.split(","))
+                region_params[int(key.split(".", 1)[1])] = RegionAcoustics(te, tl, ler)
+            else:
+                meta[key] = value
+        dims = tuple(int(x) for x in meta["dims"].split("x"))
+        spacing = float(meta["spacing"])
+        origin = np.array([float(x) for x in meta["origin"].split(",")])
+        info = {"kind": meta.get("kind", "custom"), "seed": int(meta.get("seed", 0))}
+    except (KeyError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
+        raise FormatError(f"{path}: malformed scene header ({exc!r})") from exc
+    if len(dims) != 3 or min(dims) < 2 or origin.shape != (3,) or not np.isfinite(origin).all():
+        raise FormatError(f"{path}: malformed scene header")
     count = dims[0] * dims[1] * dims[2]
     buf = memoryview(blob)
     occ_flat, offset = _rle_decode(buf, sep + 2, count, "B", np.uint8)
     reg_flat, _ = _rle_decode(buf, offset, count, "i", np.int32)
-    scene = VoxelScene(
-        dims=dims,
-        spacing=spacing,
-        origin=origin,
-        occupancy=occ_flat.reshape(dims, order="F").astype(bool),
-        regions=reg_flat.reshape(dims, order="F"),
-        region_params=region_params or None,
-    )
-    return scene, {"kind": meta.get("kind", "custom"), "seed": int(meta.get("seed", 0))}
+    try:
+        scene = VoxelScene(
+            dims=dims,
+            spacing=spacing,
+            origin=origin,
+            occupancy=occ_flat.reshape(dims, order="F").astype(bool),
+            regions=reg_flat.reshape(dims, order="F"),
+            region_params=region_params or None,
+        )
+    except ConfigurationError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+    return scene, info
 
 
 # ---------------------------------------------------------------------------
@@ -160,12 +178,9 @@ def read_scene(path) -> tuple[VoxelScene, dict]:
 
 def write_field(path, fv: FieldVolume) -> None:
     channels = 3 if fv.kind == "doa" else 1
-    header = FIELD_MAGIC
-    header += struct.pack("<3I", *fv.dims)
-    header += struct.pack("<BB2x", _KIND_CODES[fv.kind], channels)
-    header += struct.pack("<3d", *fv.source)
-    header += struct.pack("<d", fv.spacing)
-    header += struct.pack("<3d", *fv.origin)
+    header = FIELD_MAGIC + _FIELD_HEADER.pack(
+        *fv.dims, _KIND_CODES[fv.kind], channels, *fv.source, fv.spacing, *fv.origin
+    )
     with open(path, "wb") as fh:
         fh.write(header)
         if channels == 1:
@@ -176,26 +191,28 @@ def write_field(path, fv: FieldVolume) -> None:
 
 
 def read_field(path) -> FieldVolume:
+    """Field volume; ``FormatError`` for a file that is not a well-formed field."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if not blob.startswith(FIELD_MAGIC):
         raise FormatError(f"{path} is not a field file")
     off = len(FIELD_MAGIC)
-    dims = struct.unpack_from("<3I", blob, off)
-    off += 12
-    kind_code, channels = struct.unpack_from("<BB", blob, off)
-    off += 4
-    source = struct.unpack_from("<3d", blob, off)
-    off += 24
-    (spacing,) = struct.unpack_from("<d", blob, off)
-    off += 8
-    origin = struct.unpack_from("<3d", blob, off)
-    off += 24
+    if len(blob) < off + _FIELD_HEADER.size:
+        raise FormatError(f"{path}: truncated field header")
+    nx, ny, nz, kind_code, channels, *rest = _FIELD_HEADER.unpack_from(blob, off)
+    off += _FIELD_HEADER.size
+    dims = (nx, ny, nz)
+    source, spacing, origin = rest[0:3], rest[3], rest[4:7]
+    if kind_code >= len(FIELD_KINDS):
+        raise FormatError(f"{path}: unknown field kind code {kind_code}")
     kind = FIELD_KINDS[kind_code]
-    count = dims[0] * dims[1] * dims[2]
-    expect = count * channels * 4
-    if len(blob) - off < expect:
-        raise FormatError("truncated field payload")
+    if channels != (3 if kind == "doa" else 1):
+        raise FormatError(f"{path}: {channels} channels for a {kind} field")
+    if min(dims) < 1 or not (spacing > 0) or not np.isfinite(rest).all():
+        raise FormatError(f"{path}: malformed field header")
+    count = nx * ny * nz
+    if len(blob) - off != count * channels * 4:
+        raise FormatError(f"{path}: field payload size does not match its header")
     raw = np.frombuffer(blob, dtype="<f4", count=count * channels, offset=off)
     if channels == 1:
         values = raw.reshape(dims, order="F").astype(float)

@@ -28,6 +28,15 @@ from .errors import ConfigurationError, InputError
 # than this to a cell edge are treated as touching every adjacent voxel.
 _TIE_EPS = 1e-9
 
+# Voxels touched when a traversal leaves a cell through an edge or corner,
+# as multiples of the per-axis step: the neighbours across each tied face
+# and each tied edge. A probe applies when two or more axes tie and every
+# axis it moves along is among them. Both ray walkers read this table.
+_TIE_PROBES = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1))
+
+# Cell labels of the padded grid the batched walker steps through.
+_FREE, _OCCUPIED, _OUTSIDE = 0, 1, 2
+
 
 @dataclass(frozen=True)
 class RegionAcoustics:
@@ -111,7 +120,8 @@ class VoxelScene:
         return float(np.linalg.norm(ext))
 
     def voxel_center(self, index) -> np.ndarray:
-        """Center of voxel ``index`` (a length-3 integer sequence) in meters."""
+        """Center of voxel ``index`` (a length-3 integer sequence, or an
+        ``(m, 3)`` array of them) in meters."""
         return self.origin + np.asarray(index, dtype=float) * self.spacing
 
     def voxel_centers(self) -> np.ndarray:
@@ -383,47 +393,48 @@ def build_scene(spec: SceneSpec) -> VoxelScene:
     )
 
 
+def _segment_cells(scene: VoxelScene, ends: np.ndarray):
+    """Cell coordinates of segment endpoints ``ends`` (shape ``(..., 3)``)
+    and the voxel each lies in.
+
+    In cell coordinates voxel ``(i, j, k)`` spans ``[i, i+1) x [j, j+1) x
+    [k, k+1)``; a point on the far face of the last voxel still belongs to
+    it. Both ray walkers start from these values, so they agree bit for bit.
+    """
+    if not np.all(np.isfinite(ends)):
+        raise InputError("line-of-sight endpoints must be finite")
+    if not scene.contains(ends):
+        raise InputError("line-of-sight endpoints must lie inside the scene")
+    c = (ends - scene.origin) * (1.0 / scene.spacing) + 0.5
+    dims = np.asarray(scene.dims)
+    cell = np.floor(c).astype(np.int64)
+    cell -= (cell == dims) & (c - dims <= _TIE_EPS)
+    return c, np.clip(cell, 0, dims - 1)
+
+
 def line_of_sight(scene: VoxelScene, p, q) -> bool:
     """True iff the segment from ``p`` to ``q`` crosses no occupied voxel.
 
-    Traversal is an incremental voxel walk (3D DDA) in cell coordinates.
-    A voxel blocks if the closed segment touches its closed cube, so exact
-    edge or corner grazing resolves to "blocked"; this is conservative and
-    prevents leakage across diagonal wall seams. Endpoints inside an
-    occupied voxel yield ``False`` rather than an error.
-    """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))):
-        raise InputError("line-of-sight endpoints must be finite")
-    if not (scene.contains(p) and scene.contains(q)):
-        raise InputError("line-of-sight endpoints must lie inside the scene")
+    Traversal is an incremental voxel walk (3D DDA, Amanatides & Woo) in
+    cell coordinates. A voxel blocks if the closed segment touches its
+    closed cube, so exact edge or corner grazing resolves to "blocked";
+    this is conservative and prevents leakage across diagonal wall seams.
+    Endpoints inside an occupied voxel yield ``False`` rather than an error.
 
+    This is the walker for one segment; ``lines_of_sight`` casts many at
+    once with the same arithmetic and gives the same answers.
+    """
+    c, cell = _segment_cells(scene, np.array([p, q], dtype=float))
     occ = scene.occupancy
     nx, ny, nz = scene.dims
-    inv_h = 1.0 / scene.spacing
-    # Cell coordinates: voxel (i, j, k) spans [i, i+1) x [j, j+1) x [k, k+1).
     # Plain Python floats keep the traversal loop free of numpy scalars.
-    ax = float((p[0] - scene.origin[0]) * inv_h + 0.5)
-    ay = float((p[1] - scene.origin[1]) * inv_h + 0.5)
-    az = float((p[2] - scene.origin[2]) * inv_h + 0.5)
-    bx = float((q[0] - scene.origin[0]) * inv_h + 0.5)
-    by = float((q[1] - scene.origin[1]) * inv_h + 0.5)
-    bz = float((q[2] - scene.origin[2]) * inv_h + 0.5)
-    dx, dy, dz = bx - ax, by - ay, bz - az
-
-    def cell(v, n):
-        c = int(math.floor(v))
-        if c == n and v - n <= _TIE_EPS:
-            c = n - 1
-        return min(max(c, 0), n - 1)
-
-    ix, iy, iz = cell(ax, nx), cell(ay, ny), cell(az, nz)
-    ex, ey, ez = cell(bx, nx), cell(by, ny), cell(bz, nz)
+    (ax, ay, az), (bx, by, bz) = c.tolist()
+    (ix, iy, iz), (ex, ey, ez) = cell.tolist()
     if occ[ix, iy, iz] or occ[ex, ey, ez]:
         return False
     if ix == ex and iy == ey and iz == ez:
         return True
+    dx, dy, dz = bx - ax, by - ay, bz - az
 
     step_x = 1 if dx > 0 else (-1 if dx < 0 else 0)
     step_y = 1 if dy > 0 else (-1 if dy < 0 else 0)
@@ -455,10 +466,11 @@ def line_of_sight(scene: VoxelScene, p, q) -> bool:
         tie_x = t_max_x - t_min <= _TIE_EPS
         tie_y = t_max_y - t_min <= _TIE_EPS
         tie_z = t_max_z - t_min <= _TIE_EPS
-        n_ties = tie_x + tie_y + tie_z
-        if n_ties > 1:
-            for probe in _tie_probes(ix, iy, iz, step_x, step_y, step_z, tie_x, tie_y, tie_z):
-                px, py, pz = probe
+        if tie_x + tie_y + tie_z > 1:
+            for ox, oy, oz in _TIE_PROBES:
+                if (ox and not tie_x) or (oy and not tie_y) or (oz and not tie_z):
+                    continue
+                px, py, pz = ix + ox * step_x, iy + oy * step_y, iz + oz * step_z
                 if 0 <= px < nx and 0 <= py < ny and 0 <= pz < nz and occ[px, py, pz]:
                     return False
         if tie_x:
@@ -478,22 +490,63 @@ def line_of_sight(scene: VoxelScene, p, q) -> bool:
             return True
 
 
-def _tie_probes(ix, iy, iz, sx, sy, sz, tx, ty, tz):
-    """Voxels touched when a traversal crossing hits an edge or corner."""
-    probes = []
-    if tx:
-        probes.append((ix + sx, iy, iz))
-    if ty:
-        probes.append((ix, iy + sy, iz))
-    if tz:
-        probes.append((ix, iy, iz + sz))
-    if tx and ty:
-        probes.append((ix + sx, iy + sy, iz))
-    if tx and tz:
-        probes.append((ix + sx, iy, iz + sz))
-    if ty and tz:
-        probes.append((ix, iy + sy, iz + sz))
-    return probes
+def lines_of_sight(scene: VoxelScene, p, q) -> np.ndarray:
+    """``line_of_sight`` for many segments at once, as a bool array.
+
+    The rays run from the one start point ``p`` to the ``m`` end points
+    ``q``, shape ``(m, 3)``. All rays walk in lockstep, one numpy step per voxel
+    crossing for the rays still walking, on flat indices into the occupancy
+    grid padded by one cell (a step or a tie probe leaves the grid by at
+    most one cell). The arithmetic is ``line_of_sight``'s, so each result is
+    identical to the single-segment walk.
+    """
+    q = np.asarray(q, dtype=float)
+    c, cell = _segment_cells(scene, np.stack(np.broadcast_arrays(np.asarray(p, dtype=float), q)))
+    (a, b), (start, end) = c, cell
+    nx, ny, nz = scene.dims
+    labels = np.pad(scene.occupancy.astype(np.int8), 1, constant_values=_OUTSIDE).ravel()
+    strides = np.array([(ny + 2) * (nz + 2), nz + 2, 1])
+    cur, stop = (start + 1) @ strides, (end + 1) @ strides
+    out = np.zeros(len(q), dtype=bool)
+    clear = (labels[cur] != _OCCUPIED) & (labels[stop] != _OCCUPIED)
+    out[clear & (cur == stop)] = True
+
+    d = b - a
+    moving = d != 0
+    step = np.sign(d).astype(np.int64)
+    t_max = np.full(d.shape, np.inf)
+    np.divide((start + (d > 0)) - a, d, out=t_max, where=moving)
+    t_delta = np.full(d.shape, np.inf)
+    np.divide(1.0, d, out=t_delta, where=moving)
+    np.abs(t_delta, out=t_delta)
+    probes = np.array(_TIE_PROBES, dtype=bool)
+
+    rays = np.flatnonzero(clear & (cur != stop))
+    cur, stop = cur[rays], stop[rays]
+    t_max, t_delta, step = t_max[rays], t_delta[rays], step[rays] * strides
+    while rays.size:
+        t_min = t_max.min(axis=1)
+        past_end = t_min > 1.0 + _TIE_EPS
+        ties = t_max - t_min[:, None] <= _TIE_EPS
+        # Edge or corner crossings: every voxel adjacent to the crossing is
+        # touched (see line_of_sight).
+        blocked = np.zeros(rays.size, dtype=bool)
+        grazing = np.flatnonzero((ties.sum(axis=1) > 1) & ~past_end)
+        if grazing.size:
+            applies = (ties[grazing, None, :] | ~probes).all(axis=2)
+            cells = cur[grazing, None] + step[grazing] @ probes.T
+            blocked[grazing] = (applies & (labels[cells] == _OCCUPIED)).any(axis=1)
+        cur = cur + (ties * step).sum(axis=1)
+        t_max = np.where(ties, t_max + t_delta, t_max)
+        label = labels[cur]
+        walking = ~past_end & ~blocked
+        # Clear once a ray leaves the grid or enters its end voxel.
+        arrived = (label == _OUTSIDE) | ((label == _FREE) & (cur == stop))
+        out[rays[past_end | (walking & arrived)]] = True
+        keep = walking & (label == _FREE) & (cur != stop)
+        rays, cur, stop = rays[keep], cur[keep], stop[keep]
+        t_max, t_delta, step = t_max[keep], t_delta[keep], step[keep]
+    return out
 
 
 def visible_voxels(scene: VoxelScene, p) -> np.ndarray:
@@ -510,15 +563,10 @@ def visible_voxels(scene: VoxelScene, p) -> np.ndarray:
 
 def visible_targets(scene: VoxelScene, p, targets: np.ndarray) -> np.ndarray:
     """``visible_voxels(scene, p) & targets`` for ``p`` inside the scene,
-    casting one ``line_of_sight`` ray per free voxel of ``targets`` only."""
+    casting one batch of rays to the free voxel centres of ``targets``."""
     mask = np.zeros(scene.dims, dtype=bool)
     if scene.occupancy[scene.voxel_of(p)]:
         return mask
-    for idx in np.argwhere(targets & ~scene.occupancy):
-        i, j, k = int(idx[0]), int(idx[1]), int(idx[2])
-        mask[i, j, k] = line_of_sight(scene, p, scene.voxel_center((i, j, k)))
-    return mask
-    for idx in np.argwhere(targets):
-        i, j, k = int(idx[0]), int(idx[1]), int(idx[2])
-        mask[i, j, k] = line_of_sight(scene, p, scene.voxel_center((i, j, k)))
+    idx = np.argwhere(targets & ~scene.occupancy)
+    mask[tuple(idx.T)] = lines_of_sight(scene, p, scene.voxel_center(idx))
     return mask

@@ -1,6 +1,12 @@
 import pytest
+from hypothesis import settings
 
 import soundprop as sp
+
+# Property and fuzz tests draw the same examples on every run and have no
+# per-example deadline, so a slow machine cannot fail them on timing.
+settings.register_profile("soundprop", derandomize=True, deadline=None)
+settings.load_profile("soundprop")
 
 
 @pytest.fixture(scope="session")

@@ -49,6 +49,22 @@ def test_domain_error_exit_code(tmp_path, capsys, monkeypatch):
     assert code == 3
 
 
+def test_bake_corrupted_scene_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    scene = tmp_path / "box.scn"
+    run(["scene", "gen", "--kind", "empty-box", "--dims", "8x4x8", "--out", str(scene)])
+    sources = tmp_path / "one.txt"
+    sources.write_text("4.0 2.0 4.0\n")
+    blob = scene.read_bytes()
+    for header, error in ((b"dims=8x4x8", b"dims=8x4"), (b"spacing=", b"spacing\xff")):
+        scene.write_bytes(blob.replace(header, error, 1))
+        capsys.readouterr()
+        code = run(["bake", "--scene", str(scene), "--sources", str(sources),
+                    "--out-dir", str(tmp_path / "fields")])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_scene_gen_and_bake_single_source(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     scene_path = tmp_path / "box.scn"

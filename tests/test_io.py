@@ -1,7 +1,11 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import soundprop as sp
 from soundprop import fileio
@@ -156,3 +160,100 @@ def test_write_csv(tmp_path):
     path = tmp_path / "rows.csv"
     fileio.write_csv(path, [{"a": 1, "b": "x"}, {"a": 2}], ["a", "b"])
     assert path.read_text() == "a,b\n1,x\n2,\n"
+
+
+# ---------------------------------------------------------------------------
+# Corrupted files: a valid object or FormatError, nothing else
+# ---------------------------------------------------------------------------
+
+
+def _corrupted(blob: bytes, header_len: int):
+    """Truncations and one to three byte flips of ``blob``, half of them
+    aimed at the first ``header_len`` bytes."""
+    at = st.one_of(st.integers(0, header_len - 1), st.integers(0, len(blob) - 1))
+    truncated = at.map(lambda k: blob[:k])
+
+    def flip(edits):
+        out = bytearray(blob)
+        for k, mask in edits:
+            out[k] ^= mask
+        return bytes(out)
+
+    flipped = st.lists(st.tuples(at, st.integers(1, 255)), min_size=1, max_size=3).map(flip)
+    return st.one_of(truncated, flipped)
+
+
+def _file_bytes(write, obj, **kwargs) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "file"
+        write(path, obj, **kwargs)
+        return path.read_bytes()
+
+
+_ROOMS = sp.build_scene(sp.SceneSpec(kind="coupled-rooms", dims=(8, 3, 6), seed=1))
+_BOX = sp.build_scene(sp.SceneSpec(kind="empty-box", dims=(4, 3, 5)))
+SCENE_BLOB = _file_bytes(fileio.write_scene, _ROOMS, kind="coupled-rooms", seed=1)
+FIELD_BLOB = _file_bytes(
+    fileio.write_field, sp.doa_field(_BOX, sp.geodesic_field(_BOX, _BOX.voxel_center((2, 1, 2))))
+)
+
+
+@settings(max_examples=300)
+@given(_corrupted(SCENE_BLOB, SCENE_BLOB.find(b"\n\n") + 2))
+def test_read_scene_corrupted_is_scene_or_format_error(tmp_path_factory, blob):
+    path = tmp_path_factory.getbasetemp() / "corrupted.scn"
+    path.write_bytes(blob)
+    try:
+        scene, meta = fileio.read_scene(path)
+    except FormatError:
+        return
+    assert isinstance(scene, sp.VoxelScene)
+    assert scene.occupancy.shape == scene.dims == scene.regions.shape
+    assert set(meta) == {"kind", "seed"}
+
+
+@settings(max_examples=300)
+@given(_corrupted(FIELD_BLOB, len(fileio.FIELD_MAGIC) + fileio._FIELD_HEADER.size))
+def test_read_field_corrupted_is_field_or_format_error(tmp_path_factory, blob):
+    path = tmp_path_factory.getbasetemp() / "corrupted.fld"
+    path.write_bytes(blob)
+    try:
+        fv = fileio.read_field(path)
+    except FormatError:
+        return
+    assert isinstance(fv, sp.FieldVolume)
+    assert fv.values.shape == fv.dims + ((3,) if fv.kind == "doa" else ())
+    assert fv.spacing > 0 and np.isfinite(fv.origin).all() and np.isfinite(fv.source).all()
+
+
+@pytest.mark.parametrize(
+    "header, error",
+    [
+        (b"dims=8x3x6", b"dims=8x3"),  # IndexError before
+        (b"dims=8x3x6", b"dims=8x3x\xff"),  # UnicodeDecodeError
+        (b"dims=8x3x6", b"dimz=8x3x6"),  # KeyError
+        (b"seed=1", b"seed=x"),  # ValueError
+        (b"dims=8x3x6", b"dims=8x1x6"),  # ConfigurationError
+        (b"dims=8x3x6", b"dims=99999x99999x99999"),  # MemoryError before
+    ],
+)
+def test_read_scene_malformed_header_is_format_error(tmp_path, header, error):
+    assert header in SCENE_BLOB
+    path = tmp_path / "bad.scn"
+    path.write_bytes(SCENE_BLOB.replace(header, error, 1))
+    with pytest.raises(FormatError):
+        fileio.read_scene(path)
+
+
+def test_read_field_rejects_bad_kind_and_size(tmp_path):
+    path = tmp_path / "bad.fld"
+    kind_at = len(fileio.FIELD_MAGIC) + 12
+    for blob in (
+        FIELD_BLOB[:kind_at] + bytes([200]) + FIELD_BLOB[kind_at + 1 :],  # IndexError before
+        FIELD_BLOB[:kind_at + 1] + bytes([1]) + FIELD_BLOB[kind_at + 2 :],  # doa with one channel
+        FIELD_BLOB[:40],  # struct.error before
+        FIELD_BLOB + b"\0\0\0\0",
+    ):
+        path.write_bytes(blob)
+        with pytest.raises(FormatError):
+            fileio.read_field(path)

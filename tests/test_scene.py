@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import soundprop as sp
 from soundprop.errors import ConfigurationError, InputError
@@ -257,3 +259,128 @@ def test_visible_targets_is_masked_visibility(aperture_scene):
         for _ in range(3):
             targets = rng.random(aperture_scene.dims) < 0.3
             assert (visible_targets(aperture_scene, p, targets) == (full & targets)).all()
+
+
+# ---------------------------------------------------------------------------
+# Batched ray walker against the single-segment walker
+# ---------------------------------------------------------------------------
+
+
+def _open_scene():
+    """No shell: free voxels touch the bounding box, so tie probes can fall
+    outside the grid."""
+    occ = np.zeros((6, 4, 6), bool)
+    occ[2, 1:3, 2] = True
+    occ[3, 1:3, 3] = True
+    occ[5, 2, 1] = True
+    return sp.VoxelScene(dims=(6, 4, 6), spacing=1.0, origin=np.zeros(3), occupancy=occ)
+
+
+WALK_SCENES = {
+    kind: sp.build_scene(sp.SceneSpec(kind=kind, dims=(10, 4, 10), seed=5))
+    for kind in sp.scene.SCENE_KINDS
+}
+WALK_SCENES["maze-offset"] = sp.build_scene(
+    sp.SceneSpec(kind="maze", dims=(9, 3, 11), spacing=0.37, origin=(-1.3, 0.2, 2.9), seed=2)
+)
+WALK_SCENES["open"] = _open_scene()
+# Occupancy in Fortran order, as read_scene returns it.
+WALK_SCENES["maze-fortran"] = sp.VoxelScene(
+    dims=(10, 4, 10),
+    spacing=1.0,
+    origin=np.zeros(3),
+    occupancy=np.asfortranarray(WALK_SCENES["maze"].occupancy),
+)
+
+
+def _at(scene, c):
+    """Point at cell coordinates ``c``: voxel (i, j, k) spans [i, i+1) x ..."""
+    return scene.origin + (np.asarray(c, dtype=float) - 0.5) * scene.spacing
+
+
+# Offsets from a voxel centre in voxels: the centre, a face, or anywhere.
+_OFFSETS = st.one_of(st.sampled_from([0.0, 0.5, -0.5]), st.floats(-0.5, 0.5))
+
+
+@st.composite
+def _segments(draw):
+    """A scene, a start point (a voxel centre or not) and m end points:
+    voxel centres, faces and off-centre points, some sharing one or two
+    coordinates with the start (axis-aligned rays)."""
+    name = draw(st.sampled_from(sorted(WALK_SCENES)))
+    scene = WALK_SCENES[name]
+    lo, hi = _at(scene, (0, 0, 0)), _at(scene, scene.dims)
+
+    def point(centre=False):
+        idx = [draw(st.integers(0, n - 1)) for n in scene.dims]
+        if centre:
+            return scene.voxel_center(idx)
+        off = np.array([draw(_OFFSETS) for _ in range(3)])
+        return np.clip(scene.voxel_center(idx) + off * scene.spacing, lo, hi)
+
+    p, ends = point(centre=draw(st.booleans())), []
+    for _ in range(draw(st.integers(1, 12))):
+        q = point()
+        for a in draw(st.sets(st.integers(0, 2), max_size=2)):
+            q[a] = p[a]
+        ends.append(q)
+    return name, p, np.array(ends)
+
+
+@settings(max_examples=400)
+@given(_segments())
+def test_lines_of_sight_equals_line_of_sight_ray_by_ray(case):
+    name, p, ends = case
+    scene = WALK_SCENES[name]
+    want = [sp.line_of_sight(scene, p, q) for q in ends]
+    assert sp.lines_of_sight(scene, p, ends).tolist() == want
+
+
+# (scene, start, end in cell coordinates, line of sight)
+WALK_CASES = {
+    # exact corner graze through the diagonal seam of two blocks
+    "seam-graze": ("open", (3.5, 1.5, 2.5), (2.5, 1.5, 3.5), False),
+    "seam-graze-reversed": ("open", (2.5, 1.5, 3.5), (3.5, 1.5, 2.5), False),
+    # axis-aligned: zero direction on two axes, then on one
+    "along-x": ("maze", (1.5, 1.5, 1.5), (8.5, 1.5, 1.5), None),
+    "along-z-offset": ("maze-offset", (1.2, 1.5, 1.5), (1.2, 1.5, 9.7), None),
+    "diagonal-xz": ("empty-box", (1.5, 1.5, 1.5), (8.5, 1.5, 8.5), True),
+    "diagonal-xy": ("open", (0.5, 0.5, 4.5), (3.5, 3.5, 4.5), True),
+    # running along the faces of the shell and of the bounding box
+    "shell-floor-face": ("empty-box", (1.0, 1.0, 1.0), (9.0, 1.0, 6.0), None),
+    "bbox-floor-face": ("open", (0.0, 0.0, 0.0), (6.0, 0.0, 4.0), None),
+    "bbox-edge": ("open", (0.0, 4.0, 0.0), (6.0, 4.0, 6.0), None),
+    # corner tie on the far face: three probes leave the grid, one of the
+    # others lands on a block the end point touches
+    "far-face-tie": ("open", (4.5, 0.5, 0.5), (6.0, 2.0, 2.0), False),
+    "far-face-tie-clear": ("open", (4.5, 0.5, 3.5), (6.0, 2.0, 5.0), True),
+    # end point on the far face of the last voxel
+    "far-face-end": ("empty-box", (1.5, 1.5, 1.5), (8.5, 2.5, 9.0), False),
+    "far-face-end-open": ("open", (0.5, 3.5, 0.5), (6.0, 4.0, 6.0), True),
+    # start inside an occupied voxel
+    "occupied-start": ("open", (2.5, 1.5, 2.5), (0.5, 0.5, 0.5), False),
+    "occupied-end": ("empty-box", (4.5, 1.5, 4.5), (0.5, 0.5, 0.5), False),
+    # start and end in the same voxel
+    "same-cell": ("open", (1.2, 2.3, 4.9), (1.8, 2.1, 4.1), True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WALK_CASES))
+def test_lines_of_sight_fixed_cases(case):
+    name, a, b, expected = WALK_CASES[case]
+    scene = WALK_SCENES[name]
+    p, q = _at(scene, a), _at(scene, b)
+    want = sp.line_of_sight(scene, p, q)
+    if expected is not None:
+        assert want is expected
+    assert sp.lines_of_sight(scene, p, q[None]).tolist() == [want]
+    assert sp.lines_of_sight(scene, q, p[None]).tolist() == [sp.line_of_sight(scene, q, p)]
+
+
+def test_lines_of_sight_rejects_bad_end_points(box_scene):
+    p = box_scene.voxel_center((4, 2, 4))
+    with pytest.raises(InputError):
+        sp.lines_of_sight(box_scene, p, np.array([p, (-100.0, 0.0, 0.0)]))
+    with pytest.raises(InputError):
+        sp.lines_of_sight(box_scene, p, np.array([p, (np.nan, 1.0, 1.0)]))
+    assert sp.lines_of_sight(box_scene, p, np.zeros((0, 3))).shape == (0,)

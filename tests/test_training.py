@@ -278,9 +278,13 @@ def test_sample_sources_casts_one_ray_per_uncovered_voxel(monkeypatch):
     from soundprop import scene as scene_mod
 
     scene = sp.build_scene(SAMPLER_SCENES["maze"])
-    calls = []
+    rays, single = [], []
+    cast = scene_mod.lines_of_sight
     los = scene_mod.line_of_sight
-    monkeypatch.setattr(scene_mod, "line_of_sight", lambda *a: calls.append(1) or los(*a))
+    monkeypatch.setattr(
+        scene_mod, "lines_of_sight", lambda s, p, q: rays.append(len(q)) or cast(s, p, q)
+    )
+    monkeypatch.setattr(scene_mod, "line_of_sight", lambda *a: single.append(1) or los(*a))
     sources = sp.sample_sources(scene, seed=2, init_count=3)
     monkeypatch.undo()
 
@@ -290,7 +294,8 @@ def test_sample_sources_casts_one_ray_per_uncovered_voxel(monkeypatch):
         expected += np.count_nonzero(uncovered)
         uncovered &= ~sp.visible_voxels(scene, src)
     assert not uncovered.any()
-    assert len(calls) == expected
+    assert sum(rays) == expected
+    assert not single
     assert expected < len(sources) * np.count_nonzero(scene.free_mask())
 
 

@@ -12,9 +12,9 @@ families = ["euclidean", "riemann-psd", "riemann-diag", "mlp-small", "mlp-large"
 print(f"{'decoder':14s} {'params':>8s} {'flops':>8s}")
 for family in families:
     d = make_distance_decoder(family, 16)
-    print(f"{family:14s} {sp.param_count(d):8d} {sp.flop_count(d):8d}")
+    print(f"{family:14s} {d.param_count():8d} {d.flop_count():8d}")
 d = DotProductDecoder(16)
-print(f"{'dot-product':14s} {sp.param_count(d):8d} {sp.flop_count(d):8d}")
+print(f"{'dot-product':14s} {d.param_count():8d} {d.flop_count():8d}")
 
 print()
 print(f"{'map':18s} {'latent grid':>12s} {'dense table':>12s}  ratio")

@@ -9,16 +9,7 @@ accounting (``evalkit``), the query and rendering runtime (``runtime``),
 artifact file formats (``fileio``), and a pipeline CLI (``cli``).
 """
 
-from .decoders import (
-    decay_dot,
-    euclid_distance,
-    flop_count,
-    make_distance_decoder,
-    mlp_distance,
-    pair_gradients,
-    param_count,
-    riemann_distance,
-)
+from .decoders import make_distance_decoder
 from .errors import (
     ConfigurationError,
     DegenerateGradientError,

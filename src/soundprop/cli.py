@@ -4,7 +4,7 @@ Subcommands: ``scene gen``, ``sources sample``, ``bake``, ``train``,
 ``eval``, ``ablate``, ``query``, ``render``, ``export-slice``,
 ``params extract`` and ``cost``. Every command writes a run manifest with
 input/output digests so pipelines are reproducible; identical command,
-seed and inputs yield byte-identical outputs in single-worker mode.
+seed and inputs yield byte-identical outputs.
 
 Exit codes: 0 success, 2 usage error, 3 domain error.
 """
@@ -15,7 +15,6 @@ import argparse
 import json
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -189,13 +188,9 @@ def _cmd_bake(args) -> int:
     sources = _read_sources(args.sources)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            baked = list(pool.map(bake_source, [scene] * len(sources), sources))
-    else:
-        baked = [bake_source(scene, s) for s in sources]
     outputs = []
-    for i, fields in enumerate(baked):
+    for i, source in enumerate(sources):
+        fields = bake_source(scene, source)
         for name in FIELD_NAMES:
             path = out_dir / f"src{i:03d}_{name}.fld"
             write_field(path, fields[name])
@@ -433,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--manifest", help="run-manifest path override")
         p.add_argument("--workers", type=int, default=1,
-                       help="worker processes (default 1, reproducible)")
+                       help="accepted for compatibility; commands run in one process")
 
     scene = sub.add_parser("scene", help="scene construction").add_subparsers(
         dest="subcmd", required=True

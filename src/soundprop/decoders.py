@@ -20,16 +20,23 @@ admissible decay ``K``. Level heads subtract a distance from a reference
 level (global for direct sound, a latent-projected local field for early
 reflections).
 
-All forward passes are batched (one row per pair) and every family ships
-its analytic adjoint; gradients at coincident inputs use the zero
-subgradient so the source voxel never produces NaNs.
+The batched decoder objects are the only API: every forward pass takes
+rows of pairs (a single pair is a one-row call, ``d.pairwise(u, v)[0]``)
+and every family ships its analytic adjoint; gradients at coincident
+inputs use the zero subgradient so the source voxel never produces NaNs.
+
+``flop_count`` approximates the float operations of one inference. Dense
+linear maps and matrix-vector products count one fused multiply-add per
+weight; every other elementwise operation, square root and nonlinearity
+counts one. Trilinear interpolation is excluded, as it is shared by all
+methods.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigurationError, InputError
+from .errors import ConfigurationError
 
 DISTANCE_FAMILIES = ("euclidean", "riemann-psd", "riemann-diag", "mlp")
 ALL_FAMILIES = DISTANCE_FAMILIES + ("dot-product",)
@@ -51,6 +58,17 @@ def _sigmoid(x):
 def _as_rows(u) -> np.ndarray:
     a = np.asarray(u, dtype=float)
     return a[None, :] if a.ndim == 1 else a
+
+
+def _norm_adjoint(y: np.ndarray, upstream) -> np.ndarray:
+    """Adjoint of the row norm ``|y|``: ``upstream * y / |y|``, with the zero
+    subgradient where ``|y| == 0``."""
+    upstream = np.atleast_1d(np.asarray(upstream, dtype=float))
+    d = np.linalg.norm(y, axis=1)
+    scale = np.zeros_like(d)
+    nz = d > 0
+    scale[nz] = upstream[nz] / d[nz]
+    return y * scale[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -82,13 +100,7 @@ class EuclideanDecoder:
 
     def pairwise_backward(self, U, V, upstream):
         U, V = _as_rows(U), _as_rows(V)
-        upstream = np.atleast_1d(np.asarray(upstream, dtype=float))
-        delta = U - V
-        d = np.linalg.norm(delta, axis=1)
-        scale = np.zeros_like(d)
-        nz = d > 0
-        scale[nz] = upstream[nz] / d[nz]
-        gU = delta * scale[:, None]
+        gU = _norm_adjoint(U - V, upstream)
         return gU, -gU, {}
 
 
@@ -136,16 +148,10 @@ class PsdDecoder:
 
     def pairwise_backward(self, U, V, upstream):
         U, V = _as_rows(U), _as_rows(V)
-        upstream = np.atleast_1d(np.asarray(upstream, dtype=float))
         M = 0.5 * (U + V)
         delta = U - V
         A = self._metric_map(M)
-        y = np.einsum("bij,bj->bi", A, delta)
-        d = np.linalg.norm(y, axis=1)
-        scale = np.zeros_like(d)
-        nz = d > 0
-        scale[nz] = upstream[nz] / d[nz]
-        gy = y * scale[:, None]
+        gy = _norm_adjoint(np.einsum("bij,bj->bi", A, delta), upstream)
         g_delta = np.einsum("bij,bi->bj", A, gy)
         gA = np.einsum("bi,bj->bij", gy, delta)
         gW = np.einsum("bij,bk->ijk", gA, M).reshape(self.n * self.n, self.n)
@@ -196,16 +202,10 @@ class DiagDecoder:
 
     def pairwise_backward(self, U, V, upstream):
         U, V = _as_rows(U), _as_rows(V)
-        upstream = np.atleast_1d(np.asarray(upstream, dtype=float))
         M = 0.5 * (U + V)
         delta = U - V
         lam = self._lam(M)
-        t = lam * delta
-        d = np.linalg.norm(t, axis=1)
-        scale = np.zeros_like(d)
-        nz = d > 0
-        scale[nz] = upstream[nz] / d[nz]
-        gt = t * scale[:, None]
+        gt = _norm_adjoint(lam * delta, upstream)
         g_delta = lam * gt
         g_lam = delta * gt
         gW = g_lam.T @ M
@@ -351,7 +351,7 @@ class DotProductDecoder:
 
 
 # ---------------------------------------------------------------------------
-# Factories and scalar-pair conveniences
+# Factory
 # ---------------------------------------------------------------------------
 
 
@@ -376,50 +376,67 @@ def make_distance_decoder(family: str, n: int, seed: int = 0, hidden=None, k: in
     raise ConfigurationError(f"unknown decoder family {family!r}")
 
 
-def euclid_distance(u, v) -> float:
-    """Euclidean distance between two latent vectors."""
-    return float(EuclideanDecoder(len(np.atleast_1d(u))).pairwise(u, v)[0])
+# ---------------------------------------------------------------------------
+# Parameter-head models (distance, levels, decays)
+# ---------------------------------------------------------------------------
 
 
-def riemann_distance(u, v, model) -> float:
-    """Midpoint-linearized Riemannian distance under ``model``'s metric."""
-    if model.family not in ("riemann-psd", "riemann-diag"):
-        raise InputError("riemann_distance needs a riemann-psd or riemann-diag model")
-    return float(model.pairwise(u, v)[0])
+class _PairHead:
+    """Core shared by the two-output heads.
 
-
-def mlp_distance(u, v, model: MlpDecoder) -> float:
-    """Symmetrized MLP decoder output for one pair."""
-    if model.family != "mlp":
-        raise InputError("mlp_distance needs an mlp model")
-    out = model.pairwise(u, v)
-    return float(out[0]) if out.ndim == 1 else float(out[0, 0])
-
-
-def decay_dot(u, v, K: float = DEFAULT_MAX_DECAY) -> float:
-    """Decay time ``K * sigmoid(u . v)``, strictly inside (0, K)."""
-    return float(DotProductDecoder(len(np.atleast_1d(u)), K).pairwise(u, v)[0])
-
-
-def pair_gradients(decoder, u, v, upstream: float = 1.0):
-    """Analytic gradients of one decoder evaluation.
-
-    Returns a dict with ``"u"``, ``"v"`` and ``"params"`` entries. For
-    multi-output decoders ``upstream`` may be a length-k vector.
+    A 2-output MLP emits both outputs from the raw latents; any other
+    decoder decodes the raw pair for the first output and the pair under a
+    trainable projection ``proj`` (identity at init) for the second.
     """
-    up = np.asarray(upstream, dtype=float)
-    if getattr(decoder, "k", 1) > 1 and up.ndim == 1:
-        up = up[None, :]
-    gU, gV, gP = decoder.pairwise_backward(u, v, up)
-    return {"u": gU[0], "v": gV[0], "params": gP}
+
+    def _init_core(self, decoder, n: int, rng, group: str) -> None:
+        self.decoder = decoder
+        self.n = int(n)
+        if decoder.family == "mlp":
+            if decoder.k != 2:
+                raise ConfigurationError(f"mlp {group} model needs a 2-output network")
+            self.proj = None
+        else:
+            self.proj = np.eye(n) + rng.normal(0.0, 1e-3, size=(n, n))
+
+    @property
+    def family(self) -> str:
+        return self.decoder.family
+
+    def _core_trainable(self, params: dict) -> dict:
+        if self.proj is not None:
+            params["proj"] = self.proj
+        for name, p in self.decoder.trainable().items():
+            params[f"decoder.{name}"] = p
+        return params
+
+    def _decode(self, U, V):
+        """The two decoder outputs for rows ``U``, ``V``."""
+        if self.proj is None:
+            h = self.decoder.pairwise(U, V)  # (B, 2)
+            return h[:, 0], h[:, 1]
+        return self.decoder.pairwise(U, V), self.decoder.pairwise(U @ self.proj.T, V @ self.proj.T)
+
+    def _decode_backward(self, U, V, up1, up2, grads, gU=None, gV=None):
+        """Add the adjoint of ``_decode`` for upstreams ``up1``, ``up2`` to
+        ``gU``, ``gV`` (``None`` starts them) and to ``grads``."""
+        if self.proj is None:
+            branches = [(U, V, np.stack([up1, up2], axis=1), None)]
+        else:
+            branches = [(U, V, up1, None), (U @ self.proj.T, V @ self.proj.T, up2, self.proj)]
+        for Ub, Vb, up, proj in branches:
+            dU, dV, dP = self.decoder.pairwise_backward(Ub, Vb, up)
+            if proj is not None:
+                grads["proj"] += dU.T @ U + dV.T @ V
+                dU, dV = dU @ proj, dV @ proj
+            gU = dU if gU is None else gU + dU
+            gV = dV if gV is None else gV + dV
+            for name, g in dP.items():
+                grads[f"decoder.{name}"] += g
+        return gU, gV
 
 
-# ---------------------------------------------------------------------------
-# Parameter-head models (levels, decays)
-# ---------------------------------------------------------------------------
-
-
-class LevelsModel:
+class LevelsModel(_PairHead):
     """Two level heads over one shared latent grid.
 
     Direct sound: global reference minus the latent distance. Early
@@ -428,42 +445,20 @@ class LevelsModel:
     head-projected latents. Both heads are symmetric in the pair.
     """
 
-    heads = ("l_ds", "l_er")
-
     def __init__(self, decoder, n: int, seed: int = 0):
-        self.decoder = decoder
-        self.n = int(n)
         rng = np.random.default_rng(seed)
         self.l0 = np.zeros(1)
         self.w = rng.normal(0.0, 1e-3, size=n)
         self.beta = np.zeros(1)
-        if decoder.family != "mlp":
-            self.proj = np.eye(n) + rng.normal(0.0, 1e-3, size=(n, n))
-        else:
-            if decoder.k != 2:
-                raise ConfigurationError("mlp levels model needs a 2-output network")
-            self.proj = None
-
-    @property
-    def family(self) -> str:
-        return self.decoder.family
+        self._init_core(decoder, n, rng, "levels")
 
     def trainable(self):
-        params = {"l0": self.l0, "w": self.w, "beta": self.beta}
-        if self.proj is not None:
-            params["proj"] = self.proj
-        for name, p in self.decoder.trainable().items():
-            params[f"decoder.{name}"] = p
-        return params
+        return self._core_trainable({"l0": self.l0, "w": self.w, "beta": self.beta})
 
     def predict(self, U, V) -> dict[str, np.ndarray]:
         U, V = _as_rows(U), _as_rows(V)
         local = 0.5 * ((U @ self.w) + (V @ self.w)) + self.beta[0]
-        if self.proj is None:
-            h = self.decoder.pairwise(U, V)  # (B, 2)
-            return {"l_ds": self.l0[0] - h[:, 0], "l_er": local - h[:, 1]}
-        h_ds = self.decoder.pairwise(U, V)
-        h_er = self.decoder.pairwise(U @ self.proj.T, V @ self.proj.T)
+        h_ds, h_er = self._decode(U, V)
         return {"l_ds": self.l0[0] - h_ds, "l_er": local - h_er}
 
     def backward(self, U, V, upstream: dict[str, np.ndarray]):
@@ -476,33 +471,11 @@ class LevelsModel:
         grads["w"] += 0.5 * ((U * up_er[:, None]).sum(0) + (V * up_er[:, None]).sum(0))
         gU = 0.5 * up_er[:, None] * self.w[None, :]
         gV = 0.5 * up_er[:, None] * self.w[None, :]
-
-        if self.proj is None:
-            up = np.stack([-up_ds, -up_er], axis=1)
-            dU, dV, dP = self.decoder.pairwise_backward(U, V, up)
-            gU = gU + dU
-            gV = gV + dV
-            for name, g in dP.items():
-                grads[f"decoder.{name}"] += g
-            return gU, gV, grads
-
-        dU, dV, dP = self.decoder.pairwise_backward(U, V, -up_ds)
-        gU = gU + dU
-        gV = gV + dV
-        for name, g in dP.items():
-            grads[f"decoder.{name}"] += g
-
-        Up, Vp = U @ self.proj.T, V @ self.proj.T
-        dUp, dVp, dP = self.decoder.pairwise_backward(Up, Vp, -up_er)
-        gU = gU + dUp @ self.proj
-        gV = gV + dVp @ self.proj
-        grads["proj"] += dUp.T @ U + dVp.T @ V
-        for name, g in dP.items():
-            grads[f"decoder.{name}"] += g
+        gU, gV = self._decode_backward(U, V, -up_ds, -up_er, grads, gU, gV)
         return gU, gV, grads
 
 
-class DecaysModel:
+class DecaysModel(_PairHead):
     """Two decay-time heads over one shared latent grid.
 
     The early head uses the raw latents, the late head a trainable
@@ -511,68 +484,30 @@ class DecaysModel:
     values directly from its output units.
     """
 
-    heads = ("tau_er", "tau_lr")
-
     def __init__(self, decoder, n: int, seed: int = 0):
-        self.decoder = decoder
-        self.n = int(n)
-        if decoder.family == "mlp":
-            if decoder.k != 2:
-                raise ConfigurationError("mlp decays model needs a 2-output network")
-            self.proj = None
-        else:
-            if decoder.family != "dot-product":
-                raise ConfigurationError("decay decoders are dot-product or mlp")
-            rng = np.random.default_rng(seed)
-            self.proj = np.eye(n) + rng.normal(0.0, 1e-3, size=(n, n))
-
-    @property
-    def family(self) -> str:
-        return self.decoder.family
+        if decoder.family not in ("dot-product", "mlp"):
+            raise ConfigurationError("decay decoders are dot-product or mlp")
+        self._init_core(decoder, n, np.random.default_rng(seed), "decays")
 
     def trainable(self):
-        params = {}
-        if self.proj is not None:
-            params["proj"] = self.proj
-        for name, p in self.decoder.trainable().items():
-            params[f"decoder.{name}"] = p
-        return params
+        return self._core_trainable({})
 
     def predict(self, U, V) -> dict[str, np.ndarray]:
         U, V = _as_rows(U), _as_rows(V)
-        if self.proj is None:
-            out = self.decoder.pairwise(U, V)
-            return {"tau_er": out[:, 0], "tau_lr": out[:, 1]}
-        return {
-            "tau_er": self.decoder.pairwise(U, V),
-            "tau_lr": self.decoder.pairwise(U @ self.proj.T, V @ self.proj.T),
-        }
+        tau_er, tau_lr = self._decode(U, V)
+        return {"tau_er": tau_er, "tau_lr": tau_lr}
 
     def backward(self, U, V, upstream: dict[str, np.ndarray]):
         U, V = _as_rows(U), _as_rows(V)
         up_er = np.atleast_1d(np.asarray(upstream["tau_er"], dtype=float))
         up_lr = np.atleast_1d(np.asarray(upstream["tau_lr"], dtype=float))
         grads = {name: np.zeros_like(p) for name, p in self.trainable().items()}
-        if self.proj is None:
-            up = np.stack([up_er, up_lr], axis=1)
-            gU, gV, dP = self.decoder.pairwise_backward(U, V, up)
-            for name, g in dP.items():
-                grads[f"decoder.{name}"] += g
-            return gU, gV, grads
-
-        gU, gV, _ = self.decoder.pairwise_backward(U, V, up_er)
-        Up, Vp = U @ self.proj.T, V @ self.proj.T
-        dUp, dVp, _ = self.decoder.pairwise_backward(Up, Vp, up_lr)
-        gU = gU + dUp @ self.proj
-        gV = gV + dVp @ self.proj
-        grads["proj"] += dUp.T @ U + dVp.T @ V
+        gU, gV = self._decode_backward(U, V, up_er, up_lr, grads)
         return gU, gV, grads
 
 
 class DistanceModel:
     """Path-distance head: the bare distance decoder."""
-
-    heads = ("pi",)
 
     def __init__(self, decoder):
         if decoder.family not in DISTANCE_FAMILIES:
@@ -593,25 +528,3 @@ class DistanceModel:
     def backward(self, U, V, upstream):
         gU, gV, dP = self.decoder.pairwise_backward(U, V, upstream["pi"])
         return gU, gV, {f"decoder.{name}": g for name, g in dP.items()}
-
-
-def level_heads(u, v, model: LevelsModel) -> tuple[float, float]:
-    """Direct-sound and early-reflections levels for one latent pair."""
-    out = model.predict(u, v)
-    return float(out["l_ds"][0]), float(out["l_er"][0])
-
-
-def param_count(decoder) -> int:
-    """Trainable parameter count of a decoder (heads excluded)."""
-    return decoder.param_count()
-
-
-def flop_count(decoder) -> int:
-    """Approximate float operations for one decoder inference.
-
-    Convention: dense linear maps and matrix-vector products count one
-    fused multiply-add per weight; every other elementwise operation,
-    square root and nonlinearity counts one. Trilinear interpolation is
-    excluded, as it is shared by all methods.
-    """
-    return decoder.flop_count()

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoders import flop_count, make_distance_decoder, param_count
+from .decoders import make_distance_decoder
 from .errors import InputError
 from .oracle import FieldVolume, valid_pairs
 from .training import (
@@ -97,8 +97,8 @@ def cost_report(dims, n: int, model=None, family: str = "euclidean") -> CostRepo
         dims=(nx, ny, nz),
         n=n,
         family=model.family,
-        params=param_count(model),
-        flops=flop_count(model),
+        params=model.param_count(),
+        flops=model.flop_count(),
         rlf_bytes=n_points * n * BYTES_PER_VALUE,
         wavecoding_bytes=n_points * n_points * BYTES_PER_VALUE,
     )

@@ -26,17 +26,18 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 
 import numpy as np
 
-from .decoders import DEFAULT_MAX_DECAY
+from .decoders import ALL_FAMILIES, DEFAULT_MAX_DECAY
 from .errors import ConfigurationError, FormatError
 from .irparams import ImpulseResponse
 from .oracle import FIELD_KINDS, FieldVolume
 from .runtime import SpeakerLayout
 from .scene import RegionAcoustics, VoxelScene
-from .training import ModelBundle, make_bundle
+from .training import GROUP_HEADS, ModelBundle, make_bundle
 
 SCENE_MAGIC = b"SPSCENE1"
 FIELD_MAGIC = b"SPFIELD1\x00\x00\x00\x00\x00\x00\x00\x01"  # 16 bytes incl. version
@@ -214,13 +215,14 @@ def read_field(path) -> FieldVolume:
     if len(blob) - off != count * channels * 4:
         raise FormatError(f"{path}: field payload size does not match its header")
     raw = np.frombuffer(blob, dtype="<f4", count=count * channels, offset=off)
-    if channels == 1:
-        values = raw.reshape(dims, order="F").astype(float)
-    else:
-        values = np.stack(
-            [raw[c * count : (c + 1) * count].reshape(dims, order="F") for c in range(channels)],
-            axis=-1,
-        ).astype(float)
+    with np.errstate(invalid="ignore"):  # a signalling NaN reads as NaN
+        if channels == 1:
+            values = raw.reshape(dims, order="F").astype(float)
+        else:
+            values = np.stack(
+                [raw[c * count : (c + 1) * count].reshape(dims, order="F") for c in range(channels)],
+                axis=-1,
+            ).astype(float)
     return FieldVolume(
         source=np.array(source), kind=kind, values=values, spacing=spacing, origin=np.array(origin)
     )
@@ -309,41 +311,79 @@ def save_checkpoint(path, bundle: ModelBundle, extra: dict | None = None) -> Non
         fh.write(bytes(payload))
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def load_checkpoint(path, scene: VoxelScene) -> ModelBundle:
+    """Model bundle over ``scene``; ``FormatError`` for a file that is not a
+    well-formed checkpoint of one."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if not blob.startswith(CKPT_MAGIC):
         raise FormatError(f"{path} is not a checkpoint")
-    (hlen,) = struct.unpack_from("<I", blob, len(CKPT_MAGIC))
     off = len(CKPT_MAGIC) + 4
-    header = json.loads(blob[off : off + hlen].decode())
+    if len(blob) < off:
+        raise FormatError(f"{path}: truncated checkpoint header")
+    (hlen,) = struct.unpack_from("<I", blob, off - 4)
+    if len(blob) < off + hlen:
+        raise FormatError(f"{path}: checkpoint header runs past the end")
+    try:
+        header = json.loads(blob[off : off + hlen].decode())
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
+        raise FormatError(f"{path}: checkpoint header is not UTF-8 JSON ({exc})") from None
     off += hlen
-    if tuple(header["dims"]) != scene.dims:
-        raise FormatError("checkpoint dims do not match the scene")
-    family = header["family"]
-    if family == "mlp":
-        family_arg = "mlp"
-        hidden = tuple(header["hidden"])
-    else:
-        family_arg, hidden = family, None
-    bundle = make_bundle(
-        scene,
-        header["group"],
-        family_arg,
-        header["n"],
-        K=header.get("K", DEFAULT_MAX_DECAY),
-        hidden=hidden,
+    if not isinstance(header, dict):
+        raise FormatError(f"{path}: checkpoint header is not a JSON object")
+    group, family, n, dims, sections = (
+        header.get(key) for key in ("group", "family", "n", "dims", "sections")
     )
+    hidden = header.get("hidden") if family == "mlp" else []
+    K = header.get("K", DEFAULT_MAX_DECAY)
+    if not (
+        isinstance(group, str) and group in GROUP_HEADS
+        and family in ALL_FAMILIES
+        and _is_int(n) and n >= 1
+        and isinstance(dims, list) and all(map(_is_int, dims))
+        and isinstance(hidden, list) and all(_is_int(h) and h >= 1 for h in hidden)
+        and isinstance(K, (int, float)) and not isinstance(K, bool) and np.isfinite(K)
+        and isinstance(sections, list)
+    ):
+        raise FormatError(f"{path}: malformed checkpoint header")
+    if tuple(dims) != scene.dims:
+        raise FormatError("checkpoint dims do not match the scene")
+    arrays = {}
+    for section in sections:
+        name = section.get("name") if isinstance(section, dict) else None
+        shape = section.get("shape") if isinstance(section, dict) else None
+        if not (isinstance(name, str) and isinstance(shape, list)
+                and all(_is_int(s) and s >= 0 for s in shape)):
+            raise FormatError(f"{path}: malformed checkpoint section {section!r}")
+        if name in arrays:
+            raise FormatError(f"{path}: duplicate checkpoint section {name!r}")
+        count = math.prod(shape)
+        if off + 4 * count > len(blob):
+            raise FormatError(f"{path}: checkpoint section {name!r} runs past the end")
+        arrays[name] = np.frombuffer(blob, dtype="<f4", count=count, offset=off).reshape(shape)
+        off += 4 * count
+    if off != len(blob):
+        raise FormatError(f"{path}: {len(blob) - off} trailing bytes after the checkpoint")
+    # every stored grid value and hidden unit has a float in the payload, so
+    # a header claiming more fails here rather than in the allocation
+    if n * math.prod(dims) + sum(hidden) > sum(a.size for a in arrays.values()):
+        raise FormatError(f"{path}: checkpoint header claims more parameters than it stores")
+    try:
+        bundle = make_bundle(scene, group, family, n, K=K, hidden=tuple(hidden))
+    except ConfigurationError as exc:
+        raise FormatError(f"{path}: {exc}") from None
     params = bundle.trainable()
-    for section in header["sections"]:
-        name = section["name"]
-        shape = tuple(section["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(blob, dtype="<f4", count=count, offset=off).reshape(shape)
-        off += count * 4
-        if name not in params:
-            raise FormatError(f"unexpected checkpoint section {name!r}")
-        np.copyto(params[name], arr.astype(float))
+    if bundle.head.decoder.family != family or set(arrays) != set(params):
+        raise FormatError(f"{path}: checkpoint sections do not match a {group}/{family} bundle")
+    for name, arr in arrays.items():
+        if arr.shape != params[name].shape:
+            raise FormatError(f"{path}: checkpoint section {name!r} has shape {arr.shape}")
+        with np.errstate(invalid="ignore"):  # a signalling NaN reads as NaN
+            np.copyto(params[name], arr.astype(float))
     return bundle
 
 

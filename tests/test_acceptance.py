@@ -111,12 +111,12 @@ def test_criterion_01_memory_accounting():
 def test_criterion_02_parameter_counts():
     t0 = time.perf_counter()
     got = {
-        "riemann-psd": sp.param_count(make_distance_decoder("riemann-psd", 16)),
-        "riemann-diag": sp.param_count(make_distance_decoder("riemann-diag", 16)),
-        "mlp-small": sp.param_count(make_distance_decoder("mlp-small", 16)),
-        "mlp-large": sp.param_count(make_distance_decoder("mlp-large", 16)),
-        "euclidean": sp.param_count(make_distance_decoder("euclidean", 16)),
-        "dot-product": sp.param_count(DotProductDecoder(16)),
+        "riemann-psd": make_distance_decoder("riemann-psd", 16).param_count(),
+        "riemann-diag": make_distance_decoder("riemann-diag", 16).param_count(),
+        "mlp-small": make_distance_decoder("mlp-small", 16).param_count(),
+        "mlp-large": make_distance_decoder("mlp-large", 16).param_count(),
+        "euclidean": make_distance_decoder("euclidean", 16).param_count(),
+        "dot-product": DotProductDecoder(16).param_count(),
     }
     want = {
         "riemann-psd": 4096,
@@ -134,9 +134,9 @@ def test_criterion_02_parameter_counts():
 def test_criterion_03_flop_accounting():
     t0 = time.perf_counter()
     checks = [
-        ("euclidean", sp.flop_count(make_distance_decoder("euclidean", 16)), 46),
-        ("riemann-diag", sp.flop_count(make_distance_decoder("riemann-diag", 16)), 335),
-        ("dot-product", sp.flop_count(DotProductDecoder(16)), 32),
+        ("euclidean", make_distance_decoder("euclidean", 16).flop_count(), 46),
+        ("riemann-diag", make_distance_decoder("riemann-diag", 16).flop_count(), 335),
+        ("dot-product", DotProductDecoder(16).flop_count(), 32),
     ]
     ok = all(abs(got - ref) <= 0.15 * ref for _, got, ref in checks)
     elapsed = time.perf_counter() - t0
@@ -157,7 +157,8 @@ def test_criterion_04_gradient_suite():
             u = rng.normal(size=n)
             v = rng.normal(size=n)
             up = float(rng.normal())
-            g = sp.pair_gradients(decoder, u, v, up)
+            gU, gV, gP = decoder.pairwise_backward(u, v, up)
+            g = {"u": gU[0], "v": gV[0], "params": gP}
 
             def objective():
                 return float(np.atleast_1d(decoder.pairwise(u, v)[0])[0] * up)

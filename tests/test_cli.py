@@ -65,6 +65,28 @@ def test_bake_corrupted_scene_exit_code(tmp_path, capsys, monkeypatch):
         assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_eval_corrupted_checkpoint_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    scene_path = tmp_path / "box.scn"
+    run(["scene", "gen", "--kind", "empty-box", "--dims", "8x4x8", "--out", str(scene_path)])
+    sources = tmp_path / "one.txt"
+    sources.write_text("4.0 2.0 4.0\n")
+    run(["bake", "--scene", str(scene_path), "--sources", str(sources),
+         "--out-dir", str(tmp_path / "fields")])
+    ckpt = tmp_path / "model.ckpt"
+    scene, _ = fileio.read_scene(scene_path)
+    fileio.save_checkpoint(ckpt, sp.make_bundle(scene, "distance", "euclidean", 2))
+    blob = ckpt.read_bytes()
+    args = ["eval", "--scene", str(scene_path), "--checkpoint", str(ckpt),
+            "--fields", str(tmp_path / "fields"), "--out", str(tmp_path / "m.csv")]
+    assert run(args) == 0
+    for bad in (blob[:30], blob.replace(b'"group"', b'"grouq"', 1), blob + b"\0"):
+        ckpt.write_bytes(bad)
+        capsys.readouterr()
+        assert run(args) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_scene_gen_and_bake_single_source(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     scene_path = tmp_path / "box.scn"

@@ -257,3 +257,108 @@ def test_read_field_rejects_bad_kind_and_size(tmp_path):
         path.write_bytes(blob)
         with pytest.raises(FormatError):
             fileio.read_field(path)
+
+
+def _checkpoint_blob(group, family, n):
+    bundle = sp.make_bundle(_BOX, group, family, n, seed=4)
+    return _file_bytes(fileio.save_checkpoint, bundle)
+
+
+CKPT_BLOBS = {
+    "levels-mlp": _checkpoint_blob("levels", "mlp", 3),
+    "decays-dot-product": _checkpoint_blob("decays", "dot-product", 2),
+}
+
+
+def _ckpt_header_end(blob: bytes) -> int:
+    off = len(fileio.CKPT_MAGIC) + 4
+    return off + int.from_bytes(blob[off - 4 : off], "little")
+
+
+@pytest.mark.parametrize("which", sorted(CKPT_BLOBS))
+@settings(max_examples=300)
+@given(data=st.data())
+def test_load_checkpoint_corrupted_is_bundle_or_format_error(tmp_path_factory, which, data):
+    blob = CKPT_BLOBS[which]
+    corrupted = data.draw(_corrupted(blob, _ckpt_header_end(blob)))
+    path = tmp_path_factory.getbasetemp() / "corrupted.ckpt"
+    path.write_bytes(corrupted)
+    try:
+        bundle = fileio.load_checkpoint(path, _BOX)
+    except FormatError:
+        return
+    assert isinstance(bundle, sp.ModelBundle)
+    assert bundle.grid.values.shape == _BOX.dims + (bundle.grid.n,)
+    assert set(bundle.trainable()) >= {"grid"}
+
+
+def _with_header(blob: bytes, edit) -> bytes:
+    """``blob`` with its JSON header replaced by ``edit(header)``."""
+    end = _ckpt_header_end(blob)
+    header = json.loads(blob[len(fileio.CKPT_MAGIC) + 4 : end])
+    text = json.dumps(edit(header)).encode()
+    return fileio.CKPT_MAGIC + len(text).to_bytes(4, "little") + text + blob[end:]
+
+
+def _edit(**changes):
+    return lambda header: {**header, **changes}
+
+
+def _drop(key):
+    return lambda header: {k: v for k, v in header.items() if k != key}
+
+
+def _sections(edit):
+    return lambda header: {**header, "sections": edit(header["sections"])}
+
+
+_LEVELS = CKPT_BLOBS["levels-mlp"]
+
+
+def _case(name, blob):
+    return pytest.param(blob, id=name)
+
+
+@pytest.mark.parametrize(
+    "blob",
+    [
+        _case("truncated-length", _LEVELS[:10]),  # struct.error before
+        _case("header-past-end", _LEVELS[:40]),  # JSONDecodeError before
+        _case("header-not-utf8", _LEVELS[:20] + b"\xff" + _LEVELS[21:]),  # UnicodeDecodeError
+        _case("header-a-list", _with_header(_LEVELS, lambda h: [h])),  # TypeError before
+        _case("no-group", _with_header(_LEVELS, _drop("group"))),  # KeyError before
+        _case("no-hidden", _with_header(_LEVELS, _drop("hidden"))),
+        _case("n-a-string", _with_header(_LEVELS, _edit(n="3"))),
+        _case("dims-null", _with_header(_LEVELS, _edit(dims=None))),
+        _case("hidden-a-string", _with_header(_LEVELS, _edit(hidden=[32, "32"]))),
+        _case("K-nan", _with_header(_LEVELS, _edit(K=float("nan")))),
+        _case("unknown-group", _with_header(_LEVELS, _edit(group="pressure"))),
+        _case("unknown-family", _with_header(_LEVELS, _edit(family="spline"))),
+        _case("distance-dot-product",
+              _with_header(_LEVELS, _edit(group="distance", family="dot-product"))),
+        _case("huge-n", _with_header(_LEVELS, _edit(n=10**9))),  # MemoryError before
+        _case("extra-section",
+              _with_header(_LEVELS, _sections(lambda s: s + [{"name": "extra", "shape": [4]}]))),
+        _case("duplicate-section", _with_header(_LEVELS, _sections(lambda s: s + [s[-1]]))),
+        _case("missing-section", _with_header(_LEVELS, _sections(lambda s: s[:-1]))),
+        _case("reversed-shapes", _with_header(
+            _LEVELS, _sections(lambda s: [{**x, "shape": x["shape"][::-1]} for x in s]))),
+        _case("negative-shape",
+              _with_header(_LEVELS, _sections(lambda s: [{**s[0], "shape": [-1]}] + s[1:]))),
+        _case("section-past-end", _LEVELS[:-4]),  # ValueError before
+        _case("trailing-bytes", _LEVELS + b"\0\0\0\0"),  # accepted before
+    ],
+)
+def test_load_checkpoint_malformed_is_format_error(tmp_path, blob):
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(blob)
+    with pytest.raises(FormatError):
+        fileio.load_checkpoint(path, _BOX)
+
+
+def test_load_checkpoint_edited_header_round_trip(tmp_path):
+    """The header rewrite the malformed cases use keeps a valid file valid."""
+    path = tmp_path / "ok.ckpt"
+    path.write_bytes(_with_header(_LEVELS, lambda h: h))
+    bundle = fileio.load_checkpoint(path, _BOX)
+    assert bundle.group == "levels" and bundle.head.decoder.family == "mlp"

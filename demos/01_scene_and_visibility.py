@@ -34,5 +34,6 @@ print(f"from {p}: sees {int(near)} near-side voxels and "
 
 q_blocked = scene.voxel_center((mid + 3, 1, 2))
 q_through = scene.voxel_center((mid + 3, j, k))
-print("blocked pair:", sp.line_of_sight(scene, p, q_blocked))
-print("through-slit pair:", sp.line_of_sight(scene, p, q_through))
+blocked, through = sp.lines_of_sight(scene, p, np.array([q_blocked, q_through]))
+print("blocked pair:", blocked)
+print("through-slit pair:", through)

@@ -29,7 +29,7 @@ from .irparams import (
     arrival_and_distance,
     decay_time,
     doa_from_field,
-    doa_from_sampler,
+    doa_from_samples,
     extract_params,
     fd_derivative,
     level_lr_matched,
@@ -42,6 +42,7 @@ from .latentfield import (
     init_latent_grid,
     interp_backward,
     interp_latent,
+    interp_points,
 )
 from .oracle import (
     FieldVolume,
@@ -71,7 +72,6 @@ from .scene import (
     SceneSpec,
     VoxelScene,
     build_scene,
-    line_of_sight,
     lines_of_sight,
     visible_voxels,
 )

@@ -47,6 +47,7 @@ from .runtime import (
 )
 from .scene import SceneSpec, build_scene
 from .training import (
+    DEFAULT_FAMILY,
     Dataset,
     TrainConfig,
     evaluate_mae,
@@ -207,6 +208,7 @@ def _cmd_train(args) -> int:
     scene, _ = read_scene(args.scene)
     train_ds = _load_field_dataset(scene, args.train_fields, "train")
     val_ds = _load_field_dataset(scene, args.val_fields, "val") if args.val_fields else None
+    args.family = args.family or DEFAULT_FAMILY[args.group]
     bundle = make_bundle(scene, args.group, args.family, args.n, seed=args.seed)
     cfg = TrainConfig(
         epochs=args.epochs,
@@ -472,7 +474,8 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--train-fields", required=True)
     tr.add_argument("--val-fields", default=None)
     tr.add_argument("--group", default="distance", choices=["distance", "levels", "decays"])
-    tr.add_argument("--family", default="euclidean")
+    tr.add_argument("--family", default=None,
+                    help="decoder family (default: dot-product for decays, euclidean otherwise)")
     tr.add_argument("--n", type=int, default=8)
     tr.add_argument("--epochs", type=int, default=2000)
     tr.add_argument("--batch-sources", type=int, default=4)

@@ -247,19 +247,33 @@ def write_ir(path, samples: np.ndarray, sample_rate: float, t0: float = 0.0) -> 
 
 
 def read_ir(path):
-    """Returns ``(samples, sample_rate, t0)``; samples are (C, N) if C > 1."""
+    """Returns ``(samples, sample_rate, t0)``; samples are (C, N) if C > 1.
+
+    Raises ``FormatError`` for a file that is not a well-formed impulse
+    response: a malformed header, a payload that is not whole frames of
+    ``channels`` float32 samples, no samples, or a non-finite sample.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     sep = blob.find(b"\n\n")
     if sep < 0 or not blob.startswith(IR_MAGIC):
         raise FormatError(f"{path} is not an impulse-response file")
-    meta = dict(
-        line.split("=", 1) for line in blob[:sep].decode().splitlines()[1:]
-    )
-    rate = float(meta["sample_rate"])
-    t0 = float(meta["t0"])
-    channels = int(meta.get("channels", 1))
-    raw = np.frombuffer(blob, dtype="<f4", offset=sep + 2).astype(float)
+    try:  # dict() raises ValueError for a line without "="
+        meta = dict(line.split("=", 1) for line in blob[:sep].decode().splitlines()[1:])
+        rate = float(meta["sample_rate"])
+        t0 = float(meta["t0"])
+        channels = int(meta.get("channels", 1))
+    except (KeyError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
+        raise FormatError(f"{path}: malformed impulse-response header ({exc!r})") from None
+    if not (math.isfinite(rate) and rate > 0 and math.isfinite(t0) and channels >= 1):
+        raise FormatError(f"{path}: malformed impulse-response header")
+    payload = len(blob) - sep - 2
+    if payload == 0 or payload % (4 * channels):
+        raise FormatError(f"{path}: payload is not whole frames of {channels} float32 samples")
+    with np.errstate(invalid="ignore"):  # a signalling NaN reads as NaN
+        raw = np.frombuffer(blob, dtype="<f4", offset=sep + 2).astype(float)
+    if not np.isfinite(raw).all():
+        raise FormatError(f"{path}: non-finite sample")
     if channels > 1:
         raw = raw.reshape(-1, channels).T
     return raw, rate, t0
@@ -400,19 +414,24 @@ def write_layout(path, layout: SpeakerLayout) -> None:
 
 
 def read_layout(path) -> SpeakerLayout:
-    directions, triples = [], []
-    with open(path) as fh:
-        for line in fh:
-            parts = line.split()
-            if not parts:
-                continue
-            if parts[0] == "s":
-                directions.append([float(x) for x in parts[1:4]])
-            elif parts[0] == "t":
-                triples.append(tuple(int(x) for x in parts[1:4]))
-            else:
-                raise FormatError(f"unknown layout line {line!r}")
-    return SpeakerLayout(directions=np.array(directions), triples=tuple(triples))
+    """Speaker layout; ``FormatError`` for a file that is not a well-formed
+    layout: a line other than ``s x y z`` or ``t i j k``, a non-finite
+    direction, or a layout ``SpeakerLayout`` rejects."""
+    rows = {"s": [], "t": []}
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for parts in map(str.split, fh):
+                if parts and (parts[0] not in rows or len(parts) != 4):
+                    raise ValueError(f"malformed layout line {' '.join(parts)!r}")
+                if parts:
+                    rows[parts[0]].append(parts[1:])
+        directions = np.array(rows["s"], dtype=float)
+        if not np.isfinite(directions).all():
+            raise ValueError("non-finite speaker direction")
+        triples = tuple(tuple(map(int, t)) for t in rows["t"])
+        return SpeakerLayout(directions=directions, triples=triples)
+    except (ValueError, ConfigurationError) as exc:  # UnicodeDecodeError is a ValueError
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def write_pgm_slice(path, fv: FieldVolume, j: int) -> tuple[float, float]:

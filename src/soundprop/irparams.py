@@ -4,8 +4,8 @@ Implements the broadband extraction chain: arrival detection and path
 distance, windowed energy levels, the backward-integrated energy curve,
 decay-time estimators, and direction of arrival from a distance field by
 the package's one finite-difference stencil, ``fd_derivative`` (applied
-to whole grids by ``oracle.doa_field``, and at points through any field
-sampler by ``doa_from_sampler``). All functions are pure and safe for
+to whole grids by ``oracle.doa_field``, and at points to the samples of
+``DOA_STENCIL`` by ``doa_from_samples``). All functions are pure and safe for
 concurrent use.
 
 Levels are window-integrated energies in dB (``10 log10`` of the summed
@@ -14,7 +14,6 @@ squared samples); amplitude gains elsewhere use ``20 log10``.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +25,7 @@ from .errors import (
     NoArrivalError,
     UndefinedDecayError,
 )
-from .latentfield import masked_interp
+from .latentfield import interp_points
 from .scene import VoxelScene
 
 SPEED_OF_SOUND = 343.0  # m/s
@@ -289,52 +288,38 @@ def fd_derivative(c, p1, p2, m1, m2, h: float):
     )
 
 
-def doa_from_sampler(sample, b, h: float, center) -> np.ndarray:
-    """Unit direction of arrival at ``b``: the negated, normalized gradient.
+# Offsets of the direction-of-arrival stencil around the receiver, in
+# grid steps: ``+1, -1, +2, -2`` along x, then along y, then along z.
+DOA_STENCIL = np.array([s * np.eye(3)[axis] for axis in range(3) for s in (1, -1, 2, -2)])
 
-    ``sample(x)`` returns the field value at ``x`` or None where it cannot
-    be resolved (walls, missing samples); ``center`` is the value at ``b``
-    (or None). Each axis samples ``b +- h`` and, only where one side is
-    missing, ``+-2h`` on the other, then applies ``fd_derivative``.
+
+def doa_from_samples(center, samples, h: float) -> np.ndarray:
+    """Unit direction of arrival: the negated, normalized field gradient.
+
+    ``center`` is the field value at the receiver and ``samples`` its 12
+    values at the receiver plus ``h * DOA_STENCIL``; NaN marks a value
+    that cannot be resolved (walls, missing samples). ``fd_derivative``
+    differentiates all three axes at once.
     """
-    def at(x):
-        value = sample(x)
-        return np.nan if value is None else value
-
-    b = np.asarray(b, dtype=float)
-    c = np.nan if center is None else center
-    g = np.zeros(3)
-    for axis in range(3):
-        step = np.zeros(3)
-        step[axis] = h
-        p1, m1 = at(b + step), at(b - step)
-        p2 = at(b + 2 * step) if np.isfinite(p1) and not np.isfinite(m1) else np.nan
-        m2 = at(b - 2 * step) if np.isfinite(m1) and not np.isfinite(p1) else np.nan
-        g[axis] = fd_derivative(c, p1, p2, m1, m2, h)
+    p1, m1, p2, m2 = np.asarray(samples, dtype=float).reshape(3, 4).T
+    g = fd_derivative(center, p1, p2, m1, m2, h)
     norm = float(np.linalg.norm(g))
     if not norm >= _GRAD_EPS:  # also rejects a NaN gradient
         raise DegenerateGradientError("field gradient is degenerate at the query point")
     return -g / norm
 
 
-def _sample_scalar(field, scene: VoxelScene, p) -> float | None:
-    """Masked-interpolated field value at ``p``; None when unresolvable."""
-    valid = np.isfinite(field.values)
-    try:
-        value, _, _ = masked_interp(
-            field.values[..., None], scene, p, value_mask=valid
-        )
-    except InputError:
-        return None
-    return float(value[0])
-
-
 def doa_from_field(field, b, scene: VoxelScene) -> np.ndarray:
     """Unit direction of arrival from a path-distance field at ``b``.
 
     The direction is the negated, normalized spatial gradient of the field
-    with respect to the receiver, estimated by ``doa_from_sampler`` on the
-    masked-interpolated field at a one-grid-spacing step.
+    with respect to the receiver, estimated by ``doa_from_samples`` on the
+    field at ``b`` and its stencil points at a one-grid-spacing step,
+    sampled in one masked interpolation over the finite field values.
     """
-    sample = functools.partial(_sample_scalar, field, scene)
-    return doa_from_sampler(sample, b, scene.spacing, sample(b))
+    b = np.asarray(b, dtype=float)
+    h = scene.spacing
+    batch = interp_points(scene, b + h * np.vstack([np.zeros(3), DOA_STENCIL]),
+                          value_mask=np.isfinite(field.values))
+    values = batch.sample(field.values[..., None])[:, 0]
+    return doa_from_samples(values[0], values[1:], h)

@@ -6,24 +6,34 @@ weights, except that vertices without line of sight to the query point (or
 inside obstacles) are excluded and the surviving weights renormalized. This
 keeps interpolated values from leaking across walls.
 
-The same masked-interpolation core is reused for sampling scalar field
-volumes at continuous positions (see ``masked_interp``).
+One batched core, ``interp_points``, finds the stencils of many points at
+once; ``masked_interp`` and ``interp_latent`` are one-point calls of it.
+The same core samples scalar field volumes at continuous positions.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError, IsolationError
-from .scene import VoxelScene, line_of_sight
+from .scene import _TIE_EPS, VoxelScene, lines_of_sight
 
 # Corner offsets of one interpolation cell, x fastest.
 _CORNERS = np.array(
     [(i, j, k) for k in (0, 1) for j in (0, 1) for i in (0, 1)], dtype=int
 )
 _FALLBACK_SHELLS = 2  # deeper isolation is a scene-authoring error
+# Vertex offsets of the fallback search in C order, and their shell radius.
+_SHELL_OFFSETS = np.array(
+    list(itertools.product(range(-_FALLBACK_SHELLS, _FALLBACK_SHELLS + 1), repeat=3))
+)
+_SHELL_RADIUS = np.abs(_SHELL_OFFSETS).max(axis=1)
+
+# Per-point outcome of ``interp_points``.
+RESOLVED, OUTSIDE, OCCUPIED, ISOLATED = 0, 1, 2, 3
 
 
 @dataclass(frozen=True)
@@ -96,13 +106,112 @@ def init_latent_grid(
     return LatentGrid(values=values, spacing=scene.spacing, origin=scene.origin)
 
 
-def _cell_and_fractions(scene: VoxelScene, p: np.ndarray):
-    """Base vertex index and in-cell fractions for point ``p``."""
-    v = (p - scene.origin) / scene.spacing
-    base = np.floor(v).astype(int)
-    base = np.clip(base, 0, np.asarray(scene.dims) - 2)
+@dataclass(frozen=True)
+class InterpBatch:
+    """Masked-interpolation stencils of ``N`` query points.
+
+    ``corners`` holds ``(N, 8, 3)`` vertex indices and ``weights`` their
+    ``(N, 8)`` renormalized weights, zero on the slots that do not
+    contribute. ``status`` says per point whether it resolved or why not
+    (``RESOLVED``, ``OUTSIDE``, ``OCCUPIED``, ``ISOLATED``); an unresolved
+    point has all-zero weights.
+    """
+
+    corners: np.ndarray
+    weights: np.ndarray
+    status: np.ndarray
+
+    def sample(self, data: np.ndarray) -> np.ndarray:
+        """``(N, c)`` weighted sums of the per-vertex rows of ``data``
+        (shape ``(nx, ny, nz, c)``); NaN rows for unresolved points."""
+        c = self.corners
+        rows = data[c[..., 0], c[..., 1], c[..., 2]]
+        rows = np.where(self.weights[..., None] > 0.0, rows, 0.0)  # unused vertices may be NaN
+        out = (self.weights[:, None, :] @ rows)[:, 0]
+        out[self.status != RESOLVED] = np.nan
+        return out
+
+    def check(self, i: int, p) -> None:
+        """Raise the error that says why point ``i`` (at ``p``) did not resolve."""
+        status = self.status[i]
+        if status == OUTSIDE:
+            raise InputError(f"point {np.asarray(p).tolist()} outside the scene bounding box")
+        if status == OCCUPIED:
+            raise InputError("interpolation query inside an occupied voxel")
+        if status == ISOLATED:
+            raise IsolationError(
+                f"no visible vertex within {_FALLBACK_SHELLS} shells of {np.asarray(p).tolist()}"
+            )
+
+
+def interp_points(scene: VoxelScene, points, value_mask: np.ndarray | None = None) -> InterpBatch:
+    """Visibility-masked trilinear stencils of the ``(N, 3)`` ``points``.
+
+    A cell corner contributes if its trilinear weight is positive, it is
+    usable (free, and set in the optional ``value_mask``, e.g. finite field
+    samples) and it sees the point; the surviving weights are
+    renormalized. A point with no such corner falls back to the nearest
+    usable vertex that sees it, in the lowest Chebyshev shell (radius 0 to
+    2) around its nearest vertex, ties to the first in C order. The corner
+    rays make one ``lines_of_sight`` call, the fallback rays one more.
+    Unresolvable points are reported in ``status``, not raised.
+    """
+    P = np.asarray(points, dtype=float).reshape(-1, 3)
+    dims = np.asarray(scene.dims)
+    lo = scene.origin - 0.5 * scene.spacing
+    hi = scene.origin + (dims - 0.5) * scene.spacing
+    inside = np.all((P >= lo) & (P <= hi), axis=1)
+    P = np.where(inside[:, None], P, scene.origin)  # keep rejected points out of the arithmetic
+    v = (P - scene.origin) / scene.spacing
+    # The voxel holding each point, as ``VoxelScene.voxel_of`` finds it.
+    voxel = np.floor(v + 0.5).astype(int)
+    voxel -= (voxel == dims) & (v + 0.5 - dims <= _TIE_EPS)
+    inside &= np.all((voxel >= 0) & (voxel < dims), axis=1)
+    status = np.where(inside, RESOLVED, OUTSIDE).astype(np.int8)
+    status[inside & scene.occupancy[tuple(np.clip(voxel, 0, dims - 1).T)]] = OCCUPIED
+    ok = status == RESOLVED
+    usable = ~scene.occupancy if value_mask is None else ~scene.occupancy & value_mask
+
+    base = np.clip(np.floor(v).astype(int), 0, dims - 2)
     t = np.clip(v - base, 0.0, 1.0)
-    return base, t
+    corners = base[:, None, :] + _CORNERS
+    w = np.ones(corners.shape[:2])
+    for a in range(3):
+        w *= np.where(_CORNERS[:, a] == 1, t[:, a, None], 1.0 - t[:, a, None])
+
+    row, slot = np.nonzero((w > 0.0) & usable[tuple(corners.T)].T & ok[:, None])
+    keep = np.zeros(w.shape, dtype=bool)
+    keep[row, slot] = lines_of_sight(scene, scene.voxel_center(corners[row, slot]), P[row])
+    w = np.where(keep, w, 0.0)
+    total = w.sum(axis=1)
+    hit = total > 0.0
+    w[hit] /= total[hit, None]
+
+    lost = np.flatnonzero(ok & ~hit)
+    if lost.size:
+        vertex, found = _nearest_visible_vertex(scene, P[lost], usable)
+        w[lost[found], 0] = 1.0
+        corners[lost[found], 0] = vertex[found]
+        status[lost[~found]] = ISOLATED
+    return InterpBatch(corners=corners, weights=w, status=status)
+
+
+def _nearest_visible_vertex(scene: VoxelScene, P: np.ndarray, usable: np.ndarray):
+    """Fallback vertex of each point in ``P``, and whether one was found."""
+    dims = np.asarray(scene.dims)
+    center = np.clip(np.rint((P - scene.origin) / scene.spacing).astype(int), 0, dims - 1)
+    cand = center[:, None, :] + _SHELL_OFFSETS
+    valid = np.all((cand >= 0) & (cand < dims), axis=2)
+    cand = np.clip(cand, 0, dims - 1)
+    valid &= usable[tuple(cand.T)].T
+    row, slot = np.nonzero(valid)
+    seen = np.zeros(valid.shape, dtype=bool)
+    seen[row, slot] = lines_of_sight(scene, scene.voxel_center(cand[row, slot]), P[row])
+    shell = np.where(seen, _SHELL_RADIUS, _FALLBACK_SHELLS + 1).min(axis=1)
+    d = np.linalg.norm(scene.voxel_center(cand) - P[:, None, :], axis=2)
+    d = np.where(seen & (_SHELL_RADIUS == shell[:, None]), d, np.inf)
+    pick = d.argmin(axis=1)  # the first of equals, in C order
+    return cand[np.arange(len(P)), pick], seen.any(axis=1)
 
 
 def masked_interp(
@@ -111,7 +220,8 @@ def masked_interp(
     p,
     value_mask: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Visibility-masked trilinear sampling of per-vertex data at ``p``.
+    """Visibility-masked trilinear sampling of per-vertex data at ``p``: a
+    one-point call of ``interp_points``.
 
     Parameters
     ----------
@@ -134,64 +244,10 @@ def masked_interp(
     IsolationError
         No visible usable vertex within the fallback shell search.
     """
-    p = np.asarray(p, dtype=float)
-    if not scene.contains(p):
-        raise InputError(f"point {p.tolist()} outside the scene bounding box")
-    if scene.occupancy[scene.voxel_of(p)]:
-        raise InputError("interpolation query inside an occupied voxel")
-
-    free = ~scene.occupancy
-    usable = free if value_mask is None else (free & value_mask)
-
-    base, t = _cell_and_fractions(scene, p)
-    corners = base[None, :] + _CORNERS
-    w = np.ones(8)
-    for a in range(3):
-        w *= np.where(_CORNERS[:, a] == 1, t[a], 1.0 - t[a])
-
-    keep = np.zeros(8, dtype=bool)
-    for c in range(8):
-        if w[c] <= 0.0:
-            continue
-        i, j, k = corners[c]
-        if not usable[i, j, k]:
-            continue
-        if line_of_sight(scene, scene.voxel_center(corners[c]), p):
-            keep[c] = True
-
-    if keep.any():
-        corners = corners[keep]
-        weights = w[keep] / w[keep].sum()
-        value = weights @ data[corners[:, 0], corners[:, 1], corners[:, 2]]
-        return value, corners, weights
-
-    # All cell vertices excluded: fall back to the nearest visible vertex
-    # within an expanding Chebyshev shell around the query point.
-    center = np.rint((p - scene.origin) / scene.spacing).astype(int)
-    center = np.clip(center, 0, np.asarray(scene.dims) - 1)
-    for radius in range(_FALLBACK_SHELLS + 1):
-        best = None
-        lo = np.maximum(center - radius, 0)
-        hi = np.minimum(center + radius, np.asarray(scene.dims) - 1)
-        for i in range(lo[0], hi[0] + 1):
-            for j in range(lo[1], hi[1] + 1):
-                for k in range(lo[2], hi[2] + 1):
-                    if max(abs(i - center[0]), abs(j - center[1]), abs(k - center[2])) != radius:
-                        continue
-                    if not usable[i, j, k]:
-                        continue
-                    c = scene.voxel_center((i, j, k))
-                    d = float(np.linalg.norm(c - p))
-                    if best is not None and d >= best[0]:
-                        continue
-                    if line_of_sight(scene, c, p):
-                        best = (d, (i, j, k))
-        if best is not None:
-            idx = np.array([best[1]], dtype=int)
-            return data[best[1]].astype(float).copy(), idx, np.array([1.0])
-    raise IsolationError(
-        f"no visible vertex within {_FALLBACK_SHELLS} shells of {p.tolist()}"
-    )
+    batch = interp_points(scene, p, value_mask)
+    batch.check(0, p)
+    used = batch.weights[0] > 0.0
+    return batch.sample(data)[0], batch.corners[0, used], batch.weights[0, used]
 
 
 def interp_latent(grid: LatentGrid, scene: VoxelScene, p) -> InterpResult:

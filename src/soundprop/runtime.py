@@ -3,10 +3,10 @@
 Loaded model bundles, reference tails and speaker layouts are immutable;
 queries and renders are reentrant and safe under concurrent readers.
 
-A query interpolates the source and receiver positions once; every
-bundle's latents reuse those corners and weights, and the direction of
-arrival is ``irparams.doa_from_sampler`` over the predicted distance field
-around the receiver.
+A query interpolates the source, the receiver and the receiver's DOA
+stencil points in one batch; every bundle's latents reuse those corners
+and weights, and the direction of arrival is ``irparams.doa_from_samples``
+over the predicted distance field at the stencil points.
 
 The rendering model sums three signal paths: a dry path scaled by the
 direct-sound level and panned toward the direction of arrival, plus early
@@ -22,8 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, InputError
-from .irparams import AcousticParamSet, ImpulseResponse, WindowConfig, doa_from_sampler
-from .latentfield import interp_latent
+from .irparams import (
+    DOA_STENCIL,
+    AcousticParamSet,
+    ImpulseResponse,
+    WindowConfig,
+    doa_from_samples,
+)
+from .latentfield import interp_points
 from .scene import VoxelScene
 
 
@@ -248,12 +254,16 @@ def render_params(params: AcousticParamSet, refs: ReferenceIRSet,
 
 
 def _wet_bus(x: np.ndarray, irs, weights, n_out: int) -> np.ndarray:
+    """``x`` convolved with the weight-blended tail ``sum_i w_i * tail_i``,
+    zero-padded to ``n_out`` samples: one FFT convolution."""
+    used = [(ir.samples, w) for ir, w in zip(irs, weights) if w != 0.0]
+    tail = np.zeros(max(t.size for t, _ in used))
+    for t, w in used:
+        tail[: t.size] += w * t
+    n = x.size + tail.size - 1
+    size = 1 << (n - 1).bit_length()
     bus = np.zeros(n_out)
-    for ir, w in zip(irs, weights):
-        if w == 0.0:
-            continue
-        conv = np.convolve(x, ir.samples)
-        bus[: conv.size] += w * conv
+    bus[:n] = np.fft.irfft(np.fft.rfft(x, size) * np.fft.rfft(tail, size), size)[:n]
     return bus
 
 
@@ -266,8 +276,8 @@ def render_offline(
     """Offline parametric render of a mono input to speaker channels.
 
     Returns an ``(n_speakers, n_samples)`` array: panned dry path plus the
-    early and late wet buses built by direct time-domain convolution with
-    the blended reference tails.
+    early and late wet buses, each one FFT convolution with its blended
+    reference tail.
     """
     x = np.asarray(x_in, dtype=float)
     if x.ndim != 1:
@@ -293,53 +303,46 @@ def render_offline(
 # ---------------------------------------------------------------------------
 
 
-def query_doa(distance_bundle, scene: VoxelScene, u_a: np.ndarray, b, pi: float) -> np.ndarray:
-    """Direction of arrival from the distance field predicted for source
-    latent ``u_a`` around ``b``, where the prediction is ``pi``.
-
-    Stencil points inside obstacles or outside the scene are missing
-    samples for ``doa_from_sampler``.
-    """
-    def sample(x):
-        try:
-            v = interp_latent(distance_bundle.grid, scene, x).latent
-        except InputError:
-            return None
-        return float(distance_bundle.head.predict(u_a[None, :], v[None, :])["pi"][0])
-
-    return doa_from_sampler(sample, b, scene.spacing, pi)
-
-
 def query_params(bundles: dict, scene: VoxelScene, a, b) -> AcousticParamSet:
     """Predict the full parameter set for one source-receiver pair.
 
     ``bundles`` maps group names (``distance``, ``levels``, ``decays``) to
-    trained model bundles over ``scene``. ``a`` and ``b`` are interpolated
-    once with visibility masking; the corners and weights depend only on
-    the scene and the point, so every bundle's latents reuse them. The
-    direction of arrival comes from the predicted distance field. A pure
-    function of the checkpoints and positions.
+    trained model bundles over ``scene``. One masked interpolation finds
+    the stencils of ``a``, ``b`` and the 12 DOA stencil points around
+    ``b``; the corners and weights depend only on the scene and the point,
+    so every bundle's latents reuse them. Each bundle decodes the pair in
+    one row. The direction of arrival is the negated gradient of the
+    distance field predicted for ``a`` at the stencil points, decoded in
+    one block; a stencil point that cannot be resolved is a missing
+    sample. A pure function of the checkpoints and positions.
     """
     if "distance" not in bundles:
         raise ConfigurationError("query needs at least a distance bundle")
-    dist = bundles["distance"]
-    ra = interp_latent(dist.grid, scene, a)
-    rb = interp_latent(dist.grid, scene, b)
-
-    out = {}
     for group, bundle in bundles.items():
         if bundle.grid.dims != scene.dims:
             raise InputError(f"{group} grid dims do not match scene dims")
-        values = bundle.grid.values
-        u, v = (r.weights @ values[r.corners[:, 0], r.corners[:, 1], r.corners[:, 2]]
-                for r in (ra, rb))
-        out.update(bundle.head.predict(u[None, :], v[None, :]))
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    h = scene.spacing
+    batch = interp_points(scene, np.vstack([a, b, b + h * DOA_STENCIL]))
+    batch.check(0, a)
+    batch.check(1, b)
+
+    out = {}
+    for group, bundle in bundles.items():
+        latents = batch.sample(bundle.grid.values)
+        # The pair gets its own one-row decode: a row of a many-row BLAS
+        # product can differ in the last bit from the same row alone.
+        out.update(bundle.head.predict(latents[:1], latents[1:2]))
+        if group == "distance":
+            stencil = latents[2:]
+            u = np.repeat(latents[:1], len(stencil), axis=0)
+            samples = bundle.head.predict(u, stencil)["pi"]
     pi, l_ds, l_er, tau_er, tau_lr = (
-        float(out[h][0]) if h in out else float("nan")
-        for h in ("pi", "l_ds", "l_er", "tau_er", "tau_lr")
+        float(out[name][0]) if name in out else float("nan")
+        for name in ("pi", "l_ds", "l_er", "tau_er", "tau_lr")
     )
 
-    doa = query_doa(dist, scene, ra.latent, b, pi)
+    doa = doa_from_samples(pi, samples, h)
     l_lr = derive_l_lr(l_er, tau_er) if np.isfinite(l_er) and tau_er > 0 else None
     return AcousticParamSet(
         pi=pi, l_ds=l_ds, l_er=l_er, tau_er=tau_er, tau_lr=tau_lr, doa=doa, l_lr=l_lr

@@ -31,7 +31,7 @@ _TIE_EPS = 1e-9
 # Voxels touched when a traversal leaves a cell through an edge or corner,
 # as multiples of the per-axis step: the neighbours across each tied face
 # and each tied edge. A probe applies when two or more axes tie and every
-# axis it moves along is among them. Both ray walkers read this table.
+# axis it moves along is among them.
 _TIE_PROBES = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1))
 
 # Cell labels of the padded grid the batched walker steps through.
@@ -109,11 +109,6 @@ class VoxelScene:
     # -- geometry helpers -------------------------------------------------
 
     @property
-    def n_voxels(self) -> int:
-        nx, ny, nz = self.dims
-        return nx * ny * nz
-
-    @property
     def diagonal(self) -> float:
         """Length of the bounding-box diagonal in meters."""
         ext = (np.asarray(self.dims, dtype=float)) * self.spacing
@@ -158,22 +153,12 @@ class VoxelScene:
         hi = self.origin + (np.asarray(self.dims) - 0.5) * self.spacing
         return bool(np.all(p >= lo) and np.all(p <= hi))
 
-    def is_free(self, index) -> bool:
-        i, j, k = index
-        return not bool(self.occupancy[i, j, k])
-
     def free_mask(self) -> np.ndarray:
         return ~self.occupancy
 
     def free_indices(self) -> np.ndarray:
         """Indices of free voxels as an ``(m, 3)`` int array, in C order."""
         return np.argwhere(~self.occupancy)
-
-    def region_of(self, index) -> int:
-        if self.regions is None:
-            raise ConfigurationError("scene carries no region annotations")
-        i, j, k = index
-        return int(self.regions[i, j, k])
 
 
 SCENE_KINDS = (
@@ -399,7 +384,7 @@ def _segment_cells(scene: VoxelScene, ends: np.ndarray):
 
     In cell coordinates voxel ``(i, j, k)`` spans ``[i, i+1) x [j, j+1) x
     [k, k+1)``; a point on the far face of the last voxel still belongs to
-    it. Both ray walkers start from these values, so they agree bit for bit.
+    it.
     """
     if not np.all(np.isfinite(ends)):
         raise InputError("line-of-sight endpoints must be finite")
@@ -412,93 +397,26 @@ def _segment_cells(scene: VoxelScene, ends: np.ndarray):
     return c, np.clip(cell, 0, dims - 1)
 
 
-def line_of_sight(scene: VoxelScene, p, q) -> bool:
-    """True iff the segment from ``p`` to ``q`` crosses no occupied voxel.
-
-    Traversal is an incremental voxel walk (3D DDA, Amanatides & Woo) in
-    cell coordinates. A voxel blocks if the closed segment touches its
-    closed cube, so exact edge or corner grazing resolves to "blocked";
-    this is conservative and prevents leakage across diagonal wall seams.
-    Endpoints inside an occupied voxel yield ``False`` rather than an error.
-
-    This is the walker for one segment; ``lines_of_sight`` casts many at
-    once with the same arithmetic and gives the same answers.
-    """
-    c, cell = _segment_cells(scene, np.array([p, q], dtype=float))
-    occ = scene.occupancy
-    nx, ny, nz = scene.dims
-    # Plain Python floats keep the traversal loop free of numpy scalars.
-    (ax, ay, az), (bx, by, bz) = c.tolist()
-    (ix, iy, iz), (ex, ey, ez) = cell.tolist()
-    if occ[ix, iy, iz] or occ[ex, ey, ez]:
-        return False
-    if ix == ex and iy == ey and iz == ez:
-        return True
-    dx, dy, dz = bx - ax, by - ay, bz - az
-
-    step_x = 1 if dx > 0 else (-1 if dx < 0 else 0)
-    step_y = 1 if dy > 0 else (-1 if dy < 0 else 0)
-    step_z = 1 if dz > 0 else (-1 if dz < 0 else 0)
-
-    inf = math.inf
-    if step_x:
-        t_max_x = ((ix + (step_x > 0)) - ax) / dx
-        t_dx = abs(1.0 / dx)
-    else:
-        t_max_x, t_dx = inf, inf
-    if step_y:
-        t_max_y = ((iy + (step_y > 0)) - ay) / dy
-        t_dy = abs(1.0 / dy)
-    else:
-        t_max_y, t_dy = inf, inf
-    if step_z:
-        t_max_z = ((iz + (step_z > 0)) - az) / dz
-        t_dz = abs(1.0 / dz)
-    else:
-        t_max_z, t_dz = inf, inf
-
-    while True:
-        t_min = min(t_max_x, t_max_y, t_max_z)
-        if t_min > 1.0 + _TIE_EPS:
-            return True
-        # Conservative tie handling: when the segment leaves the cell through
-        # an edge or corner, every voxel adjacent to the crossing is touched.
-        tie_x = t_max_x - t_min <= _TIE_EPS
-        tie_y = t_max_y - t_min <= _TIE_EPS
-        tie_z = t_max_z - t_min <= _TIE_EPS
-        if tie_x + tie_y + tie_z > 1:
-            for ox, oy, oz in _TIE_PROBES:
-                if (ox and not tie_x) or (oy and not tie_y) or (oz and not tie_z):
-                    continue
-                px, py, pz = ix + ox * step_x, iy + oy * step_y, iz + oz * step_z
-                if 0 <= px < nx and 0 <= py < ny and 0 <= pz < nz and occ[px, py, pz]:
-                    return False
-        if tie_x:
-            ix += step_x
-            t_max_x += t_dx
-        if tie_y:
-            iy += step_y
-            t_max_y += t_dy
-        if tie_z:
-            iz += step_z
-            t_max_z += t_dz
-        if not (0 <= ix < nx and 0 <= iy < ny and 0 <= iz < nz):
-            return True
-        if occ[ix, iy, iz]:
-            return False
-        if ix == ex and iy == ey and iz == ez:
-            return True
-
-
 def lines_of_sight(scene: VoxelScene, p, q) -> np.ndarray:
-    """``line_of_sight`` for many segments at once, as a bool array.
+    """True for each segment from ``p`` to ``q`` that crosses no occupied
+    voxel, as a bool array.
 
-    The rays run from the one start point ``p`` to the ``m`` end points
-    ``q``, shape ``(m, 3)``. All rays walk in lockstep, one numpy step per voxel
-    crossing for the rays still walking, on flat indices into the occupancy
-    grid padded by one cell (a step or a tie probe leaves the grid by at
-    most one cell). The arithmetic is ``line_of_sight``'s, so each result is
-    identical to the single-segment walk.
+    ``q`` holds the ``m`` end points, shape ``(m, 3)``; ``p`` is one start
+    point shared by every ray or ``m`` per-ray start points. Traversal is an
+    incremental voxel walk (3D DDA, Amanatides & Woo) in cell coordinates.
+    A voxel blocks if the closed segment touches its closed cube, so exact
+    edge or corner grazing resolves to "blocked"; this is conservative and
+    prevents leakage across diagonal wall seams. Endpoints inside an
+    occupied voxel yield ``False`` rather than an error.
+
+    All rays walk in lockstep, one numpy step per voxel crossing for the
+    rays still walking, on flat indices into the occupancy grid padded by
+    one cell (a step or a tie probe leaves the grid by at most one cell).
+
+    Raises
+    ------
+    InputError
+        An endpoint is not finite or lies outside the scene.
     """
     q = np.asarray(q, dtype=float)
     c, cell = _segment_cells(scene, np.stack(np.broadcast_arrays(np.asarray(p, dtype=float), q)))
@@ -529,7 +447,7 @@ def lines_of_sight(scene: VoxelScene, p, q) -> np.ndarray:
         past_end = t_min > 1.0 + _TIE_EPS
         ties = t_max - t_min[:, None] <= _TIE_EPS
         # Edge or corner crossings: every voxel adjacent to the crossing is
-        # touched (see line_of_sight).
+        # touched.
         blocked = np.zeros(rays.size, dtype=bool)
         grazing = np.flatnonzero((ties.sum(axis=1) > 1) & ~past_end)
         if grazing.size:

@@ -41,6 +41,8 @@ GROUP_HEADS = {
     "levels": ("l_ds", "l_er"),
     "decays": ("tau_er", "tau_lr"),
 }
+# Decoder family a group trains with when none is named.
+DEFAULT_FAMILY = {"distance": "euclidean", "levels": "euclidean", "decays": "dot-product"}
 
 
 @dataclass
@@ -169,8 +171,10 @@ def make_bundle(
     else:
         if family.startswith("mlp"):
             decoder = make_distance_decoder(family, n, seed=seed, hidden=hidden, k=2)
-        else:
+        elif family == "dot-product":
             decoder = DotProductDecoder(n, K)
+        else:
+            raise ConfigurationError(f"decay decoders are dot-product or mlp, not {family!r}")
         head = DecaysModel(decoder, n, seed=seed)
         coord_scale = 1.0 / scene.diagonal
     grid = init_latent_grid(scene, n, seed=seed, coord_scale=coord_scale)

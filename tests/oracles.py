@@ -6,6 +6,8 @@ import math
 import numpy as np
 
 import soundprop as sp
+from soundprop.errors import InputError, IsolationError
+from soundprop.scene import _TIE_EPS, _TIE_PROBES, _segment_cells
 
 _OFFSETS = [
     (di, dj, dk, math.sqrt(di * di + dj * dj + dk * dk))
@@ -14,6 +16,161 @@ _OFFSETS = [
     for dk in (-1, 0, 1)
     if (di, dj, dk) != (0, 0, 0)
 ]
+
+
+def line_of_sight(scene, p, q) -> bool:
+    """True iff the segment from ``p`` to ``q`` crosses no occupied voxel.
+
+    Traversal is an incremental voxel walk (3D DDA, Amanatides & Woo) in
+    cell coordinates. A voxel blocks if the closed segment touches its
+    closed cube, so exact edge or corner grazing resolves to "blocked";
+    this is conservative and prevents leakage across diagonal wall seams.
+    Endpoints inside an occupied voxel yield ``False`` rather than an error.
+
+    The scalar walk, one segment at a time, that ``scene.lines_of_sight``
+    batches: it starts from the same cell coordinates (``_segment_cells``)
+    and makes the same comparisons, so the two agree bit for bit.
+    """
+    c, cell = _segment_cells(scene, np.array([p, q], dtype=float))
+    occ = scene.occupancy
+    nx, ny, nz = scene.dims
+    # Plain Python floats keep the traversal loop free of numpy scalars.
+    (ax, ay, az), (bx, by, bz) = c.tolist()
+    (ix, iy, iz), (ex, ey, ez) = cell.tolist()
+    if occ[ix, iy, iz] or occ[ex, ey, ez]:
+        return False
+    if ix == ex and iy == ey and iz == ez:
+        return True
+    dx, dy, dz = bx - ax, by - ay, bz - az
+
+    step_x = 1 if dx > 0 else (-1 if dx < 0 else 0)
+    step_y = 1 if dy > 0 else (-1 if dy < 0 else 0)
+    step_z = 1 if dz > 0 else (-1 if dz < 0 else 0)
+
+    inf = math.inf
+    if step_x:
+        t_max_x = ((ix + (step_x > 0)) - ax) / dx
+        t_dx = abs(1.0 / dx)
+    else:
+        t_max_x, t_dx = inf, inf
+    if step_y:
+        t_max_y = ((iy + (step_y > 0)) - ay) / dy
+        t_dy = abs(1.0 / dy)
+    else:
+        t_max_y, t_dy = inf, inf
+    if step_z:
+        t_max_z = ((iz + (step_z > 0)) - az) / dz
+        t_dz = abs(1.0 / dz)
+    else:
+        t_max_z, t_dz = inf, inf
+
+    while True:
+        t_min = min(t_max_x, t_max_y, t_max_z)
+        if t_min > 1.0 + _TIE_EPS:
+            return True
+        # Conservative tie handling: when the segment leaves the cell through
+        # an edge or corner, every voxel adjacent to the crossing is touched.
+        tie_x = t_max_x - t_min <= _TIE_EPS
+        tie_y = t_max_y - t_min <= _TIE_EPS
+        tie_z = t_max_z - t_min <= _TIE_EPS
+        if tie_x + tie_y + tie_z > 1:
+            for ox, oy, oz in _TIE_PROBES:
+                if (ox and not tie_x) or (oy and not tie_y) or (oz and not tie_z):
+                    continue
+                px, py, pz = ix + ox * step_x, iy + oy * step_y, iz + oz * step_z
+                if 0 <= px < nx and 0 <= py < ny and 0 <= pz < nz and occ[px, py, pz]:
+                    return False
+        if tie_x:
+            ix += step_x
+            t_max_x += t_dx
+        if tie_y:
+            iy += step_y
+            t_max_y += t_dy
+        if tie_z:
+            iz += step_z
+            t_max_z += t_dz
+        if not (0 <= ix < nx and 0 <= iy < ny and 0 <= iz < nz):
+            return True
+        if occ[ix, iy, iz]:
+            return False
+        if ix == ex and iy == ey and iz == ez:
+            return True
+
+
+# Corner offsets of one interpolation cell, x fastest.
+_CORNERS = np.array([(i, j, k) for k in (0, 1) for j in (0, 1) for i in (0, 1)], dtype=int)
+_FALLBACK_SHELLS = 2
+
+
+def masked_interp(data, scene, p, value_mask=None):
+    """Visibility-masked trilinear sampling of ``data`` at one point, vertex
+    by vertex with ``line_of_sight``: the reference for
+    ``latentfield.interp_points``.
+
+    Returns ``(value, corners, weights)`` over the contributing vertices.
+    Cell corners of positive trilinear weight that are usable and see
+    ``p`` share the weight, renormalized; when there is none, the nearest
+    usable vertex that sees ``p`` in the lowest Chebyshev shell (radius 0
+    to 2) around the nearest vertex takes it all, ties to the first in C
+    order. Raises ``InputError`` for a point outside the scene or inside
+    an obstacle and ``IsolationError`` when no vertex qualifies.
+    """
+    p = np.asarray(p, dtype=float)
+    if not scene.contains(p):
+        raise InputError(f"point {p.tolist()} outside the scene bounding box")
+    if scene.occupancy[scene.voxel_of(p)]:
+        raise InputError("interpolation query inside an occupied voxel")
+
+    free = ~scene.occupancy
+    usable = free if value_mask is None else (free & value_mask)
+
+    v = (p - scene.origin) / scene.spacing
+    base = np.clip(np.floor(v).astype(int), 0, np.asarray(scene.dims) - 2)
+    t = np.clip(v - base, 0.0, 1.0)
+    corners = base[None, :] + _CORNERS
+    w = np.ones(8)
+    for a in range(3):
+        w *= np.where(_CORNERS[:, a] == 1, t[a], 1.0 - t[a])
+
+    keep = np.zeros(8, dtype=bool)
+    for c in range(8):
+        if w[c] <= 0.0:
+            continue
+        i, j, k = corners[c]
+        if not usable[i, j, k]:
+            continue
+        if line_of_sight(scene, scene.voxel_center(corners[c]), p):
+            keep[c] = True
+
+    if keep.any():
+        corners = corners[keep]
+        weights = w[keep] / w[keep].sum()
+        value = weights @ data[corners[:, 0], corners[:, 1], corners[:, 2]]
+        return value, corners, weights
+
+    center = np.rint((p - scene.origin) / scene.spacing).astype(int)
+    center = np.clip(center, 0, np.asarray(scene.dims) - 1)
+    for radius in range(_FALLBACK_SHELLS + 1):
+        best = None
+        lo = np.maximum(center - radius, 0)
+        hi = np.minimum(center + radius, np.asarray(scene.dims) - 1)
+        for i in range(lo[0], hi[0] + 1):
+            for j in range(lo[1], hi[1] + 1):
+                for k in range(lo[2], hi[2] + 1):
+                    if max(abs(i - center[0]), abs(j - center[1]), abs(k - center[2])) != radius:
+                        continue
+                    if not usable[i, j, k]:
+                        continue
+                    c = scene.voxel_center((i, j, k))
+                    d = float(np.linalg.norm(c - p))
+                    if best is not None and d >= best[0]:
+                        continue
+                    if line_of_sight(scene, c, p):
+                        best = (d, (i, j, k))
+        if best is not None:
+            idx = np.array([best[1]], dtype=int)
+            return data[best[1]].astype(float).copy(), idx, np.array([1.0])
+    raise IsolationError(f"no visible vertex within {_FALLBACK_SHELLS} shells of {p.tolist()}")
 
 
 def heapq_geodesic(scene, source) -> np.ndarray:

@@ -279,6 +279,41 @@ def test_render_command(tmp_path, monkeypatch):
     assert np.sum(samples**2) > 0
 
 
+def test_render_corrupted_input_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    ir_path = tmp_path / "imp.ir"
+    fileio.write_ir(ir_path, np.ones(64), 8000.0)
+    blob = ir_path.read_bytes()
+    for bad in (blob[:-2], blob.replace(b"sample_rate=", b"sample_rate", 1),
+                blob.replace(b"channels=1", b"channels=0", 1)):
+        ir_path.write_bytes(bad)
+        capsys.readouterr()
+        code = run(["render", "--input", str(ir_path), "--l-ds", "-6", "--l-er", "-12",
+                    "--tau-er", "0.3", "--tau-lr", "0.9", "--doa", "0,1,0",
+                    "--out", str(tmp_path / "out.ir")])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_train_family_defaults_to_the_group_family(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    scene_path = tmp_path / "box.scn"
+    run(["scene", "gen", "--kind", "empty-box", "--dims", "8x4x8", "--out", str(scene_path)])
+    sources = tmp_path / "s.txt"
+    sources.write_text("4.0 2.0 4.0\n2.0 1.0 2.0\n")
+    run(["bake", "--scene", str(scene_path), "--sources", str(sources),
+         "--out-dir", str(tmp_path / "fields")])
+    scene, _ = fileio.read_scene(scene_path)
+    for group, family in (("decays", "dot-product"), ("distance", "euclidean")):
+        out = tmp_path / f"{group}.ckpt"
+        assert run(["train", "--scene", str(scene_path), "--train-fields", str(tmp_path / "fields"),
+                    "--group", group, "--n", "3", "--epochs", "2", "--eval-interval", "0",
+                    "--out", str(out)]) == 0
+        assert fileio.load_checkpoint(out, scene).head.decoder.family == family
+        manifest = json.loads(out.with_name(out.name + ".manifest.json").read_text())
+        assert manifest["config"]["family"] == family
+
+
 def test_query_command_reciprocal(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     scene_path = tmp_path / "box.scn"

@@ -362,3 +362,92 @@ def test_load_checkpoint_edited_header_round_trip(tmp_path):
     path.write_bytes(_with_header(_LEVELS, lambda h: h))
     bundle = fileio.load_checkpoint(path, _BOX)
     assert bundle.group == "levels" and bundle.head.decoder.family == "mlp"
+
+
+# ---------------------------------------------------------------------------
+# Impulse responses and speaker layouts
+# ---------------------------------------------------------------------------
+
+
+IR_BLOB = _file_bytes(fileio.write_ir, np.linspace(-1.0, 1.0, 24).reshape(2, 12), sample_rate=8000.0)
+LAYOUT_BLOB = _file_bytes(fileio.write_layout, sp.octahedral_layout())
+
+
+@settings(max_examples=300)
+@given(_corrupted(IR_BLOB, IR_BLOB.find(b"\n\n") + 2))
+def test_read_ir_corrupted_is_ir_or_format_error(tmp_path_factory, blob):
+    path = tmp_path_factory.getbasetemp() / "corrupted.ir"
+    path.write_bytes(blob)
+    try:
+        samples, rate, t0 = fileio.read_ir(path)
+    except FormatError:
+        return
+    assert samples.size > 0 and np.isfinite(samples).all()
+    assert samples.ndim in (1, 2)
+    assert np.isfinite(rate) and rate > 0 and np.isfinite(t0)
+
+
+@settings(max_examples=300)
+@given(_corrupted(LAYOUT_BLOB, len(LAYOUT_BLOB)))
+def test_read_layout_corrupted_is_layout_or_format_error(tmp_path_factory, blob):
+    path = tmp_path_factory.getbasetemp() / "corrupted.spk"
+    path.write_bytes(blob)
+    try:
+        layout = fileio.read_layout(path)
+    except FormatError:
+        return
+    assert isinstance(layout, sp.SpeakerLayout)
+    assert np.isfinite(layout.directions).all()
+
+
+@pytest.mark.parametrize(
+    "header, error",
+    [
+        (b"t0=0.0", b"t0"),  # line without '='
+        (b"t0=0.0", b"t1=0.0"),  # missing key
+        (b"t0=0.0", b"t0=\xff"),  # not UTF-8
+        (b"sample_rate=8000.0", b"sample_rate=inf"),
+        (b"sample_rate=8000.0", b"sample_rate=-8000"),
+        (b"sample_rate=8000.0", b"sample_rate=nan"),
+        (b"channels=2", b"channels=0"),
+        (b"channels=2", b"channels=5"),  # 24 samples are not whole frames of 5
+        (b"channels=2", b"channels=two"),
+    ],
+)
+def test_read_ir_malformed_header_is_format_error(tmp_path, header, error):
+    assert header in IR_BLOB
+    path = tmp_path / "bad.ir"
+    path.write_bytes(IR_BLOB.replace(header, error, 1))
+    with pytest.raises(FormatError):
+        fileio.read_ir(path)
+
+
+def test_read_ir_rejects_bad_payload(tmp_path):
+    path = tmp_path / "bad.ir"
+    body = IR_BLOB.find(b"\n\n") + 2
+    nan = np.array([np.nan], dtype="<f4").tobytes()
+    for blob in (IR_BLOB[:-2], IR_BLOB[:-4], IR_BLOB[:body], IR_BLOB[:body] + nan * 2):
+        path.write_bytes(blob)
+        with pytest.raises(FormatError):
+            fileio.read_ir(path)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "s 1.0 0.0\n",  # short
+        "s 1.0 0.0 0.0 0.0\n",  # long
+        "s 1.0 zero 0.0\n",
+        "s nan 0.0 0.0\n",
+        "t 0 1\n",
+        "t 0 1 x\n",
+        "t 0 1 9\n",  # no such speaker
+        "q 1 2 3\n",
+        "",  # no speakers
+    ],
+)
+def test_read_layout_malformed_is_format_error(tmp_path, text):
+    path = tmp_path / "bad.spk"
+    path.write_text(LAYOUT_BLOB.decode().replace("t 0 2 4\n", "") + text if text else text)
+    with pytest.raises(FormatError):
+        fileio.read_layout(path)

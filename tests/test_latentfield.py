@@ -3,9 +3,10 @@ import pytest
 
 import soundprop as sp
 from soundprop.errors import InputError, IsolationError
-from soundprop.latentfield import masked_interp
+from soundprop.latentfield import ISOLATED, OCCUPIED, OUTSIDE, RESOLVED, masked_interp
 
 from conftest import random_free_position
+from oracles import masked_interp as oracle_masked_interp
 
 
 @pytest.fixture(scope="module")
@@ -164,3 +165,64 @@ def test_init_grid_structure(box):
     assert np.all(np.abs(grid.values[..., 3:]) <= 0.01)
     with pytest.raises(InputError):
         sp.init_latent_grid(box, 0)
+
+
+# ---------------------------------------------------------------------------
+# The batched core against the scalar reference
+# ---------------------------------------------------------------------------
+
+
+def _reference_outcome(data, scene, p, value_mask):
+    try:
+        return RESOLVED, oracle_masked_interp(data, scene, p, value_mask)
+    except IsolationError:
+        return ISOLATED, None
+    except InputError:
+        return (OUTSIDE if not scene.contains(p) else OCCUPIED), None
+
+
+@pytest.mark.parametrize("usable_share", [None, 0.5, 0.08])
+def test_interp_points_matches_scalar_reference(maze_scene, usable_share):
+    """Corners, weights, values and per-point outcome agree with the scalar
+    walk over points in free voxels, in walls and outside the scene. The
+    sparser value masks send points to the first and second fallback
+    shells and isolate some."""
+    rng = np.random.default_rng(7)
+    data = rng.normal(size=maze_scene.dims + (3,))
+    mask = None if usable_share is None else rng.random(maze_scene.dims) < usable_share
+    if mask is not None:
+        data[~mask] = np.nan  # unusable vertices must not leak into values
+    points = [random_free_position(maze_scene, rng) for _ in range(300)]
+    points += [maze_scene.voxel_center(i) for i in np.argwhere(maze_scene.occupancy)[:5]]
+    points += [np.array([-5.0, 1.0, 1.0]), np.array([np.nan, 1.0, 1.0])]
+
+    batch = sp.interp_points(maze_scene, np.array(points), mask)
+    values = batch.sample(data)
+    shells = set()
+    for i, p in enumerate(points):
+        status, ref = _reference_outcome(data, maze_scene, p, mask)
+        assert batch.status[i] == status, i
+        if status != RESOLVED:
+            assert np.isnan(values[i]).all()
+            continue
+        value, corners, weights = ref
+        used = batch.weights[i] > 0.0
+        assert np.array_equal(batch.corners[i, used], corners)
+        assert np.allclose(batch.weights[i, used], weights, rtol=1e-14, atol=0.0)
+        assert np.allclose(values[i], value, rtol=1e-12, atol=1e-15)
+        centre = np.rint((p - maze_scene.origin) / maze_scene.spacing)
+        if len(weights) == 1:
+            shells.add(int(np.abs(corners[0] - centre).max()))
+    if usable_share == 0.08:
+        assert {1, 2} <= shells
+        assert (batch.status == ISOLATED).any()
+
+
+def test_interp_points_rows_do_not_depend_on_the_batch(maze_scene):
+    """A one-point call gives each row of a batch bit for bit."""
+    rng = np.random.default_rng(8)
+    data = rng.normal(size=maze_scene.dims + (4,))
+    points = np.array([random_free_position(maze_scene, rng) for _ in range(40)])
+    values = sp.interp_points(maze_scene, points).sample(data)
+    for p, row in zip(points, values):
+        assert np.array_equal(sp.interp_points(maze_scene, p[None]).sample(data)[0], row)

@@ -6,7 +6,7 @@ from scipy.sparse.csgraph import dijkstra as scipy_dijkstra
 import soundprop as sp
 from soundprop.errors import ConfigurationError, InputError
 
-from oracles import heapq_geodesic
+from oracles import heapq_geodesic, line_of_sight
 
 
 
@@ -95,7 +95,7 @@ def test_geodesic_los_ratio_bound(aperture_scene):
         idx = tuple(free[rng.integers(len(free))])
         if idx == src_idx:
             continue
-        if sp.line_of_sight(aperture_scene, src, aperture_scene.voxel_center(idx)):
+        if line_of_sight(aperture_scene, src, aperture_scene.voxel_center(idx)):
             ratio = geo.values[idx] / straight[idx]
             assert 1.0 - 1e-9 <= ratio <= bound + 1e-9
             checked += 1

@@ -3,10 +3,12 @@ import pytest
 
 import soundprop as sp
 from soundprop import runtime
-from soundprop.errors import ConfigurationError, InputError
+from soundprop.errors import ConfigurationError, InputError, IsolationError
+from soundprop.irparams import DOA_STENCIL
 from soundprop.runtime import render_params
 
 from conftest import random_free_position
+from oracles import masked_interp as oracle_masked_interp
 from oracles import per_bundle_query
 
 
@@ -159,6 +161,26 @@ def test_render_silent_input_silent_output():
     assert np.all(out == 0.0)
 
 
+@pytest.mark.parametrize("tau_er, tau_lr", [(0.05, 0.4), (0.2, 1.2), (0.6, 1.4), (2.0, 3.0)])
+def test_render_matches_direct_convolution(tau_er, tau_lr):
+    """The FFT wet buses equal direct convolution with each weighted tail."""
+    rp, refs = _params(doa=(0.6, 0.0, 0.8), l_ds=-3.0, l_er=-6.0, tau_er=tau_er, tau_lr=tau_lr)
+    layout = sp.octahedral_layout()
+    x = np.random.default_rng(3).normal(size=1500)
+    out = sp.render_offline(x, rp, refs, layout)
+
+    want = np.zeros_like(out)
+    want[:, : x.size] += np.outer(sp.vbap_gains(rp.doa, layout), rp.dry * x)
+    for gain, irs, weights in ((rp.er_gain, refs.er_irs, rp.er_weights),
+                               (rp.lr_gain, refs.lr_irs, rp.lr_weights)):
+        bus = np.zeros(out.shape[1])
+        for ir, w in zip(irs, weights):
+            conv = np.convolve(x, ir.samples)
+            bus[: conv.size] += w * conv
+        want += np.outer(sp.spatialize_wet(1.0, rp.doa, layout), gain * bus)
+    assert np.abs(out - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def test_render_impulse_er_path_reproduces_reference():
     """Unit impulse, weights (1,0,0), 0 dB: ER channel is P_S up to gains."""
     refs = sp.default_reference_irs(sample_rate=8000.0, seed=0)
@@ -294,21 +316,51 @@ def test_query_scalars_match_per_bundle_interpolation(maze_scene, maze_bundles):
             assert getattr(got, name) == want[name], name
 
 
+def _falls_back(scene, p) -> bool:
+    """Whether interpolating at ``p`` searches the fallback shells: no cell
+    corner serves it, by the scalar reference."""
+    try:
+        _, corners, _ = oracle_masked_interp(np.zeros(scene.dims + (1,)), scene, p)
+    except IsolationError:
+        return True
+    except InputError:
+        return False
+    base = np.floor((p - scene.origin) / scene.spacing)
+    return not np.isin(corners - base, (0, 1)).all()
+
+
 def test_query_interpolates_each_point_once(maze_scene, maze_bundles, monkeypatch):
-    seen = []
-    real = runtime.interp_latent
+    """One interpolation over ``a``, ``b`` and the 12 DOA stencil points,
+    one ray batch when no point falls back, one pair decode per bundle and
+    one stencil decode on the distance bundle."""
+    from soundprop import latentfield
 
-    def counting(grid, scene, p):
-        seen.append(tuple(np.asarray(p, dtype=float)))
-        return real(grid, scene, p)
+    batches, rays, decodes = [], [], []
+    interp = runtime.interp_points
+    monkeypatch.setattr(
+        runtime, "interp_points", lambda s, P, m=None: batches.append(np.array(P)) or interp(s, P, m)
+    )
+    cast = latentfield.lines_of_sight
+    monkeypatch.setattr(
+        latentfield, "lines_of_sight", lambda s, p, q: rays.append(len(q)) or cast(s, p, q)
+    )
+    for head in {type(bundle.head) for bundle in maze_bundles.values()}:
+        def counting(self, U, V, _predict=head.predict):
+            decodes.append((type(self).__name__, len(U)))
+            return _predict(self, U, V)
+        monkeypatch.setattr(head, "predict", counting)
 
-    monkeypatch.setattr(runtime, "interp_latent", counting)
+    h = maze_scene.spacing
     for a, b in _off_centre_pairs(maze_scene, 20, seed=12):
-        seen.clear()
+        batches.clear(), rays.clear(), decodes.clear()
         sp.query_params(maze_bundles, maze_scene, a, b)
-        assert seen[:2] == [tuple(a), tuple(b)]
-        assert len(set(seen)) == len(seen)
-        assert len(seen) <= 2 + 3 * 3  # a, b and at most three stencil points per axis
+        assert len(batches) == 1
+        assert np.array_equal(batches[0], np.vstack([a, b, b + h * DOA_STENCIL]))
+        fell_back = any(_falls_back(maze_scene, p) for p in batches[0])
+        assert len(rays) == 1 + fell_back
+        assert sorted(decodes) == [
+            ("DecaysModel", 1), ("DistanceModel", 1), ("DistanceModel", 12), ("LevelsModel", 1)
+        ]
 
 
 def test_query_rejects_bundle_over_other_grid(maze_scene, maze_bundles, box_scene):
@@ -349,3 +401,28 @@ def test_query_doa_one_sided_is_second_order():
     got = sp.query_params({"distance": dist}, scene, a, b).doa
     assert np.allclose(got, -second / np.linalg.norm(second), rtol=0.0, atol=1e-12)
     assert not np.allclose(got, -first / np.linalg.norm(first), rtol=0.0, atol=1e-6)
+
+
+def test_query_doa_ignores_unresolvable_stencil_points(box_scene):
+    """Next to the shell the receiver's ``-h`` points are walls and its
+    ``-2h`` points lie outside the scene: the query still answers, with the
+    one-sided stencils on the points that resolve."""
+    b = box_scene.voxel_center((1, 1, 3))
+    a = box_scene.voxel_center((6, 2, 5))
+    h = box_scene.spacing
+    assert not box_scene.contains(b - 2 * h * np.eye(3)[0])
+    dist = sp.make_bundle(box_scene, "distance", "riemann-diag", 8, seed=3)
+    u = sp.interp_latent(dist.grid, box_scene, a).latent
+
+    def pi_at(axis, k):
+        v = sp.interp_latent(dist.grid, box_scene, b + k * h * np.eye(3)[axis]).latent
+        return float(dist.head.predict(u[None, :], v[None, :])["pi"][0])
+
+    c = pi_at(0, 0)
+    g = np.array([
+        (-3.0 * c + 4.0 * pi_at(0, 1) - pi_at(0, 2)) / (2.0 * h),  # x: -h wall, -2h outside
+        (pi_at(1, 1) - c) / h,  # y: -h wall, -2h outside, +2h wall
+        (pi_at(2, 1) - pi_at(2, -1)) / (2.0 * h),
+    ])
+    got = sp.query_params({"distance": dist}, box_scene, a, b).doa
+    assert np.allclose(got, -g / np.linalg.norm(g), rtol=0.0, atol=1e-12)

@@ -7,6 +7,12 @@ import soundprop as sp
 from soundprop.errors import ConfigurationError, InputError
 
 from conftest import random_free_position
+from oracles import line_of_sight
+
+
+def los(scene, p, q) -> bool:
+    """``lines_of_sight`` for one segment."""
+    return bool(sp.lines_of_sight(scene, p, np.asarray(q, dtype=float)[None])[0])
 
 
 def test_empty_box_shell_and_interior(box_scene):
@@ -83,14 +89,14 @@ def test_los_trivial_open_box(box_scene):
     for _ in range(50):
         p = random_free_position(box_scene, rng)
         q = random_free_position(box_scene, rng)
-        assert sp.line_of_sight(box_scene, p, q)
+        assert los(box_scene, p, q)
 
 
 def test_los_wall_blocks_off_axis(aperture_scene):
     # both points at aperture height but displaced sideways from the slit
     p = aperture_scene.voxel_center((2, 2, 3))
     q = aperture_scene.voxel_center((13, 2, 3))
-    assert not sp.line_of_sight(aperture_scene, p, q)
+    assert not los(aperture_scene, p, q)
 
 
 def test_los_through_aperture(aperture_scene):
@@ -98,14 +104,14 @@ def test_los_through_aperture(aperture_scene):
     j, k = np.argwhere(~aperture_scene.occupancy[mid])[0]
     p = aperture_scene.voxel_center((mid - 2, j, k))
     q = aperture_scene.voxel_center((mid + 2, j, k))
-    assert sp.line_of_sight(aperture_scene, p, q)
+    assert los(aperture_scene, p, q)
 
 
 def test_los_inside_occupied_voxel_is_false(box_scene):
     corner = box_scene.voxel_center((0, 0, 0))
     inside = box_scene.voxel_center((3, 2, 3))
-    assert not sp.line_of_sight(box_scene, corner, inside)
-    assert not sp.line_of_sight(box_scene, inside, corner)
+    assert not los(box_scene, corner, inside)
+    assert not los(box_scene, inside, corner)
 
 
 def _segment_clips(scene, p, q):
@@ -156,7 +162,7 @@ def test_los_matches_fine_step_oracle_in_maze(maze_scene):
         blocked = any(
             maze_scene.occupancy[maze_scene.voxel_of(p + t * (q - p))] for t in ts
         )
-        assert sp.line_of_sight(maze_scene, p, q) == (not blocked), (p, q)
+        assert los(maze_scene, p, q) == (not blocked), (p, q)
         checked += 1
     assert checked > 100
 
@@ -166,9 +172,9 @@ def test_los_symmetry_and_identity(maze_scene):
     for _ in range(100):
         p = random_free_position(maze_scene, rng)
         q = random_free_position(maze_scene, rng)
-        assert sp.line_of_sight(maze_scene, p, q) == sp.line_of_sight(maze_scene, q, p)
+        assert los(maze_scene, p, q) == los(maze_scene, q, p)
     p = random_free_position(maze_scene, rng)
-    assert sp.line_of_sight(maze_scene, p, p)
+    assert los(maze_scene, p, p)
 
 
 def test_los_monotone_under_obstacle_removal(maze_scene):
@@ -182,8 +188,8 @@ def test_los_monotone_under_obstacle_removal(maze_scene):
     for _ in range(100):
         p = random_free_position(maze_scene, rng)
         q = random_free_position(maze_scene, rng)
-        if sp.line_of_sight(maze_scene, p, q):
-            assert sp.line_of_sight(opened, p, q)
+        if los(maze_scene, p, q):
+            assert los(opened, p, q)
 
 
 def test_los_conservative_on_diagonal_seam():
@@ -198,7 +204,7 @@ def test_los_conservative_on_diagonal_seam():
     # exact corner-grazing diagonal through the shared seam edge
     p = scene.voxel_center((3, 1, 2))
     q = scene.voxel_center((2, 1, 3))
-    assert not sp.line_of_sight(scene, p, q)
+    assert not los(scene, p, q)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +227,7 @@ def test_visible_voxels_matches_per_voxel_los(aperture_scene):
     shadowed = visible = 0
     mid = aperture_scene.dims[0] // 2
     for idx in aperture_scene.free_indices():
-        expected = sp.line_of_sight(
+        expected = line_of_sight(
             aperture_scene, p, aperture_scene.voxel_center(idx)
         )
         assert mask[tuple(idx)] == expected
@@ -240,7 +246,7 @@ def test_visible_voxels_from_occupied_point(box_scene):
 
 def test_query_outside_bbox_raises(box_scene):
     with pytest.raises(InputError):
-        sp.line_of_sight(box_scene, (-100.0, 0.0, 0.0), (1.0, 1.0, 1.0))
+        sp.lines_of_sight(box_scene, (-100.0, 0.0, 0.0), [(1.0, 1.0, 1.0)])
     with pytest.raises(InputError):
         sp.visible_voxels(box_scene, (-100.0, 0.0, 0.0))
 
@@ -262,7 +268,7 @@ def test_visible_targets_is_masked_visibility(aperture_scene):
 
 
 # ---------------------------------------------------------------------------
-# Batched ray walker against the single-segment walker
+# Batched ray walker against the single-segment oracle walker
 # ---------------------------------------------------------------------------
 
 
@@ -304,9 +310,10 @@ _OFFSETS = st.one_of(st.sampled_from([0.0, 0.5, -0.5]), st.floats(-0.5, 0.5))
 
 @st.composite
 def _segments(draw):
-    """A scene, a start point (a voxel centre or not) and m end points:
-    voxel centres, faces and off-centre points, some sharing one or two
-    coordinates with the start (axis-aligned rays)."""
+    """A scene, start points and m end points. The start is one point (a
+    voxel centre or not) shared by every ray, or m per-ray points; the end
+    points are voxel centres, faces and off-centre points, some sharing one
+    or two coordinates with their start (axis-aligned rays)."""
     name = draw(st.sampled_from(sorted(WALK_SCENES)))
     scene = WALK_SCENES[name]
     lo, hi = _at(scene, (0, 0, 0)), _at(scene, scene.dims)
@@ -318,13 +325,17 @@ def _segments(draw):
         off = np.array([draw(_OFFSETS) for _ in range(3)])
         return np.clip(scene.voxel_center(idx) + off * scene.spacing, lo, hi)
 
-    p, ends = point(centre=draw(st.booleans())), []
+    per_ray = draw(st.booleans())
+    p, starts, ends = point(centre=draw(st.booleans())), [], []
     for _ in range(draw(st.integers(1, 12))):
+        if per_ray:
+            p = point(centre=draw(st.booleans()))
         q = point()
         for a in draw(st.sets(st.integers(0, 2), max_size=2)):
             q[a] = p[a]
+        starts.append(p)
         ends.append(q)
-    return name, p, np.array(ends)
+    return name, np.array(starts) if per_ray else p, np.array(ends)
 
 
 @settings(max_examples=400)
@@ -332,7 +343,7 @@ def _segments(draw):
 def test_lines_of_sight_equals_line_of_sight_ray_by_ray(case):
     name, p, ends = case
     scene = WALK_SCENES[name]
-    want = [sp.line_of_sight(scene, p, q) for q in ends]
+    want = [line_of_sight(scene, s, q) for s, q in zip(np.broadcast_to(p, ends.shape), ends)]
     assert sp.lines_of_sight(scene, p, ends).tolist() == want
 
 
@@ -370,11 +381,11 @@ def test_lines_of_sight_fixed_cases(case):
     name, a, b, expected = WALK_CASES[case]
     scene = WALK_SCENES[name]
     p, q = _at(scene, a), _at(scene, b)
-    want = sp.line_of_sight(scene, p, q)
+    want = line_of_sight(scene, p, q)
     if expected is not None:
         assert want is expected
     assert sp.lines_of_sight(scene, p, q[None]).tolist() == [want]
-    assert sp.lines_of_sight(scene, q, p[None]).tolist() == [sp.line_of_sight(scene, q, p)]
+    assert sp.lines_of_sight(scene, q, p[None]).tolist() == [line_of_sight(scene, q, p)]
 
 
 def test_lines_of_sight_rejects_bad_end_points(box_scene):

@@ -216,6 +216,14 @@ def test_loss_descends_for_every_family(box_scene, group, family):
     assert last < first
 
 
+def test_make_bundle_decays_accepts_only_dot_product_and_mlp(box_scene):
+    for family in ("dot-product", "mlp", "mlp-small"):
+        assert sp.make_bundle(box_scene, "decays", family, 4).head.family in ("dot-product", "mlp")
+    for family in ("riemann-psd", "euclidean", "spline"):
+        with pytest.raises(ConfigurationError):
+            sp.make_bundle(box_scene, "decays", family, 4)
+
+
 def test_train_config_validation():
     with pytest.raises(ConfigurationError):
         sp.TrainConfig(epochs=0)
@@ -278,13 +286,11 @@ def test_sample_sources_casts_one_ray_per_uncovered_voxel(monkeypatch):
     from soundprop import scene as scene_mod
 
     scene = sp.build_scene(SAMPLER_SCENES["maze"])
-    rays, single = [], []
+    rays = []
     cast = scene_mod.lines_of_sight
-    los = scene_mod.line_of_sight
     monkeypatch.setattr(
         scene_mod, "lines_of_sight", lambda s, p, q: rays.append(len(q)) or cast(s, p, q)
     )
-    monkeypatch.setattr(scene_mod, "line_of_sight", lambda *a: single.append(1) or los(*a))
     sources = sp.sample_sources(scene, seed=2, init_count=3)
     monkeypatch.undo()
 
@@ -295,7 +301,6 @@ def test_sample_sources_casts_one_ray_per_uncovered_voxel(monkeypatch):
         uncovered &= ~sp.visible_voxels(scene, src)
     assert not uncovered.any()
     assert sum(rays) == expected
-    assert not single
     assert expected < len(sources) * np.count_nonzero(scene.free_mask())
 
 

@@ -36,14 +36,7 @@ from .irparams import (
     schroeder_curve,
     window_level,
 )
-from .latentfield import (
-    InterpResult,
-    LatentGrid,
-    init_latent_grid,
-    interp_backward,
-    interp_latent,
-    interp_points,
-)
+from .latentfield import InterpBatch, LatentGrid, init_latent_grid, interp_points
 from .oracle import (
     FieldVolume,
     SyntheticIRConfig,

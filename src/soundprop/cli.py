@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import InputError, SoundPropError
+from .errors import FormatError, InputError, SoundPropError
 from .evalkit import ablation_run, cost_report
 from .fileio import (
     read_field,
@@ -68,6 +68,17 @@ def _parse_dims(text: str) -> tuple[int, int, int]:
     return tuple(int(p) for p in parts)
 
 
+def _parse_splits(text: str) -> tuple[float, float, float]:
+    parts = tuple(float(p) for p in text.split(","))
+    if len(parts) != 3:
+        raise argparse.ArgumentTypeError("splits must be three numbers like 0.6,0.2,0.2")
+    return parts
+
+
+def _parse_ints(text: str) -> list[int]:
+    return [int(p) for p in text.split(",")]
+
+
 def _parse_vec(text: str) -> np.ndarray:
     parts = text.split(",")
     if len(parts) != 3:
@@ -102,12 +113,23 @@ def _write_sources(path, sources) -> None:
 
 
 def _read_sources(path) -> list:
+    """Source positions, one ``x y z`` line each; blank lines are skipped."""
+    try:
+        lines = Path(path).read_text().splitlines()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not a text sources file") from exc
     out = []
-    with open(path) as fh:
-        for line in fh:
-            parts = line.split()
-            if parts:
-                out.append(np.array([float(x) for x in parts[:3]]))
+    for number, line in enumerate(lines, 1):
+        parts = line.split()
+        if not parts:
+            continue
+        try:
+            point = np.array(parts, dtype=float)
+        except ValueError:
+            point = np.empty(0)
+        if point.shape != (3,) or not np.all(np.isfinite(point)):
+            raise FormatError(f"{path}:{number}: expected three finite numbers, got {line.strip()!r}")
+        out.append(point)
     return out
 
 
@@ -162,9 +184,8 @@ def _cmd_sources_sample(args) -> int:
     scene, _ = read_scene(args.scene)
     outputs = []
     if args.splits:
-        fractions = tuple(float(x) for x in args.splits.split(","))
         train_s, val_s, test_s = make_splits(
-            scene, seed=args.seed, fractions=fractions, runs=args.runs
+            scene, seed=args.seed, fractions=args.splits, runs=args.runs
         )
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -270,9 +291,8 @@ def _cmd_ablate(args) -> int:
     val_ds = _load_field_dataset(scene, args.val_fields, "val")
     test_ds = _load_field_dataset(scene, args.test_fields, "test")
     families = args.families.split(",")
-    n_values = [int(x) for x in args.n_values.split(",")]
     cfg = TrainConfig(epochs=args.epochs, seed=args.seed, eval_interval=args.eval_interval)
-    rows = ablation_run(scene, train_ds, val_ds, test_ds, families, n_values, cfg, group=args.group)
+    rows = ablation_run(scene, train_ds, val_ds, test_ds, families, args.n_values, cfg, group=args.group)
     write_csv(
         args.out,
         rows,
@@ -339,9 +359,12 @@ def _cmd_render(args) -> int:
 def _cmd_export_slice(args) -> int:
     fv = read_field(args.field)
     if args.y_meters is not None:
-        j = int(round((args.y_meters - fv.origin[1]) / fv.spacing))
+        j = np.rint((args.y_meters - fv.origin[1]) / fv.spacing)
     else:
         j = args.y_index if args.y_index is not None else fv.dims[1] // 2
+    if not 0 <= j < fv.dims[1]:
+        raise InputError(f"slice y index {j} is outside the field's 0..{fv.dims[1] - 1}")
+    j = int(j)
     vmin, vmax = write_pgm_slice(args.out, fv, j)
     config = vars_config(args)
     config["normalization"] = {"min": vmin, "max": vmax, "y_index": j}
@@ -456,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     samp.add_argument("--seed", type=int, default=0)
     samp.add_argument("--out", required=True,
                       help="output file, or directory when --splits is given")
-    samp.add_argument("--splits", default=None, help="e.g. 0.6,0.2,0.2")
+    samp.add_argument("--splits", type=_parse_splits, default=None, help="e.g. 0.6,0.2,0.2")
     samp.add_argument("--runs", type=int, default=3,
                       help="sampler repetitions pooled before splitting")
     add_common(samp)
@@ -504,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
     ab.add_argument("--val-fields", required=True)
     ab.add_argument("--test-fields", required=True)
     ab.add_argument("--families", default="euclidean,riemann-diag")
-    ab.add_argument("--n-values", default="2,4,8")
+    ab.add_argument("--n-values", type=_parse_ints, default="2,4,8")
     ab.add_argument("--group", default="distance", choices=["distance", "levels", "decays"])
     ab.add_argument("--epochs", type=int, default=500)
     ab.add_argument("--eval-interval", type=int, default=50)

@@ -7,8 +7,9 @@ inside obstacles) are excluded and the surviving weights renormalized. This
 keeps interpolated values from leaking across walls.
 
 One batched core, ``interp_points``, finds the stencils of many points at
-once; ``masked_interp`` and ``interp_latent`` are one-point calls of it.
-The same core samples scalar field volumes at continuous positions.
+once. Its ``InterpBatch`` samples latents or scalar field volumes at those
+points (``sample``) and scatters gradients back onto the grid
+(``backward``, the adjoint of ``sample``).
 """
 
 from __future__ import annotations
@@ -71,19 +72,6 @@ class LatentGrid:
         return self.values.shape[3]
 
 
-@dataclass(frozen=True)
-class InterpResult:
-    """Outcome of one masked interpolation.
-
-    ``corners`` holds the (m, 3) vertex indices that contributed and
-    ``weights`` their renormalized weights (sum 1).
-    """
-
-    latent: np.ndarray
-    corners: np.ndarray
-    weights: np.ndarray
-
-
 def init_latent_grid(
     scene: VoxelScene, n: int, seed: int = 0, coord_scale: float = 1.0
 ) -> LatentGrid:
@@ -130,6 +118,13 @@ class InterpBatch:
         out = (self.weights[:, None, :] @ rows)[:, 0]
         out[self.status != RESOLVED] = np.nan
         return out
+
+    def backward(self, upstream: np.ndarray, grad: np.ndarray) -> None:
+        """Adjoint of ``sample``: add each point's ``(N, c)`` ``upstream``
+        row, times its weights, to the stencil vertices of ``grad`` (shape
+        ``(nx, ny, nz, c)``), in place."""
+        row, slot = np.nonzero(self.weights > 0.0)
+        np.add.at(grad, tuple(self.corners[row, slot].T), self.weights[row, slot, None] * upstream[row])
 
     def check(self, i: int, p) -> None:
         """Raise the error that says why point ``i`` (at ``p``) did not resolve."""
@@ -212,58 +207,3 @@ def _nearest_visible_vertex(scene: VoxelScene, P: np.ndarray, usable: np.ndarray
     d = np.where(seen & (_SHELL_RADIUS == shell[:, None]), d, np.inf)
     pick = d.argmin(axis=1)  # the first of equals, in C order
     return cand[np.arange(len(P)), pick], seen.any(axis=1)
-
-
-def masked_interp(
-    data: np.ndarray,
-    scene: VoxelScene,
-    p,
-    value_mask: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Visibility-masked trilinear sampling of per-vertex data at ``p``: a
-    one-point call of ``interp_points``.
-
-    Parameters
-    ----------
-    data : ndarray, shape (nx, ny, nz, c)
-        Per-vertex values (latents or field channels).
-    value_mask : optional bool ndarray, shape (nx, ny, nz)
-        Additional usable-vertex mask (e.g. finite field samples). Vertices
-        in occupied voxels are always excluded.
-
-    Returns
-    -------
-    (value, corners, weights)
-        ``value`` is the (c,) interpolated vector; ``corners`` the (m, 3)
-        contributing vertex indices; ``weights`` their weights (sum 1).
-
-    Raises
-    ------
-    InputError
-        ``p`` outside the bounding box or inside an occupied voxel.
-    IsolationError
-        No visible usable vertex within the fallback shell search.
-    """
-    batch = interp_points(scene, p, value_mask)
-    batch.check(0, p)
-    used = batch.weights[0] > 0.0
-    return batch.sample(data)[0], batch.corners[0, used], batch.weights[0, used]
-
-
-def interp_latent(grid: LatentGrid, scene: VoxelScene, p) -> InterpResult:
-    """Sample the latent field at ``p`` with visibility masking."""
-    if grid.dims != scene.dims:
-        raise InputError("latent grid dims do not match scene dims")
-    value, corners, weights = masked_interp(grid.values, scene, p)
-    return InterpResult(latent=value, corners=corners, weights=weights)
-
-
-def interp_backward(result: InterpResult, upstream: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Adjoint of ``interp_latent``.
-
-    Returns the contributing vertex indices and, per vertex, the gradient
-    ``weight * upstream`` to accumulate into the grid gradient.
-    """
-    upstream = np.asarray(upstream, dtype=float)
-    return result.corners, result.weights[:, None] * upstream[None, :]
-

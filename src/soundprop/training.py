@@ -1,12 +1,13 @@
 """Dataset assembly and gradient training of latent-grid models.
 
 A *model bundle* couples one latent grid with one parameter head (path
-distance, levels, or decay times). Groups are trained independently with
-per-source batches: for every source in a batch the bundle predicts the
-full receiver field, the mean-squared error against the oracle field is
-backpropagated through the decoder and the receiver-side latents, and the
-gradient flowing into the source-position latent is zeroed (stop-gradient)
-to prevent it from overfitting.
+distance, levels, or decay times). Groups are trained independently on
+batches of sources: a batch stacks the (source, receiver) rows of all its
+sources into one decode, the per-source mean-squared error against the
+oracle fields is backpropagated through the decoder and the receiver-side
+latents in one backward pass, and the gradient flowing into the
+source-position latent is zeroed (stop-gradient) to prevent it from
+overfitting.
 
 Training is deterministic for a fixed seed: batches are drawn from a
 seeded generator and gradients are reduced in fixed source order.
@@ -26,13 +27,7 @@ from .decoders import (
     make_distance_decoder,
 )
 from .errors import ConfigurationError, DivergenceError, InputError
-from .latentfield import (
-    InterpResult,
-    LatentGrid,
-    init_latent_grid,
-    interp_backward,
-    interp_latent,
-)
+from .latentfield import RESOLVED, InterpBatch, LatentGrid, init_latent_grid, interp_points
 from .oracle import FieldVolume, bake_source, valid_pairs
 from .scene import VoxelScene, visible_targets
 
@@ -57,6 +52,8 @@ class Dataset:
     def __post_init__(self):
         if len(self.sources) != len(self.fields):
             raise InputError("one field dict per source required")
+        if not self.sources:
+            raise InputError(f"the {self.split} dataset has no sources")
 
     def __len__(self) -> int:
         return len(self.sources)
@@ -227,7 +224,7 @@ def make_splits(
     The stochastic sampler runs ``runs`` times with consecutive seeds; the
     deduplicated pool is shuffled and split by ``fractions``.
     """
-    if abs(sum(fractions) - 1.0) > 1e-9:
+    if not abs(sum(fractions) - 1.0) <= 1e-9:  # NaN fails too
         raise ConfigurationError("split fractions must sum to 1")
     seen = set()
     pool = []
@@ -269,52 +266,70 @@ def mse_loss(pred: FieldVolume, truth: FieldVolume) -> float:
     return float(np.mean(diff * diff))
 
 
-def _source_stencil(bundle: ModelBundle, p) -> InterpResult:
-    """Latent at ``p`` with the vertices and weights it is read from: a
-    direct lookup on a voxel centre, masked interpolation off it."""
+def _source_stencils(scene: VoxelScene, sources) -> InterpBatch:
+    """Stencils the source latents are read from. A source within
+    ``1e-9 * spacing`` of a voxel centre on every axis reads that voxel
+    (weight 1); the others go through one ``interp_points`` call. Raises
+    for a source that does not resolve."""
+    P = np.asarray(sources, dtype=float).reshape(-1, 3)
+    k = np.rint((P - scene.origin) / scene.spacing)
+    on_centre = np.all(
+        (np.abs(scene.voxel_center(k) - P) <= 1e-9 * scene.spacing) & (k >= 0) & (k < scene.dims),
+        axis=1,
+    )
+    corners = np.zeros((len(P), 8, 3), dtype=int)
+    weights = np.zeros((len(P), 8))
+    status = np.full(len(P), RESOLVED, dtype=np.int8)
+    corners[on_centre, 0] = k[on_centre]
+    weights[on_centre, 0] = 1.0
+    off = np.flatnonzero(~on_centre)
+    if off.size:
+        batch = interp_points(scene, P[off])
+        corners[off], weights[off], status[off] = batch.corners, batch.weights, batch.status
+    stencils = InterpBatch(corners=corners, weights=weights, status=status)
+    for i in np.flatnonzero(status != RESOLVED):
+        stencils.check(i, P[i])
+    return stencils
+
+
+def _predictions(bundle: ModelBundle, sources):
+    """Predicted receiver fields of the bundle's heads, one dict per source:
+    the source stencils are built once, then each source makes one decode
+    over the free voxels."""
     scene = bundle.scene
-    idx = scene.voxel_of(p)
-    center = scene.voxel_center(idx)
-    if np.allclose(center, np.asarray(p, dtype=float), atol=1e-9 * scene.spacing):
-        return InterpResult(
-            latent=bundle.grid.values[idx].copy(),
-            corners=np.array([idx]),
-            weights=np.ones(1),
-        )
-    return interp_latent(bundle.grid, scene, p)
+    if bundle.grid.dims != scene.dims:
+        raise InputError("latent grid dims do not match scene dims")
+    latents = _source_stencils(scene, sources).sample(bundle.grid.values)
+    free = tuple(scene.free_indices().T)
+    V = bundle.grid.values[free]
+    for source, u in zip(sources, latents):
+        out = {}
+        for head, vals in bundle.head.predict(np.broadcast_to(u, V.shape), V).items():
+            grid_vals = np.full(scene.dims, np.nan)
+            grid_vals[free] = vals
+            out[head] = FieldVolume(
+                source=np.asarray(source, dtype=float),
+                kind="path-distance" if head == "pi" else ("level" if head.startswith("l_") else "decay-time"),
+                values=grid_vals,
+                spacing=scene.spacing,
+                origin=scene.origin,
+            )
+        yield out
 
 
 def predict_fields(bundle: ModelBundle, source) -> dict[str, FieldVolume]:
     """Predicted receiver fields of this bundle's heads for one source."""
-    scene = bundle.scene
-    u = _source_stencil(bundle, source).latent
-    free = scene.free_indices()
-    V = bundle.grid.values[free[:, 0], free[:, 1], free[:, 2]]
-    U = np.broadcast_to(u, V.shape)
-    preds = bundle.head.predict(U, V)
-    out = {}
-    for head, vals in preds.items():
-        grid_vals = np.full(scene.dims, np.nan)
-        grid_vals[free[:, 0], free[:, 1], free[:, 2]] = vals
-        out[head] = FieldVolume(
-            source=np.asarray(source, dtype=float),
-            kind="path-distance" if head == "pi" else ("level" if head.startswith("l_") else "decay-time"),
-            values=grid_vals,
-            spacing=scene.spacing,
-            origin=scene.origin,
-        )
-    return out
+    return next(_predictions(bundle, [source]))
 
 
 def evaluate_mae(bundle: ModelBundle, ds: Dataset) -> dict[str, float]:
     """Mean absolute error per head, averaged over the dataset's sources."""
     totals = {h: 0.0 for h in GROUP_HEADS[bundle.group]}
-    for src, fields in zip(ds.sources, ds.fields):
-        preds = predict_fields(bundle, src)
+    for preds, fields in zip(_predictions(bundle, ds.sources), ds.fields):
         for head in totals:
             p, t = valid_pairs(preds[head], fields[head])
             totals[head] += float(np.mean(np.abs(p - t)))
-    return {h: t / max(len(ds), 1) for h, t in totals.items()}
+    return {h: t / len(ds) for h, t in totals.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -329,17 +344,10 @@ class TrainResult:
     checkpoints: list = field(default_factory=list)
 
 
-def _prepare_source(bundle: ModelBundle, scene: VoxelScene, src, fields):
-    """Source stencil, receiver index list and truth rows for one source."""
-    heads = GROUP_HEADS[bundle.group]
-    valid = scene.free_mask()
-    for head in heads:
-        valid &= fields[head].valid_mask()
-    recv = np.argwhere(valid)
-    truths = {
-        h: fields[h].values[recv[:, 0], recv[:, 1], recv[:, 2]] for h in heads
-    }
-    return _source_stencil(bundle, src), recv, truths
+def _scatter_rows(index: np.ndarray, rows: np.ndarray, size: int) -> np.ndarray:
+    """``(size, c)`` sums of the ``(m, c)`` ``rows`` that share an ``index``,
+    each added in row order."""
+    return np.stack([np.bincount(index, weights=col, minlength=size) for col in rows.T], axis=1)
 
 
 def train(
@@ -360,11 +368,20 @@ def train(
     if bundle.grid.dims != scene.dims:
         raise ConfigurationError("grid dims do not match the scene")
     heads = GROUP_HEADS[bundle.group]
-    prepared = [
-        _prepare_source(bundle, scene, src, fields)
-        for src, fields in zip(train_ds.sources, train_ds.fields)
-    ]
+    n_heads = len(heads)
+    stencils = _source_stencils(scene, train_ds.sources)
+    recv, truths = [], []  # per source: flat receiver indices, {head: truth rows}
+    for fields in train_ds.fields:
+        valid = scene.free_mask()
+        for head in heads:
+            valid &= fields[head].valid_mask()
+        recv.append(np.flatnonzero(valid))
+        truths.append({head: fields[head].values[valid] for head in heads})
+    counts = np.array([len(r) for r in recv])
+    if not counts.all():
+        raise InputError("a training source has no receiver valid in every field of its group")
     occupied = scene.occupancy
+    n_vertices, n = occupied.size, bundle.grid.n
 
     params = bundle.trainable()
     lrs = {name: (cfg.lr_grid if name == "grid" else cfg.lr_decoder) for name in params}
@@ -372,37 +389,32 @@ def train(
     rng = np.random.default_rng(cfg.seed)
     result = TrainResult(bundle=bundle)
     last_good = bundle.snapshot()
-    n_heads = len(heads)
 
     for epoch in range(1, cfg.epochs + 1):
-        order = rng.permutation(len(prepared))
+        order = rng.permutation(len(train_ds))
         epoch_loss = 0.0
         n_batches = 0
         for b0 in range(0, len(order), cfg.batch_sources):
             batch = order[b0 : b0 + cfg.batch_sources]
-            grads = {name: np.zeros_like(p) for name, p in params.items()}
-            grid_grad = grads["grid"]
+            # One row per (source, receiver) pair, source by source; each
+            # source's squared error is a mean over its receivers.
+            rows = np.concatenate([recv[i] for i in batch])
+            owner = np.repeat(batch, counts[batch])
+            denom = np.repeat(counts[batch] * (n_heads * len(batch)), counts[batch])
+            U = stencils.sample(bundle.grid.values)[owner]
+            V = bundle.grid.values.reshape(n_vertices, n)[rows]
+            preds = bundle.head.predict(U, V)
+            upstream = {}
             batch_loss = 0.0
-            for si in batch:
-                src, recv, truths = prepared[si]
-                c = src.corners
-                u = src.weights @ bundle.grid.values[c[:, 0], c[:, 1], c[:, 2]]
-                V = bundle.grid.values[recv[:, 0], recv[:, 1], recv[:, 2]]
-                U = np.broadcast_to(u, V.shape)
-                preds = bundle.head.predict(U, V)
-                upstream = {}
-                for h in heads:
-                    r = preds[h] - truths[h]
-                    batch_loss += float(np.mean(r * r)) / n_heads
-                    upstream[h] = 2.0 * r / (r.size * n_heads * len(batch))
-                gU, gV, gP = bundle.head.backward(U, V, upstream)
-                np.add.at(grid_grad, (recv[:, 0], recv[:, 1], recv[:, 2]), gV)
-                if not cfg.stop_gradient_at_source:
-                    corners, g_src = interp_backward(src, gU.sum(axis=0))
-                    np.add.at(grid_grad, (corners[:, 0], corners[:, 1], corners[:, 2]), g_src)
-                for name, g in gP.items():
-                    grads[name] += g
-            batch_loss /= len(batch)
+            for h in heads:
+                r = preds[h] - np.concatenate([truths[i][h] for i in batch])
+                batch_loss += float(np.sum(r * r / denom))
+                upstream[h] = 2.0 * r / denom
+            gU, gV, grads = bundle.head.backward(U, V, upstream)
+            grid_grad = _scatter_rows(rows, gV, n_vertices).reshape(bundle.grid.values.shape)
+            if not cfg.stop_gradient_at_source:
+                stencils.backward(_scatter_rows(owner, gU, len(counts)), grid_grad)
+            grads["grid"] = grid_grad
             if not np.isfinite(batch_loss):
                 bundle.restore(last_good)
                 raise DivergenceError(

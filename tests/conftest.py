@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -50,3 +51,12 @@ def random_free_position(scene, rng):
     idx = free[rng.integers(len(free))]
     center = scene.voxel_center(idx)
     return center + rng.uniform(-0.49, 0.49, size=3) * scene.spacing
+
+
+def latent_at(grid, scene, p):
+    """Latent of ``grid`` at ``p``: a one-point ``interp_points`` call that
+    raises for a point that does not resolve."""
+    p = np.asarray(p, dtype=float)
+    batch = sp.interp_points(scene, p[None])
+    batch.check(0, p)
+    return batch.sample(grid.values)[0]

@@ -8,6 +8,9 @@ import numpy as np
 import soundprop as sp
 from soundprop.errors import InputError, IsolationError
 from soundprop.scene import _TIE_EPS, _TIE_PROBES, _segment_cells
+from soundprop.training import GROUP_HEADS
+
+from conftest import latent_at
 
 _OFFSETS = [
     (di, dj, dk, math.sqrt(di * di + dj * dj + dk * dk))
@@ -242,10 +245,54 @@ def per_bundle_query(bundles, a, b) -> dict:
     """
     out = {"l_ds": np.nan, "l_er": np.nan, "tau_er": np.nan, "tau_lr": np.nan}
     for bundle in bundles.values():
-        u = sp.interp_latent(bundle.grid, bundle.scene, a).latent
-        v = sp.interp_latent(bundle.grid, bundle.scene, b).latent
+        u, v = (latent_at(bundle.grid, bundle.scene, p) for p in (a, b))
         for head, values in bundle.head.predict(u[None, :], v[None, :]).items():
             out[head] = float(values[0])
     finite = np.isfinite(out["l_er"]) and out["tau_er"] > 0
     out["l_lr"] = sp.derive_l_lr(out["l_er"], out["tau_er"]) if finite else None
     return out
+
+
+def per_source_train(bundle, ds, cfg) -> None:
+    """``training.train`` source by source, in place on ``bundle``: one
+    decode, one backward and one ``np.add.at`` scatter per source, with the
+    source stencil from the scalar ``masked_interp`` (its own voxel on a
+    voxel centre). The reference for the stacked batches of ``train``."""
+    scene = bundle.scene
+    heads = GROUP_HEADS[bundle.group]
+    prepared = []
+    for src, fields in zip(ds.sources, ds.fields):
+        idx = scene.voxel_of(src)
+        if np.all(np.abs(scene.voxel_center(idx) - src) <= 1e-9 * scene.spacing):
+            corners, weights = np.array([idx]), np.ones(1)
+        else:
+            _, corners, weights = masked_interp(np.zeros(scene.dims + (1,)), scene, src)
+        valid = scene.free_mask()
+        for h in heads:
+            valid &= fields[h].valid_mask()
+        prepared.append((corners, weights, np.argwhere(valid), {h: fields[h].values[valid] for h in heads}))
+    params = bundle.trainable()
+    lrs = {name: (cfg.lr_grid if name == "grid" else cfg.lr_decoder) for name in params}
+    opt = sp.Adam(params, lrs, cfg.beta1, cfg.beta2, cfg.eps)
+    rng = np.random.default_rng(cfg.seed)
+    for _ in range(cfg.epochs):
+        order = rng.permutation(len(prepared))
+        for b0 in range(0, len(order), cfg.batch_sources):
+            batch = order[b0 : b0 + cfg.batch_sources]
+            grads = {name: np.zeros_like(p) for name, p in params.items()}
+            for si in batch:
+                corners, weights, recv, truths = prepared[si]
+                u = weights @ bundle.grid.values[tuple(corners.T)]
+                V = bundle.grid.values[tuple(recv.T)]
+                U = np.broadcast_to(u, V.shape)
+                preds = bundle.head.predict(U, V)
+                scale = len(recv) * len(heads) * len(batch)
+                upstream = {h: 2.0 * (preds[h] - truths[h]) / scale for h in heads}
+                gU, gV, gP = bundle.head.backward(U, V, upstream)
+                np.add.at(grads["grid"], tuple(recv.T), gV)
+                if not cfg.stop_gradient_at_source:
+                    np.add.at(grads["grid"], tuple(corners.T), weights[:, None] * gU.sum(axis=0))
+                for name, g in gP.items():
+                    grads[name] += g
+            grads["grid"][scene.occupancy] = 0.0
+            opt.step(grads)

@@ -207,8 +207,11 @@ def test_criterion_04_gradient_suite():
         grid = sp.init_latent_grid(scene, n, seed=i)
         p = scene.voxel_center((2, 1, 2)) + rng.uniform(0.0, 1.0, size=3)
         phi = rng.normal(size=n)
-        r = sp.interp_latent(grid, scene, p)
-        corners, contribs = sp.interp_backward(r, phi)
+        r = sp.interp_points(scene, p[None])
+        corners = r.corners[0, r.weights[0] > 0]
+        contribs = np.zeros_like(grid.values)
+        r.backward(phi[None, :], contribs)
+        contribs = contribs[tuple(corners.T)]
         ci = int(rng.integers(len(corners)))
         comp = int(rng.integers(n))
         corner = tuple(corners[ci])
@@ -219,8 +222,8 @@ def test_criterion_04_gradient_suite():
         vm[corner + (comp,)] -= eps
         gp = sp.LatentGrid(values=vp, spacing=grid.spacing, origin=grid.origin)
         gm = sp.LatentGrid(values=vm, spacing=grid.spacing, origin=grid.origin)
-        jp = phi @ sp.interp_latent(gp, scene, p).latent
-        jm = phi @ sp.interp_latent(gm, scene, p).latent
+        jp = phi @ r.sample(gp.values)[0]
+        jm = phi @ r.sample(gm.values)[0]
         fd = (jp - jm) / (2 * eps)
         an = contribs[ci, comp]
         worst = max(worst, abs(fd - an) / max(abs(fd), abs(an), 1e-4))

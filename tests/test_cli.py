@@ -350,3 +350,104 @@ def test_field_sets_load_in_numeric_source_order(tmp_path):
     (tmp_path / "srcx_pi.fld").write_bytes(b"")
     with pytest.raises(InputError):
         _load_field_dataset(scene, tmp_path, "train")
+
+
+def _baked_box(tmp_path):
+    """An 8x4x8 box scene and the baked fields of one source in it."""
+    scene_path = tmp_path / "box.scn"
+    run(["scene", "gen", "--kind", "empty-box", "--dims", "8x4x8", "--out", str(scene_path)])
+    sources = tmp_path / "one.txt"
+    sources.write_text("4.0 2.0 4.0\n")
+    run(["bake", "--scene", str(scene_path), "--sources", str(sources),
+         "--out-dir", str(tmp_path / "fields")])
+    return scene_path, tmp_path / "fields"
+
+
+def _exits_3(capsys, args) -> str:
+    capsys.readouterr()
+    assert run(args) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    return err
+
+
+def test_empty_field_directory_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    scene_path, _ = _baked_box(tmp_path)
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    ckpt = tmp_path / "model.ckpt"
+    fileio.save_checkpoint(ckpt, sp.make_bundle(fileio.read_scene(scene_path)[0], "distance", "euclidean", 2))
+    _exits_3(capsys, ["train", "--scene", str(scene_path), "--train-fields", str(empty),
+                      "--epochs", "2", "--out", str(tmp_path / "t.ckpt")])
+    _exits_3(capsys, ["eval", "--scene", str(scene_path), "--checkpoint", str(ckpt),
+                      "--fields", str(empty), "--out", str(tmp_path / "m.csv")])
+    assert not (tmp_path / "t.ckpt").exists() and not (tmp_path / "m.csv").exists()
+
+
+@pytest.mark.parametrize("line", ["1.0 2.0", "a b c", "1 1 1 junk", "4.0 nan 4.0"])
+def test_bake_malformed_sources_exit_code(tmp_path, capsys, monkeypatch, line):
+    monkeypatch.chdir(tmp_path)
+    scene_path, _ = _baked_box(tmp_path)
+    sources = tmp_path / "bad.txt"
+    sources.write_text(f"4.0 2.0 4.0\n{line}\n")
+    _exits_3(capsys, ["bake", "--scene", str(scene_path), "--sources", str(sources),
+                      "--out-dir", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize("args", [
+    ["sources", "sample", "--scene", "x.scn", "--out", "o", "--splits", "0.6,x,0.2"],
+    ["sources", "sample", "--scene", "x.scn", "--out", "o", "--splits", "0.6,0.4"],
+    ["sources", "sample", "--scene", "x.scn", "--out", "o", "--splits", "0.6,0.2,0.2,0"],
+    ["ablate", "--scene", "x.scn", "--train-fields", "t", "--val-fields", "v",
+     "--test-fields", "s", "--n-values", "2,x", "--out", "o"],
+])
+def test_malformed_list_arguments_are_usage_errors(args):
+    with pytest.raises(SystemExit) as exc:
+        run(args)
+    assert exc.value.code == 2
+
+
+def test_export_slice_outside_the_field_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _, fields = _baked_box(tmp_path)
+    out = tmp_path / "slice.pgm"
+    for flag, value in (("--y-index", "99"), ("--y-index", "-1"), ("--y-index", "4"),
+                        ("--y-meters", "99"), ("--y-meters", "-1")):
+        err = _exits_3(capsys, ["export-slice", "--field", str(fields / "src000_pi.fld"),
+                                flag, value, "--out", str(out)])
+        assert "outside" in err
+    assert not out.exists()
+    assert run(["export-slice", "--field", str(fields / "src000_pi.fld"),
+                "--y-index", "2", "--out", str(out)]) == 0
+
+
+def test_corrupted_inputs_exit_code(tmp_path, capsys, monkeypatch):
+    """``sources sample``, ``train``, ``query``, ``export-slice`` and
+    ``params extract`` on a corrupted scene, field, checkpoint or IR file."""
+    monkeypatch.chdir(tmp_path)
+    scene_path, fields = _baked_box(tmp_path)
+    scene = fileio.read_scene(scene_path)[0]
+    ckpt = tmp_path / "model.ckpt"
+    fileio.save_checkpoint(ckpt, sp.make_bundle(scene, "distance", "euclidean", 2))
+    ir = sp.synth_ir(sp.AcousticParamSet(pi=6.86, l_ds=-8.0, l_er=-14.0, tau_er=0.4, tau_lr=1.0),
+                     sp.SyntheticIRConfig(seed=3))
+    ir_path = tmp_path / "x.ir"
+    fileio.write_ir(ir_path, ir.samples, ir.sample_rate, ir.t0)
+
+    bad_scene = tmp_path / "bad.scn"
+    bad_scene.write_bytes(scene_path.read_bytes().replace(b"dims=8x4x8", b"dims=8x4", 1))
+    _exits_3(capsys, ["sources", "sample", "--scene", str(bad_scene), "--out", str(tmp_path / "s.txt")])
+
+    field = fields / "src000_pi.fld"
+    field.write_bytes(field.read_bytes()[:-8])
+    _exits_3(capsys, ["train", "--scene", str(scene_path), "--train-fields", str(fields),
+                      "--epochs", "2", "--out", str(tmp_path / "t.ckpt")])
+    _exits_3(capsys, ["export-slice", "--field", str(field), "--out", str(tmp_path / "s.pgm")])
+
+    ckpt.write_bytes(ckpt.read_bytes()[:30])
+    _exits_3(capsys, ["query", "--scene", str(scene_path), "--distance", str(ckpt),
+                      "--a", "2,1.5,2", "--b", "5,2,5"])
+
+    ir_path.write_bytes(ir_path.read_bytes()[:-2])
+    _exits_3(capsys, ["params", "extract", "--ir", str(ir_path)])

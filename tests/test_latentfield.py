@@ -3,9 +3,9 @@ import pytest
 
 import soundprop as sp
 from soundprop.errors import InputError, IsolationError
-from soundprop.latentfield import ISOLATED, OCCUPIED, OUTSIDE, RESOLVED, masked_interp
+from soundprop.latentfield import ISOLATED, OCCUPIED, OUTSIDE, RESOLVED
 
-from conftest import random_free_position
+from conftest import latent_at, random_free_position
 from oracles import masked_interp as oracle_masked_interp
 
 
@@ -21,17 +21,17 @@ def grid(box):
 
 def test_exact_vertex_returns_stored_latent(box, grid):
     p = box.voxel_center((3, 2, 3))
-    r = sp.interp_latent(grid, box, p)
-    assert r.weights.tolist() == [1.0]
-    assert np.array_equal(r.latent, grid.values[3, 2, 3])
+    r = sp.interp_points(box, p[None])
+    assert r.weights[0, r.weights[0] > 0].tolist() == [1.0]
+    assert np.array_equal(r.sample(grid.values)[0], grid.values[3, 2, 3])
 
 
 def test_cell_center_equal_weights(box, grid):
     p = box.voxel_center((3, 1, 3)) + 0.5 * box.spacing
-    r = sp.interp_latent(grid, box, p)
-    assert len(r.weights) == 8
-    assert np.allclose(r.weights, 0.125)
-    assert abs(r.weights.sum() - 1.0) < 1e-6
+    weights = sp.interp_points(box, p[None]).weights[0]
+    assert np.count_nonzero(weights) == 8
+    assert np.allclose(weights, 0.125)
+    assert abs(weights.sum() - 1.0) < 1e-6
 
 
 def test_weights_match_hand_computation_near_wall():
@@ -45,9 +45,11 @@ def test_weights_match_hand_computation_near_wall():
     grid = sp.init_latent_grid(scene, 3, seed=0)
     # query between x=3 and the wall at x=4
     p = np.array([3.25, 1.5, 3.5])
-    r = sp.interp_latent(grid, scene, p)
+    r = sp.interp_points(scene, p[None])
+    used = r.weights[0] > 0
+    corners, weights = r.corners[0, used], r.weights[0, used]
     # corners at x=4 are occupied: only the four x=3 corners survive
-    assert set(map(tuple, r.corners)) == {(3, 1, 3), (3, 2, 3), (3, 1, 4), (3, 2, 4)}
+    assert set(map(tuple, corners)) == {(3, 1, 3), (3, 2, 3), (3, 1, 4), (3, 2, 4)}
     tx, ty, tz = 0.25, 0.5, 0.5
     raw = {
         (3, 1, 3): (1 - tx) * (1 - ty) * (1 - tz),
@@ -56,10 +58,10 @@ def test_weights_match_hand_computation_near_wall():
         (3, 2, 4): (1 - tx) * ty * tz,
     }
     total = sum(raw.values())
-    for corner, w in zip(map(tuple, r.corners), r.weights):
+    for corner, w in zip(map(tuple, corners), weights):
         assert w == pytest.approx(raw[corner] / total, abs=1e-12)
     expected = sum(raw[c] / total * grid.values[c] for c in raw)
-    assert np.allclose(r.latent, expected, atol=1e-12)
+    assert np.allclose(r.sample(grid.values)[0], expected, atol=1e-12)
 
 
 def test_no_mixing_across_sealed_wall():
@@ -73,12 +75,12 @@ def test_no_mixing_across_sealed_wall():
     rng = np.random.default_rng(0)
     points = [random_free_position(scene, rng) for _ in range(40)]
     near = [p for p in points if p[0] < 3.5]
-    before = [sp.interp_latent(grid, scene, p).latent.copy() for p in near]
+    before = [latent_at(grid, scene, p) for p in near]
     # perturb every latent strictly on the far side of the wall
     values = grid.values.copy()
     values[5:, :, :, :] += 1000.0
     far_grid = sp.LatentGrid(values=values, spacing=grid.spacing, origin=grid.origin)
-    after = [sp.interp_latent(far_grid, scene, p).latent for p in near]
+    after = [latent_at(far_grid, scene, p) for p in near]
     for a, b in zip(before, after):
         assert np.array_equal(a, b)
 
@@ -89,25 +91,33 @@ def test_affine_along_segment_fixed_mask(box, grid):
     a = base + np.array([0.1, 0.3, 0.2])
     c = base + np.array([0.7, 0.3, 0.2])
     mid = 0.5 * (a + c)
-    la = sp.interp_latent(grid, box, a).latent
-    lc = sp.interp_latent(grid, box, c).latent
-    lm = sp.interp_latent(grid, box, mid).latent
+    la = latent_at(grid, box, a)
+    lc = latent_at(grid, box, c)
+    lm = latent_at(grid, box, mid)
     assert np.allclose(lm, 0.5 * (la + lc), atol=1e-9)
+
+
+def _backward(scene, grid, p, upstream):
+    """Contributing vertices of ``p`` and the gradient ``InterpBatch.backward``
+    scatters onto each of them."""
+    r = sp.interp_points(scene, p[None])
+    grad = np.zeros_like(grid.values)
+    r.backward(upstream[None, :], grad)
+    corners = r.corners[0, r.weights[0] > 0]
+    return corners, grad[tuple(corners.T)]
 
 
 def test_backward_single_corner(box, grid):
     p = box.voxel_center((2, 2, 2))
-    r = sp.interp_latent(grid, box, p)
-    corners, contribs = sp.interp_backward(r, np.array([1.0, 2.0, 3.0, 4.0]))
+    corners, contribs = _backward(box, grid, p, np.array([1.0, 2.0, 3.0, 4.0]))
     assert corners.shape == (1, 3)
     assert np.allclose(contribs[0], [1.0, 2.0, 3.0, 4.0])
 
 
 def test_backward_equal_split(box, grid):
     p = box.voxel_center((3, 1, 3)) + 0.5 * box.spacing
-    r = sp.interp_latent(grid, box, p)
     upstream = np.array([8.0, 0.0, 0.0, 0.0])
-    _, contribs = sp.interp_backward(r, upstream)
+    _, contribs = _backward(box, grid, p, upstream)
     assert np.allclose(contribs, upstream[None, :] / 8.0)
 
 
@@ -115,8 +125,7 @@ def test_backward_matches_finite_differences(box, grid):
     rng = np.random.default_rng(7)
     phi = rng.normal(size=grid.n)
     p = box.voxel_center((3, 1, 3)) + np.array([0.31, 0.22, 0.67])
-    r = sp.interp_latent(grid, box, p)
-    corners, contribs = sp.interp_backward(r, phi)
+    corners, contribs = _backward(box, grid, p, phi)
     eps = 1e-6
     for ci, corner in enumerate(map(tuple, corners)):
         for comp in range(grid.n):
@@ -126,22 +135,23 @@ def test_backward_matches_finite_differences(box, grid):
             vm[corner + (comp,)] -= eps
             gp = sp.LatentGrid(values=vp, spacing=grid.spacing, origin=grid.origin)
             gm = sp.LatentGrid(values=vm, spacing=grid.spacing, origin=grid.origin)
-            jp = phi @ sp.interp_latent(gp, box, p).latent
-            jm = phi @ sp.interp_latent(gm, box, p).latent
+            jp = phi @ latent_at(gp, box, p)
+            jm = phi @ latent_at(gm, box, p)
             fd = (jp - jm) / (2 * eps)
             assert abs(fd - contribs[ci, comp]) <= 1e-5 * max(1.0, abs(fd))
 
 
 def test_interp_inside_obstacle_raises(box, grid):
     with pytest.raises(InputError):
-        sp.interp_latent(grid, box, box.voxel_center((0, 0, 0)))
+        latent_at(grid, box, box.voxel_center((0, 0, 0)))
 
 
 def test_isolation_when_no_usable_vertices(box):
     data = np.zeros((8, 4, 8, 1))
     usable = np.zeros((8, 4, 8), bool)  # nothing is usable anywhere
     with pytest.raises(IsolationError):
-        masked_interp(data, box, box.voxel_center((4, 2, 4)), value_mask=usable)
+        p = box.voxel_center((4, 2, 4))
+        sp.interp_points(box, p[None], usable).check(0, p)
 
 
 def test_fallback_uses_nearest_usable_vertex(box):
@@ -149,10 +159,11 @@ def test_fallback_uses_nearest_usable_vertex(box):
     usable = np.zeros((8, 4, 8), bool)
     usable[5, 2, 4] = True  # two shells away from the cell corners
     p = box.voxel_center((3, 2, 4)) + np.array([0.4, 0.2, 0.1])
-    value, corners, weights = masked_interp(data, box, p, value_mask=usable)
-    assert corners.tolist() == [[5, 2, 4]]
-    assert weights.tolist() == [1.0]
-    assert value[0] == data[5, 2, 4, 0]
+    r = sp.interp_points(box, p[None], usable)
+    used = r.weights[0] > 0
+    assert r.corners[0, used].tolist() == [[5, 2, 4]]
+    assert r.weights[0, used].tolist() == [1.0]
+    assert r.sample(data)[0, 0] == data[5, 2, 4, 0]
 
 
 def test_init_grid_structure(box):

@@ -7,7 +7,7 @@ from soundprop.errors import ConfigurationError, InputError, IsolationError
 from soundprop.irparams import DOA_STENCIL
 from soundprop.runtime import render_params
 
-from conftest import random_free_position
+from conftest import latent_at, random_free_position
 from oracles import masked_interp as oracle_masked_interp
 from oracles import per_bundle_query
 
@@ -385,12 +385,12 @@ def test_query_doa_one_sided_is_second_order():
     a = scene.voxel_center(free[0])
     dist = sp.make_bundle(scene, "distance", "riemann-diag", 8, seed=3)
     h = scene.spacing
-    u = sp.interp_latent(dist.grid, scene, a).latent
+    u = latent_at(dist.grid, scene, a)
 
     def pi_at(axis, k):
         step = np.zeros(3)
         step[axis] = k * h
-        v = sp.interp_latent(dist.grid, scene, b + step).latent
+        v = latent_at(dist.grid, scene, b + step)
         return float(dist.head.predict(u[None, :], v[None, :])["pi"][0])
 
     c = pi_at(0, 0)
@@ -412,10 +412,10 @@ def test_query_doa_ignores_unresolvable_stencil_points(box_scene):
     h = box_scene.spacing
     assert not box_scene.contains(b - 2 * h * np.eye(3)[0])
     dist = sp.make_bundle(box_scene, "distance", "riemann-diag", 8, seed=3)
-    u = sp.interp_latent(dist.grid, box_scene, a).latent
+    u = latent_at(dist.grid, box_scene, a)
 
     def pi_at(axis, k):
-        v = sp.interp_latent(dist.grid, box_scene, b + k * h * np.eye(3)[axis]).latent
+        v = latent_at(dist.grid, box_scene, b + k * h * np.eye(3)[axis])
         return float(dist.head.predict(u[None, :], v[None, :])["pi"][0])
 
     c = pi_at(0, 0)

@@ -4,9 +4,10 @@ import pytest
 import soundprop as sp
 from soundprop.errors import ConfigurationError, InputError
 from soundprop.oracle import FieldVolume
+from soundprop import training
 from soundprop.training import GROUP_HEADS
 
-from oracles import full_visibility_sources
+from oracles import full_visibility_sources, per_source_train
 
 
 # ---------------------------------------------------------------------------
@@ -48,6 +49,12 @@ def test_make_splits_disjoint(box_scene):
             assert key not in seen
             seen.add(key)
     assert len(train_s) > 0 and len(val_s) > 0 and len(test_s) > 0
+
+
+@pytest.mark.parametrize("fractions", [(0.6, 0.4, 0.2), (0.6, float("nan"), 0.2)])
+def test_make_splits_fractions_must_sum_to_one(box_scene, fractions):
+    with pytest.raises(ConfigurationError):
+        sp.make_splits(box_scene, fractions=fractions)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +343,8 @@ def test_off_centre_source_gradient_scatters_over_stencil(box_scene):
     pi = FieldVolume(source=src, kind="path-distance", values=lone,
                      spacing=box_scene.spacing, origin=box_scene.origin)
     ds = sp.Dataset(scene=box_scene, sources=[src], fields=[{"pi": pi}])
-    corners = sp.interp_latent(sp.init_latent_grid(box_scene, 4), box_scene, src).corners
+    stencil = sp.interp_points(box_scene, src[None])
+    corners = stencil.corners[0, stencil.weights[0] > 0]
     assert len(corners) == 8 and recv_idx not in {tuple(c) for c in corners}
     for stop in (True, False):
         bundle = sp.make_bundle(box_scene, "distance", "euclidean", 4, seed=0)
@@ -349,6 +357,85 @@ def test_off_centre_source_gradient_scatters_over_stencil(box_scene):
         assert np.count_nonzero(moved) == (1 if stop else 9)
 
 
+def test_train_makes_one_decode_and_one_backward_per_batch(box_scene, monkeypatch):
+    """A batch stacks the rows of all its sources into one ``predict`` and
+    one ``backward``; the off-centre sources share one ``interp_points``
+    call, made once for the whole run."""
+    offset = np.array([0.3, 0.2, -0.35]) * box_scene.spacing
+    sources = [box_scene.voxel_center(i) for i in ((2, 1, 2), (5, 2, 5), (4, 1, 3))]
+    sources += [box_scene.voxel_center(i) + offset for i in ((3, 1, 4), (5, 2, 2))]
+    ds = sp.build_dataset(box_scene, sources)
+    bundle = sp.make_bundle(box_scene, "levels", "riemann-diag", 4, seed=0)
+    rows = {"predict": [], "backward": []}
+    for name in rows:
+        real = getattr(bundle.head, name)
+
+        def counting(U, V, *rest, real=real, name=name):
+            rows[name].append(len(U))
+            return real(U, V, *rest)
+
+        monkeypatch.setattr(bundle.head, name, counting)
+    stencil_points = []
+    real_interp = training.interp_points
+    monkeypatch.setattr(training, "interp_points",
+                        lambda scene, P, m=None: stencil_points.append(len(P)) or real_interp(scene, P, m))
+    sp.train(bundle, ds, sp.TrainConfig(epochs=3, batch_sources=2, eval_interval=0, seed=0))
+    assert len(rows["predict"]) == len(rows["backward"]) == 3 * 3  # 3 batches a epoch
+    assert rows["predict"] == rows["backward"]
+    n_free = np.count_nonzero(box_scene.free_mask())
+    assert sum(rows["predict"][:3]) == len(sources) * n_free
+    assert stencil_points == [2]
+
+
+@pytest.mark.parametrize("group,family,stop", [
+    ("levels", "riemann-diag", True),
+    ("distance", "riemann-psd", False),
+    ("decays", "mlp", False),
+])
+def test_train_matches_per_source_reference(box_scene, group, family, stop):
+    """Stacked batches train the same parameters as the loop that decodes
+    and scatters one source at a time, up to the float reduction order."""
+    offset = np.array([0.3, 0.2, -0.35]) * box_scene.spacing
+    sources = [box_scene.voxel_center(i) for i in ((2, 1, 2), (5, 2, 5), (4, 1, 3))]
+    sources += [box_scene.voxel_center(i) + offset for i in ((3, 1, 4), (5, 2, 2))]
+    ds = sp.build_dataset(box_scene, sources)
+    cfg = sp.TrainConfig(epochs=8, batch_sources=2, eval_interval=0, seed=4,
+                         stop_gradient_at_source=stop)
+    batched = sp.make_bundle(box_scene, group, family, 4, seed=1)
+    reference = sp.make_bundle(box_scene, group, family, 4, seed=1)
+    sp.train(batched, ds, cfg)
+    per_source_train(reference, ds, cfg)
+    for name, p in reference.trainable().items():
+        assert np.allclose(batched.trainable()[name], p, rtol=0.0, atol=1e-12), name
+    moved = reference.grid.values != sp.make_bundle(box_scene, group, family, 4, seed=1).grid.values
+    assert moved.any()
+
+
+def test_source_reads_its_voxel_only_within_the_centre_tolerance():
+    """1e-4 m off a voxel centre a source is interpolated (two corners
+    there), not read from the voxel; within 1e-9 spacing it reads the
+    voxel exactly."""
+    scene = sp.build_scene(sp.SceneSpec(kind="empty-box", dims=(16, 4, 16)))
+    bundle = sp.make_bundle(scene, "distance", "euclidean", 4, seed=0)
+    rows = []
+    real = bundle.head.predict
+    bundle.head.predict = lambda U, V: rows.append(np.array(U[0])) or real(U, V)
+    centre = scene.voxel_center((12, 2, 12))
+    near = centre + np.array([1e-4, 0.0, 0.0])
+    stencil = sp.interp_points(scene, near[None])
+    assert np.count_nonzero(stencil.weights) == 2
+    sp.predict_fields(bundle, near)
+    sp.predict_fields(bundle, centre + np.array([0.5e-9, -0.5e-9, 0.0]) * scene.spacing)
+    assert np.array_equal(rows[0], stencil.sample(bundle.grid.values)[0])
+    assert not np.array_equal(rows[0], bundle.grid.values[12, 2, 12])
+    assert np.array_equal(rows[1], bundle.grid.values[12, 2, 12])
+
+
+def test_empty_dataset_raises(box_scene):
+    with pytest.raises(InputError):
+        sp.Dataset(scene=box_scene, sources=[], fields=[])
+
+
 def test_evaluate_mae_without_common_valid_voxels_raises(box_scene):
     src = box_scene.voxel_center((2, 1, 2))
     fields = sp.bake_source(box_scene, src)
@@ -359,3 +446,15 @@ def test_evaluate_mae_without_common_valid_voxels_raises(box_scene):
     bundle = sp.make_bundle(box_scene, "distance", "euclidean", 4, seed=0)
     with pytest.raises(InputError):
         sp.evaluate_mae(bundle, ds)
+
+
+def test_train_source_without_common_valid_voxels_raises(box_scene):
+    src = box_scene.voxel_center((2, 1, 2))
+    fields = sp.bake_source(box_scene, src)
+    fields["l_er"] = FieldVolume(source=src, kind="level", values=np.full(box_scene.dims, np.nan),
+                                 spacing=box_scene.spacing, origin=box_scene.origin)
+    other = box_scene.voxel_center((5, 2, 5))
+    ds = sp.Dataset(scene=box_scene, sources=[other, src], fields=[sp.bake_source(box_scene, other), fields])
+    bundle = sp.make_bundle(box_scene, "levels", "euclidean", 4, seed=0)
+    with pytest.raises(InputError):
+        sp.train(bundle, ds, sp.TrainConfig(epochs=2, eval_interval=0))

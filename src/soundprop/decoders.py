@@ -20,10 +20,21 @@ admissible decay ``K``. Level heads subtract a distance from a reference
 level (global for direct sound, a latent-projected local field for early
 reflections).
 
-The batched decoder objects are the only API: every forward pass takes
-rows of pairs (a single pair is a one-row call, ``d.pairwise(u, v)[0]``)
-and every family ships its analytic adjoint; gradients at coincident
-inputs use the zero subgradient so the source voxel never produces NaNs.
+The batched decoder objects are the only API, and every decoder and head
+has one forward/backward pair:
+
+* ``forward(U, V) -> (out, cache)`` decodes rows of pairs (a single pair is
+  a one-row call) and returns, beside the outputs, the intermediates its
+  adjoint needs (midpoints, metric values, norms, activations, sigmoids).
+* ``backward(cache, upstream) -> (gU, gV, grads)`` is the analytic adjoint
+  for the ``upstream`` gradient of the outputs. It reads every
+  intermediate from ``cache`` and recomputes none, so a training step
+  decodes once. The cache does not copy the parameters, so a training step
+  updates them only after its backward.
+
+``pairwise`` (decoders) and ``predict`` (heads) are ``forward(...)[0]``.
+Gradients at coincident inputs use the zero subgradient so the source
+voxel never produces NaNs.
 
 ``flop_count`` approximates the float operations of one inference. Dense
 linear maps and matrix-vector products count one fused multiply-add per
@@ -47,12 +58,11 @@ DEFAULT_MAX_DECAY = 2.0  # s, matches the longest reference tail
 
 
 def _sigmoid(x):
-    out = np.empty_like(x, dtype=float)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic function without overflow: ``1 / (1 + e^-x)`` for ``x >= 0``
+    and ``e^x / (1 + e^x)`` below, both as ``where(x >= 0, 1, e) / (1 + e)``
+    with ``e = exp(-|x|)``."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def _as_rows(u) -> np.ndarray:
@@ -60,14 +70,11 @@ def _as_rows(u) -> np.ndarray:
     return a[None, :] if a.ndim == 1 else a
 
 
-def _norm_adjoint(y: np.ndarray, upstream) -> np.ndarray:
-    """Adjoint of the row norm ``|y|``: ``upstream * y / |y|``, with the zero
-    subgradient where ``|y| == 0``."""
+def _norm_adjoint(y: np.ndarray, d: np.ndarray, upstream) -> np.ndarray:
+    """Adjoint of the row norm ``d = |y|``: ``upstream * y / d``, with the
+    zero subgradient where ``d == 0``."""
     upstream = np.atleast_1d(np.asarray(upstream, dtype=float))
-    d = np.linalg.norm(y, axis=1)
-    scale = np.zeros_like(d)
-    nz = d > 0
-    scale[nz] = upstream[nz] / d[nz]
+    scale = np.divide(upstream, d, out=np.zeros_like(d), where=d > 0)
     return y * scale[:, None]
 
 
@@ -94,14 +101,18 @@ class EuclideanDecoder:
         # n subtractions, n squarings, n-1 adds, one sqrt
         return 3 * self.n
 
-    def pairwise(self, U, V) -> np.ndarray:
+    def forward(self, U, V):
         U, V = _as_rows(U), _as_rows(V)
-        return np.linalg.norm(U - V, axis=1)
+        delta = U - V
+        d = np.linalg.norm(delta, axis=1)
+        return d, (delta, d)
 
-    def pairwise_backward(self, U, V, upstream):
-        U, V = _as_rows(U), _as_rows(V)
-        gU = _norm_adjoint(U - V, upstream)
+    def backward(self, cache, upstream):
+        gU = _norm_adjoint(*cache, upstream)
         return gU, -gU, {}
+
+    def pairwise(self, U, V) -> np.ndarray:
+        return self.forward(U, V)[0]
 
 
 class PsdDecoder:
@@ -140,18 +151,18 @@ class PsdDecoder:
         A[:, np.arange(self.n), np.arange(self.n)] += 1.0
         return A
 
-    def pairwise(self, U, V) -> np.ndarray:
-        U, V = _as_rows(U), _as_rows(V)
-        A = self._metric_map(0.5 * (U + V))
-        y = np.einsum("bij,bj->bi", A, U - V)
-        return np.linalg.norm(y, axis=1)
-
-    def pairwise_backward(self, U, V, upstream):
+    def forward(self, U, V):
         U, V = _as_rows(U), _as_rows(V)
         M = 0.5 * (U + V)
         delta = U - V
         A = self._metric_map(M)
-        gy = _norm_adjoint(np.einsum("bij,bj->bi", A, delta), upstream)
+        y = np.einsum("bij,bj->bi", A, delta)
+        d = np.linalg.norm(y, axis=1)
+        return d, (M, delta, A, y, d)
+
+    def backward(self, cache, upstream):
+        M, delta, A, y, d = cache
+        gy = _norm_adjoint(y, d, upstream)
         g_delta = np.einsum("bij,bi->bj", A, gy)
         gA = np.einsum("bi,bj->bij", gy, delta)
         gW = np.einsum("bij,bk->ijk", gA, M).reshape(self.n * self.n, self.n)
@@ -159,6 +170,9 @@ class PsdDecoder:
         gU = g_delta + 0.5 * gm
         gV = -g_delta + 0.5 * gm
         return gU, gV, {"weights": gW}
+
+    def pairwise(self, U, V) -> np.ndarray:
+        return self.forward(U, V)[0]
 
 
 class DiagDecoder:
@@ -194,18 +208,18 @@ class DiagDecoder:
         """lambda(m) = 1 + M m per midpoint row."""
         return 1.0 + M @ self.weights.T
 
-    def pairwise(self, U, V) -> np.ndarray:
-        U, V = _as_rows(U), _as_rows(V)
-        lam = self._lam(0.5 * (U + V))
-        t = lam * (U - V)
-        return np.linalg.norm(t, axis=1)
-
-    def pairwise_backward(self, U, V, upstream):
+    def forward(self, U, V):
         U, V = _as_rows(U), _as_rows(V)
         M = 0.5 * (U + V)
         delta = U - V
         lam = self._lam(M)
-        gt = _norm_adjoint(lam * delta, upstream)
+        t = lam * delta
+        d = np.linalg.norm(t, axis=1)
+        return d, (M, delta, lam, t, d)
+
+    def backward(self, cache, upstream):
+        M, delta, lam, t, d = cache
+        gt = _norm_adjoint(t, d, upstream)
         g_delta = lam * gt
         g_lam = delta * gt
         gW = g_lam.T @ M
@@ -213,6 +227,9 @@ class DiagDecoder:
         gU = g_delta + 0.5 * gm
         gV = -g_delta + 0.5 * gm
         return gU, gV, {"weights": gW}
+
+    def pairwise(self, U, V) -> np.ndarray:
+        return self.forward(U, V)[0]
 
 
 class MlpDecoder:
@@ -290,28 +307,29 @@ class MlpDecoder:
                 g = (g @ self.weights[i]) * (pre[i - 1] > 0)
         return g @ self.weights[0]
 
-    def pairwise(self, U, V) -> np.ndarray:
+    def forward(self, U, V):
         """Symmetrized outputs, shape (B,) if k == 1 else (B, k)."""
         U, V = _as_rows(U), _as_rows(V)
-        out1, _, _ = self._forward_pass(np.concatenate([U, V], axis=1))
-        out2, _, _ = self._forward_pass(np.concatenate([V, U], axis=1))
+        out1, acts1, pre1 = self._forward_pass(np.concatenate([U, V], axis=1))
+        out2, acts2, pre2 = self._forward_pass(np.concatenate([V, U], axis=1))
         out = 0.5 * (out1 + out2)
-        return out[:, 0] if self.k == 1 else out
+        return (out[:, 0] if self.k == 1 else out), (acts1, pre1, acts2, pre2)
 
-    def pairwise_backward(self, U, V, upstream):
-        U, V = _as_rows(U), _as_rows(V)
+    def backward(self, cache, upstream):
+        acts1, pre1, acts2, pre2 = cache
         upstream = np.atleast_1d(np.asarray(upstream, dtype=float))
         if upstream.ndim == 1:
             upstream = upstream[:, None]
         n = self.n
         grads = {name: np.zeros_like(p) for name, p in self.trainable().items()}
-        _, acts1, pre1 = self._forward_pass(np.concatenate([U, V], axis=1))
-        _, acts2, pre2 = self._forward_pass(np.concatenate([V, U], axis=1))
         gz1 = self._backward_pass(0.5 * upstream, acts1, pre1, grads)
         gz2 = self._backward_pass(0.5 * upstream, acts2, pre2, grads)
         gU = gz1[:, :n] + gz2[:, n:]
         gV = gz1[:, n:] + gz2[:, :n]
         return gU, gV, grads
+
+    def pairwise(self, U, V) -> np.ndarray:
+        return self.forward(U, V)[0]
 
 
 class DotProductDecoder:
@@ -335,19 +353,21 @@ class DotProductDecoder:
         # n products, n-1 adds, sigmoid, scale by K
         return 2 * self.n + 1
 
-    def pairwise(self, U, V) -> np.ndarray:
+    def forward(self, U, V):
         U, V = _as_rows(U), _as_rows(V)
         s = _sigmoid(np.einsum("bi,bi->b", U, V))
         # keep the output strictly inside (0, K) even where the sigmoid
         # saturates to 1.0 in float64
-        return self.K * np.clip(s, 1e-300, 1.0 - 1e-15)
+        return self.K * np.clip(s, 1e-300, 1.0 - 1e-15), (U, V, s)
 
-    def pairwise_backward(self, U, V, upstream):
-        U, V = _as_rows(U), _as_rows(V)
+    def backward(self, cache, upstream):
+        U, V, s = cache
         upstream = np.atleast_1d(np.asarray(upstream, dtype=float))
-        s = _sigmoid(np.einsum("bi,bi->b", U, V))
         gs = upstream * self.K * s * (1.0 - s)
         return gs[:, None] * V, gs[:, None] * U, {}
+
+    def pairwise(self, U, V) -> np.ndarray:
+        return self.forward(U, V)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -410,25 +430,29 @@ class _PairHead:
             params[f"decoder.{name}"] = p
         return params
 
-    def _decode(self, U, V):
-        """The two decoder outputs for rows ``U``, ``V``."""
-        if self.proj is None:
-            h = self.decoder.pairwise(U, V)  # (B, 2)
-            return h[:, 0], h[:, 1]
-        return self.decoder.pairwise(U, V), self.decoder.pairwise(U @ self.proj.T, V @ self.proj.T)
+    def predict(self, U, V) -> dict[str, np.ndarray]:
+        return self.forward(U, V)[0]
 
-    def _decode_backward(self, U, V, up1, up2, grads, gU=None, gV=None):
+    def _decode(self, U, V):
+        """The two decoder outputs for rows ``U``, ``V``, and the cache
+        ``(U, V, decoder caches)`` that ``_decode_backward`` reads."""
+        if self.proj is None:
+            h, cache = self.decoder.forward(U, V)  # (B, 2)
+            return h[:, 0], h[:, 1], (U, V, [cache])
+        h1, c1 = self.decoder.forward(U, V)
+        h2, c2 = self.decoder.forward(U @ self.proj.T, V @ self.proj.T)
+        return h1, h2, (U, V, [c1, c2])
+
+    def _decode_backward(self, cache, up1, up2, grads, gU=None, gV=None):
         """Add the adjoint of ``_decode`` for upstreams ``up1``, ``up2`` to
         ``gU``, ``gV`` (``None`` starts them) and to ``grads``."""
-        if self.proj is None:
-            branches = [(U, V, np.stack([up1, up2], axis=1), None)]
-        else:
-            branches = [(U, V, up1, None), (U @ self.proj.T, V @ self.proj.T, up2, self.proj)]
-        for Ub, Vb, up, proj in branches:
-            dU, dV, dP = self.decoder.pairwise_backward(Ub, Vb, up)
-            if proj is not None:
+        U, V, caches = cache
+        ups = [np.stack([up1, up2], axis=1)] if self.proj is None else [up1, up2]
+        for branch, (c, up) in enumerate(zip(caches, ups)):
+            dU, dV, dP = self.decoder.backward(c, up)
+            if branch == 1:  # the projected pair
                 grads["proj"] += dU.T @ U + dV.T @ V
-                dU, dV = dU @ proj, dV @ proj
+                dU, dV = dU @ self.proj, dV @ self.proj
             gU = dU if gU is None else gU + dU
             gV = dV if gV is None else gV + dV
             for name, g in dP.items():
@@ -455,14 +479,14 @@ class LevelsModel(_PairHead):
     def trainable(self):
         return self._core_trainable({"l0": self.l0, "w": self.w, "beta": self.beta})
 
-    def predict(self, U, V) -> dict[str, np.ndarray]:
+    def forward(self, U, V):
         U, V = _as_rows(U), _as_rows(V)
         local = 0.5 * ((U @ self.w) + (V @ self.w)) + self.beta[0]
-        h_ds, h_er = self._decode(U, V)
-        return {"l_ds": self.l0[0] - h_ds, "l_er": local - h_er}
+        h_ds, h_er, cache = self._decode(U, V)
+        return {"l_ds": self.l0[0] - h_ds, "l_er": local - h_er}, cache
 
-    def backward(self, U, V, upstream: dict[str, np.ndarray]):
-        U, V = _as_rows(U), _as_rows(V)
+    def backward(self, cache, upstream: dict[str, np.ndarray]):
+        U, V, _ = cache
         up_ds = np.atleast_1d(np.asarray(upstream["l_ds"], dtype=float))
         up_er = np.atleast_1d(np.asarray(upstream["l_er"], dtype=float))
         grads = {name: np.zeros_like(p) for name, p in self.trainable().items()}
@@ -471,7 +495,7 @@ class LevelsModel(_PairHead):
         grads["w"] += 0.5 * ((U * up_er[:, None]).sum(0) + (V * up_er[:, None]).sum(0))
         gU = 0.5 * up_er[:, None] * self.w[None, :]
         gV = 0.5 * up_er[:, None] * self.w[None, :]
-        gU, gV = self._decode_backward(U, V, -up_ds, -up_er, grads, gU, gV)
+        gU, gV = self._decode_backward(cache, -up_ds, -up_er, grads, gU, gV)
         return gU, gV, grads
 
 
@@ -492,17 +516,15 @@ class DecaysModel(_PairHead):
     def trainable(self):
         return self._core_trainable({})
 
-    def predict(self, U, V) -> dict[str, np.ndarray]:
-        U, V = _as_rows(U), _as_rows(V)
-        tau_er, tau_lr = self._decode(U, V)
-        return {"tau_er": tau_er, "tau_lr": tau_lr}
+    def forward(self, U, V):
+        tau_er, tau_lr, cache = self._decode(_as_rows(U), _as_rows(V))
+        return {"tau_er": tau_er, "tau_lr": tau_lr}, cache
 
-    def backward(self, U, V, upstream: dict[str, np.ndarray]):
-        U, V = _as_rows(U), _as_rows(V)
+    def backward(self, cache, upstream: dict[str, np.ndarray]):
         up_er = np.atleast_1d(np.asarray(upstream["tau_er"], dtype=float))
         up_lr = np.atleast_1d(np.asarray(upstream["tau_lr"], dtype=float))
         grads = {name: np.zeros_like(p) for name, p in self.trainable().items()}
-        gU, gV = self._decode_backward(U, V, up_er, up_lr, grads)
+        gU, gV = self._decode_backward(cache, up_er, up_lr, grads)
         return gU, gV, grads
 
 
@@ -522,9 +544,13 @@ class DistanceModel:
     def trainable(self):
         return {f"decoder.{name}": p for name, p in self.decoder.trainable().items()}
 
-    def predict(self, U, V) -> dict[str, np.ndarray]:
-        return {"pi": self.decoder.pairwise(U, V)}
+    def forward(self, U, V):
+        pi, cache = self.decoder.forward(U, V)
+        return {"pi": pi}, cache
 
-    def backward(self, U, V, upstream):
-        gU, gV, dP = self.decoder.pairwise_backward(U, V, upstream["pi"])
+    def backward(self, cache, upstream):
+        gU, gV, dP = self.decoder.backward(cache, upstream["pi"])
         return gU, gV, {f"decoder.{name}": g for name, g in dP.items()}
+
+    def predict(self, U, V) -> dict[str, np.ndarray]:
+        return self.forward(U, V)[0]

@@ -84,37 +84,51 @@ class TrainConfig:
 
 
 class Adam:
-    """Adaptive moment estimation over a named parameter dict.
+    """Adaptive moment estimation (Kingma & Ba, 2015) over a named
+    parameter dict.
 
-    Updates happen in place; moment buffers are aligned one-to-one with the
-    parameter arrays.
+    The moments of all parameters live in one flat buffer each. A step
+    gathers the gradients into a third and runs on the three in place,
+    with one more flat temporary, all allocated once; only the final
+    update is written back into each parameter array.
     """
 
     def __init__(self, params: dict, lrs: dict, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = params
-        self.lrs = lrs
+        self.lrs = [lrs[name] for name in params]
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.m = {k: np.zeros_like(p) for k, p in params.items()}
-        self.v = {k: np.zeros_like(p) for k, p in params.items()}
+        bounds = np.cumsum([0] + [p.size for p in params.values()])
+        self._slices = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+        self.m = np.zeros(bounds[-1])
+        self.v = np.zeros(bounds[-1])
+        self._g = np.empty(bounds[-1])
+        self._tmp = np.empty(bounds[-1])
         self.t = 0
 
     def moment_count(self) -> int:
-        return sum(m.size for m in self.m.values())
+        return self.m.size
 
     def step(self, grads: dict) -> None:
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        for name, p in self.params.items():
-            g = grads[name]
-            m = self.m[name]
-            v = self.v[name]
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * g * g
-            m_hat = m / (1 - b1**self.t)
-            v_hat = v / (1 - b2**self.t)
-            p -= self.lrs[name] * m_hat / (np.sqrt(v_hat) + self.eps)
+        g, a, m, v = self._g, self._tmp, self.m, self.v
+        for name, sl in zip(self.params, self._slices):
+            g[sl] = grads[name].reshape(-1)
+        m *= b1
+        m += np.multiply(1 - b1, g, out=a)
+        v *= b2
+        np.multiply(1 - b2, g, out=a)
+        v += np.multiply(a, g, out=a)
+        # update = lr * m_hat / (sqrt(v_hat) + eps); g is free from here on
+        np.divide(m, 1 - b1**self.t, out=a)
+        for sl, lr in zip(self._slices, self.lrs):
+            a[sl] *= lr
+        np.divide(v, 1 - b2**self.t, out=g)
+        np.sqrt(g, out=g)
+        g += self.eps
+        a /= g
+        for p, sl in zip(self.params.values(), self._slices):
+            p -= a[sl].reshape(p.shape)
 
 
 @dataclass
@@ -222,7 +236,8 @@ def make_splits(
     """Disjoint train/validation/test source lists.
 
     The stochastic sampler runs ``runs`` times with consecutive seeds; the
-    deduplicated pool is shuffled and split by ``fractions``.
+    deduplicated pool is shuffled and split by ``fractions``. Raises
+    ``InputError`` when the pool holds fewer than three sources.
     """
     if not abs(sum(fractions) - 1.0) <= 1e-9:  # NaN fails too
         raise ConfigurationError("split fractions must sum to 1")
@@ -234,6 +249,10 @@ def make_splits(
             if key not in seen:
                 seen.add(key)
                 pool.append(src)
+    if len(pool) < 3:
+        raise InputError(
+            f"{len(pool)} distinct source voxels cannot fill three non-empty splits"
+        )
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(pool))
     pool = [pool[i] for i in order]
@@ -346,8 +365,11 @@ class TrainResult:
 
 def _scatter_rows(index: np.ndarray, rows: np.ndarray, size: int) -> np.ndarray:
     """``(size, c)`` sums of the ``(m, c)`` ``rows`` that share an ``index``,
-    each added in row order."""
-    return np.stack([np.bincount(index, weights=col, minlength=size) for col in rows.T], axis=1)
+    each added in row order: one ``bincount`` over the bins
+    ``index * c + channel``."""
+    c = rows.shape[1]
+    bins = (index[:, None] * c + np.arange(c)).reshape(-1)
+    return np.bincount(bins, weights=rows.reshape(-1), minlength=size * c).reshape(size, c)
 
 
 def train(
@@ -366,7 +388,7 @@ def train(
     """
     scene = bundle.scene
     if bundle.grid.dims != scene.dims:
-        raise ConfigurationError("grid dims do not match the scene")
+        raise InputError("latent grid dims do not match scene dims")
     heads = GROUP_HEADS[bundle.group]
     n_heads = len(heads)
     stencils = _source_stencils(scene, train_ds.sources)
@@ -403,14 +425,14 @@ def train(
             denom = np.repeat(counts[batch] * (n_heads * len(batch)), counts[batch])
             U = stencils.sample(bundle.grid.values)[owner]
             V = bundle.grid.values.reshape(n_vertices, n)[rows]
-            preds = bundle.head.predict(U, V)
+            preds, cache = bundle.head.forward(U, V)
             upstream = {}
             batch_loss = 0.0
             for h in heads:
                 r = preds[h] - np.concatenate([truths[i][h] for i in batch])
                 batch_loss += float(np.sum(r * r / denom))
                 upstream[h] = 2.0 * r / denom
-            gU, gV, grads = bundle.head.backward(U, V, upstream)
+            gU, gV, grads = bundle.head.backward(cache, upstream)
             grid_grad = _scatter_rows(rows, gV, n_vertices).reshape(bundle.grid.values.shape)
             if not cfg.stop_gradient_at_source:
                 stencils.backward(_scatter_rows(owner, gU, len(counts)), grid_grad)

@@ -8,7 +8,7 @@ import numpy as np
 import soundprop as sp
 from soundprop.errors import InputError, IsolationError
 from soundprop.scene import _TIE_EPS, _TIE_PROBES, _segment_cells
-from soundprop.training import GROUP_HEADS
+from soundprop.training import GROUP_HEADS, _source_stencils
 
 from conftest import latent_at
 
@@ -253,6 +253,111 @@ def per_bundle_query(bundles, a, b) -> dict:
     return out
 
 
+def masked_sigmoid(x):
+    """Logistic function by boolean masks: ``1 / (1 + e^-x)`` where
+    ``x >= 0``, ``e^x / (1 + e^x)`` elsewhere."""
+    out = np.empty_like(x, dtype=float)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def masked_norm_adjoint(y, upstream):
+    """Adjoint of the row norm ``|y|`` by boolean masks, the norm taken
+    afresh: ``upstream * y / |y|``, zero where ``|y| == 0``."""
+    upstream = np.atleast_1d(np.asarray(upstream, dtype=float))
+    d = np.linalg.norm(y, axis=1)
+    scale = np.zeros_like(d)
+    nz = d > 0
+    scale[nz] = upstream[nz] / d[nz]
+    return y * scale[:, None]
+
+
+class Adam:
+    """Adam with one pair of moment arrays per parameter, each step written
+    as plain array expressions."""
+
+    def __init__(self, params, lrs, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params = params
+        self.lrs = lrs
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.m = {k: np.zeros_like(p) for k, p in params.items()}
+        self.v = {k: np.zeros_like(p) for k, p in params.items()}
+        self.t = 0
+
+    def step(self, grads):
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        for name, p in self.params.items():
+            g = grads[name]
+            m = self.m[name]
+            v = self.v[name]
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            v += (1 - b2) * g * g
+            m_hat = m / (1 - b1**self.t)
+            v_hat = v / (1 - b2**self.t)
+            p -= self.lrs[name] * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def reference_train(bundle, ds, cfg) -> list:
+    """``training.train`` without eval, in place on ``bundle``, from the
+    parts it replaced: each batch decodes with ``predict``, takes its
+    gradients from a second, fresh ``forward`` (``backward(forward(U,
+    V)[1], up)``), sums receiver gradients with one ``bincount`` per
+    channel and steps the per-parameter ``Adam``. Returns the epoch
+    losses."""
+    scene = bundle.scene
+    heads = GROUP_HEADS[bundle.group]
+    prepared = []  # per source: flat receiver indices, {head: truth rows}
+    for fields in ds.fields:
+        valid = scene.free_mask()
+        for h in heads:
+            valid &= fields[h].valid_mask()
+        prepared.append((np.flatnonzero(valid), {h: fields[h].values[valid] for h in heads}))
+    stencils = _source_stencils(scene, ds.sources)
+    counts = np.array([len(r) for r, _ in prepared])
+    n_vertices, n = scene.occupancy.size, bundle.grid.n
+
+    def scatter(index, rows, size):
+        return np.stack([np.bincount(index, weights=col, minlength=size) for col in rows.T], axis=1)
+
+    params = bundle.trainable()
+    lrs = {name: (cfg.lr_grid if name == "grid" else cfg.lr_decoder) for name in params}
+    opt = Adam(params, lrs, cfg.beta1, cfg.beta2, cfg.eps)
+    rng = np.random.default_rng(cfg.seed)
+    losses = []
+    for _ in range(cfg.epochs):
+        order = rng.permutation(len(prepared))
+        total, n_batches = 0.0, 0
+        for b0 in range(0, len(order), cfg.batch_sources):
+            batch = order[b0 : b0 + cfg.batch_sources]
+            rows = np.concatenate([prepared[i][0] for i in batch])
+            owner = np.repeat(batch, counts[batch])
+            denom = np.repeat(counts[batch] * (len(heads) * len(batch)), counts[batch])
+            U = stencils.sample(bundle.grid.values)[owner]
+            V = bundle.grid.values.reshape(n_vertices, n)[rows]
+            preds = bundle.head.predict(U, V)
+            up, loss = {}, 0.0
+            for h in heads:
+                r = preds[h] - np.concatenate([prepared[i][1][h] for i in batch])
+                loss += float(np.sum(r * r / denom))
+                up[h] = 2.0 * r / denom
+            gU, gV, grads = bundle.head.backward(bundle.head.forward(U, V)[1], up)
+            grads["grid"] = scatter(rows, gV, n_vertices).reshape(bundle.grid.values.shape)
+            if not cfg.stop_gradient_at_source:
+                stencils.backward(scatter(owner, gU, len(counts)), grads["grid"])
+            grads["grid"][scene.occupancy] = 0.0
+            opt.step(grads)
+            total += loss
+            n_batches += 1
+        losses.append(total / n_batches)
+    return losses
+
+
 def per_source_train(bundle, ds, cfg) -> None:
     """``training.train`` source by source, in place on ``bundle``: one
     decode, one backward and one ``np.add.at`` scatter per source, with the
@@ -273,7 +378,7 @@ def per_source_train(bundle, ds, cfg) -> None:
         prepared.append((corners, weights, np.argwhere(valid), {h: fields[h].values[valid] for h in heads}))
     params = bundle.trainable()
     lrs = {name: (cfg.lr_grid if name == "grid" else cfg.lr_decoder) for name in params}
-    opt = sp.Adam(params, lrs, cfg.beta1, cfg.beta2, cfg.eps)
+    opt = Adam(params, lrs, cfg.beta1, cfg.beta2, cfg.eps)
     rng = np.random.default_rng(cfg.seed)
     for _ in range(cfg.epochs):
         order = rng.permutation(len(prepared))
@@ -285,10 +390,10 @@ def per_source_train(bundle, ds, cfg) -> None:
                 u = weights @ bundle.grid.values[tuple(corners.T)]
                 V = bundle.grid.values[tuple(recv.T)]
                 U = np.broadcast_to(u, V.shape)
-                preds = bundle.head.predict(U, V)
+                preds, cache = bundle.head.forward(U, V)
                 scale = len(recv) * len(heads) * len(batch)
                 upstream = {h: 2.0 * (preds[h] - truths[h]) / scale for h in heads}
-                gU, gV, gP = bundle.head.backward(U, V, upstream)
+                gU, gV, gP = bundle.head.backward(cache, upstream)
                 np.add.at(grads["grid"], tuple(recv.T), gV)
                 if not cfg.stop_gradient_at_source:
                     np.add.at(grads["grid"], tuple(corners.T), weights[:, None] * gU.sum(axis=0))

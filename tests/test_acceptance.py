@@ -157,7 +157,7 @@ def test_criterion_04_gradient_suite():
             u = rng.normal(size=n)
             v = rng.normal(size=n)
             up = float(rng.normal())
-            gU, gV, gP = decoder.pairwise_backward(u, v, up)
+            gU, gV, gP = decoder.backward(decoder.forward(u, v)[1], up)
             g = {"u": gU[0], "v": gV[0], "params": gP}
 
             def objective():

@@ -385,6 +385,15 @@ def test_empty_field_directory_exit_code(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "t.ckpt").exists() and not (tmp_path / "m.csv").exists()
 
 
+def test_sources_sample_empty_pool_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    scene_path = tmp_path / "box.scn"
+    run(["scene", "gen", "--kind", "empty-box", "--dims", "8x4x8", "--out", str(scene_path)])
+    _exits_3(capsys, ["sources", "sample", "--scene", str(scene_path), "--splits", "0.6,0.2,0.2",
+                      "--runs", "0", "--out", str(tmp_path / "splits")])
+    assert not (tmp_path / "splits").exists()
+
+
 @pytest.mark.parametrize("line", ["1.0 2.0", "a b c", "1 1 1 junk", "4.0 nan 4.0"])
 def test_bake_malformed_sources_exit_code(tmp_path, capsys, monkeypatch, line):
     monkeypatch.chdir(tmp_path)

@@ -12,8 +12,12 @@ from soundprop.decoders import (
     LevelsModel,
     MlpDecoder,
     PsdDecoder,
+    _norm_adjoint,
+    _sigmoid,
     make_distance_decoder,
 )
+
+from oracles import masked_norm_adjoint, masked_sigmoid
 
 FAMILIES = ("euclidean", "riemann-psd", "riemann-diag", "mlp")
 
@@ -230,7 +234,8 @@ def test_level_heads_symmetric():
 def test_euclid_gradient_pinned():
     u = np.array([3.0, 4.0])
     v = np.zeros(2)
-    gU, gV, _ = EuclideanDecoder(2).pairwise_backward(u, v, 1.0)
+    d = EuclideanDecoder(2)
+    gU, gV, _ = d.backward(d.forward(u, v)[1], 1.0)
     assert np.allclose(gU[0], [0.6, 0.8], atol=1e-12)
     assert np.allclose(gV[0], [-0.6, -0.8], atol=1e-12)
 
@@ -239,8 +244,27 @@ def test_decay_dot_gradient_pinned():
     n = 3
     u = np.zeros(n)
     v = np.array([1.0, -2.0, 0.5])
-    gU, _, _ = DotProductDecoder(n, K=2.0).pairwise_backward(u, v, 1.0)
+    d = DotProductDecoder(n, K=2.0)
+    gU, _, _ = d.backward(d.forward(u, v)[1], 1.0)
     assert np.allclose(gU[0], 0.25 * 2.0 * v, atol=1e-12)
+
+
+def test_sigmoid_matches_the_masked_oracle():
+    """The mask-free sigmoid returns the masked one's values at the branch
+    point, where ``exp`` underflows or saturates, and at random points."""
+    edge = [0.0, -0.0, 1e-300, -1e-300, 36.0, -36.0, 700.0, -700.0, 800.0, -800.0]
+    x = np.concatenate([edge, np.random.default_rng(5).normal(0.0, 20.0, size=2000)])
+    assert np.array_equal(_sigmoid(x), masked_sigmoid(x))
+
+
+def test_norm_adjoint_matches_the_masked_oracle():
+    """Handing the forward's norm to the adjoint, with the zero subgradient
+    taken by ``where``, returns the masked adjoint's values."""
+    rng = np.random.default_rng(6)
+    y = rng.normal(size=(60, 4))
+    y[::7] = 0.0
+    up = rng.normal(size=60)
+    assert np.array_equal(_norm_adjoint(y, np.linalg.norm(y, axis=1), up), masked_norm_adjoint(y, up))
 
 
 def _finite_difference_check(decoder, n, rng, k=1, trials=10, tol=1e-4):
@@ -249,7 +273,7 @@ def _finite_difference_check(decoder, n, rng, k=1, trials=10, tol=1e-4):
         u = rng.normal(size=n)
         v = rng.normal(size=n)
         up = rng.normal(size=k) if k > 1 else float(rng.normal())
-        gU, gV, gP = decoder.pairwise_backward(u, v, np.reshape(up, (1, k)) if k > 1 else up)
+        gU, gV, gP = decoder.backward(decoder.forward(u, v)[1], np.reshape(up, (1, k)) if k > 1 else up)
         g = {"u": gU[0], "v": gV[0], "params": gP}
 
         def objective():
@@ -304,7 +328,8 @@ def test_gradient_zero_at_coincident_inputs():
     rng = np.random.default_rng(12)
     u = rng.normal(size=8)
     for family in ("euclidean", "riemann-psd", "riemann-diag"):
-        gU, gV, _ = make_distance_decoder(family, 8, seed=2).pairwise_backward(u, u.copy(), 1.0)
+        d = make_distance_decoder(family, 8, seed=2)
+        gU, gV, _ = d.backward(d.forward(u, u.copy())[1], 1.0)
         assert np.all(gU == 0.0) and np.all(gV == 0.0)
 
 
@@ -352,7 +377,7 @@ def test_head_gradients_match_finite_differences(kind, family):
         p += rng.normal(0.0, 0.1, size=p.shape)
     U, V = rng.normal(size=(2, rows, n))
     up = {h: rng.normal(size=rows) for h in head.predict(U, V)}
-    gU, gV, grads = head.backward(U, V, up)
+    gU, gV, grads = head.backward(head.forward(U, V)[1], up)
     assert set(grads) == set(head.trainable())
 
     def objective():

@@ -7,7 +7,8 @@ from soundprop.oracle import FieldVolume
 from soundprop import training
 from soundprop.training import GROUP_HEADS
 
-from oracles import full_visibility_sources, per_source_train
+from oracles import Adam as PerArrayAdam
+from oracles import full_visibility_sources, per_source_train, reference_train
 
 
 # ---------------------------------------------------------------------------
@@ -49,6 +50,16 @@ def test_make_splits_disjoint(box_scene):
             assert key not in seen
             seen.add(key)
     assert len(train_s) > 0 and len(val_s) > 0 and len(test_s) > 0
+
+
+def test_make_splits_needs_three_distinct_sources():
+    """Two free voxels give a pool of two sources, too few for three
+    non-empty splits."""
+    occupancy = np.ones((4, 4, 4), dtype=bool)
+    occupancy[1, 1, 1] = occupancy[2, 1, 1] = False
+    scene = sp.VoxelScene(dims=(4, 4, 4), spacing=1.0, origin=np.zeros(3), occupancy=occupancy)
+    with pytest.raises(InputError):
+        sp.make_splits(scene, seed=0)
 
 
 @pytest.mark.parametrize("fractions", [(0.6, 0.4, 0.2), (0.6, float("nan"), 0.2)])
@@ -246,6 +257,30 @@ def test_adam_moment_alignment():
     assert np.all(params["a"] != 0.0)
 
 
+def test_flat_adam_matches_per_array_adam():
+    """The flat in-place Adam steps a latent grid and decoder-sized arrays
+    under two learning rates to the per-array Adam's values, step by step."""
+    rng = np.random.default_rng(9)
+    n = 5
+    shapes = {"grid": (4, 4, 4, 3), "l0": (1,), "w": (n,), "proj": (n, n)}
+    lrs = {name: (1e-4 if name == "grid" else 1e-3) for name in shapes}
+    # parameters near zero, as the level offsets start, so that the last
+    # bit of every update shows in them
+    start = {name: rng.normal(size=shape) * 1e-6 for name, shape in shapes.items()}
+    flat_params = {name: p.copy() for name, p in start.items()}
+    ref_params = {name: p.copy() for name, p in start.items()}
+    flat, ref = sp.Adam(flat_params, lrs), PerArrayAdam(ref_params, lrs)
+    for step in range(50):
+        grads = {name: rng.normal(size=shape) * 10.0 ** rng.integers(-9, 3) for name, shape in shapes.items()}
+        grads["grid"][..., step % 3] = 0.0
+        flat.step(grads)
+        ref.step(grads)
+        for name in shapes:
+            assert np.array_equal(flat_params[name], ref_params[name]), (step, name)
+        assert np.array_equal(flat.m, np.concatenate([ref.m[name].reshape(-1) for name in shapes]))
+        assert np.array_equal(flat.v, np.concatenate([ref.v[name].reshape(-1) for name in shapes]))
+
+
 def test_select_best_rules():
     with pytest.raises(InputError):
         sp.select_best([])
@@ -318,13 +353,13 @@ def test_off_centre_source_latent_matches_predict_fields(box_scene):
     ds = sp.build_dataset(box_scene, [src])
     bundle = sp.make_bundle(box_scene, "distance", "euclidean", 4, seed=0)
     rows = []
-    real = bundle.head.predict
+    real = bundle.head.forward
 
     def recording(U, V):
         rows.append(np.array(U[0]))
         return real(U, V)
 
-    bundle.head.predict = recording
+    bundle.head.forward = recording
     sp.predict_fields(bundle, src)
     sp.train(bundle, ds, sp.TrainConfig(epochs=1, eval_interval=0, seed=0))
     assert len(rows) == 2
@@ -358,32 +393,40 @@ def test_off_centre_source_gradient_scatters_over_stencil(box_scene):
 
 
 def test_train_makes_one_decode_and_one_backward_per_batch(box_scene, monkeypatch):
-    """A batch stacks the rows of all its sources into one ``predict`` and
-    one ``backward``; the off-centre sources share one ``interp_points``
-    call, made once for the whole run."""
+    """A batch stacks the rows of all its sources into one ``forward`` and
+    one ``backward`` on that forward's cache, and never calls ``predict``;
+    the off-centre sources share one ``interp_points`` call, made once for
+    the whole run."""
     offset = np.array([0.3, 0.2, -0.35]) * box_scene.spacing
     sources = [box_scene.voxel_center(i) for i in ((2, 1, 2), (5, 2, 5), (4, 1, 3))]
     sources += [box_scene.voxel_center(i) + offset for i in ((3, 1, 4), (5, 2, 2))]
     ds = sp.build_dataset(box_scene, sources)
     bundle = sp.make_bundle(box_scene, "levels", "riemann-diag", 4, seed=0)
-    rows = {"predict": [], "backward": []}
-    for name in rows:
-        real = getattr(bundle.head, name)
+    rows = {"forward": [], "backward": [], "predict": []}
+    real_forward, real_backward = bundle.head.forward, bundle.head.backward
 
-        def counting(U, V, *rest, real=real, name=name):
-            rows[name].append(len(U))
-            return real(U, V, *rest)
+    def forward(U, V):
+        rows["forward"].append(len(U))
+        return real_forward(U, V)
 
-        monkeypatch.setattr(bundle.head, name, counting)
+    def backward(cache, upstream):
+        gU, gV, grads = real_backward(cache, upstream)
+        rows["backward"].append(len(gU))
+        return gU, gV, grads
+
+    monkeypatch.setattr(bundle.head, "forward", forward)
+    monkeypatch.setattr(bundle.head, "backward", backward)
+    monkeypatch.setattr(bundle.head, "predict", lambda U, V: rows["predict"].append(len(U)))
     stencil_points = []
     real_interp = training.interp_points
     monkeypatch.setattr(training, "interp_points",
                         lambda scene, P, m=None: stencil_points.append(len(P)) or real_interp(scene, P, m))
     sp.train(bundle, ds, sp.TrainConfig(epochs=3, batch_sources=2, eval_interval=0, seed=0))
-    assert len(rows["predict"]) == len(rows["backward"]) == 3 * 3  # 3 batches a epoch
-    assert rows["predict"] == rows["backward"]
+    assert len(rows["forward"]) == len(rows["backward"]) == 3 * 3  # 3 batches a epoch
+    assert rows["forward"] == rows["backward"]
+    assert rows["predict"] == []
     n_free = np.count_nonzero(box_scene.free_mask())
-    assert sum(rows["predict"][:3]) == len(sources) * n_free
+    assert sum(rows["forward"][:3]) == len(sources) * n_free
     assert stencil_points == [2]
 
 
@@ -409,6 +452,57 @@ def test_train_matches_per_source_reference(box_scene, group, family, stop):
         assert np.allclose(batched.trainable()[name], p, rtol=0.0, atol=1e-12), name
     moved = reference.grid.values != sp.make_bundle(box_scene, group, family, 4, seed=1).grid.values
     assert moved.any()
+
+
+TRAIN_CASES = (
+    [("distance", f) for f in ("euclidean", "riemann-psd", "riemann-diag", "mlp")]
+    + [("levels", f) for f in ("euclidean", "riemann-psd", "riemann-diag", "mlp", "dot-product")]
+    + [("decays", f) for f in ("dot-product", "mlp")]
+)
+
+
+@pytest.fixture(scope="module")
+def five_source_ds(box_scene):
+    """Three sources on voxel centres and two off them."""
+    offset = np.array([0.3, 0.2, -0.35]) * box_scene.spacing
+    sources = [box_scene.voxel_center(i) for i in ((2, 1, 2), (5, 2, 5), (4, 1, 3))]
+    sources += [box_scene.voxel_center(i) + offset for i in ((3, 1, 4), (5, 2, 2))]
+    return sp.build_dataset(box_scene, sources)
+
+
+@pytest.mark.parametrize("stop", [True, False], ids=["stop", "no-stop"])
+@pytest.mark.parametrize("group,family", TRAIN_CASES, ids=[f"{g}-{f}" for g, f in TRAIN_CASES])
+def test_train_is_bit_identical_to_the_two_forward_reference(box_scene, five_source_ds, group, family, stop):
+    """One forward per batch, its cache handed to the backward, the flat
+    Adam and the one-``bincount`` scatter train the parameters and epoch
+    losses of the loop that decodes twice, steps the per-array Adam and
+    scatters channel by channel, to the bit."""
+    cfg = sp.TrainConfig(epochs=6, batch_sources=2, eval_interval=0, seed=4,
+                         stop_gradient_at_source=stop)
+    trained = sp.make_bundle(box_scene, group, family, 4, seed=1)
+    reference = sp.make_bundle(box_scene, group, family, 4, seed=1)
+    history = sp.train(trained, five_source_ds, cfg).history
+    assert [loss for _, _, loss, _ in history] == reference_train(reference, five_source_ds, cfg)
+    for name, p in reference.trainable().items():
+        assert np.array_equal(trained.trainable()[name], p), name
+
+
+@pytest.mark.parametrize("entry", ["train", "predict_fields", "evaluate_mae"])
+def test_grid_dims_mismatch_is_an_input_error(box_scene, entry):
+    """A latent grid made for another scene is bad input to every entry
+    point that reads it against the scene."""
+    bundle = sp.make_bundle(sp.build_scene(sp.SceneSpec(kind="empty-box", dims=(6, 4, 6))),
+                            "distance", "euclidean", 4, seed=0)
+    bundle.scene = box_scene
+    src = box_scene.voxel_center((2, 1, 2))
+    ds = sp.build_dataset(box_scene, [src])
+    calls = {
+        "train": lambda: sp.train(bundle, ds, sp.TrainConfig(epochs=1, eval_interval=0)),
+        "predict_fields": lambda: sp.predict_fields(bundle, src),
+        "evaluate_mae": lambda: sp.evaluate_mae(bundle, ds),
+    }
+    with pytest.raises(InputError, match="grid dims"):
+        calls[entry]()
 
 
 def test_source_reads_its_voxel_only_within_the_centre_tolerance():

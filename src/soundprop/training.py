@@ -75,6 +75,13 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ConfigurationError("epochs must be >= 1")
+        for name in ("lr_decoder", "lr_grid"):  # a zero rate freezes its parameters
+            if not (np.isfinite(getattr(self, name)) and getattr(self, name) >= 0):
+                raise ConfigurationError(f"{name} must be finite and non-negative")
+        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1 and self.eps > 0):
+            raise ConfigurationError("Adam needs beta1 and beta2 in [0, 1) and eps > 0")
+        if self.eval_interval < 0:
+            raise ConfigurationError("eval_interval must be >= 0")
         if self.lr_grid > self.lr_decoder:
             raise ConfigurationError(
                 "grid learning rate must not exceed the decoder learning rate"
@@ -87,15 +94,15 @@ class Adam:
     """Adaptive moment estimation (Kingma & Ba, 2015) over a named
     parameter dict.
 
-    The moments of all parameters live in one flat buffer each. A step
-    gathers the gradients into a third and runs on the three in place,
-    with one more flat temporary, all allocated once; only the final
-    update is written back into each parameter array.
+    The moments and learning rates of all parameters live in one flat
+    buffer each. A step gathers the gradients into another and runs on
+    them in place, with one more flat temporary, all allocated once; only
+    the final update is written back into each parameter array.
     """
 
     def __init__(self, params: dict, lrs: dict, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = params
-        self.lrs = [lrs[name] for name in params]
+        self.lr = np.concatenate([np.full(p.size, float(lrs[name])) for name, p in params.items()])
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         bounds = np.cumsum([0] + [p.size for p in params.values()])
         self._slices = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
@@ -121,8 +128,7 @@ class Adam:
         v += np.multiply(a, g, out=a)
         # update = lr * m_hat / (sqrt(v_hat) + eps); g is free from here on
         np.divide(m, 1 - b1**self.t, out=a)
-        for sl, lr in zip(self._slices, self.lrs):
-            a[sl] *= lr
+        a *= self.lr
         np.divide(v, 1 - b2**self.t, out=g)
         np.sqrt(g, out=g)
         g += self.eps
@@ -287,15 +293,17 @@ def mse_loss(pred: FieldVolume, truth: FieldVolume) -> float:
 
 def _source_stencils(scene: VoxelScene, sources) -> InterpBatch:
     """Stencils the source latents are read from. A source within
-    ``1e-9 * spacing`` of a voxel centre on every axis reads that voxel
-    (weight 1); the others go through one ``interp_points`` call. Raises
-    for a source that does not resolve."""
+    ``1e-9 * spacing`` of a free voxel's centre on every axis reads that
+    voxel (weight 1); the others go through one ``interp_points`` call, so
+    every stencil vertex is free. Raises for a source that does not
+    resolve."""
     P = np.asarray(sources, dtype=float).reshape(-1, 3)
     k = np.rint((P - scene.origin) / scene.spacing)
     on_centre = np.all(
         (np.abs(scene.voxel_center(k) - P) <= 1e-9 * scene.spacing) & (k >= 0) & (k < scene.dims),
         axis=1,
     )
+    on_centre[on_centre] = ~scene.occupancy[tuple(k[on_centre].astype(int).T)]
     corners = np.zeros((len(P), 8, 3), dtype=int)
     weights = np.zeros((len(P), 8))
     status = np.full(len(P), RESOLVED, dtype=np.int8)
@@ -363,12 +371,15 @@ class TrainResult:
     checkpoints: list = field(default_factory=list)
 
 
-def _scatter_rows(index: np.ndarray, rows: np.ndarray, size: int) -> np.ndarray:
-    """``(size, c)`` sums of the ``(m, c)`` ``rows`` that share an ``index``,
-    each added in row order: one ``bincount`` over the bins
-    ``index * c + channel``."""
+def _row_bins(index: np.ndarray, c: int) -> np.ndarray:
+    """Flat bins ``index * c + channel`` of ``(m, c)`` rows."""
+    return (index[:, None] * c + np.arange(c)).reshape(-1)
+
+
+def _scatter_rows(bins: np.ndarray, rows: np.ndarray, size: int) -> np.ndarray:
+    """``(size, c)`` sums of the ``(m, c)`` ``rows`` that share an index,
+    each added in row order: one ``bincount`` over their ``_row_bins``."""
     c = rows.shape[1]
-    bins = (index[:, None] * c + np.arange(c)).reshape(-1)
     return np.bincount(bins, weights=rows.reshape(-1), minlength=size * c).reshape(size, c)
 
 
@@ -392,18 +403,22 @@ def train(
     heads = GROUP_HEADS[bundle.group]
     n_heads = len(heads)
     stencils = _source_stencils(scene, train_ds.sources)
-    recv, truths = [], []  # per source: flat receiver indices, {head: truth rows}
+    n_vertices, n = scene.occupancy.size, bundle.grid.n
+    # Per source: the flat grid bins of its receivers' latents, shared by
+    # the sources with the same receivers (usually all of them); {head:
+    # truth rows}. Receivers are free voxels, so obstacles get no gradient.
+    bins, truths, shared = [], [], {}
     for fields in train_ds.fields:
         valid = scene.free_mask()
         for head in heads:
             valid &= fields[head].valid_mask()
-        recv.append(np.flatnonzero(valid))
+        if (key := valid.tobytes()) not in shared:
+            shared[key] = _row_bins(np.flatnonzero(valid), n)
+        bins.append(shared[key])
         truths.append({head: fields[head].values[valid] for head in heads})
-    counts = np.array([len(r) for r in recv])
+    counts = np.array([len(b) // n for b in bins])
     if not counts.all():
         raise InputError("a training source has no receiver valid in every field of its group")
-    occupied = scene.occupancy
-    n_vertices, n = occupied.size, bundle.grid.n
 
     params = bundle.trainable()
     lrs = {name: (cfg.lr_grid if name == "grid" else cfg.lr_decoder) for name in params}
@@ -420,11 +435,11 @@ def train(
             batch = order[b0 : b0 + cfg.batch_sources]
             # One row per (source, receiver) pair, source by source; each
             # source's squared error is a mean over its receivers.
-            rows = np.concatenate([recv[i] for i in batch])
-            owner = np.repeat(batch, counts[batch])
-            denom = np.repeat(counts[batch] * (n_heads * len(batch)), counts[batch])
-            U = stencils.sample(bundle.grid.values)[owner]
-            V = bundle.grid.values.reshape(n_vertices, n)[rows]
+            batch_bins = np.concatenate([bins[i] for i in batch])
+            denom = np.repeat(counts[batch] * float(n_heads * len(batch)), counts[batch])
+            source = InterpBatch(stencils.corners[batch], stencils.weights[batch], stencils.status[batch])
+            U = np.repeat(source.sample(bundle.grid.values), counts[batch], axis=0)
+            V = np.take(bundle.grid.values, batch_bins).reshape(-1, n)
             preds, cache = bundle.head.forward(U, V)
             upstream = {}
             batch_loss = 0.0
@@ -433,16 +448,16 @@ def train(
                 batch_loss += float(np.sum(r * r / denom))
                 upstream[h] = 2.0 * r / denom
             gU, gV, grads = bundle.head.backward(cache, upstream)
-            grid_grad = _scatter_rows(rows, gV, n_vertices).reshape(bundle.grid.values.shape)
+            grid_grad = _scatter_rows(batch_bins, gV, n_vertices).reshape(bundle.grid.values.shape)
             if not cfg.stop_gradient_at_source:
-                stencils.backward(_scatter_rows(owner, gU, len(counts)), grid_grad)
+                owner_bins = _row_bins(np.repeat(batch, counts[batch]), n)
+                stencils.backward(_scatter_rows(owner_bins, gU, len(counts)), grid_grad)
             grads["grid"] = grid_grad
             if not np.isfinite(batch_loss):
                 bundle.restore(last_good)
                 raise DivergenceError(
                     f"non-finite loss at epoch {epoch}", last_good=last_good
                 )
-            grid_grad[occupied] = 0.0  # obstacle vertices stay frozen
             opt.step(grads)
             epoch_loss += batch_loss
             n_batches += 1

@@ -275,6 +275,63 @@ def masked_norm_adjoint(y, upstream):
     return y * scale[:, None]
 
 
+def norm_decode(decoder, U, V, upstream):
+    """A decoder's outputs and its adjoint for ``upstream`` in the forms
+    that take each row norm with ``np.linalg.norm``: ``(out, gU, gV,
+    grads)``. The reference for the decoders' ``einsum`` row norms; the
+    MLP and dot-product decoders reduce no row norm and run their own
+    ``forward``/``backward``."""
+    U, V = np.atleast_2d(U), np.atleast_2d(V)
+    if decoder.family not in ("euclidean", "riemann-psd", "riemann-diag"):
+        out, cache = decoder.forward(U, V)
+        return (out, *decoder.backward(cache, upstream))
+    n, delta, M = decoder.n, U - V, 0.5 * (U + V)
+    if decoder.family == "euclidean":
+        gy = masked_norm_adjoint(delta, upstream)
+        return np.linalg.norm(delta, axis=1), gy, -gy, {}
+    if decoder.family == "riemann-diag":
+        lam = 1.0 + M @ decoder.weights.T
+        y = lam * delta
+        gy = masked_norm_adjoint(y, upstream)
+        g_delta, g_lam = lam * gy, delta * gy
+        gm, gW = g_lam @ decoder.weights, g_lam.T @ M
+    else:
+        A = (M @ decoder.weights.T).reshape(-1, n, n) + np.eye(n)
+        y = np.einsum("bij,bj->bi", A, delta)
+        gy = masked_norm_adjoint(y, upstream)
+        g_delta = np.einsum("bij,bi->bj", A, gy)
+        gA = np.einsum("bi,bj->bij", gy, delta)
+        gm = gA.reshape(-1, n * n) @ decoder.weights
+        gW = np.einsum("bij,bk->ijk", gA, M).reshape(n * n, n)
+    return np.linalg.norm(y, axis=1), g_delta + 0.5 * gm, -g_delta + 0.5 * gm, {"weights": gW}
+
+
+def levels_decode(model, U, V, upstream):
+    """``LevelsModel`` outputs and gradients with ``norm_decode`` for the
+    decoder and the ``w`` gradient as column sums ``(U * up[:, None]).sum(0)``:
+    ``(out, gU, gV, grads)``."""
+    U, V = np.atleast_2d(U), np.atleast_2d(V)
+    up_ds, up_er = (np.atleast_1d(upstream[h]) for h in ("l_ds", "l_er"))
+    w = model.w
+    local = 0.5 * ((U @ w) + (V @ w)) + model.beta[0]
+    grads = {"l0": np.array([up_ds.sum()]), "beta": np.array([up_er.sum()]),
+             "w": 0.5 * ((U * up_er[:, None]).sum(0) + (V * up_er[:, None]).sum(0))}
+    gU = gV = 0.5 * up_er[:, None] * w[None, :]
+    if model.proj is None:
+        h, dU, dV, dP = norm_decode(model.decoder, U, V, np.stack([-up_ds, -up_er], axis=1))
+        h_ds, h_er = h[:, 0], h[:, 1]
+    else:
+        P = model.proj
+        h_ds, dU, dV, dP = norm_decode(model.decoder, U, V, -up_ds)
+        h_er, pU, pV, pP = norm_decode(model.decoder, U @ P.T, V @ P.T, -up_er)
+        grads["proj"] = pU.T @ U + pV.T @ V
+        dU, dV = dU + pU @ P, dV + pV @ P
+        dP = {name: g + pP[name] for name, g in dP.items()}
+    grads.update({f"decoder.{name}": g for name, g in dP.items()})
+    out = {"l_ds": model.l0[0] - h_ds, "l_er": local - h_er}
+    return out, gU + dU, gV + dV, grads
+
+
 class Adam:
     """Adam with one pair of moment arrays per parameter, each step written
     as plain array expressions."""

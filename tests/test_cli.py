@@ -417,6 +417,19 @@ def test_malformed_list_arguments_are_usage_errors(args):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("flag,value", [("--lr-grid", "-1"), ("--lr-grid", "nan"),
+                                        ("--lr-decoder", "inf"), ("--eval-interval", "-5")])
+def test_train_bad_hyper_parameters_exit_code(tmp_path, capsys, monkeypatch, flag, value):
+    """Gradient ascent, an infinite step or a negative evaluation interval
+    is a configuration error before any training."""
+    monkeypatch.chdir(tmp_path)
+    scene_path, fields = _baked_box(tmp_path)
+    out = tmp_path / "t.ckpt"
+    _exits_3(capsys, ["train", "--scene", str(scene_path), "--train-fields", str(fields),
+                      "--epochs", "2", flag, value, "--out", str(out)])
+    assert not out.exists()
+
+
 def test_export_slice_outside_the_field_exit_code(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     _, fields = _baked_box(tmp_path)

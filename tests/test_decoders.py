@@ -17,7 +17,7 @@ from soundprop.decoders import (
     make_distance_decoder,
 )
 
-from oracles import masked_norm_adjoint, masked_sigmoid
+from oracles import levels_decode, masked_norm_adjoint, masked_sigmoid, norm_decode
 
 FAMILIES = ("euclidean", "riemann-psd", "riemann-diag", "mlp")
 
@@ -331,6 +331,64 @@ def test_gradient_zero_at_coincident_inputs():
         d = make_distance_decoder(family, 8, seed=2)
         gU, gV, _ = d.backward(d.forward(u, u.copy())[1], 1.0)
         assert np.all(gU == 0.0) and np.all(gV == 0.0)
+
+
+def _row_cases(rng, n):
+    """Row pairs to decode: 40 random rows with every third pair
+    coincident, one random row and one coincident row as 1-D vectors."""
+    U, V = rng.normal(size=(2, 40, n))
+    V[::3] = U[::3]
+    u, v = rng.normal(size=(2, n))
+    return [(U, V), (u, v), (u, u.copy())]
+
+
+def _assert_relative(actual, expected, what):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape, what
+    assert np.all(np.abs(actual - expected) <= 1e-12 * np.abs(expected)), what
+
+
+@pytest.mark.parametrize("family", ["euclidean", "riemann-psd", "riemann-diag"])
+def test_row_norm_decoders_match_the_linalg_norm_forms(family):
+    """Forward outputs and backward gradients of the einsum row norms
+    against ``np.linalg.norm`` and the masked adjoint, to 1e-12 relative."""
+    rng = np.random.default_rng(21)
+    decoder = make_distance_decoder(family, 8, seed=4)
+    for p in decoder.trainable().values():
+        p += rng.normal(0.0, 0.1, size=p.shape)
+    for U, V in _row_cases(rng, 8):
+        up = rng.normal(size=np.atleast_2d(U).shape[0])
+        out, cache = decoder.forward(U, V)
+        gU, gV, grads = decoder.backward(cache, up)
+        ref, rU, rV, rgrads = norm_decode(decoder, U, V, up)
+        for what, a, b in [("d", out, ref), ("gU", gU, rU), ("gV", gV, rV)] + [
+            (name, grads[name], rgrads[name]) for name in rgrads
+        ]:
+            _assert_relative(a, b, (family, len(out), what))
+        assert set(grads) == set(rgrads)
+        assert np.all(out[np.all(np.atleast_2d(U) == np.atleast_2d(V), axis=1)] == 0.0)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_levels_head_matches_the_column_sum_forms(family):
+    """``LevelsModel`` outputs and gradients, ``w`` taken by two
+    vector-matrix products, against column sums and ``norm_decode``."""
+    rng = np.random.default_rng(22)
+    k = 2 if family == "mlp" else 1
+    head = LevelsModel(make_distance_decoder(family, 8, seed=5, hidden=(8, 8), k=k), 8, seed=5)
+    for p in head.trainable().values():
+        p += rng.normal(0.0, 0.1, size=p.shape)
+    for U, V in _row_cases(rng, 8):
+        m = np.atleast_2d(U).shape[0]
+        up = {"l_ds": rng.normal(size=m), "l_er": rng.normal(size=m)}
+        out, cache = head.forward(U, V)
+        gU, gV, grads = head.backward(cache, up)
+        ref, rU, rV, rgrads = levels_decode(head, U, V, up)
+        assert set(grads) == set(rgrads)
+        for what, a, b in [(h, out[h], ref[h]) for h in ref] + [("gU", gU, rU), ("gV", gV, rV)] + [
+            (name, grads[name], rgrads[name]) for name in rgrads
+        ]:
+            _assert_relative(a, b, (family, m, what))
 
 
 # ---------------------------------------------------------------------------

@@ -203,6 +203,10 @@ FIELD_BLOB = _file_bytes(
 def test_read_scene_corrupted_is_scene_or_format_error(tmp_path_factory, blob):
     path = tmp_path_factory.getbasetemp() / "corrupted.scn"
     path.write_bytes(blob)
+    _scene_or_format_error(path)
+
+
+def _scene_or_format_error(path):
     try:
         scene, meta = fileio.read_scene(path)
     except FormatError:
@@ -217,6 +221,10 @@ def test_read_scene_corrupted_is_scene_or_format_error(tmp_path_factory, blob):
 def test_read_field_corrupted_is_field_or_format_error(tmp_path_factory, blob):
     path = tmp_path_factory.getbasetemp() / "corrupted.fld"
     path.write_bytes(blob)
+    _field_or_format_error(path)
+
+
+def _field_or_format_error(path):
     try:
         fv = fileio.read_field(path)
     except FormatError:
@@ -283,6 +291,10 @@ def test_load_checkpoint_corrupted_is_bundle_or_format_error(tmp_path_factory, w
     corrupted = data.draw(_corrupted(blob, _ckpt_header_end(blob)))
     path = tmp_path_factory.getbasetemp() / "corrupted.ckpt"
     path.write_bytes(corrupted)
+    _checkpoint_or_format_error(path)
+
+
+def _checkpoint_or_format_error(path):
     try:
         bundle = fileio.load_checkpoint(path, _BOX)
     except FormatError:
@@ -378,6 +390,10 @@ LAYOUT_BLOB = _file_bytes(fileio.write_layout, sp.octahedral_layout())
 def test_read_ir_corrupted_is_ir_or_format_error(tmp_path_factory, blob):
     path = tmp_path_factory.getbasetemp() / "corrupted.ir"
     path.write_bytes(blob)
+    _ir_or_format_error(path)
+
+
+def _ir_or_format_error(path):
     try:
         samples, rate, t0 = fileio.read_ir(path)
     except FormatError:
@@ -392,12 +408,54 @@ def test_read_ir_corrupted_is_ir_or_format_error(tmp_path_factory, blob):
 def test_read_layout_corrupted_is_layout_or_format_error(tmp_path_factory, blob):
     path = tmp_path_factory.getbasetemp() / "corrupted.spk"
     path.write_bytes(blob)
+    _layout_or_format_error(path)
+
+
+def _layout_or_format_error(path):
     try:
         layout = fileio.read_layout(path)
     except FormatError:
         return
     assert isinstance(layout, sp.SpeakerLayout)
     assert np.isfinite(layout.directions).all()
+
+
+def _spliced(a: bytes, b: bytes):
+    """A prefix of one of ``a``, ``b`` joined to a suffix of the other, cut
+    at independent offsets or at the same one."""
+
+    def splice(pair):
+        x, y = pair
+        same = st.integers(0, min(len(x), len(y))).map(lambda k: x[:k] + y[k:])
+        apart = st.tuples(st.integers(0, len(x)), st.integers(0, len(y))).map(lambda ij: x[: ij[0]] + y[ij[1] :])
+        return st.one_of(same, apart)
+
+    return st.sampled_from([(a, b), (b, a)]).flatmap(splice)
+
+
+_TETRA = sp.SpeakerLayout(directions=np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / np.sqrt(3.0),
+                          triples=((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)))
+SPLICES = {
+    "scn": (SCENE_BLOB, _file_bytes(fileio.write_scene, _BOX, kind="empty-box", seed=0), _scene_or_format_error),
+    "fld": (FIELD_BLOB, _file_bytes(fileio.write_field, sp.bake_source(_ROOMS, _ROOMS.voxel_center((1, 1, 1)))["l_er"]),
+            _field_or_format_error),
+    "ckpt": (*CKPT_BLOBS.values(), _checkpoint_or_format_error),
+    "ir": (IR_BLOB, _file_bytes(fileio.write_ir, np.linspace(0.5, -0.5, 30), sample_rate=16000.0, t0=0.01),
+           _ir_or_format_error),
+    "spk": (LAYOUT_BLOB, _file_bytes(fileio.write_layout, _TETRA), _layout_or_format_error),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(SPLICES))
+@settings(max_examples=300)
+@given(data=st.data())
+def test_spliced_files_are_read_or_format_error(tmp_path_factory, fmt, data):
+    """Two valid files of one format, one's head joined to the other's
+    tail: the reader returns a valid object or raises ``FormatError``."""
+    a, b, read = SPLICES[fmt]
+    path = tmp_path_factory.getbasetemp() / f"spliced.{fmt}"
+    path.write_bytes(data.draw(_spliced(a, b)))
+    read(path)
 
 
 @pytest.mark.parametrize(

@@ -247,6 +247,14 @@ def test_train_config_validation():
         sp.TrainConfig(epochs=0)
     with pytest.raises(ConfigurationError):
         sp.TrainConfig(lr_decoder=1e-4, lr_grid=1e-3)
+    bad = [{"lr_grid": -1.0}, {"lr_grid": np.nan}, {"lr_decoder": np.inf}, {"lr_decoder": np.nan},
+           {"lr_decoder": -1e-3, "lr_grid": -1e-2}, {"eval_interval": -5}, {"beta1": 1.0},
+           {"beta1": -0.1}, {"beta2": 1.0}, {"beta2": np.nan}, {"eps": 0.0}, {"eps": -1e-8},
+           {"eps": np.nan}]
+    for kwargs in bad:
+        with pytest.raises(ConfigurationError):
+            sp.TrainConfig(**kwargs)
+    sp.TrainConfig(lr_decoder=0.0, lr_grid=0.0, beta1=0.0, beta2=0.0, eval_interval=0)
 
 
 def test_adam_moment_alignment():
@@ -487,6 +495,40 @@ def test_train_is_bit_identical_to_the_two_forward_reference(box_scene, five_sou
         assert np.array_equal(trained.trainable()[name], p), name
 
 
+@pytest.mark.parametrize("stop", [True, False], ids=["stop", "no-stop"])
+def test_batch_source_latents_equal_the_stencil_sample_rows(box_scene, five_source_ds, stop):
+    """A batch samples only its own sources' latents, on and off voxel
+    centres, and repeats each per receiver row: the rows equal those of
+    ``InterpBatch.sample`` over every source at that step, to the bit."""
+    cfg = sp.TrainConfig(epochs=3, batch_sources=2, eval_interval=0, seed=4,
+                         stop_gradient_at_source=stop)
+    bundle = sp.make_bundle(box_scene, "levels", "riemann-diag", 4, seed=1)
+    stencils = training._source_stencils(box_scene, five_source_ds.sources)
+    counts = []
+    for fields in five_source_ds.fields:
+        valid = box_scene.free_mask()
+        for h in GROUP_HEADS["levels"]:
+            valid &= fields[h].valid_mask()
+        counts.append(np.count_nonzero(valid))
+    counts = np.array(counts)
+    rng = np.random.default_rng(cfg.seed)
+    batches = [order[b0 : b0 + 2] for order in (rng.permutation(5) for _ in range(3)) for b0 in (0, 2, 4)]
+    real = bundle.head.forward
+    seen = []
+
+    def forward(U, V):
+        batch = batches[len(seen)]
+        expected = stencils.sample(bundle.grid.values)[np.repeat(batch, counts[batch])]
+        seen.append(np.array_equal(U, expected))
+        return real(U, V)
+
+    bundle.head.forward = forward
+    sp.train(bundle, five_source_ds, cfg)
+    assert seen == [True] * len(batches)
+    on_centre = stencils.weights[:, 0] == 1.0
+    assert on_centre.sum() == 3 and (~on_centre).sum() == 2
+
+
 @pytest.mark.parametrize("entry", ["train", "predict_fields", "evaluate_mae"])
 def test_grid_dims_mismatch_is_an_input_error(box_scene, entry):
     """A latent grid made for another scene is bad input to every entry
@@ -523,6 +565,19 @@ def test_source_reads_its_voxel_only_within_the_centre_tolerance():
     assert np.array_equal(rows[0], stencil.sample(bundle.grid.values)[0])
     assert not np.array_equal(rows[0], bundle.grid.values[12, 2, 12])
     assert np.array_equal(rows[1], bundle.grid.values[12, 2, 12])
+
+
+def test_source_on_an_obstacle_voxel_centre_is_an_input_error(box_scene):
+    """A source on the centre of an occupied voxel is rejected like one
+    off it, so no stencil reads or moves an obstacle vertex."""
+    wall = box_scene.voxel_center(tuple(np.argwhere(box_scene.occupancy)[0]))
+    fields = sp.bake_source(box_scene, box_scene.voxel_center((2, 1, 2)))
+    ds = sp.Dataset(scene=box_scene, sources=[wall], fields=[fields])
+    bundle = sp.make_bundle(box_scene, "distance", "euclidean", 4, seed=0)
+    with pytest.raises(InputError, match="occupied"):
+        sp.train(bundle, ds, sp.TrainConfig(epochs=1, eval_interval=0, stop_gradient_at_source=False))
+    with pytest.raises(InputError, match="occupied"):
+        sp.predict_fields(bundle, wall)
 
 
 def test_empty_dataset_raises(box_scene):

@@ -32,9 +32,15 @@ has one forward/backward pair:
   decodes once. The cache does not copy the parameters, so a training step
   updates them only after its backward.
 
-``pairwise`` (decoders) and ``predict`` (heads) are ``forward(...)[0]``.
-Gradients at coincident inputs use the zero subgradient so the source
-voxel never produces NaNs.
+The three metric distances are one core, ``_MetricDecoder``: its
+forward and backward take the midpoint and difference, the row norm and
+its adjoint, and split the metric gradient between the two inputs; each
+family supplies only its metric map and that map's adjoint. Every decoder
+inherits ``pairwise`` (``forward(...)[0]``) and ``param_count`` from
+``_Decoder``, every head ``family`` and ``predict`` (``forward(...)[0]``)
+from ``_Head``. ``make_distance_decoder`` builds every family and is the
+one place decoder weights are drawn. Gradients at coincident inputs use
+the zero subgradient so the source voxel never produces NaNs.
 
 ``flop_count`` approximates the float operations of one inference. Dense
 linear maps and matrix-vector products count one fused multiply-add per
@@ -85,14 +91,13 @@ def _norm_adjoint(y: np.ndarray, d: np.ndarray, upstream) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Distance families
+# Decoders
 # ---------------------------------------------------------------------------
 
 
-class EuclideanDecoder:
-    """Parameter-free Euclidean distance between latents."""
-
-    family = "euclidean"
+class _Decoder:
+    """Base of every decoder: latent size ``n``, parameters (none unless a
+    family adds them), their count, and ``pairwise``."""
 
     def __init__(self, n: int):
         self.n = int(n)
@@ -101,48 +106,73 @@ class EuclideanDecoder:
         return {}
 
     def param_count(self) -> int:
-        return 0
-
-    def flop_count(self) -> int:
-        # n subtractions, n squarings, n-1 adds, one sqrt
-        return 3 * self.n
-
-    def forward(self, U, V):
-        U, V = _as_rows(U), _as_rows(V)
-        delta = U - V
-        d = _row_norm(delta)
-        return d, (delta, d)
-
-    def backward(self, cache, upstream):
-        gU = _norm_adjoint(*cache, upstream)
-        return gU, -gU, {}
+        return sum(p.size for p in self.trainable().values())
 
     def pairwise(self, U, V) -> np.ndarray:
         return self.forward(U, V)[0]
 
 
-class PsdDecoder:
-    """Full positive semi-definite local metric at the latent midpoint."""
+class _MetricDecoder(_Decoder):
+    """Metric distance ``d = |T(m) delta|`` with midpoint ``m = (u + v)/2``
+    and difference ``delta = u - v``.
+
+    A family supplies its metric map ``_map(M, delta) -> (y, T)``, the rows
+    ``y = T(m) delta`` and the values ``T`` its adjoint reads, and that
+    adjoint ``_map_adjoint(M, delta, T, gy) -> (g_delta, g_m, grads)``, with
+    ``g_m`` ``None`` where the map does not depend on ``m``. Since ``u`` and
+    ``v`` enter as ``m +- delta/2``, ``gU = g_delta + g_m/2`` and
+    ``gV = g_m/2 - g_delta``.
+    """
+
+    def forward(self, U, V):
+        U, V = _as_rows(U), _as_rows(V)
+        M = 0.5 * (U + V)
+        delta = U - V
+        y, T = self._map(M, delta)
+        d = _row_norm(y)
+        return d, (M, delta, T, y, d)
+
+    def backward(self, cache, upstream):
+        M, delta, T, y, d = cache
+        gy = _norm_adjoint(y, d, upstream)
+        g_delta, g_m, grads = self._map_adjoint(M, delta, T, gy)
+        if g_m is None:
+            return g_delta, -g_delta, grads
+        half_gm = 0.5 * g_m
+        return g_delta + half_gm, half_gm - g_delta, grads
+
+
+class EuclideanDecoder(_MetricDecoder):
+    """Parameter-free Euclidean distance between latents: ``T = I``."""
+
+    family = "euclidean"
+
+    def flop_count(self) -> int:
+        # n subtractions, n squarings, n-1 adds, one sqrt
+        return 3 * self.n
+
+    def _map(self, M, delta):
+        return delta, None
+
+    def _map_adjoint(self, M, delta, T, gy):
+        return gy, None, {}
+
+
+class PsdDecoder(_MetricDecoder):
+    """Full positive semi-definite local metric at the latent midpoint:
+    ``T = A(m) = I + reshape(W m)``."""
 
     family = "riemann-psd"
 
     def __init__(self, n: int, weights: np.ndarray):
-        self.n = int(n)
+        super().__init__(n)
         w = np.asarray(weights, dtype=float)
         if w.shape != (n * n, n):
             raise ConfigurationError(f"psd weights must have shape {(n * n, n)}")
         self.weights = w
 
-    @classmethod
-    def create(cls, n: int, seed: int = 0, init_scale: float = 1e-3):
-        rng = np.random.default_rng(seed)
-        return cls(n, rng.normal(0.0, init_scale, size=(n * n, n)))
-
     def trainable(self):
         return {"weights": self.weights}
-
-    def param_count(self) -> int:
-        return self.n**3
 
     def flop_count(self) -> int:
         n = self.n
@@ -150,57 +180,33 @@ class PsdDecoder:
         # (n^2), difference (n), matrix-vector (n^2), norm (2n)
         return n**3 + 2 * n**2 + 5 * n
 
-    def _metric_map(self, M: np.ndarray) -> np.ndarray:
-        """A(m) = I + reshape(W m) for each midpoint row."""
-        B = M.shape[0]
-        A = (M @ self.weights.T).reshape(B, self.n, self.n)
+    def _map(self, M, delta):
+        A = (M @ self.weights.T).reshape(M.shape[0], self.n, self.n)
         A[:, np.arange(self.n), np.arange(self.n)] += 1.0
-        return A
+        return np.einsum("bij,bj->bi", A, delta), A
 
-    def forward(self, U, V):
-        U, V = _as_rows(U), _as_rows(V)
-        M = 0.5 * (U + V)
-        delta = U - V
-        A = self._metric_map(M)
-        y = np.einsum("bij,bj->bi", A, delta)
-        d = _row_norm(y)
-        return d, (M, delta, A, y, d)
-
-    def backward(self, cache, upstream):
-        M, delta, A, y, d = cache
-        gy = _norm_adjoint(y, d, upstream)
+    def _map_adjoint(self, M, delta, A, gy):
         g_delta = np.einsum("bij,bi->bj", A, gy)
         gA = np.einsum("bi,bj->bij", gy, delta)
         gW = np.einsum("bij,bk->ijk", gA, M).reshape(self.n * self.n, self.n)
-        half_gm = 0.5 * (gA.reshape(-1, self.n * self.n) @ self.weights)
-        return g_delta + half_gm, half_gm - g_delta, {"weights": gW}
-
-    def pairwise(self, U, V) -> np.ndarray:
-        return self.forward(U, V)[0]
+        return g_delta, gA.reshape(-1, self.n * self.n) @ self.weights, {"weights": gW}
 
 
-class DiagDecoder:
-    """Diagonal local metric: locally weighted Euclidean distance."""
+class DiagDecoder(_MetricDecoder):
+    """Diagonal local metric, a locally weighted Euclidean distance:
+    ``T = diag(lambda(m))`` with ``lambda(m) = 1 + M m``."""
 
     family = "riemann-diag"
 
     def __init__(self, n: int, weights: np.ndarray):
-        self.n = int(n)
+        super().__init__(n)
         w = np.asarray(weights, dtype=float)
         if w.shape != (n, n):
             raise ConfigurationError(f"diag weights must have shape {(n, n)}")
         self.weights = w
 
-    @classmethod
-    def create(cls, n: int, seed: int = 0, init_scale: float = 1e-3):
-        rng = np.random.default_rng(seed)
-        return cls(n, rng.normal(0.0, init_scale, size=(n, n)))
-
     def trainable(self):
         return {"weights": self.weights}
-
-    def param_count(self) -> int:
-        return self.n**2
 
     def flop_count(self) -> int:
         n = self.n
@@ -208,33 +214,16 @@ class DiagDecoder:
         # weighting (n), squares (n), sum (n-1), sqrt (1)
         return n**2 + 7 * n
 
-    def _lam(self, M: np.ndarray) -> np.ndarray:
-        """lambda(m) = 1 + M m per midpoint row."""
-        return 1.0 + M @ self.weights.T
+    def _map(self, M, delta):
+        lam = 1.0 + M @ self.weights.T
+        return lam * delta, lam
 
-    def forward(self, U, V):
-        U, V = _as_rows(U), _as_rows(V)
-        M = 0.5 * (U + V)
-        delta = U - V
-        lam = self._lam(M)
-        t = lam * delta
-        d = _row_norm(t)
-        return d, (M, delta, lam, t, d)
-
-    def backward(self, cache, upstream):
-        M, delta, lam, t, d = cache
-        gt = _norm_adjoint(t, d, upstream)
-        g_delta = lam * gt
-        g_lam = delta * gt
-        gW = g_lam.T @ M
-        half_gm = 0.5 * (g_lam @ self.weights)
-        return g_delta + half_gm, half_gm - g_delta, {"weights": gW}
-
-    def pairwise(self, U, V) -> np.ndarray:
-        return self.forward(U, V)[0]
+    def _map_adjoint(self, M, delta, lam, gy):
+        g_lam = delta * gy
+        return lam * gy, g_lam @ self.weights, {"weights": g_lam.T @ M}
 
 
-class MlpDecoder:
+class MlpDecoder(_Decoder):
     """Symmetrized multilayer perceptron on concatenated latent pairs.
 
     ``phi`` is applied to both input orders and averaged, which makes the
@@ -245,24 +234,13 @@ class MlpDecoder:
     family = "mlp"
 
     def __init__(self, n: int, weights: list[np.ndarray], biases: list[np.ndarray]):
-        self.n = int(n)
+        super().__init__(n)
         if len(weights) != len(biases) or not weights:
             raise ConfigurationError("mlp needs matching weight/bias lists")
         if weights[0].shape[1] != 2 * n:
             raise ConfigurationError("mlp input width must be 2n")
         self.weights = [np.asarray(w, dtype=float) for w in weights]
         self.biases = [np.asarray(b, dtype=float) for b in biases]
-
-    @classmethod
-    def create(cls, n: int, hidden=MLP_SMALL_HIDDEN, k: int = 1, seed: int = 0):
-        rng = np.random.default_rng(seed)
-        sizes = [2 * n, *hidden, k]
-        weights, biases = [], []
-        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-            std = np.sqrt(2.0 / fan_in)
-            weights.append(rng.normal(0.0, std, size=(fan_out, fan_in)))
-            biases.append(np.zeros(fan_out))
-        return cls(n, weights, biases)
 
     @property
     def k(self) -> int:
@@ -274,9 +252,6 @@ class MlpDecoder:
             params[f"w{i}"] = w
             params[f"b{i}"] = b
         return params
-
-    def param_count(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
 
     def flop_count(self) -> int:
         total = 0
@@ -330,11 +305,8 @@ class MlpDecoder:
         gV = gz1[:, n:] + gz2[:, :n]
         return gU, gV, grads
 
-    def pairwise(self, U, V) -> np.ndarray:
-        return self.forward(U, V)[0]
 
-
-class DotProductDecoder:
+class DotProductDecoder(_Decoder):
     """Bounded decay-time decoder: ``K * sigmoid(u . v)``."""
 
     family = "dot-product"
@@ -342,14 +314,8 @@ class DotProductDecoder:
     def __init__(self, n: int, K: float = DEFAULT_MAX_DECAY):
         if K <= 0:
             raise ConfigurationError("K must be positive")
-        self.n = int(n)
+        super().__init__(n)
         self.K = float(K)
-
-    def trainable(self):
-        return {}
-
-    def param_count(self) -> int:
-        return 0
 
     def flop_count(self) -> int:
         # n products, n-1 adds, sigmoid, scale by K
@@ -368,34 +334,43 @@ class DotProductDecoder:
         gs = upstream * self.K * s * (1.0 - s)
         return gs[:, None] * V, gs[:, None] * U, {}
 
-    def pairwise(self, U, V) -> np.ndarray:
-        return self.forward(U, V)[0]
-
 
 # ---------------------------------------------------------------------------
 # Factory
 # ---------------------------------------------------------------------------
 
 
-def make_distance_decoder(family: str, n: int, seed: int = 0, hidden=None, k: int = 1):
-    """Construct one distance-family decoder.
+def make_distance_decoder(
+    family: str, n: int, seed: int = 0, hidden=None, k: int = 1, K: float = DEFAULT_MAX_DECAY
+):
+    """Construct a decoder of any family; the one place decoder weights are
+    drawn.
 
-    ``family`` accepts the aliases ``"mlp-small"`` and ``"mlp-large"`` for
-    the two standard network sizes.
+    ``family`` is one of ``ALL_FAMILIES`` or the aliases ``"mlp-small"`` and
+    ``"mlp-large"`` for the two standard network sizes (``hidden``
+    overrides the hidden widths). ``k`` is the number of MLP output units,
+    one per predicted parameter; ``K`` the dot-product bound on decay times
+    (s). Metric maps draw normal(0, 1e-3) weights and MLP layers He-normal
+    weights, input layer first, with zero biases, all from
+    ``default_rng(seed)``.
     """
+    if family not in ALL_FAMILIES + ("mlp-small", "mlp-large"):
+        raise ConfigurationError(f"unknown decoder family {family!r}")
+    if n < 1:
+        raise ConfigurationError(f"latent dimension must be >= 1, got {n}")
     if family == "euclidean":
         return EuclideanDecoder(n)
-    if family == "riemann-psd":
-        return PsdDecoder.create(n, seed=seed)
-    if family == "riemann-diag":
-        return DiagDecoder.create(n, seed=seed)
-    if family in ("mlp", "mlp-small"):
-        return MlpDecoder.create(n, hidden=hidden or MLP_SMALL_HIDDEN, k=k, seed=seed)
-    if family == "mlp-large":
-        return MlpDecoder.create(n, hidden=hidden or MLP_LARGE_HIDDEN, k=k, seed=seed)
     if family == "dot-product":
-        return DotProductDecoder(n)
-    raise ConfigurationError(f"unknown decoder family {family!r}")
+        return DotProductDecoder(n, K)
+    rng = np.random.default_rng(seed)
+    if family == "riemann-psd":
+        return PsdDecoder(n, rng.normal(0.0, 1e-3, size=(n * n, n)))
+    if family == "riemann-diag":
+        return DiagDecoder(n, rng.normal(0.0, 1e-3, size=(n, n)))
+    sizes = [2 * n, *(hidden or (MLP_LARGE_HIDDEN if family == "mlp-large" else MLP_SMALL_HIDDEN)), k]
+    weights = [rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_out, fan_in))
+               for fan_in, fan_out in zip(sizes[:-1], sizes[1:])]
+    return MlpDecoder(n, weights, [np.zeros(fan_out) for fan_out in sizes[1:]])
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +378,19 @@ def make_distance_decoder(family: str, n: int, seed: int = 0, hidden=None, k: in
 # ---------------------------------------------------------------------------
 
 
-class _PairHead:
+class _Head:
+    """Base of the parameter heads: the decoder's ``family`` and
+    ``predict``."""
+
+    @property
+    def family(self) -> str:
+        return self.decoder.family
+
+    def predict(self, U, V) -> dict[str, np.ndarray]:
+        return self.forward(U, V)[0]
+
+
+class _PairHead(_Head):
     """Core shared by the two-output heads.
 
     A 2-output MLP emits both outputs from the raw latents; any other
@@ -421,19 +408,12 @@ class _PairHead:
         else:
             self.proj = np.eye(n) + rng.normal(0.0, 1e-3, size=(n, n))
 
-    @property
-    def family(self) -> str:
-        return self.decoder.family
-
     def _core_trainable(self, params: dict) -> dict:
         if self.proj is not None:
             params["proj"] = self.proj
         for name, p in self.decoder.trainable().items():
             params[f"decoder.{name}"] = p
         return params
-
-    def predict(self, U, V) -> dict[str, np.ndarray]:
-        return self.forward(U, V)[0]
 
     def _decode(self, U, V):
         """The two decoder outputs for rows ``U``, ``V``, and the cache
@@ -511,7 +491,7 @@ class DecaysModel(_PairHead):
 
     def __init__(self, decoder, n: int, seed: int = 0):
         if decoder.family not in ("dot-product", "mlp"):
-            raise ConfigurationError("decay decoders are dot-product or mlp")
+            raise ConfigurationError(f"decay decoders are dot-product or mlp, not {decoder.family!r}")
         self._init_core(decoder, n, np.random.default_rng(seed), "decays")
 
     def trainable(self):
@@ -529,7 +509,7 @@ class DecaysModel(_PairHead):
         return gU, gV, grads
 
 
-class DistanceModel:
+class DistanceModel(_Head):
     """Path-distance head: the bare distance decoder."""
 
     def __init__(self, decoder):
@@ -537,10 +517,6 @@ class DistanceModel:
             raise ConfigurationError("path distance needs a distance family")
         self.decoder = decoder
         self.n = decoder.n
-
-    @property
-    def family(self) -> str:
-        return self.decoder.family
 
     def trainable(self):
         return {f"decoder.{name}": p for name, p in self.decoder.trainable().items()}
@@ -552,6 +528,3 @@ class DistanceModel:
     def backward(self, cache, upstream):
         gU, gV, dP = self.decoder.backward(cache, upstream["pi"])
         return gU, gV, {f"decoder.{name}": g for name, g in dP.items()}
-
-    def predict(self, U, V) -> dict[str, np.ndarray]:
-        return self.forward(U, V)[0]

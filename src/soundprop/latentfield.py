@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, IsolationError
-from .scene import _TIE_EPS, VoxelScene, lines_of_sight
+from .scene import _voxel_cells, VoxelScene, lines_of_sight
 
 # Corner offsets of one interpolation cell, x fastest.
 _CORNERS = np.array(
@@ -158,9 +158,7 @@ def interp_points(scene: VoxelScene, points, value_mask: np.ndarray | None = Non
     inside = np.all((P >= lo) & (P <= hi), axis=1)
     P = np.where(inside[:, None], P, scene.origin)  # keep rejected points out of the arithmetic
     v = (P - scene.origin) / scene.spacing
-    # The voxel holding each point, as ``VoxelScene.voxel_of`` finds it.
-    voxel = np.floor(v + 0.5).astype(int)
-    voxel -= (voxel == dims) & (v + 0.5 - dims <= _TIE_EPS)
+    voxel = _voxel_cells(v + 0.5, dims)
     inside &= np.all((voxel >= 0) & (voxel < dims), axis=1)
     status = np.where(inside, RESOLVED, OUTSIDE).astype(np.int8)
     status[inside & scene.occupancy[tuple(np.clip(voxel, 0, dims - 1).T)]] = OCCUPIED

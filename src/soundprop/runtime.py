@@ -33,11 +33,21 @@ from .latentfield import interp_points
 from .scene import VoxelScene
 
 
+def _level_gain(level: float, name: str) -> float:
+    """Linear amplitude gain ``10^(level/20)`` of a finite level in dB
+    whose gain is finite too."""
+    level = float(level)
+    if not np.isfinite(level):
+        raise InputError(f"{name} must be finite")
+    try:
+        return 10.0 ** (level / 20.0)
+    except OverflowError:
+        raise InputError(f"{name} of {level} dB has no finite gain") from None
+
+
 def dry_gain(l_ds: float) -> float:
     """Linear amplitude gain for the dry path: ``10^(L_DS/20)``."""
-    if not np.isfinite(l_ds):
-        raise InputError("direct-sound level must be finite")
-    return float(10.0 ** (l_ds / 20.0))
+    return _level_gain(l_ds, "direct-sound level")
 
 
 def wet_weights(tau: float, ref_taus) -> np.ndarray:
@@ -50,6 +60,8 @@ def wet_weights(tau: float, ref_taus) -> np.ndarray:
     t_s, t_m, t_l = (float(t) for t in ref_taus)
     if not (t_s < t_m < t_l):
         raise ConfigurationError("reference decay times must be strictly increasing")
+    if np.isnan(tau):
+        raise InputError("decay time must not be NaN")
     if tau <= t_s:
         return np.array([1.0, 0.0, 0.0])
     if tau >= t_l:
@@ -221,16 +233,17 @@ class RenderParams:
     doa: np.ndarray
 
     def __post_init__(self):
+        # each test is written to fail on NaN
         for name in ("dry", "er_gain", "lr_gain"):
-            if getattr(self, name) < 0:
-                raise InputError(f"{name} must be non-negative")
+            if not 0 <= getattr(self, name) < np.inf:
+                raise InputError(f"{name} must be finite and non-negative")
         for name in ("er_weights", "lr_weights"):
             w = np.asarray(getattr(self, name), dtype=float)
-            if w.shape != (3,) or np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
+            if w.shape != (3,) or not (np.all(w >= 0) and abs(w.sum() - 1.0) <= 1e-9):
                 raise InputError(f"{name} must be three non-negative weights summing to 1")
             object.__setattr__(self, name, w)
         d = np.asarray(self.doa, dtype=float)
-        if abs(np.linalg.norm(d) - 1.0) > 1e-6:
+        if not abs(np.linalg.norm(d) - 1.0) <= 1e-6:
             raise InputError("doa must be a unit vector")
         object.__setattr__(self, "doa", d)
 
@@ -245,8 +258,8 @@ def render_params(params: AcousticParamSet, refs: ReferenceIRSet,
         l_lr = derive_l_lr(params.l_er, params.tau_er, windows)
     return RenderParams(
         dry=dry_gain(params.l_ds),
-        er_gain=10.0 ** (params.l_er / 20.0),
-        lr_gain=10.0 ** (l_lr / 20.0),
+        er_gain=_level_gain(params.l_er, "early-reflection level"),
+        lr_gain=_level_gain(l_lr, "late-reverberation level"),
         er_weights=wet_weights(params.tau_er, refs.er_taus),
         lr_weights=wet_weights(params.tau_lr, refs.lr_taus),
         doa=params.doa,

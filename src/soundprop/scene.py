@@ -137,12 +137,7 @@ class VoxelScene:
             If ``p`` lies outside the scene bounding box.
         """
         p = np.asarray(p, dtype=float)
-        c = (p - self.origin) / self.spacing + 0.5
-        idx = np.floor(c).astype(int)
-        # Points on the far face of the last voxel still belong to it.
-        for a in range(3):
-            if idx[a] == self.dims[a] and c[a] - self.dims[a] <= _TIE_EPS:
-                idx[a] -= 1
+        idx = _voxel_cells((p - self.origin) / self.spacing + 0.5, self.dims)
         if np.any(idx < 0) or np.any(idx >= self.dims):
             raise InputError(f"point {p.tolist()} is outside the scene bounding box")
         return int(idx[0]), int(idx[1]), int(idx[2])
@@ -378,23 +373,33 @@ def build_scene(spec: SceneSpec) -> VoxelScene:
     )
 
 
+def _voxel_cells(c: np.ndarray, dims) -> np.ndarray:
+    """Unclipped voxel index of each point with cell coordinates ``c =
+    (p - origin) / spacing + 0.5`` (shape ``(..., 3)``), in which voxel
+    ``(i, j, k)`` spans ``[i, i+1) x [j, j+1) x [k, k+1)``: a point on the
+    face between two voxels belongs to the one with the higher index, a
+    point on the outer face of the last voxel to that voxel. The one
+    point-to-voxel rule; its callers all divide by ``spacing`` (a product
+    with ``1 / spacing`` floors differently on some faces)."""
+    dims = np.asarray(dims)
+    cell = np.floor(c).astype(np.int64)
+    cell -= (cell == dims) & (c - dims <= _TIE_EPS)
+    return cell
+
+
 def _segment_cells(scene: VoxelScene, ends: np.ndarray):
     """Cell coordinates of segment endpoints ``ends`` (shape ``(..., 3)``)
     and the voxel each lies in.
 
-    In cell coordinates voxel ``(i, j, k)`` spans ``[i, i+1) x [j, j+1) x
-    [k, k+1)``; a point on the far face of the last voxel still belongs to
-    it.
+    The cell coordinates and the voxel are those of ``_voxel_cells``.
     """
     if not np.all(np.isfinite(ends)):
         raise InputError("line-of-sight endpoints must be finite")
     if not scene.contains(ends):
         raise InputError("line-of-sight endpoints must lie inside the scene")
-    c = (ends - scene.origin) * (1.0 / scene.spacing) + 0.5
+    c = (ends - scene.origin) / scene.spacing + 0.5
     dims = np.asarray(scene.dims)
-    cell = np.floor(c).astype(np.int64)
-    cell -= (cell == dims) & (c - dims <= _TIE_EPS)
-    return c, np.clip(cell, 0, dims - 1)
+    return c, np.clip(_voxel_cells(c, dims), 0, dims - 1)
 
 
 def lines_of_sight(scene: VoxelScene, p, q) -> np.ndarray:

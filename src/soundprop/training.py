@@ -19,13 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decoders import (
-    DecaysModel,
-    DistanceModel,
-    DotProductDecoder,
-    LevelsModel,
-    make_distance_decoder,
-)
+from .decoders import DecaysModel, DistanceModel, LevelsModel, make_distance_decoder
 from .errors import ConfigurationError, DivergenceError, InputError
 from .latentfield import RESOLVED, InterpBatch, LatentGrid, init_latent_grid, interp_points
 from .oracle import FieldVolume, bake_source, valid_pairs
@@ -170,30 +164,21 @@ def make_bundle(
 ) -> ModelBundle:
     """Fresh bundle for one parameter group.
 
-    The decay grid is initialized with coordinates scaled down by the scene
-    diagonal so latent dot products start in the responsive range of the
-    sigmoid; distance and level grids warm-start at physical scale.
+    The decoder has one output per parameter of the group, and the head
+    rejects a family it cannot use. The decay grid is initialized with
+    coordinates scaled down by the scene diagonal so latent dot products
+    start in the responsive range of the sigmoid; distance and level grids
+    warm-start at physical scale.
     """
     if group not in GROUP_HEADS:
         raise ConfigurationError(f"unknown parameter group {group!r}")
+    k = len(GROUP_HEADS[group])
+    decoder = make_distance_decoder(family, n, seed=seed, hidden=hidden, k=k, K=K)
     if group == "distance":
-        decoder = make_distance_decoder(family, n, seed=seed, hidden=hidden)
         head = DistanceModel(decoder)
-        coord_scale = 1.0
-    elif group == "levels":
-        k = 2 if family.startswith("mlp") else 1
-        decoder = make_distance_decoder(family, n, seed=seed, hidden=hidden, k=k)
-        head = LevelsModel(decoder, n, seed=seed)
-        coord_scale = 1.0
     else:
-        if family.startswith("mlp"):
-            decoder = make_distance_decoder(family, n, seed=seed, hidden=hidden, k=2)
-        elif family == "dot-product":
-            decoder = DotProductDecoder(n, K)
-        else:
-            raise ConfigurationError(f"decay decoders are dot-product or mlp, not {family!r}")
-        head = DecaysModel(decoder, n, seed=seed)
-        coord_scale = 1.0 / scene.diagonal
+        head = (LevelsModel if group == "levels" else DecaysModel)(decoder, n, seed=seed)
+    coord_scale = 1.0 / scene.diagonal if group == "decays" else 1.0
     grid = init_latent_grid(scene, n, seed=seed, coord_scale=coord_scale)
     return ModelBundle(group=group, grid=grid, head=head, scene=scene)
 

@@ -295,6 +295,20 @@ def test_render_corrupted_input_exit_code(tmp_path, capsys, monkeypatch):
         assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("bad", [["--l-er", "nan"], ["--tau-lr", "nan"], ["--l-lr", "nan"],
+                                 ["--l-ds", "1e308"], ["--l-lr", "1e308"]])
+def test_render_non_finite_parameters_exit_code(tmp_path, capsys, monkeypatch, bad):
+    monkeypatch.chdir(tmp_path)
+    ir_path = tmp_path / "imp.ir"
+    fileio.write_ir(ir_path, np.eye(1, 64)[0], 8000.0)
+    args = {"--l-ds": "-6", "--l-er": "-12", "--tau-er": "0.3", "--tau-lr": "0.9"}
+    args[bad[0]] = bad[1]
+    out = tmp_path / "out.ir"
+    _exits_3(capsys, ["render", "--input", str(ir_path), *(s for kv in args.items() for s in kv),
+                      "--doa", "0,1,0", "--out", str(out)])
+    assert not out.exists()
+
+
 def test_train_family_defaults_to_the_group_family(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     scene_path = tmp_path / "box.scn"
@@ -427,6 +441,16 @@ def test_train_bad_hyper_parameters_exit_code(tmp_path, capsys, monkeypatch, fla
     out = tmp_path / "t.ckpt"
     _exits_3(capsys, ["train", "--scene", str(scene_path), "--train-fields", str(fields),
                       "--epochs", "2", flag, value, "--out", str(out)])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("family", ["euclidean", "riemann-diag", "riemann-psd", "mlp"])
+def test_train_non_positive_latent_size_exit_code(tmp_path, capsys, monkeypatch, family):
+    monkeypatch.chdir(tmp_path)
+    scene_path, fields = _baked_box(tmp_path)
+    out = tmp_path / "t.ckpt"
+    _exits_3(capsys, ["train", "--scene", str(scene_path), "--train-fields", str(fields),
+                      "--family", family, "--n", "-1", "--epochs", "2", "--out", str(out)])
     assert not out.exists()
 
 

@@ -16,6 +16,7 @@ from soundprop.decoders import (
     _sigmoid,
     make_distance_decoder,
 )
+from soundprop.errors import ConfigurationError
 
 from oracles import levels_decode, masked_norm_adjoint, masked_sigmoid, norm_decode
 
@@ -389,6 +390,45 @@ def test_levels_head_matches_the_column_sum_forms(family):
             (name, grads[name], rgrads[name]) for name in rgrads
         ]:
             _assert_relative(a, b, (family, m, what))
+
+
+# ---------------------------------------------------------------------------
+# Seeded construction
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", [0, 17])
+@pytest.mark.parametrize("family,k", [("riemann-psd", 1), ("riemann-diag", 1), ("mlp-small", 1),
+                                      ("mlp-small", 2), ("mlp-large", 1), ("mlp-large", 2)])
+def test_factory_draws_are_pinned(family, k, seed):
+    """Same-seed checkpoints rest on these draws: normal(0, 1e-3) metric
+    maps, and He-normal MLP layers from input to output with zero biases,
+    all from one ``default_rng(seed)``."""
+    n = 5
+    rng = np.random.default_rng(seed)
+    decoder = make_distance_decoder(family, n, seed=seed, k=k)
+    if family.startswith("riemann"):
+        shape = (n * n, n) if family == "riemann-psd" else (n, n)
+        assert np.array_equal(decoder.weights, rng.normal(0.0, 1e-3, size=shape))
+        return
+    hidden = (32, 32) if family == "mlp-small" else (128, 64, 32)
+    sizes = [2 * n, *hidden, k]
+    assert len(decoder.weights) == len(decoder.biases) == len(sizes) - 1
+    for w, b, fan_in, fan_out in zip(decoder.weights, decoder.biases, sizes[:-1], sizes[1:]):
+        assert np.array_equal(w, rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_out, fan_in)))
+        assert np.array_equal(b, np.zeros(fan_out))
+
+
+@pytest.mark.parametrize("family", FAMILIES + ("dot-product", "mlp-large"))
+def test_factory_rejects_a_non_positive_latent_size(family):
+    for n in (0, -1):
+        with pytest.raises(ConfigurationError):
+            make_distance_decoder(family, n)
+
+
+def test_factory_builds_the_bounded_dot_product():
+    assert make_distance_decoder("dot-product", 4, K=3.5).K == 3.5
+    assert make_distance_decoder("dot-product", 4).K == DotProductDecoder(4).K
 
 
 # ---------------------------------------------------------------------------

@@ -219,6 +219,34 @@ def test_render_energy_scales_with_levels():
     assert e2 / e1 == pytest.approx(4.0, rel=1e-9)
 
 
+@pytest.mark.parametrize("bad", [
+    {"l_ds": np.nan}, {"l_er": np.nan}, {"l_er": np.inf}, {"l_lr": np.nan}, {"l_lr": -np.inf},
+    {"tau_er": np.nan, "l_lr": -6.0}, {"tau_lr": np.nan},
+    {"l_ds": 1e308}, {"l_er": 1e308}, {"l_lr": 1e308}, {"l_er": 6200.0},
+])
+def test_render_params_rejects_non_finite_levels_decays_and_gains(bad):
+    refs = sp.default_reference_irs(sample_rate=8000.0, seed=0)
+    values = dict(pi=1.0, l_ds=-3.0, l_er=-6.0, tau_er=0.2, tau_lr=0.8,
+                  doa=np.array([1.0, 0.0, 0.0]), l_lr=None)
+    values.update(bad)
+    with pytest.raises(InputError):
+        render_params(sp.AcousticParamSet(**values), refs)
+
+
+@pytest.mark.parametrize("bad", [
+    {"dry": np.nan}, {"er_gain": np.inf}, {"lr_gain": np.nan}, {"dry": -1.0},
+    {"er_weights": [np.nan, 0.5, 0.5]}, {"lr_weights": [0.0, np.inf, 0.0]},
+    {"doa": [np.nan, 0.0, 0.0]}, {"doa": [0.0, 0.0, 2.0]},
+])
+def test_render_params_requires_finite_values(bad):
+    values = dict(dry=1.0, er_gain=0.5, lr_gain=0.25, er_weights=[1.0, 0.0, 0.0],
+                  lr_weights=[0.0, 0.5, 0.5], doa=[1.0, 0.0, 0.0])
+    sp.RenderParams(**values)
+    values.update(bad)
+    with pytest.raises(InputError):
+        sp.RenderParams(**values)
+
+
 def test_render_rejects_non_mono():
     rp, refs = _params()
     with pytest.raises(InputError):

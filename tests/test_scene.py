@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import soundprop as sp
+from soundprop import scene as scene_mod
 from soundprop.errors import ConfigurationError, InputError
+from soundprop.latentfield import OCCUPIED
 
 from conftest import random_free_position
 from oracles import line_of_sight
@@ -395,3 +397,22 @@ def test_lines_of_sight_rejects_bad_end_points(box_scene):
     with pytest.raises(InputError):
         sp.lines_of_sight(box_scene, p, np.array([p, (np.nan, 1.0, 1.0)]))
     assert sp.lines_of_sight(box_scene, p, np.zeros((0, 3))).shape == (0,)
+
+
+@pytest.mark.parametrize("spacing", [0.1, 0.37])
+def test_points_on_voxel_faces_map_to_one_voxel(spacing):
+    """``voxel_of``, the ray walker's end cells and ``interp_points`` put a
+    point on, or one ulp either side of, an x face in the same voxel."""
+    nx = 200
+    occ = np.zeros((nx, 2, 2), dtype=bool)
+    occ[::2] = True  # every face lies between an occupied and a free voxel
+    scene = sp.VoxelScene(dims=(nx, 2, 2), spacing=spacing, origin=np.zeros(3), occupancy=occ)
+    faces = (np.arange(1, nx) - 0.5) * spacing
+    x = np.concatenate([faces, np.nextafter(faces, -np.inf), np.nextafter(faces, np.inf)])
+    P = np.stack([x, np.zeros_like(x), np.zeros_like(x)], axis=1)
+    want = np.array([scene.voxel_of(p) for p in P])
+    assert np.array_equal(scene_mod._segment_cells(scene, P)[1], want)
+    holds = occ[tuple(want.T)]
+    assert np.array_equal(sp.lines_of_sight(scene, P, P), ~holds)
+    status = sp.interp_points(scene, P).status
+    assert np.array_equal(status == OCCUPIED, holds)

@@ -2,9 +2,11 @@
 
 Subcommands: ``scene gen``, ``sources sample``, ``bake``, ``train``,
 ``eval``, ``ablate``, ``query``, ``render``, ``export-slice``,
-``params extract`` and ``cost``. Every command writes a run manifest with
-input/output digests so pipelines are reproducible; identical command,
-seed and inputs yield byte-identical outputs.
+``params extract`` and ``cost``. Each command returns its input files, its
+output files and the file its manifest is named after; once the command
+succeeds, ``main`` writes the run manifest with their digests, and no
+manifest is written on an error. Identical command, seed and inputs
+yield byte-identical outputs and manifests.
 
 Exit codes: 0 success, 2 usage error, 3 domain error.
 """
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from pathlib import Path
@@ -61,49 +64,32 @@ from .training import (
 FIELD_NAMES = ("pi", "l_ds", "l_er", "tau_er", "tau_lr")
 
 
-def _parse_dims(text: str) -> tuple[int, int, int]:
-    parts = text.lower().split("x")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("dims must look like 8x4x8")
-    return tuple(int(p) for p in parts)
+def _list_type(kind, count: int | None = None, sep: str = ","):
+    """Argparse type reading ``sep``-separated ``kind`` values (exactly
+    ``count`` of them when given) into a tuple; case-insensitive."""
+    def parse(text: str) -> tuple:
+        values = tuple(kind(p) for p in text.lower().split(sep))
+        if count is not None and len(values) != count:
+            raise argparse.ArgumentTypeError(f"expected {count} values separated by {sep!r}, got {text!r}")
+        return values
+    parse.__name__ = f"{kind.__name__} list"  # argparse names the type in its error
+    return parse
 
 
-def _parse_splits(text: str) -> tuple[float, float, float]:
-    parts = tuple(float(p) for p in text.split(","))
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("splits must be three numbers like 0.6,0.2,0.2")
-    return parts
+def _seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seeds are non-negative integers, got {text!r}")
+    return seed
 
 
-def _parse_ints(text: str) -> list[int]:
-    return [int(p) for p in text.split(",")]
-
-
-def _parse_vec(text: str) -> np.ndarray:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("positions must look like x,y,z")
-    return np.array([float(p) for p in parts])
-
-
-def _manifest_path(args, primary: Path | None) -> Path:
-    if args.manifest:
-        return Path(args.manifest)
-    if primary is not None:
-        return Path(str(primary) + ".manifest.json")
-    return Path(f"{args.command.replace(' ', '-')}-manifest.json")
-
-
-def _emit_manifest(args, config: dict, inputs: list, outputs: list, primary=None):
-    path = _manifest_path(args, Path(primary) if primary else None)
-    write_manifest(
-        path,
-        command=args.command,
-        config=config,
-        inputs=inputs,
-        outputs=outputs,
-        version=__version__,
-    )
+def _print_out(args, text: str) -> list:
+    """Print ``text`` and write it to ``--out`` when given; the files written."""
+    print(text)
+    if not args.out:
+        return []
+    Path(args.out).write_text(text + "\n")
+    return [args.out]
 
 
 def _write_sources(path, sources) -> None:
@@ -153,11 +139,12 @@ def _load_field_dataset(scene, directory: Path, split: str) -> Dataset:
 
 
 # ---------------------------------------------------------------------------
-# Command implementations
+# Command implementations: each returns (inputs, outputs, primary), the
+# files its manifest digests and the path the manifest is named after.
 # ---------------------------------------------------------------------------
 
 
-def _cmd_scene_gen(args) -> int:
+def _cmd_scene_gen(args):
     geometry = {}
     if args.aperture is not None:
         geometry["aperture"] = args.aperture
@@ -174,13 +161,12 @@ def _cmd_scene_gen(args) -> int:
     )
     scene = build_scene(spec)
     write_scene(args.out, scene, kind=args.kind, seed=args.seed)
-    _emit_manifest(args, vars_config(args), [], [args.out], primary=args.out)
     print(f"wrote {args.out}: {scene.dims} spacing {scene.spacing}, "
           f"{int(scene.free_mask().sum())} free voxels")
-    return 0
+    return [], [args.out], args.out
 
 
-def _cmd_sources_sample(args) -> int:
+def _cmd_sources_sample(args):
     scene, _ = read_scene(args.scene)
     outputs = []
     if args.splits:
@@ -194,18 +180,15 @@ def _cmd_sources_sample(args) -> int:
             _write_sources(path, srcs)
             outputs.append(path)
             print(f"{name}: {len(srcs)} sources -> {path}")
-        primary = outputs[0]
     else:
         sources = sample_sources(scene, seed=args.seed)
         _write_sources(args.out, sources)
         outputs = [args.out]
-        primary = args.out
         print(f"{len(sources)} sources -> {args.out}")
-    _emit_manifest(args, vars_config(args), [args.scene], outputs, primary=primary)
-    return 0
+    return [args.scene], outputs, outputs[0]
 
 
-def _cmd_bake(args) -> int:
+def _cmd_bake(args):
     scene, _ = read_scene(args.scene)
     sources = _read_sources(args.sources)
     out_dir = Path(args.out_dir)
@@ -217,15 +200,11 @@ def _cmd_bake(args) -> int:
             path = out_dir / f"src{i:03d}_{name}.fld"
             write_field(path, fields[name])
             outputs.append(path)
-    _emit_manifest(
-        args, vars_config(args), [args.scene, args.sources], outputs,
-        primary=out_dir / "bake",
-    )
     print(f"baked {len(sources)} sources x {len(FIELD_NAMES)} fields -> {out_dir}")
-    return 0
+    return [args.scene, args.sources], outputs, out_dir / "bake"
 
 
-def _cmd_train(args) -> int:
+def _cmd_train(args):
     scene, _ = read_scene(args.scene)
     train_ds = _load_field_dataset(scene, args.train_fields, "train")
     val_ds = _load_field_dataset(scene, args.val_fields, "val") if args.val_fields else None
@@ -262,14 +241,12 @@ def _cmd_train(args) -> int:
         ]
         write_csv(args.log, rows, ["epoch", "group", "train_loss", "val_mae"])
         outputs.append(args.log)
-    inputs = [args.scene]
-    _emit_manifest(args, vars_config(args), inputs, outputs, primary=args.out)
     final_loss = result.history[-1][2]
     print(f"trained {args.group}/{args.family} n={args.n}: final loss {final_loss:.6g} -> {args.out}")
-    return 0
+    return [args.scene], outputs, args.out
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args):
     scene, _ = read_scene(args.scene)
     bundle = load_checkpoint(args.checkpoint, scene)
     ds = _load_field_dataset(scene, args.fields, "test")
@@ -279,13 +256,12 @@ def _cmd_eval(args) -> int:
         for k, v in maes.items()
     ]
     write_csv(args.out, rows, ["family", "n", "param", "mae"])
-    _emit_manifest(args, vars_config(args), [args.scene, args.checkpoint], [args.out], primary=args.out)
     for row in rows:
         print(f"{row['param']}: MAE {row['mae']:.6g}")
-    return 0
+    return [args.scene, args.checkpoint], [args.out], args.out
 
 
-def _cmd_ablate(args) -> int:
+def _cmd_ablate(args):
     scene, _ = read_scene(args.scene)
     train_ds = _load_field_dataset(scene, args.train_fields, "train")
     val_ds = _load_field_dataset(scene, args.val_fields, "val")
@@ -298,12 +274,11 @@ def _cmd_ablate(args) -> int:
         rows,
         ["family", "n", "param", "mae", "params", "flops", "rlf_bytes", "wavecoding_bytes", "error"],
     )
-    _emit_manifest(args, vars_config(args), [args.scene], [args.out], primary=args.out)
     print(f"{len(rows)} ablation rows -> {args.out}")
-    return 0
+    return [args.scene], [args.out], args.out
 
 
-def _cmd_query(args) -> int:
+def _cmd_query(args):
     scene, _ = read_scene(args.scene)
     bundles = {"distance": load_checkpoint(args.distance, scene)}
     if args.levels:
@@ -311,27 +286,18 @@ def _cmd_query(args) -> int:
     if args.decays:
         bundles["decays"] = load_checkpoint(args.decays, scene)
     params = query_params(bundles, scene, args.a, args.b)
+    # A parameter of a group without a checkpoint is NaN (l_lr None); JSON
+    # has no NaN, so it prints null.
     record = {
-        "pi": params.pi,
-        "l_ds": params.l_ds,
-        "l_er": params.l_er,
-        "l_lr": params.l_lr,
-        "tau_er": params.tau_er,
-        "tau_lr": params.tau_lr,
-        "doa": None if params.doa is None else list(params.doa),
+        name: None if value is None or math.isnan(value) else value
+        for name, value in vars(params).items() if name != "doa"
     }
-    text = json.dumps(record, sort_keys=True)
-    print(text)
-    outputs = []
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-        outputs.append(args.out)
+    record["doa"] = None if params.doa is None else list(params.doa)
     inputs = [args.scene, args.distance] + [p for p in (args.levels, args.decays) if p]
-    _emit_manifest(args, vars_config(args), inputs, outputs, primary=args.out)
-    return 0
+    return inputs, _print_out(args, json.dumps(record, sort_keys=True)), args.out
 
 
-def _cmd_render(args) -> int:
+def _cmd_render(args):
     from .irparams import AcousticParamSet
 
     ir = read_ir_mono(args.input)
@@ -344,19 +310,17 @@ def _cmd_render(args) -> int:
         l_er=args.l_er,
         tau_er=args.tau_er,
         tau_lr=args.tau_lr,
-        doa=_parse_vec(args.doa),
+        doa=args.doa,
         l_lr=args.l_lr,
     )
     rp = render_params(pset, refs)
     out = render_offline(samples, rp, refs, layout)
     write_ir(args.out, out, rate, t0)
-    inputs = [args.input] + ([args.layout] if args.layout else [])
-    _emit_manifest(args, vars_config(args), inputs, [args.out], primary=args.out)
     print(f"rendered {out.shape[0]} channels x {out.shape[1]} samples -> {args.out}")
-    return 0
+    return [args.input] + ([args.layout] if args.layout else []), [args.out], args.out
 
 
-def _cmd_export_slice(args) -> int:
+def _cmd_export_slice(args):
     fv = read_field(args.field)
     if args.y_meters is not None:
         j = np.rint((args.y_meters - fv.origin[1]) / fv.spacing)
@@ -366,14 +330,12 @@ def _cmd_export_slice(args) -> int:
         raise InputError(f"slice y index {j} is outside the field's 0..{fv.dims[1] - 1}")
     j = int(j)
     vmin, vmax = write_pgm_slice(args.out, fv, j)
-    config = vars_config(args)
-    config["normalization"] = {"min": vmin, "max": vmax, "y_index": j}
-    _emit_manifest(args, config, [args.field], [args.out], primary=args.out)
+    args.normalization = {"min": vmin, "max": vmax, "y_index": j}
     print(f"slice j={j} normalized [{vmin:.4g}, {vmax:.4g}] -> {args.out}")
-    return 0
+    return [args.field], [args.out], args.out
 
 
-def _cmd_params_extract(args) -> int:
+def _cmd_params_extract(args):
     ir = read_ir_mono(args.ir)
     params = extract_params(ir)
     header = "pi,l_ds,l_er,l_lr,tau_er,tau_lr"
@@ -381,17 +343,10 @@ def _cmd_params_extract(args) -> int:
         f"{params.pi:.6g},{params.l_ds:.6g},{params.l_er:.6g},"
         f"{params.l_lr:.6g},{params.tau_er:.6g},{params.tau_lr:.6g}"
     )
-    print(header)
-    print(line)
-    outputs = []
-    if args.out:
-        Path(args.out).write_text(header + "\n" + line + "\n")
-        outputs.append(args.out)
-    _emit_manifest(args, vars_config(args), [args.ir], outputs, primary=args.out)
-    return 0
+    return [args.ir], _print_out(args, header + "\n" + line), args.out
 
 
-def _cmd_cost(args) -> int:
+def _cmd_cost(args):
     report = cost_report(args.dims, args.n, family=args.family)
     lines = [
         f"grid dims: {report.dims[0]}x{report.dims[1]}x{report.dims[2]}, n={report.n}",
@@ -401,40 +356,16 @@ def _cmd_cost(args) -> int:
         f"latent-grid memory: {report.rlf_memory} ({report.rlf_bytes} bytes)",
         f"wave-coding memory: {report.wavecoding_memory} ({report.wavecoding_bytes} bytes)",
     ]
-    text = "\n".join(lines)
-    print(text)
-    outputs = []
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-        outputs.append(args.out)
+    outputs = _print_out(args, "\n".join(lines))
     if args.csv:
-        row = {
-            "family": report.family,
-            "n": report.n,
-            "params": report.params,
-            "flops": report.flops,
-            "rlf_bytes": report.rlf_bytes,
-            "wavecoding_bytes": report.wavecoding_bytes,
-        }
-        write_csv(args.csv, [row],
+        write_csv(args.csv, [vars(report)],
                   ["family", "n", "params", "flops", "rlf_bytes", "wavecoding_bytes"])
         outputs.append(args.csv)
-    _emit_manifest(args, vars_config(args), [], outputs, primary=args.out or args.csv)
-    return 0
+    return [], outputs, args.out or args.csv
 
 
 def vars_config(args) -> dict:
-    skip = {"func", "command"}
-    out = {}
-    for key, value in vars(args).items():
-        if key in skip:
-            continue
-        if isinstance(value, np.ndarray):
-            value = value.tolist()
-        elif isinstance(value, tuple):
-            value = list(value)
-        out[key] = value
-    return out
+    return {key: value for key, value in vars(args).items() if key not in ("func", "command")}
 
 
 # ---------------------------------------------------------------------------
@@ -461,9 +392,9 @@ def build_parser() -> argparse.ArgumentParser:
     gen = scene.add_parser("gen", help="generate a synthetic scene")
     gen.add_argument("--kind", required=True,
                      choices=["empty-box", "wall-with-aperture", "maze", "coupled-rooms", "cylinder-forest"])
-    gen.add_argument("--dims", type=_parse_dims, default=(8, 4, 8))
+    gen.add_argument("--dims", type=_list_type(int, 3, sep="x"), default=(8, 4, 8))
     gen.add_argument("--spacing", type=float, default=1.0)
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=_seed, default=0)
     gen.add_argument("--aperture", type=int, default=None)
     gen.add_argument("--door", type=int, default=None)
     gen.add_argument("--n-cylinders", type=int, default=None)
@@ -476,10 +407,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     samp = sources.add_parser("sample", help="adaptive source sampling")
     samp.add_argument("--scene", required=True)
-    samp.add_argument("--seed", type=int, default=0)
+    samp.add_argument("--seed", type=_seed, default=0)
     samp.add_argument("--out", required=True,
                       help="output file, or directory when --splits is given")
-    samp.add_argument("--splits", type=_parse_splits, default=None, help="e.g. 0.6,0.2,0.2")
+    samp.add_argument("--splits", type=_list_type(float, 3), default=None, help="e.g. 0.6,0.2,0.2")
     samp.add_argument("--runs", type=int, default=3,
                       help="sampler repetitions pooled before splitting")
     add_common(samp)
@@ -505,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--lr-decoder", type=float, default=1e-3)
     tr.add_argument("--lr-grid", type=float, default=1e-4)
     tr.add_argument("--eval-interval", type=int, default=50)
-    tr.add_argument("--seed", type=int, default=0)
+    tr.add_argument("--seed", type=_seed, default=0)
     tr.add_argument("--out", required=True)
     tr.add_argument("--log", default=None, help="CSV loss/metric log")
     tr.add_argument("--dump-checkpoints", default=None,
@@ -527,11 +458,11 @@ def build_parser() -> argparse.ArgumentParser:
     ab.add_argument("--val-fields", required=True)
     ab.add_argument("--test-fields", required=True)
     ab.add_argument("--families", default="euclidean,riemann-diag")
-    ab.add_argument("--n-values", type=_parse_ints, default="2,4,8")
+    ab.add_argument("--n-values", type=_list_type(int), default="2,4,8")
     ab.add_argument("--group", default="distance", choices=["distance", "levels", "decays"])
     ab.add_argument("--epochs", type=int, default=500)
     ab.add_argument("--eval-interval", type=int, default=50)
-    ab.add_argument("--seed", type=int, default=0)
+    ab.add_argument("--seed", type=_seed, default=0)
     ab.add_argument("--out", required=True)
     add_common(ab)
     ab.set_defaults(func=_cmd_ablate, command="ablate")
@@ -541,8 +472,8 @@ def build_parser() -> argparse.ArgumentParser:
     qu.add_argument("--distance", required=True, help="distance checkpoint")
     qu.add_argument("--levels", default=None)
     qu.add_argument("--decays", default=None)
-    qu.add_argument("--a", type=_parse_vec, required=True)
-    qu.add_argument("--b", type=_parse_vec, required=True)
+    qu.add_argument("--a", type=_list_type(float, 3), required=True)
+    qu.add_argument("--b", type=_list_type(float, 3), required=True)
     qu.add_argument("--out", default=None)
     add_common(qu)
     qu.set_defaults(func=_cmd_query, command="query")
@@ -555,9 +486,9 @@ def build_parser() -> argparse.ArgumentParser:
     rn.add_argument("--l-lr", type=float, default=None)
     rn.add_argument("--tau-er", type=float, required=True)
     rn.add_argument("--tau-lr", type=float, required=True)
-    rn.add_argument("--doa", default="1,0,0")
+    rn.add_argument("--doa", type=_list_type(float, 3), default="1,0,0")
     rn.add_argument("--layout", default=None, help="speaker layout file (default octahedral)")
-    rn.add_argument("--refs-seed", type=int, default=0)
+    rn.add_argument("--refs-seed", type=_seed, default=0)
     rn.add_argument("--out", required=True)
     add_common(rn)
     rn.set_defaults(func=_cmd_render, command="render")
@@ -580,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     px.set_defaults(func=_cmd_params_extract, command="params extract")
 
     co = sub.add_parser("cost", help="memory/compute accounting")
-    co.add_argument("--dims", type=_parse_dims, required=True)
+    co.add_argument("--dims", type=_list_type(int, 3, sep="x"), required=True)
     co.add_argument("--n", type=int, required=True)
     co.add_argument("--family", default="euclidean")
     co.add_argument("--out", default=None)
@@ -595,10 +526,19 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        inputs, outputs, primary = args.func(args)
+        if args.manifest:
+            path = args.manifest
+        elif primary:
+            path = f"{primary}.manifest.json"
+        else:
+            path = f"{args.command.replace(' ', '-')}-manifest.json"
+        write_manifest(path, command=args.command, config=vars_config(args),
+                       inputs=inputs, outputs=outputs, version=__version__)
     except SoundPropError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    return 0
 
 
 if __name__ == "__main__":

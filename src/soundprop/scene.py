@@ -188,11 +188,12 @@ class SceneSpec:
 
     ``geometry`` carries kind-specific parameters:
 
-    * ``wall-with-aperture``: ``wall_axis`` (default 0), ``aperture`` size in
-      voxels (default 1; 0 seals the wall).
+    * ``wall-with-aperture``: ``aperture`` size in voxels (default 1; 0
+      seals the wall).
     * ``maze``: corridors carved on the horizontal plane, seeded.
     * ``coupled-rooms``: ``door`` slit size in voxels (default 1).
-    * ``cylinder-forest``: ``n_cylinders``, ``radius`` in voxels.
+    * ``cylinder-forest``: ``n_cylinders`` of radius 1 voxel at seeded
+      positions; dims >= 7 in x and z.
     """
 
     kind: str
@@ -201,7 +202,6 @@ class SceneSpec:
     origin: tuple[float, float, float] = (0.0, 0.0, 0.0)
     seed: int = 0
     geometry: dict = field(default_factory=dict)
-    region_acoustics: dict[int, RegionAcoustics] | None = None
 
     def __post_init__(self):
         if self.kind not in SCENE_KINDS:
@@ -212,11 +212,6 @@ class SceneSpec:
             raise ConfigurationError(f"invalid dims {self.dims}")
         if not (self.spacing > 0):
             raise ConfigurationError(f"invalid spacing {self.spacing}")
-
-    def acoustics(self) -> dict[int, RegionAcoustics]:
-        if self.region_acoustics is not None:
-            return dict(self.region_acoustics)
-        return dict(_DEFAULT_REGIONS[self.kind])
 
 
 def _shell(occ: np.ndarray) -> None:
@@ -235,35 +230,21 @@ def _build_empty_box(spec: SceneSpec):
 
 def _build_wall_with_aperture(spec: SceneSpec):
     nx, ny, nz = spec.dims
-    axis = int(spec.geometry.get("wall_axis", 0))
     aperture = int(spec.geometry.get("aperture", 1))
-    if axis not in (0, 2):
-        raise ConfigurationError("wall_axis must be 0 or 2 (walls are vertical)")
     occ = np.zeros(spec.dims, dtype=bool)
     _shell(occ)
-    mid = spec.dims[axis] // 2
-    if axis == 0:
-        occ[mid, :, :] = True
-    else:
-        occ[:, :, mid] = True
+    mid = nx // 2
+    occ[mid, :, :] = True
     if aperture > 0:
-        # Free column through the wall, centered in the two other axes.
+        # Free column through the wall, centered in y and z.
         jc = ny // 2
         j0, j1 = jc - (aperture - 1) // 2, jc + aperture // 2 + 1
         j0, j1 = max(j0, 1), min(j1, ny - 1)
-        if axis == 0:
-            kc = nz // 2
-            k0, k1 = max(kc - (aperture - 1) // 2, 1), min(kc + aperture // 2 + 1, nz - 1)
-            occ[mid, j0:j1, k0:k1] = False
-        else:
-            ic = nx // 2
-            i0, i1 = max(ic - (aperture - 1) // 2, 1), min(ic + aperture // 2 + 1, nx - 1)
-            occ[i0:i1, j0:j1, mid] = False
+        kc = nz // 2
+        k0, k1 = max(kc - (aperture - 1) // 2, 1), min(kc + aperture // 2 + 1, nz - 1)
+        occ[mid, j0:j1, k0:k1] = False
     reg = np.ones(spec.dims, dtype=np.int32)
-    if axis == 0:
-        reg[mid + 1 :, :, :] = 2
-    else:
-        reg[:, :, mid + 1 :] = 2
+    reg[mid + 1 :, :, :] = 2
     return occ, reg
 
 
@@ -329,8 +310,10 @@ def _build_coupled_rooms(spec: SceneSpec):
 
 def _build_cylinder_forest(spec: SceneSpec):
     nx, ny, nz = spec.dims
+    if nx < 7 or nz < 7:
+        raise ConfigurationError("cylinder-forest scenes need dims >= 7 in x and z")
     n_cyl = int(spec.geometry.get("n_cylinders", max(4, (nx * nz) // 64)))
-    radius = float(spec.geometry.get("radius", 1.0))
+    radius = 1.0
     rng = np.random.default_rng(spec.seed)
     occ = np.zeros(spec.dims, dtype=bool)
     _shell(occ)
@@ -369,7 +352,7 @@ def build_scene(spec: SceneSpec) -> VoxelScene:
         origin=np.asarray(spec.origin, dtype=float),
         occupancy=occ,
         regions=reg,
-        region_params=spec.acoustics(),
+        region_params=dict(_DEFAULT_REGIONS[spec.kind]),
     )
 
 

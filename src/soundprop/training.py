@@ -228,10 +228,11 @@ def make_splits(
 
     The stochastic sampler runs ``runs`` times with consecutive seeds; the
     deduplicated pool is shuffled and split by ``fractions``. Raises
-    ``InputError`` when the pool holds fewer than three sources.
+    ``ConfigurationError`` unless the fractions are non-negative and sum to
+    1, and ``InputError`` when the pool holds fewer than three sources.
     """
-    if not abs(sum(fractions) - 1.0) <= 1e-9:  # NaN fails too
-        raise ConfigurationError("split fractions must sum to 1")
+    if min(fractions) < 0 or not abs(sum(fractions) - 1.0) <= 1e-9:  # NaN fails too
+        raise ConfigurationError(f"split fractions must be non-negative and sum to 1, got {fractions}")
     seen = set()
     pool = []
     for r in range(runs):

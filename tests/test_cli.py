@@ -424,6 +424,10 @@ def test_bake_malformed_sources_exit_code(tmp_path, capsys, monkeypatch, line):
     ["sources", "sample", "--scene", "x.scn", "--out", "o", "--splits", "0.6,0.2,0.2,0"],
     ["ablate", "--scene", "x.scn", "--train-fields", "t", "--val-fields", "v",
      "--test-fields", "s", "--n-values", "2,x", "--out", "o"],
+    ["render", "--input", "x.ir", "--l-ds", "-6", "--l-er", "-12", "--tau-er", "0.3",
+     "--tau-lr", "0.9", "--doa", "1,0", "--out", "o"],
+    ["render", "--input", "x.ir", "--l-ds", "-6", "--l-er", "-12", "--tau-er", "0.3",
+     "--tau-lr", "0.9", "--doa", "1,0,x", "--out", "o"],
 ])
 def test_malformed_list_arguments_are_usage_errors(args):
     with pytest.raises(SystemExit) as exc:
@@ -497,3 +501,67 @@ def test_corrupted_inputs_exit_code(tmp_path, capsys, monkeypatch):
 
     ir_path.write_bytes(ir_path.read_bytes()[:-2])
     _exits_3(capsys, ["params", "extract", "--ir", str(ir_path)])
+
+
+@pytest.mark.parametrize("args", [
+    ["scene", "gen", "--kind", "maze", "--seed", "-1", "--out", "o.scn"],
+    ["scene", "gen", "--kind", "cylinder-forest", "--seed", "-1", "--out", "o.scn"],
+    ["sources", "sample", "--scene", "x.scn", "--seed", "-1", "--out", "o"],
+    ["train", "--scene", "x.scn", "--train-fields", "t", "--seed", "-1", "--out", "o"],
+    ["ablate", "--scene", "x.scn", "--train-fields", "t", "--val-fields", "v",
+     "--test-fields", "s", "--seed", "-1", "--out", "o"],
+    ["render", "--input", "x.ir", "--l-ds", "-6", "--l-er", "-12", "--tau-er", "0.3",
+     "--tau-lr", "0.9", "--refs-seed", "-1", "--out", "o"],
+])
+def test_negative_seeds_are_usage_errors(tmp_path, monkeypatch, args):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run(args)
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_render_manifest_records_doa_as_a_list(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    fileio.write_ir(tmp_path / "imp.ir", np.eye(1, 64)[0], 8000.0)
+    assert run(["render", "--input", "imp.ir", "--l-ds", "-6", "--l-er", "-12",
+                "--tau-er", "0.3", "--tau-lr", "0.9", "--doa", "0,1,0", "--out", "r.ir"]) == 0
+    manifest = json.loads((tmp_path / "r.ir.manifest.json").read_text())
+    assert manifest["config"]["doa"] == [0.0, 1.0, 0.0]
+
+
+def test_sources_sample_negative_split_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    scene_path = tmp_path / "box.scn"
+    run(["scene", "gen", "--kind", "empty-box", "--dims", "8x4x8", "--out", str(scene_path)])
+    _exits_3(capsys, ["sources", "sample", "--scene", str(scene_path), "--splits", "2,-0.5,-0.5",
+                      "--runs", "1", "--out", str(tmp_path / "splits")])
+    assert not (tmp_path / "splits").exists()
+
+
+@pytest.mark.parametrize("dims", ["6x4x6", "6x4x20"])
+def test_small_cylinder_forest_exit_code(tmp_path, capsys, monkeypatch, dims):
+    monkeypatch.chdir(tmp_path)
+    _exits_3(capsys, ["scene", "gen", "--kind", "cylinder-forest", "--dims", dims, "--out", "f.scn"])
+    assert list(tmp_path.iterdir()) == []  # neither the scene nor a manifest
+
+
+def test_query_prints_strict_json(tmp_path, capsys, monkeypatch):
+    """Parameters of groups without a checkpoint print null, not NaN."""
+    monkeypatch.chdir(tmp_path)
+    scene_path = tmp_path / "box.scn"
+    run(["scene", "gen", "--kind", "empty-box", "--dims", "8x4x8", "--out", str(scene_path)])
+    ckpt = tmp_path / "model.ckpt"
+    fileio.save_checkpoint(ckpt, sp.make_bundle(fileio.read_scene(scene_path)[0], "distance", "euclidean", 3))
+    capsys.readouterr()
+    out = tmp_path / "q.json"
+    assert run(["query", "--scene", str(scene_path), "--distance", str(ckpt),
+                "--a", "2,1.5,2", "--b", "5,2,5", "--out", str(out)]) == 0
+
+    def no_constants(name):
+        raise ValueError(f"{name} is not JSON")
+
+    for text in (capsys.readouterr().out, out.read_text()):
+        record = json.loads(text, parse_constant=no_constants)
+        assert {k for k, v in record.items() if v is None} == {"l_ds", "l_er", "l_lr", "tau_er", "tau_lr"}
+        assert np.isfinite(record["pi"]) and len(record["doa"]) == 3

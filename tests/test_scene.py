@@ -81,6 +81,13 @@ def test_scene_invariant_checks():
         sp.SceneSpec(kind="dodecahedron", dims=(8, 4, 8))
 
 
+@pytest.mark.parametrize("dims", [(6, 4, 6), (6, 4, 20), (20, 4, 6)])
+def test_cylinder_forest_needs_seven_voxels_in_x_and_z(dims):
+    with pytest.raises(ConfigurationError):
+        sp.build_scene(sp.SceneSpec(kind="cylinder-forest", dims=dims))
+    assert sp.build_scene(sp.SceneSpec(kind="cylinder-forest", dims=(7, 4, 7))).free_mask().any()
+
+
 # ---------------------------------------------------------------------------
 # Line of sight
 # ---------------------------------------------------------------------------

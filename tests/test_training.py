@@ -68,6 +68,11 @@ def test_make_splits_fractions_must_sum_to_one(box_scene, fractions):
         sp.make_splits(box_scene, fractions=fractions)
 
 
+def test_make_splits_rejects_negative_fractions(box_scene):
+    with pytest.raises(ConfigurationError):
+        sp.make_splits(box_scene, fractions=(2.0, -0.5, -0.5), runs=1)
+
+
 # ---------------------------------------------------------------------------
 # Dataset assembly
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from . import __version__
 from .errors import FormatError, InputError, SoundPropError
 from .evalkit import ablation_run, cost_report
 from .fileio import (
+    _read_input,
     read_field,
     read_ir_mono,
     read_layout,
@@ -101,7 +102,7 @@ def _write_sources(path, sources) -> None:
 def _read_sources(path) -> list:
     """Source positions, one ``x y z`` line each; blank lines are skipped."""
     try:
-        lines = Path(path).read_text().splitlines()
+        lines = _read_input(path).decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not a text sources file") from exc
     out = []
@@ -263,10 +264,16 @@ def _cmd_eval(args):
 
 def _cmd_ablate(args):
     scene, _ = read_scene(args.scene)
+    families = args.families.split(",")
+    # ``ablation_run`` records a cell's failure as data; refuse up front a
+    # family the group cannot use or a latent size below 1, which fail
+    # every cell they are in.
+    for family in families:
+        for n in args.n_values:
+            make_bundle(scene, args.group, family, n)
     train_ds = _load_field_dataset(scene, args.train_fields, "train")
     val_ds = _load_field_dataset(scene, args.val_fields, "val")
     test_ds = _load_field_dataset(scene, args.test_fields, "test")
-    families = args.families.split(",")
     cfg = TrainConfig(epochs=args.epochs, seed=args.seed, eval_interval=args.eval_interval)
     rows = ablation_run(scene, train_ds, val_ds, test_ds, families, args.n_values, cfg, group=args.group)
     write_csv(

@@ -32,7 +32,7 @@ import struct
 import numpy as np
 
 from .decoders import ALL_FAMILIES, DEFAULT_MAX_DECAY
-from .errors import ConfigurationError, FormatError
+from .errors import ConfigurationError, FormatError, InputError
 from .irparams import ImpulseResponse
 from .oracle import FIELD_KINDS, FieldVolume
 from .runtime import SpeakerLayout
@@ -48,6 +48,16 @@ _KIND_CODES = {kind: i for i, kind in enumerate(FIELD_KINDS)}
 # After the magic: dims, kind code, channel count, 2 pad bytes, source,
 # spacing, origin.
 _FIELD_HEADER = struct.Struct("<3IBB2x3dd3d")
+
+
+def _read_input(path) -> bytes:
+    """The bytes of input file ``path``; ``InputError`` when it cannot be
+    read (missing, a directory, no permission)."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
 def sha256_file(path) -> str:
@@ -131,8 +141,7 @@ def read_scene(path) -> tuple[VoxelScene, dict]:
 
     Raises ``FormatError`` for a file that is not a well-formed scene.
     """
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    blob = _read_input(path)
     sep = blob.find(b"\n\n")
     if sep < 0 or not blob.startswith(SCENE_MAGIC):
         raise FormatError(f"{path} is not a scene file")
@@ -193,8 +202,7 @@ def write_field(path, fv: FieldVolume) -> None:
 
 def read_field(path) -> FieldVolume:
     """Field volume; ``FormatError`` for a file that is not a well-formed field."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    blob = _read_input(path)
     if not blob.startswith(FIELD_MAGIC):
         raise FormatError(f"{path} is not a field file")
     off = len(FIELD_MAGIC)
@@ -253,8 +261,7 @@ def read_ir(path):
     response: a malformed header, a payload that is not whole frames of
     ``channels`` float32 samples, no samples, or a non-finite sample.
     """
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    blob = _read_input(path)
     sep = blob.find(b"\n\n")
     if sep < 0 or not blob.startswith(IR_MAGIC):
         raise FormatError(f"{path} is not an impulse-response file")
@@ -332,8 +339,7 @@ def _is_int(x) -> bool:
 def load_checkpoint(path, scene: VoxelScene) -> ModelBundle:
     """Model bundle over ``scene``; ``FormatError`` for a file that is not a
     well-formed checkpoint of one."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    blob = _read_input(path)
     if not blob.startswith(CKPT_MAGIC):
         raise FormatError(f"{path} is not a checkpoint")
     off = len(CKPT_MAGIC) + 4
@@ -418,13 +424,13 @@ def read_layout(path) -> SpeakerLayout:
     layout: a line other than ``s x y z`` or ``t i j k``, a non-finite
     direction, or a layout ``SpeakerLayout`` rejects."""
     rows = {"s": [], "t": []}
+    blob = _read_input(path)
     try:
-        with open(path, encoding="utf-8") as fh:
-            for parts in map(str.split, fh):
-                if parts and (parts[0] not in rows or len(parts) != 4):
-                    raise ValueError(f"malformed layout line {' '.join(parts)!r}")
-                if parts:
-                    rows[parts[0]].append(parts[1:])
+        for parts in map(str.split, blob.decode("utf-8").splitlines()):
+            if parts and (parts[0] not in rows or len(parts) != 4):
+                raise ValueError(f"malformed layout line {' '.join(parts)!r}")
+            if parts:
+                rows[parts[0]].append(parts[1:])
         directions = np.array(rows["s"], dtype=float)
         if not np.isfinite(directions).all():
             raise ValueError("non-finite speaker direction")

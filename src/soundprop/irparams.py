@@ -276,16 +276,11 @@ def fd_derivative(c, p1, p2, m1, m2, h: float):
     estimators share it.
     """
     has_p1, has_m1 = np.isfinite(p1), np.isfinite(m1)
-    return np.select(
-        [has_p1 & has_m1, has_p1 & np.isfinite(p2), has_p1,
-         has_m1 & np.isfinite(m2), has_m1],
-        [(p1 - m1) / (2.0 * h),
-         (-3.0 * c + 4.0 * p1 - p2) / (2.0 * h),
-         (p1 - c) / h,
-         (3.0 * c - 4.0 * m1 + m2) / (2.0 * h),
-         (c - m1) / h],
-        0.0,
-    )
+    return np.where(has_p1 & has_m1, (p1 - m1) / (2.0 * h),
+           np.where(has_p1 & np.isfinite(p2), (-3.0 * c + 4.0 * p1 - p2) / (2.0 * h),
+           np.where(has_p1, (p1 - c) / h,
+           np.where(has_m1 & np.isfinite(m2), (3.0 * c - 4.0 * m1 + m2) / (2.0 * h),
+           np.where(has_m1, (c - m1) / h, 0.0)))))
 
 
 # Offsets of the direction-of-arrival stencil around the receiver, in

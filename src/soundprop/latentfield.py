@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, IsolationError
-from .scene import _voxel_cells, VoxelScene, lines_of_sight
+from .scene import _FREE, _OCCUPIED, _OUTSIDE, _voxel_cells, _walk, VoxelScene
 
 # Corner offsets of one interpolation cell, x fastest.
 _CORNERS = np.array(
@@ -33,8 +33,11 @@ _SHELL_OFFSETS = np.array(
 )
 _SHELL_RADIUS = np.abs(_SHELL_OFFSETS).max(axis=1)
 
-# Per-point outcome of ``interp_points``.
+# Per-point outcome of ``interp_points``, and the outcome of a point in a
+# cell of each label of the scene's padded grid.
 RESOLVED, OUTSIDE, OCCUPIED, ISOLATED = 0, 1, 2, 3
+_STATUS_OF_LABEL = np.zeros(3, dtype=np.int8)
+_STATUS_OF_LABEL[[_FREE, _OCCUPIED, _OUTSIDE]] = RESOLVED, OCCUPIED, OUTSIDE
 
 
 @dataclass(frozen=True)
@@ -148,33 +151,30 @@ def interp_points(scene: VoxelScene, points, value_mask: np.ndarray | None = Non
     renormalized. A point with no such corner falls back to the nearest
     usable vertex that sees it, in the lowest Chebyshev shell (radius 0 to
     2) around its nearest vertex, ties to the first in C order. The corner
-    rays make one ``lines_of_sight`` call, the fallback rays one more.
+    rays make one walk of ``scene.lines_of_sight``'s core, the fallback
+    rays one more; neither checks the points again.
     Unresolvable points are reported in ``status``, not raised.
     """
     P = np.asarray(points, dtype=float).reshape(-1, 3)
-    dims = np.asarray(scene.dims)
-    lo = scene.origin - 0.5 * scene.spacing
-    hi = scene.origin + (dims - 0.5) * scene.spacing
-    inside = np.all((P >= lo) & (P <= hi), axis=1)
+    dims = scene._dims
+    inside = scene._inside(P)
     P = np.where(inside[:, None], P, scene.origin)  # keep rejected points out of the arithmetic
     v = (P - scene.origin) / scene.spacing
-    voxel = _voxel_cells(v + 0.5, dims)
-    inside &= np.all((voxel >= 0) & (voxel < dims), axis=1)
-    status = np.where(inside, RESOLVED, OUTSIDE).astype(np.int8)
-    status[inside & scene.occupancy[tuple(np.clip(voxel, 0, dims - 1).T)]] = OCCUPIED
+    voxel = _voxel_cells(v + 0.5, dims)  # at most one cell off the grid
+    label = np.where(inside, scene._labels[(voxel + 1) @ scene._strides], _OUTSIDE)
+    status = _STATUS_OF_LABEL[label]
     ok = status == RESOLVED
-    usable = ~scene.occupancy if value_mask is None else ~scene.occupancy & value_mask
+    usable = scene._free if value_mask is None else scene._free & value_mask
 
     base = np.clip(np.floor(v).astype(int), 0, dims - 2)
     t = np.clip(v - base, 0.0, 1.0)
     corners = base[:, None, :] + _CORNERS
-    w = np.ones(corners.shape[:2])
-    for a in range(3):
-        w *= np.where(_CORNERS[:, a] == 1, t[:, a, None], 1.0 - t[:, a, None])
+    f = np.where(_CORNERS == 1, t[:, None, :], 1.0 - t[:, None, :])
+    w = f[..., 0] * f[..., 1] * f[..., 2]
 
     row, slot = np.nonzero((w > 0.0) & usable[tuple(corners.T)].T & ok[:, None])
     keep = np.zeros(w.shape, dtype=bool)
-    keep[row, slot] = lines_of_sight(scene, scene.voxel_center(corners[row, slot]), P[row])
+    keep[row, slot] = _sees(scene, corners[row, slot], v[row], voxel[row])
     w = np.where(keep, w, 0.0)
     total = w.sum(axis=1)
     hit = total > 0.0
@@ -182,24 +182,33 @@ def interp_points(scene: VoxelScene, points, value_mask: np.ndarray | None = Non
 
     lost = np.flatnonzero(ok & ~hit)
     if lost.size:
-        vertex, found = _nearest_visible_vertex(scene, P[lost], usable)
+        vertex, found = _nearest_visible_vertex(scene, P[lost], v[lost], voxel[lost], usable)
         w[lost[found], 0] = 1.0
         corners[lost[found], 0] = vertex[found]
         status[lost[~found]] = ISOLATED
     return InterpBatch(corners=corners, weights=w, status=status)
 
 
-def _nearest_visible_vertex(scene: VoxelScene, P: np.ndarray, usable: np.ndarray):
-    """Fallback vertex of each point in ``P``, and whether one was found."""
-    dims = np.asarray(scene.dims)
-    center = np.clip(np.rint((P - scene.origin) / scene.spacing).astype(int), 0, dims - 1)
-    cand = center[:, None, :] + _SHELL_OFFSETS
+def _sees(scene: VoxelScene, vertices: np.ndarray, v: np.ndarray, voxel: np.ndarray) -> np.ndarray:
+    """Line of sight from each vertex centre to its point, given the
+    point's ``(p - origin) / spacing`` and its voxel: the point's checks
+    and placement are the ones ``interp_points`` already made."""
+    a = (scene.voxel_center(vertices) - scene.origin) / scene.spacing + 0.5
+    return _walk(scene, a, v + 0.5, vertices, voxel)
+
+
+def _nearest_visible_vertex(scene: VoxelScene, P: np.ndarray, v: np.ndarray, voxel: np.ndarray,
+                            usable: np.ndarray):
+    """Fallback vertex of each point in ``P`` (with ``v`` and ``voxel`` as
+    in ``_sees``), and whether one was found."""
+    dims = scene._dims
+    cand = np.clip(np.rint(v).astype(int), 0, dims - 1)[:, None, :] + _SHELL_OFFSETS
     valid = np.all((cand >= 0) & (cand < dims), axis=2)
     cand = np.clip(cand, 0, dims - 1)
     valid &= usable[tuple(cand.T)].T
     row, slot = np.nonzero(valid)
     seen = np.zeros(valid.shape, dtype=bool)
-    seen[row, slot] = lines_of_sight(scene, scene.voxel_center(cand[row, slot]), P[row])
+    seen[row, slot] = _sees(scene, cand[row, slot], v[row], voxel[row])
     shell = np.where(seen, _SHELL_RADIUS, _FALLBACK_SHELLS + 1).min(axis=1)
     d = np.linalg.norm(scene.voxel_center(cand) - P[:, None, :], axis=2)
     d = np.where(seen & (_SHELL_RADIUS == shell[:, None]), d, np.inf)

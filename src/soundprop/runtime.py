@@ -266,11 +266,12 @@ def render_params(params: AcousticParamSet, refs: ReferenceIRSet,
     )
 
 
-def _wet_bus(x: np.ndarray, irs, weights, n_out: int) -> np.ndarray:
-    """``x`` convolved with the weight-blended tail ``sum_i w_i * tail_i``,
-    zero-padded to ``n_out`` samples: one FFT convolution."""
-    used = [(ir.samples, w) for ir, w in zip(irs, weights) if w != 0.0]
-    tail = np.zeros(max(t.size for t, _ in used))
+def _wet_bus(x: np.ndarray, parts, n_out: int) -> np.ndarray:
+    """``x`` convolved with the blended tail ``sum_i w_i * tail_i`` of the
+    ``(tail, w_i)`` ``parts``, zero-padded to ``n_out`` samples: one FFT
+    convolution."""
+    used = [(t, w) for t, w in parts if w != 0.0]
+    tail = np.zeros(max((t.size for t, _ in used), default=1))
     for t, w in used:
         tail[: t.size] += w * t
     n = x.size + tail.size - 1
@@ -289,25 +290,22 @@ def render_offline(
     """Offline parametric render of a mono input to speaker channels.
 
     Returns an ``(n_speakers, n_samples)`` array: panned dry path plus the
-    early and late wet buses, each one FFT convolution with its blended
-    reference tail.
+    early and late wet buses. Both buses get the same speaker gains, so by
+    linearity they are one wet convolution with the gain-weighted blend of
+    all six reference tails.
     """
     x = np.asarray(x_in, dtype=float)
     if x.ndim != 1:
         raise InputError("input signal must be mono")
     max_ref = max(ir.samples.size for ir in (*refs.er_irs, *refs.lr_irs))
-    n_out = x.size + max_ref - 1
-    out = np.zeros((layout.n_speakers, n_out))
-
-    pan = vbap_gains(params.doa, layout)
-    out[:, : x.size] += np.outer(pan, params.dry * x)
-
-    er_bus = params.er_gain * _wet_bus(x, refs.er_irs, params.er_weights, n_out)
-    lr_bus = params.lr_gain * _wet_bus(x, refs.lr_irs, params.lr_weights, n_out)
-    er_sp = spatialize_wet(1.0, params.doa, layout)
-    lr_sp = spatialize_wet(1.0, params.doa, layout)
-    out += np.outer(er_sp, er_bus)
-    out += np.outer(lr_sp, lr_bus)
+    parts = [
+        (ir.samples, gain * w)
+        for irs, gain, weights in ((refs.er_irs, params.er_gain, params.er_weights),
+                                   (refs.lr_irs, params.lr_gain, params.lr_weights))
+        for ir, w in zip(irs, weights)
+    ]
+    out = np.outer(spatialize_wet(1.0, params.doa, layout), _wet_bus(x, parts, x.size + max_ref - 1))
+    out[:, : x.size] += np.outer(vbap_gains(params.doa, layout), params.dry * x)
     return out
 
 

@@ -33,9 +33,17 @@ _TIE_EPS = 1e-9
 # and each tied edge. A probe applies when two or more axes tie and every
 # axis it moves along is among them.
 _TIE_PROBES = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1))
+_PROBE_MASK = np.array(_TIE_PROBES, dtype=bool)
 
 # Cell labels of the padded grid the batched walker steps through.
 _FREE, _OCCUPIED, _OUTSIDE = 0, 1, 2
+
+
+def _frozen(a, dtype) -> np.ndarray:
+    """A read-only copy of ``a`` as ``dtype``."""
+    a = np.array(a, dtype=dtype)
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -91,7 +99,7 @@ class VoxelScene:
             raise ConfigurationError(f"scene dims must all be >= 2, got {self.dims}")
         if not (self.spacing > 0) or not math.isfinite(self.spacing):
             raise ConfigurationError(f"spacing must be positive, got {self.spacing}")
-        occ = np.asarray(self.occupancy, dtype=bool)
+        occ = _frozen(self.occupancy, bool)
         if occ.shape != (nx, ny, nz):
             raise ConfigurationError(
                 f"occupancy shape {occ.shape} does not match dims {self.dims}"
@@ -99,12 +107,32 @@ class VoxelScene:
         if occ.all():
             raise ConfigurationError("scene has no free voxel")
         object.__setattr__(self, "occupancy", occ)
-        object.__setattr__(self, "origin", np.asarray(self.origin, dtype=float))
+        object.__setattr__(self, "origin", _frozen(self.origin, float))
         if self.regions is not None:
-            reg = np.asarray(self.regions, dtype=np.int32)
+            reg = _frozen(self.regions, np.int32)
             if reg.shape != (nx, ny, nz):
                 raise ConfigurationError("region map shape does not match dims")
             object.__setattr__(self, "regions", reg)
+        # Read-only tables every query reads, built once: the grid dims,
+        # the free mask, the bounding box and the walker's labels of the
+        # grid padded by one cell (a step or a tie probe leaves the grid by
+        # at most one cell), flat with their strides.
+        dims = np.array(self.dims)
+        for name, value in (
+            ("_dims", dims),
+            ("_free", ~occ),
+            ("_lo", self.origin - 0.5 * self.spacing),
+            ("_hi", self.origin + (dims - 0.5) * self.spacing),
+            ("_labels", np.pad(occ.astype(np.int8), 1, constant_values=_OUTSIDE).ravel()),
+            ("_strides", np.array([(ny + 2) * (nz + 2), nz + 2, 1])),
+        ):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+
+    def _inside(self, p) -> np.ndarray:
+        """Whether each point of ``p`` (shape ``(..., 3)``) lies in the
+        bounding box, faces included; the one bounds rule."""
+        return np.all((p >= self._lo) & (p <= self._hi), axis=-1)
 
     # -- geometry helpers -------------------------------------------------
 
@@ -143,13 +171,11 @@ class VoxelScene:
         return int(idx[0]), int(idx[1]), int(idx[2])
 
     def contains(self, p) -> bool:
-        p = np.asarray(p, dtype=float)
-        lo = self.origin - 0.5 * self.spacing
-        hi = self.origin + (np.asarray(self.dims) - 0.5) * self.spacing
-        return bool(np.all(p >= lo) and np.all(p <= hi))
+        return bool(self._inside(np.asarray(p, dtype=float)).all())
 
     def free_mask(self) -> np.ndarray:
-        return ~self.occupancy
+        """A writable copy of the free-voxel mask."""
+        return self._free.copy()
 
     def free_indices(self) -> np.ndarray:
         """Indices of free voxels as an ``(m, 3)`` int array, in C order."""
@@ -381,8 +407,7 @@ def _segment_cells(scene: VoxelScene, ends: np.ndarray):
     if not scene.contains(ends):
         raise InputError("line-of-sight endpoints must lie inside the scene")
     c = (ends - scene.origin) / scene.spacing + 0.5
-    dims = np.asarray(scene.dims)
-    return c, np.clip(_voxel_cells(c, dims), 0, dims - 1)
+    return c, np.clip(_voxel_cells(c, scene._dims), 0, scene._dims - 1)
 
 
 def lines_of_sight(scene: VoxelScene, p, q) -> np.ndarray:
@@ -397,23 +422,29 @@ def lines_of_sight(scene: VoxelScene, p, q) -> np.ndarray:
     prevents leakage across diagonal wall seams. Endpoints inside an
     occupied voxel yield ``False`` rather than an error.
 
-    All rays walk in lockstep, one numpy step per voxel crossing for the
-    rays still walking, on flat indices into the occupancy grid padded by
-    one cell (a step or a tie probe leaves the grid by at most one cell).
-
     Raises
     ------
     InputError
         An endpoint is not finite or lies outside the scene.
     """
     q = np.asarray(q, dtype=float)
-    c, cell = _segment_cells(scene, np.stack(np.broadcast_arrays(np.asarray(p, dtype=float), q)))
-    (a, b), (start, end) = c, cell
-    nx, ny, nz = scene.dims
-    labels = np.pad(scene.occupancy.astype(np.int8), 1, constant_values=_OUTSIDE).ravel()
-    strides = np.array([(ny + 2) * (nz + 2), nz + 2, 1])
+    (a, b), (start, end) = _segment_cells(
+        scene, np.stack(np.broadcast_arrays(np.asarray(p, dtype=float), q))
+    )
+    return _walk(scene, a, b, start, end)
+
+
+def _walk(scene: VoxelScene, a, b, start, end) -> np.ndarray:
+    """``lines_of_sight`` of the ``(m, 3)`` segments from cell coordinates
+    ``a`` to ``b``, whose voxels ``start`` and ``end`` lie in the grid; the
+    endpoints are not checked again.
+
+    All rays walk in lockstep, one numpy step per voxel crossing for the
+    rays still walking, on flat indices into the scene's padded label grid.
+    """
+    labels, strides = scene._labels, scene._strides
     cur, stop = (start + 1) @ strides, (end + 1) @ strides
-    out = np.zeros(len(q), dtype=bool)
+    out = np.zeros(len(a), dtype=bool)
     clear = (labels[cur] != _OCCUPIED) & (labels[stop] != _OCCUPIED)
     out[clear & (cur == stop)] = True
 
@@ -425,7 +456,6 @@ def lines_of_sight(scene: VoxelScene, p, q) -> np.ndarray:
     t_delta = np.full(d.shape, np.inf)
     np.divide(1.0, d, out=t_delta, where=moving)
     np.abs(t_delta, out=t_delta)
-    probes = np.array(_TIE_PROBES, dtype=bool)
 
     rays = np.flatnonzero(clear & (cur != stop))
     cur, stop = cur[rays], stop[rays]
@@ -433,23 +463,25 @@ def lines_of_sight(scene: VoxelScene, p, q) -> np.ndarray:
     while rays.size:
         t_min = t_max.min(axis=1)
         past_end = t_min > 1.0 + _TIE_EPS
+        walking = ~past_end
         ties = t_max - t_min[:, None] <= _TIE_EPS
         # Edge or corner crossings: every voxel adjacent to the crossing is
-        # touched.
-        blocked = np.zeros(rays.size, dtype=bool)
-        grazing = np.flatnonzero((ties.sum(axis=1) > 1) & ~past_end)
+        # touched, and an occupied one blocks.
+        grazing = np.flatnonzero((ties.sum(axis=1) > 1) & walking)
         if grazing.size:
-            applies = (ties[grazing, None, :] | ~probes).all(axis=2)
-            cells = cur[grazing, None] + step[grazing] @ probes.T
-            blocked[grazing] = (applies & (labels[cells] == _OCCUPIED)).any(axis=1)
+            applies = (ties[grazing, None, :] | ~_PROBE_MASK).all(axis=2)
+            cells = cur[grazing, None] + step[grazing] @ _PROBE_MASK.T
+            walking[grazing] = ~(applies & (labels[cells] == _OCCUPIED)).any(axis=1)
         cur = cur + (ties * step).sum(axis=1)
         t_max = np.where(ties, t_max + t_delta, t_max)
         label = labels[cur]
-        walking = ~past_end & ~blocked
-        # Clear once a ray leaves the grid or enters its end voxel.
+        keep = walking & (label == _FREE) & (cur != stop)
+        if keep.all():
+            continue
+        # Clear once a ray passes its end, leaves the grid or enters its
+        # end voxel.
         arrived = (label == _OUTSIDE) | ((label == _FREE) & (cur == stop))
         out[rays[past_end | (walking & arrived)]] = True
-        keep = walking & (label == _FREE) & (cur != stop)
         rays, cur, stop = rays[keep], cur[keep], stop[keep]
         t_max, t_delta, step = t_max[keep], t_delta[keep], step[keep]
     return out
@@ -464,7 +496,7 @@ def visible_voxels(scene: VoxelScene, p) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if not scene.contains(p):
         raise InputError("query point outside the scene bounding box")
-    return visible_targets(scene, p, scene.free_mask())
+    return visible_targets(scene, p, scene._free)
 
 
 def visible_targets(scene: VoxelScene, p, targets: np.ndarray) -> np.ndarray:
@@ -473,6 +505,6 @@ def visible_targets(scene: VoxelScene, p, targets: np.ndarray) -> np.ndarray:
     mask = np.zeros(scene.dims, dtype=bool)
     if scene.occupancy[scene.voxel_of(p)]:
         return mask
-    idx = np.argwhere(targets & ~scene.occupancy)
+    idx = np.argwhere(targets & scene._free)
     mask[tuple(idx.T)] = lines_of_sight(scene, p, scene.voxel_center(idx))
     return mask

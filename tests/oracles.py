@@ -458,3 +458,48 @@ def per_source_train(bundle, ds, cfg) -> None:
                     grads[name] += g
             grads["grid"][scene.occupancy] = 0.0
             opt.step(grads)
+
+
+def fd_derivative(c, p1, p2, m1, m2, h: float):
+    """``irparams.fd_derivative`` as one ``np.select`` over the five
+    stencil cases, first match wins; the fast path nests ``np.where`` on
+    the same expressions."""
+    has_p1, has_m1 = np.isfinite(p1), np.isfinite(m1)
+    return np.select(
+        [has_p1 & has_m1, has_p1 & np.isfinite(p2), has_p1,
+         has_m1 & np.isfinite(m2), has_m1],
+        [(p1 - m1) / (2.0 * h),
+         (-3.0 * c + 4.0 * p1 - p2) / (2.0 * h),
+         (p1 - c) / h,
+         (3.0 * c - 4.0 * m1 + m2) / (2.0 * h),
+         (c - m1) / h],
+        0.0,
+    )
+
+
+def _wet_bus(x, irs, weights, n_out):
+    """``x`` convolved with one bus's weight-blended tail, zero-padded to
+    ``n_out`` samples: one FFT convolution."""
+    used = [(ir.samples, w) for ir, w in zip(irs, weights) if w != 0.0]
+    tail = np.zeros(max(t.size for t, _ in used))
+    for t, w in used:
+        tail[: t.size] += w * t
+    n = x.size + tail.size - 1
+    size = 1 << (n - 1).bit_length()
+    bus = np.zeros(n_out)
+    bus[:n] = np.fft.irfft(np.fft.rfft(x, size) * np.fft.rfft(tail, size), size)[:n]
+    return bus
+
+
+def render_two_buses(x, params, refs, layout):
+    """``runtime.render_offline`` with one FFT convolution per wet bus,
+    each scaled by its gain and spread by its own ``spatialize_wet``."""
+    max_ref = max(ir.samples.size for ir in (*refs.er_irs, *refs.lr_irs))
+    n_out = x.size + max_ref - 1
+    out = np.zeros((layout.n_speakers, n_out))
+    out[:, : x.size] += np.outer(sp.vbap_gains(params.doa, layout), params.dry * x)
+    for gain, irs, weights in ((params.er_gain, refs.er_irs, params.er_weights),
+                               (params.lr_gain, refs.lr_irs, params.lr_weights)):
+        bus = gain * _wet_bus(x, irs, weights, n_out)
+        out += np.outer(sp.spatialize_wet(1.0, params.doa, layout), bus)
+    return out

@@ -503,6 +503,47 @@ def test_corrupted_inputs_exit_code(tmp_path, capsys, monkeypatch):
     _exits_3(capsys, ["params", "extract", "--ir", str(ir_path)])
 
 
+@pytest.mark.parametrize("command", ["render", "query", "bake-scene", "bake-sources"])
+def test_missing_input_file_exit_code(tmp_path, capsys, monkeypatch, command):
+    """An input path that cannot be read is an input error: exit 3, an
+    ``error:`` line naming the path, and no manifest."""
+    monkeypatch.chdir(tmp_path)
+    scene_path, _ = _baked_box(tmp_path)
+    missing = str(tmp_path / "missing.file")
+    args = {
+        "render": ["render", "--input", missing, "--l-ds", "-6", "--l-er", "-12",
+                   "--tau-er", "0.3", "--tau-lr", "0.9", "--out", "o.ir"],
+        "query": ["query", "--scene", str(scene_path), "--distance", missing,
+                  "--a", "2,1.5,2", "--b", "5,2,5", "--out", "q.json"],
+        "bake-scene": ["bake", "--scene", missing, "--sources", str(tmp_path / "one.txt"),
+                       "--out-dir", "baked"],
+        "bake-sources": ["bake", "--scene", str(scene_path), "--sources", missing,
+                         "--out-dir", "baked"],
+    }[command]
+    before = set(tmp_path.rglob("*"))
+    assert missing in _exits_3(capsys, args)
+    assert set(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("bad", [
+    ["--families", "nope"],
+    ["--families", "euclidean,nope"],
+    ["--n-values", "0"],
+    ["--n-values", "2,-1"],
+    ["--group", "decays", "--families", "euclidean"],
+])
+def test_ablate_configuration_no_cell_can_train_exit_code(tmp_path, capsys, monkeypatch, bad):
+    """A family the group cannot use or a latent size below 1 is refused
+    before any training: exit 3, no CSV and no manifest."""
+    monkeypatch.chdir(tmp_path)
+    scene_path, fields = _baked_box(tmp_path)
+    before = set(tmp_path.rglob("*"))
+    _exits_3(capsys, ["ablate", "--scene", str(scene_path), "--train-fields", str(fields),
+                      "--val-fields", str(fields), "--test-fields", str(fields),
+                      "--epochs", "2", "--eval-interval", "2", "--out", "ablation.csv", *bad])
+    assert set(tmp_path.rglob("*")) == before
+
+
 @pytest.mark.parametrize("args", [
     ["scene", "gen", "--kind", "maze", "--seed", "-1", "--out", "o.scn"],
     ["scene", "gen", "--kind", "cylinder-forest", "--seed", "-1", "--out", "o.scn"],

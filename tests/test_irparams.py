@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy.sparse import coo_matrix
@@ -12,6 +14,8 @@ from soundprop.errors import (
 )
 from soundprop.irparams import SchroederCurve
 from soundprop.oracle import FieldVolume
+
+from oracles import fd_derivative as oracle_fd_derivative
 
 
 def impulse_at(idx, n=4000, fs=16000.0, amp=1.0, t0=0.0):
@@ -374,3 +378,19 @@ def test_fd_derivative_stencil_orders():
     got = sp.fd_derivative(np.full(2, c), np.array([p1, nan]), np.array([p2, nan]),
                            np.array([nan, m1]), np.array([nan, m2]), h)
     assert np.allclose(got, 3.0, rtol=0.0, atol=1e-12)
+
+
+def test_fd_derivative_matches_select_oracle_on_every_missing_pattern():
+    """Bit-equal to the ``np.select`` oracle for each of the 32 patterns of
+    missing ``c``, ``p1``, ``p2``, ``m1`` and ``m2``, on arrays and on
+    scalars."""
+    rng = np.random.default_rng(4)
+    missing = np.array(list(itertools.product((False, True), repeat=5)))  # (32, 5)
+    values = rng.normal(size=(50, 32, 5)) * 10.0 ** rng.integers(-3, 4, size=(50, 32, 5))
+    values[:, missing] = np.nan
+    args = np.moveaxis(values, -1, 0)
+    for h in (0.37, 1.0):
+        assert np.array_equal(sp.fd_derivative(*args, h), oracle_fd_derivative(*args, h), equal_nan=True)
+        for row in values[0]:
+            got, want = sp.fd_derivative(*row, h), oracle_fd_derivative(*row, h)
+            assert np.array_equal(got, want, equal_nan=True) and np.shape(got) == np.shape(want)

@@ -9,7 +9,7 @@ from soundprop.runtime import render_params
 
 from conftest import latent_at, random_free_position
 from oracles import masked_interp as oracle_masked_interp
-from oracles import per_bundle_query
+from oracles import per_bundle_query, render_two_buses
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +179,28 @@ def test_render_matches_direct_convolution(tau_er, tau_lr):
             bus[: conv.size] += w * conv
         want += np.outer(sp.spatialize_wet(1.0, rp.doa, layout), gain * bus)
     assert np.abs(out - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("er_gain, lr_gain, er_weights, lr_weights", [
+    (0.5, 0.25, [0.3, 0.7, 0.0], [0.0, 0.4, 0.6]),  # two tails per bus
+    (0.5, 0.25, [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]),  # one tail per bus
+    (0.0, 0.25, [0.0, 1.0, 0.0], [0.0, 0.6, 0.4]),  # silent early bus
+    (0.7, 0.0, [0.2, 0.8, 0.0], [1.0, 0.0, 0.0]),  # silent late bus
+    (0.0, 0.0, [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]),  # dry path only
+])
+def test_render_matches_two_bus_oracle(er_gain, lr_gain, er_weights, lr_weights):
+    """One wet convolution equals one convolution per bus, each with its
+    own speaker gains, within 1e-12 of the peak."""
+    refs = sp.default_reference_irs(sample_rate=8000.0, seed=0)
+    layout = sp.octahedral_layout()
+    x = np.random.default_rng(5).normal(size=900)
+    for doa in ([0.6, 0.0, 0.8], [0.0, -1.0, 0.0]):
+        rp = sp.RenderParams(dry=0.8, er_gain=er_gain, lr_gain=lr_gain, er_weights=er_weights,
+                             lr_weights=lr_weights, doa=doa)
+        got = sp.render_offline(x, rp, refs, layout)
+        want = render_two_buses(x, rp, refs, layout)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_render_impulse_er_path_reproduces_reference():
@@ -368,9 +390,9 @@ def test_query_interpolates_each_point_once(maze_scene, maze_bundles, monkeypatc
     monkeypatch.setattr(
         runtime, "interp_points", lambda s, P, m=None: batches.append(np.array(P)) or interp(s, P, m)
     )
-    cast = latentfield.lines_of_sight
+    cast = latentfield._walk
     monkeypatch.setattr(
-        latentfield, "lines_of_sight", lambda s, p, q: rays.append(len(q)) or cast(s, p, q)
+        latentfield, "_walk", lambda s, a, b, *cells: rays.append(len(b)) or cast(s, a, b, *cells)
     )
     for head in {type(bundle.head) for bundle in maze_bundles.values()}:
         def counting(self, U, V, _predict=head.predict):
@@ -389,6 +411,20 @@ def test_query_interpolates_each_point_once(maze_scene, maze_bundles, monkeypatc
         assert sorted(decodes) == [
             ("DecaysModel", 1), ("DistanceModel", 1), ("DistanceModel", 12), ("LevelsModel", 1)
         ]
+
+
+def test_query_builds_no_grid_table(maze_scene, maze_bundles, monkeypatch):
+    """After the scene is built, neither ``lines_of_sight`` nor a query
+    pads the grid again."""
+    def no_pad(*args, **kwargs):
+        raise AssertionError("np.pad called after the scene was built")
+
+    monkeypatch.setattr(np, "pad", no_pad)
+    rng = np.random.default_rng(8)
+    a = random_free_position(maze_scene, rng)
+    sp.lines_of_sight(maze_scene, a, maze_scene.voxel_center(maze_scene.free_indices()[:40]))
+    for a, b in _off_centre_pairs(maze_scene, 10, seed=8):
+        sp.query_params(maze_bundles, maze_scene, a, b)
 
 
 def test_query_rejects_bundle_over_other_grid(maze_scene, maze_bundles, box_scene):

@@ -67,6 +67,32 @@ def test_maze_deterministic_for_seed():
     assert (a.occupancy != c.occupancy).any()
 
 
+def test_scene_keeps_read_only_copies_of_its_arrays():
+    """Mutating the arrays a scene was built from leaves the scene, and
+    the walker tables built from it, unchanged; the scene's own arrays
+    refuse writes, and ``free_mask`` hands out a copy."""
+    occ = np.zeros((6, 4, 6), bool)
+    reg = np.ones((6, 4, 6), np.int32)
+    origin = np.zeros(3)
+    scene = sp.VoxelScene(dims=(6, 4, 6), spacing=1.0, origin=origin, occupancy=occ, regions=reg)
+    p, q = scene.voxel_center((1, 1, 1)), scene.voxel_center((4, 1, 1))
+    occ[1:5, 1, 1] = True
+    reg[:] = 2
+    origin += 10.0
+    assert not scene.occupancy.any() and (scene.regions == 1).all()
+    assert (scene.origin == 0.0).all() and scene.contains(p)
+    assert los(scene, p, q)
+    assert sp.visible_voxels(scene, p).all()
+    for arr in (scene.occupancy, scene.regions):
+        with pytest.raises(ValueError):
+            arr[1, 1, 1] = arr[0, 0, 0]
+    with pytest.raises(ValueError):
+        scene.origin[0] = 1.0
+    free = scene.free_mask()
+    free[1, 1, 1] = False
+    assert scene.free_mask().all()
+
+
 def test_scene_invariant_checks():
     with pytest.raises(ConfigurationError):
         sp.VoxelScene(dims=(1, 4, 4), spacing=1.0, origin=np.zeros(3),

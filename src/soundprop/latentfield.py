@@ -160,7 +160,7 @@ def interp_points(scene: VoxelScene, points, value_mask: np.ndarray | None = Non
     inside = scene._inside(P)
     P = np.where(inside[:, None], P, scene.origin)  # keep rejected points out of the arithmetic
     v = (P - scene.origin) / scene.spacing
-    voxel = _voxel_cells(v + 0.5, dims)  # at most one cell off the grid
+    voxel = _voxel_cells(v + 0.5, dims)
     label = np.where(inside, scene._labels[(voxel + 1) @ scene._strides], _OUTSIDE)
     status = _STATUS_OF_LABEL[label]
     ok = status == RESOLVED

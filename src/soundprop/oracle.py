@@ -14,13 +14,13 @@ generation is embarrassingly parallel across sources.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, InputError
 from .irparams import AcousticParamSet, ImpulseResponse, WindowConfig, fd_derivative
-from .scene import VoxelScene
+from .scene import _FREE, VoxelScene
 
 FIELD_KINDS = ("path-distance", "level", "decay-time", "doa")
 
@@ -112,28 +112,30 @@ def geodesic_field(scene: VoxelScene, source) -> FieldVolume:
     if scene.occupancy[start]:
         raise InputError("geodesic source lies inside an occupied voxel")
 
-    # Flat grid padded by one blocked voxel per side, so every neighbour of
-    # a free voxel is in bounds. Blocked voxels hold -inf, which no
-    # candidate distance undercuts.
-    padded = tuple(n + 2 for n in scene.dims)
-    dist = np.full(padded, -np.inf)
-    dist[1:-1, 1:-1, 1:-1] = np.where(scene.occupancy, -np.inf, np.inf)
-    dist = dist.ravel()
-    _, pj, pk = padded
-    strides = np.array([(di * pj + dj) * pk + dk for di, dj, dk, _ in _OFFSETS])
+    # The scene's flat label grid, padded by one cell per side, so every
+    # neighbour of a free voxel is in bounds. Blocked and padding cells
+    # hold -inf, which no candidate distance undercuts.
+    dist = np.where(scene._labels == _FREE, np.inf, -np.inf)
+    strides = np.array([(di, dj, dk) for di, dj, dk, _ in _OFFSETS]) @ scene._strides
     steps = np.array([w * scene.spacing for *_, w in _OFFSETS])
 
-    s = np.ravel_multi_index(tuple(i + 1 for i in start), padded)
+    s = (np.array(start) + 1) @ scene._strides
     dist[s] = float(np.linalg.norm(source - scene.voxel_center(start)))
     frontier = np.array([s])
+    # The next frontier is the sorted set of lowered voxels, read off a
+    # mark array that is cleared again after each sweep.
+    mark = np.zeros(dist.size, dtype=bool)
     while frontier.size:
         targets = (frontier[:, None] + strides).ravel()
         cand = (dist[frontier][:, None] + steps).ravel()
         better = cand < dist[targets]
         targets, cand = targets[better], cand[better]
         np.minimum.at(dist, targets, cand)
-        frontier = np.unique(targets)
+        mark[targets] = True
+        frontier = np.flatnonzero(mark)
+        mark[frontier] = False
 
+    padded = tuple(n + 2 for n in scene.dims)
     dist = dist.reshape(padded)[1:-1, 1:-1, 1:-1]
     values = np.where(np.isfinite(dist), dist, np.nan)
     return FieldVolume(
@@ -165,26 +167,28 @@ def synth_acoustic_fields(
     pi = geo.values
     valid = np.isfinite(pi)
     h = scene.spacing
-    straight = np.linalg.norm(scene.voxel_centers() - source, axis=-1)
+    # Straight-line distance from the squared per-axis centre offsets.
+    dx2, dy2, dz2 = (
+        ((o + np.arange(n) * h) - s) ** 2 for o, n, s in zip(scene.origin, scene.dims, source)
+    )
+    straight = np.sqrt(dx2[:, None, None] + dy2[None, :, None] + dz2)
 
-    floor_pi = np.maximum(pi, h)
-    with np.errstate(invalid="ignore"):
-        l_ds = _L0_DB - 20.0 * np.log10(floor_pi) - _DIFFRACTION_DB_PER_M * (pi - straight)
+    # Each receiver (a reached free voxel) takes the constants of its own
+    # region: one lookup-table row per region id, and a NaN row.
+    keys = sorted(scene.region_params)
+    row = np.searchsorted(keys, scene.regions)
+    known = np.append(keys, np.nan)[row] == scene.regions
+    lost = valid & scene._free & ~known
+    if lost.any():
+        rid = scene.regions[lost].min()
+        raise ConfigurationError(f"missing acoustic constants for region {rid}")
+    table = np.array([astuple(scene.region_params[k]) for k in keys] + [(np.nan,) * 3])
+    tau_er, tau_lr, l_er_ref = np.take(table.T, np.where(known, row, len(keys)), axis=1)
 
-    ids = np.unique(scene.regions[valid & scene.free_mask()])
-    l_er_ref = np.full(scene.dims, np.nan)
-    tau_er = np.full(scene.dims, np.nan)
-    tau_lr = np.full(scene.dims, np.nan)
-    for rid in ids:
-        params = scene.region_params.get(int(rid))
-        if params is None:
-            raise ConfigurationError(f"missing acoustic constants for region {rid}")
-        sel = scene.regions == rid
-        l_er_ref[sel] = params.l_er_ref
-        tau_er[sel] = params.tau_er
-        tau_lr[sel] = params.tau_lr
     with np.errstate(invalid="ignore"):
-        l_er = l_er_ref - 10.0 * np.log10(floor_pi)
+        log_pi = np.log10(np.maximum(pi, h))
+        l_ds = _L0_DB - 20.0 * log_pi - _DIFFRACTION_DB_PER_M * (pi - straight)
+        l_er = l_er_ref - 10.0 * log_pi
 
     def _vol(kind, vals):
         vals = np.where(valid, vals, np.nan)

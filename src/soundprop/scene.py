@@ -162,12 +162,13 @@ class VoxelScene:
         Raises
         ------
         InputError
-            If ``p`` lies outside the scene bounding box.
+            If ``p`` lies outside the scene bounding box (``contains`` is
+            False).
         """
         p = np.asarray(p, dtype=float)
-        idx = _voxel_cells((p - self.origin) / self.spacing + 0.5, self.dims)
-        if np.any(idx < 0) or np.any(idx >= self.dims):
+        if not self.contains(p):
             raise InputError(f"point {p.tolist()} is outside the scene bounding box")
+        idx = _voxel_cells((p - self.origin) / self.spacing + 0.5, self._dims)
         return int(idx[0]), int(idx[1]), int(idx[2])
 
     def contains(self, p) -> bool:
@@ -383,17 +384,15 @@ def build_scene(spec: SceneSpec) -> VoxelScene:
 
 
 def _voxel_cells(c: np.ndarray, dims) -> np.ndarray:
-    """Unclipped voxel index of each point with cell coordinates ``c =
-    (p - origin) / spacing + 0.5`` (shape ``(..., 3)``), in which voxel
-    ``(i, j, k)`` spans ``[i, i+1) x [j, j+1) x [k, k+1)``: a point on the
-    face between two voxels belongs to the one with the higher index, a
-    point on the outer face of the last voxel to that voxel. The one
+    """Voxel index of each point in the bounding box with cell coordinates
+    ``c = (p - origin) / spacing + 0.5`` (shape ``(..., 3)``), in which
+    voxel ``(i, j, k)`` spans ``[i, i+1) x [j, j+1) x [k, k+1)``: a point on
+    the face between two voxels belongs to the one with the higher index, a
+    point on an outer face of the grid to the voxel behind it, also where
+    the rounding of ``c`` puts it just outside ``[0, dims]``. The one
     point-to-voxel rule; its callers all divide by ``spacing`` (a product
     with ``1 / spacing`` floors differently on some faces)."""
-    dims = np.asarray(dims)
-    cell = np.floor(c).astype(np.int64)
-    cell -= (cell == dims) & (c - dims <= _TIE_EPS)
-    return cell
+    return np.minimum(np.maximum(np.floor(c).astype(np.int64), 0), np.asarray(dims) - 1)
 
 
 def _segment_cells(scene: VoxelScene, ends: np.ndarray):
@@ -407,7 +406,7 @@ def _segment_cells(scene: VoxelScene, ends: np.ndarray):
     if not scene.contains(ends):
         raise InputError("line-of-sight endpoints must lie inside the scene")
     c = (ends - scene.origin) / scene.spacing + 0.5
-    return c, np.clip(_voxel_cells(c, scene._dims), 0, scene._dims - 1)
+    return c, _voxel_cells(c, scene._dims)
 
 
 def lines_of_sight(scene: VoxelScene, p, q) -> np.ndarray:
@@ -441,6 +440,7 @@ def _walk(scene: VoxelScene, a, b, start, end) -> np.ndarray:
 
     All rays walk in lockstep, one numpy step per voxel crossing for the
     rays still walking, on flat indices into the scene's padded label grid.
+    Their per-axis state is held as ``(3, m)`` rows, one row per axis.
     """
     labels, strides = scene._labels, scene._strides
     cur, stop = (start + 1) @ strides, (end + 1) @ strides
@@ -448,32 +448,34 @@ def _walk(scene: VoxelScene, a, b, start, end) -> np.ndarray:
     clear = (labels[cur] != _OCCUPIED) & (labels[stop] != _OCCUPIED)
     out[clear & (cur == stop)] = True
 
-    d = b - a
+    d = np.subtract(b.T, a.T, order="C")
     moving = d != 0
-    step = np.sign(d).astype(np.int64)
+    step = np.sign(d).astype(np.int64) * strides[:, None]
     t_max = np.full(d.shape, np.inf)
-    np.divide((start + (d > 0)) - a, d, out=t_max, where=moving)
-    t_delta = np.full(d.shape, np.inf)
+    np.divide((start.T + (d > 0)) - a.T, d, out=t_max, where=moving)
+    # A still axis keeps t_max = inf and never ties; its t_delta is 0, so
+    # the advance ``t_delta * ties`` adds 0 there and never makes inf * 0.
+    t_delta = np.zeros(d.shape)
     np.divide(1.0, d, out=t_delta, where=moving)
     np.abs(t_delta, out=t_delta)
 
     rays = np.flatnonzero(clear & (cur != stop))
     cur, stop = cur[rays], stop[rays]
-    t_max, t_delta, step = t_max[rays], t_delta[rays], step[rays] * strides
+    t_max, t_delta, step = (x.take(rays, axis=1) for x in (t_max, t_delta, step))
     while rays.size:
-        t_min = t_max.min(axis=1)
+        t_min = t_max.min(axis=0)
         past_end = t_min > 1.0 + _TIE_EPS
         walking = ~past_end
-        ties = t_max - t_min[:, None] <= _TIE_EPS
+        ties = t_max - t_min <= _TIE_EPS
         # Edge or corner crossings: every voxel adjacent to the crossing is
         # touched, and an occupied one blocks.
-        grazing = np.flatnonzero((ties.sum(axis=1) > 1) & walking)
+        grazing = np.flatnonzero((ties.sum(axis=0, dtype=np.uint8) > 1) & walking)
         if grazing.size:
-            applies = (ties[grazing, None, :] | ~_PROBE_MASK).all(axis=2)
-            cells = cur[grazing, None] + step[grazing] @ _PROBE_MASK.T
-            walking[grazing] = ~(applies & (labels[cells] == _OCCUPIED)).any(axis=1)
-        cur = cur + (ties * step).sum(axis=1)
-        t_max = np.where(ties, t_max + t_delta, t_max)
+            applies = (ties.take(grazing, axis=1) | ~_PROBE_MASK[:, :, None]).all(axis=1)
+            cells = cur[grazing] + _PROBE_MASK @ step.take(grazing, axis=1)
+            walking[grazing] = ~(applies & (labels[cells] == _OCCUPIED)).any(axis=0)
+        cur = cur + (step * ties).sum(axis=0)
+        t_max += t_delta * ties
         label = labels[cur]
         keep = walking & (label == _FREE) & (cur != stop)
         if keep.all():
@@ -482,8 +484,9 @@ def _walk(scene: VoxelScene, a, b, start, end) -> np.ndarray:
         # end voxel.
         arrived = (label == _OUTSIDE) | ((label == _FREE) & (cur == stop))
         out[rays[past_end | (walking & arrived)]] = True
-        rays, cur, stop = rays[keep], cur[keep], stop[keep]
-        t_max, t_delta, step = t_max[keep], t_delta[keep], step[keep]
+        rays, cur, stop, t_max, t_delta, step = (
+            x.compress(keep, axis=-1) for x in (rays, cur, stop, t_max, t_delta, step)
+        )
     return out
 
 

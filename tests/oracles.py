@@ -6,8 +6,9 @@ import math
 import numpy as np
 
 import soundprop as sp
-from soundprop.errors import InputError, IsolationError
-from soundprop.scene import _TIE_EPS, _TIE_PROBES, _segment_cells
+from soundprop.errors import ConfigurationError, InputError, IsolationError
+from soundprop.oracle import _DIFFRACTION_DB_PER_M, _L0_DB, FieldVolume
+from soundprop.scene import _FREE, _OCCUPIED, _OUTSIDE, _PROBE_MASK, _TIE_EPS, _TIE_PROBES, _segment_cells
 from soundprop.training import GROUP_HEADS, _source_stencils
 
 from conftest import latent_at
@@ -98,6 +99,51 @@ def line_of_sight(scene, p, q) -> bool:
             return False
         if ix == ex and iy == ey and iz == ez:
             return True
+
+
+def row_walk(scene, a, b, start, end) -> np.ndarray:
+    """``scene._walk`` with the rays' per-axis state held as ``(m, 3)``
+    rows, reduced along the width-3 axis at every step: the same
+    comparisons in the row layout, so the two agree bit for bit."""
+    labels, strides = scene._labels, scene._strides
+    cur, stop = (start + 1) @ strides, (end + 1) @ strides
+    out = np.zeros(len(a), dtype=bool)
+    clear = (labels[cur] != _OCCUPIED) & (labels[stop] != _OCCUPIED)
+    out[clear & (cur == stop)] = True
+
+    d = b - a
+    moving = d != 0
+    step = np.sign(d).astype(np.int64)
+    t_max = np.full(d.shape, np.inf)
+    np.divide((start + (d > 0)) - a, d, out=t_max, where=moving)
+    t_delta = np.full(d.shape, np.inf)
+    np.divide(1.0, d, out=t_delta, where=moving)
+    np.abs(t_delta, out=t_delta)
+
+    rays = np.flatnonzero(clear & (cur != stop))
+    cur, stop = cur[rays], stop[rays]
+    t_max, t_delta, step = t_max[rays], t_delta[rays], step[rays] * strides
+    while rays.size:
+        t_min = t_max.min(axis=1)
+        past_end = t_min > 1.0 + _TIE_EPS
+        walking = ~past_end
+        ties = t_max - t_min[:, None] <= _TIE_EPS
+        grazing = np.flatnonzero((ties.sum(axis=1) > 1) & walking)
+        if grazing.size:
+            applies = (ties[grazing, None, :] | ~_PROBE_MASK).all(axis=2)
+            cells = cur[grazing, None] + step[grazing] @ _PROBE_MASK.T
+            walking[grazing] = ~(applies & (labels[cells] == _OCCUPIED)).any(axis=1)
+        cur = cur + (ties * step).sum(axis=1)
+        t_max = np.where(ties, t_max + t_delta, t_max)
+        label = labels[cur]
+        keep = walking & (label == _FREE) & (cur != stop)
+        if keep.all():
+            continue
+        arrived = (label == _OUTSIDE) | ((label == _FREE) & (cur == stop))
+        out[rays[past_end | (walking & arrived)]] = True
+        rays, cur, stop = rays[keep], cur[keep], stop[keep]
+        t_max, t_delta, step = t_max[keep], t_delta[keep], step[keep]
+    return out
 
 
 # Corner offsets of one interpolation cell, x fastest.
@@ -208,6 +254,47 @@ def heapq_geodesic(scene, source) -> np.ndarray:
                 dist[ni, nj, nk] = nd
                 heapq.heappush(heap, (nd, ni, nj, nk))
     return np.where(np.isfinite(dist), dist, np.nan)
+
+
+def loop_synth_fields(scene, source, geo) -> dict:
+    """``synth_acoustic_fields`` from the whole-grid centre table
+    (``voxel_centers``, ``np.linalg.norm``), two ``log10`` calls and one
+    masked fill per region id."""
+    source = np.asarray(source, dtype=float)
+    pi = geo.values
+    valid = np.isfinite(pi)
+    h = scene.spacing
+    straight = np.linalg.norm(scene.voxel_centers() - source, axis=-1)
+
+    floor_pi = np.maximum(pi, h)
+    with np.errstate(invalid="ignore"):
+        l_ds = _L0_DB - 20.0 * np.log10(floor_pi) - _DIFFRACTION_DB_PER_M * (pi - straight)
+
+    ids = np.unique(scene.regions[valid & scene.free_mask()])
+    l_er_ref = np.full(scene.dims, np.nan)
+    tau_er = np.full(scene.dims, np.nan)
+    tau_lr = np.full(scene.dims, np.nan)
+    for rid in ids:
+        params = scene.region_params.get(int(rid))
+        if params is None:
+            raise ConfigurationError(f"missing acoustic constants for region {rid}")
+        sel = scene.regions == rid
+        l_er_ref[sel] = params.l_er_ref
+        tau_er[sel] = params.tau_er
+        tau_lr[sel] = params.tau_lr
+    with np.errstate(invalid="ignore"):
+        l_er = l_er_ref - 10.0 * np.log10(floor_pi)
+
+    def _vol(kind, vals):
+        vals = np.where(valid, vals, np.nan)
+        return FieldVolume(source=source, kind=kind, values=vals, spacing=h, origin=scene.origin)
+
+    return {
+        "l_ds": _vol("level", l_ds),
+        "l_er": _vol("level", l_er),
+        "tau_er": _vol("decay-time", tau_er),
+        "tau_lr": _vol("decay-time", tau_lr),
+    }
 
 
 def full_visibility_sources(scene, seed=0, init_count=20) -> list:

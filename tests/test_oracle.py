@@ -6,7 +6,7 @@ from scipy.sparse.csgraph import dijkstra as scipy_dijkstra
 import soundprop as sp
 from soundprop.errors import ConfigurationError, InputError
 
-from oracles import heapq_geodesic, line_of_sight
+from oracles import heapq_geodesic, line_of_sight, loop_synth_fields
 
 
 
@@ -169,6 +169,45 @@ def test_synth_fields_missing_regions_error(box_scene):
         sp.synth_acoustic_fields(bare, src, geo)
 
 
+SYNTH_SCENES = {
+    "coupled-rooms": sp.SceneSpec(kind="coupled-rooms", dims=(14, 4, 10), spacing=0.5, origin=(1.0, -0.5, 2.0)),
+    "aperture": sp.SceneSpec(kind="wall-with-aperture", dims=(16, 4, 16)),
+    "gym-forest": sp.SceneSpec(kind="cylinder-forest", dims=(59, 8, 59), seed=11),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYNTH_SCENES))
+def test_synth_fields_bit_identical_to_region_loop(name):
+    """All four fields equal the whole-grid, per-region-loop version bit
+    for bit, from a voxel centre and from an off-centre source."""
+    scene = sp.build_scene(SYNTH_SCENES[name])
+    free = scene.free_indices()
+    rng = np.random.default_rng(5)
+    for i in rng.choice(len(free), size=3, replace=False):
+        centre = scene.voxel_center(free[i])
+        for src in (centre, centre + rng.uniform(-0.45, 0.45, 3) * scene.spacing):
+            geo = sp.geodesic_field(scene, src)
+            got = sp.synth_acoustic_fields(scene, src, geo)
+            want = loop_synth_fields(scene, src, geo)
+            assert got.keys() == want.keys()
+            for kind in want:
+                assert np.array_equal(got[kind].values, want[kind].values, equal_nan=True), kind
+    if name == "coupled-rooms":
+        assert len(np.unique(got["tau_er"].values[got["tau_er"].valid_mask()])) == 2
+
+
+def test_synth_fields_name_the_missing_region():
+    scene = sp.build_scene(sp.SceneSpec(kind="coupled-rooms", dims=(12, 4, 8)))
+    one_room = sp.VoxelScene(
+        dims=scene.dims, spacing=scene.spacing, origin=scene.origin, occupancy=scene.occupancy,
+        regions=scene.regions, region_params={1: scene.region_params[1]},
+    )
+    src = scene.voxel_center((2, 1, 3))
+    geo = sp.geodesic_field(one_room, src)
+    with pytest.raises(ConfigurationError, match="region 2"):
+        sp.synth_acoustic_fields(one_room, src, geo)
+
+
 # ---------------------------------------------------------------------------
 # Synthetic impulse responses
 # ---------------------------------------------------------------------------
@@ -251,6 +290,19 @@ def forest_with_pocket():
     return sp.VoxelScene(
         dims=forest.dims, spacing=forest.spacing, origin=forest.origin, occupancy=occ
     ), (slice(41, 46), slice(1, 7), slice(41, 46))
+
+
+def test_geodesic_sorts_and_pads_nothing(maze_scene, monkeypatch):
+    """The sweep reads the scene's padded labels and marks its next
+    frontier: no ``np.unique`` and no ``np.pad`` call."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("np.unique or np.pad called by geodesic_field")
+
+    want = heapq_geodesic(maze_scene, maze_scene.voxel_center(maze_scene.free_indices()[5]))
+    monkeypatch.setattr(np, "unique", forbidden)
+    monkeypatch.setattr(np, "pad", forbidden)
+    got = sp.geodesic_field(maze_scene, maze_scene.voxel_center(maze_scene.free_indices()[5]))
+    assert np.array_equal(got.values, want, equal_nan=True)
 
 
 @pytest.mark.parametrize("where", ["centre", "off-centre", "in-pocket"])

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,10 +8,11 @@ from hypothesis import strategies as st
 import soundprop as sp
 from soundprop import scene as scene_mod
 from soundprop.errors import ConfigurationError, InputError
-from soundprop.latentfield import OCCUPIED
+from soundprop import latentfield
+from soundprop.latentfield import OCCUPIED, OUTSIDE
 
 from conftest import random_free_position
-from oracles import line_of_sight
+from oracles import line_of_sight, row_walk
 
 
 def los(scene, p, q) -> bool:
@@ -449,3 +452,91 @@ def test_points_on_voxel_faces_map_to_one_voxel(spacing):
     assert np.array_equal(sp.lines_of_sight(scene, P, P), ~holds)
     status = sp.interp_points(scene, P).status
     assert np.array_equal(status == OCCUPIED, holds)
+
+
+def test_bounding_box_corners_and_faces_are_inside():
+    """A point on the bounding box, at any of its 8 corners or on any of
+    its 6 faces, lies in a grid voxel; one ulp outward it is outside, and
+    ``voxel_of`` raises exactly when ``contains`` is False."""
+    scene = WALK_SCENES["maze-offset"]
+    lo = scene.origin - 0.5 * scene.spacing
+    hi = scene.origin + (np.array(scene.dims) - 0.5) * scene.spacing
+    corners = [np.where(bits, hi, lo) for bits in itertools.product((False, True), repeat=3)]
+    faces, outward = [], []
+    for axis, (end, away) in itertools.product(range(3), ((lo, -np.inf), (hi, np.inf))):
+        p = 0.5 * (lo + hi)
+        p[axis] = end[axis]
+        q = p.copy()
+        q[axis] = np.nextafter(p[axis], away)
+        faces.append(p)
+        outward.append(q)
+    P = np.array(corners + faces)
+    for p in P:
+        assert scene.contains(p)
+        assert all(0 <= i < n for i, n in zip(scene.voxel_of(p), scene.dims))
+    assert (sp.interp_points(scene, P).status != OUTSIDE).all()
+    for q in outward:
+        assert not scene.contains(q)
+        with pytest.raises(InputError):
+            scene.voxel_of(q)
+    assert (sp.interp_points(scene, np.array(outward)).status == OUTSIDE).all()
+
+
+# ---------------------------------------------------------------------------
+# The per-axis walker against the row-layout walker
+# ---------------------------------------------------------------------------
+
+
+def _walk_both(scene, p, q):
+    """``scene._walk`` and ``row_walk`` on the segments from ``p`` to ``q``."""
+    (a, b), (start, end) = scene_mod._segment_cells(scene, np.stack(np.broadcast_arrays(p, q)))
+    return scene_mod._walk(scene, a, b, start, end), row_walk(scene, a, b, start, end)
+
+
+def test_walk_matches_row_walk_on_one_origin_gym_batch():
+    """One source's batch at the gym size: a ray to every free voxel."""
+    scene = sp.build_scene(sp.SceneSpec(kind="cylinder-forest", dims=(59, 8, 59), seed=11))
+    free = scene.free_indices()
+    p = scene.voxel_center(free[len(free) // 3])
+    got, want = _walk_both(scene, p, scene.voxel_center(free))
+    assert len(got) > 18000 and 0 < got.sum() < len(got)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", ["open", "cylinder-forest", "maze"])
+def test_walk_matches_row_walk_on_half_integer_segments(name):
+    """Per-ray segments whose end points lie on the half-integer cell
+    lattice (centres, faces, edges and corners), half of them along exact
+    diagonals, so rays cross cell edges and corners."""
+    scene = WALK_SCENES[name]
+    rng = np.random.default_rng(17)
+    dims = np.array(scene.dims)
+    m = 2400
+    a = rng.integers(0, 2 * dims + 1, size=(m, 3)) / 2.0
+    b = rng.integers(0, 2 * dims + 1, size=(m, 3)) / 2.0
+    # Diagonal rays: one signed length on two or three axes, kept in the box.
+    diag = np.arange(m) % 2 == 0
+    length = rng.integers(1, 2 * dims.min() + 1, size=m) / 2.0
+    sign = rng.choice([-1.0, 1.0], size=(m, 3)) * (rng.random((m, 3)) < 0.8)
+    b[diag] = np.clip(a[diag] + (sign * length[:, None])[diag], 0, dims)
+    d = np.abs(b - a)
+    tied = [(d[:, i] == d[:, j]) & (d[:, i] > 0) for i, j in ((0, 1), (1, 2), (0, 2))]
+    assert np.count_nonzero(np.any(tied, axis=0)) > 500
+    got, want = _walk_both(scene, _at(scene, a), _at(scene, b))
+    assert 0 < got.sum() < m
+    assert np.array_equal(got, want)
+
+
+def test_interp_points_rays_match_row_walk(maze_scene, monkeypatch):
+    """The stencil and fallback rays of 300 off-centre points give the same
+    corners, weights and status on either walker."""
+    rng = np.random.default_rng(23)
+    P = np.array([random_free_position(maze_scene, rng) for _ in range(300)])
+    mask = rng.random(maze_scene.dims) < 0.7
+    got = [sp.interp_points(maze_scene, P), sp.interp_points(maze_scene, P, mask)]
+    monkeypatch.setattr(latentfield, "_walk", row_walk)
+    want = [sp.interp_points(maze_scene, P), sp.interp_points(maze_scene, P, mask)]
+    for g, w in zip(got, want):
+        assert np.array_equal(g.corners, w.corners)
+        assert np.array_equal(g.weights, w.weights)
+        assert np.array_equal(g.status, w.status)

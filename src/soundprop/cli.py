@@ -27,6 +27,7 @@ from .errors import FormatError, InputError, SoundPropError
 from .evalkit import ablation_run, cost_report
 from .fileio import (
     _read_input,
+    _writing,
     read_field,
     read_ir_mono,
     read_layout,
@@ -89,12 +90,13 @@ def _print_out(args, text: str) -> list:
     print(text)
     if not args.out:
         return []
-    Path(args.out).write_text(text + "\n")
+    with _writing(args.out):
+        Path(args.out).write_text(text + "\n")
     return [args.out]
 
 
 def _write_sources(path, sources) -> None:
-    with open(path, "w") as fh:
+    with _writing(path), open(path, "w") as fh:
         for s in sources:
             fh.write(f"{float(s[0])!r} {float(s[1])!r} {float(s[2])!r}\n")
 
@@ -175,7 +177,8 @@ def _cmd_sources_sample(args):
             scene, seed=args.seed, fractions=args.splits, runs=args.runs
         )
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        with _writing(out_dir):
+            out_dir.mkdir(parents=True, exist_ok=True)
         for name, srcs in (("train", train_s), ("val", val_s), ("test", test_s)):
             path = out_dir / f"sources_{name}.txt"
             _write_sources(path, srcs)
@@ -192,8 +195,11 @@ def _cmd_sources_sample(args):
 def _cmd_bake(args):
     scene, _ = read_scene(args.scene)
     sources = _read_sources(args.sources)
+    if not sources:
+        raise InputError(f"{args.sources} holds no sources")
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    with _writing(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
     for i, source in enumerate(sources):
         fields = bake_source(scene, source)
@@ -223,7 +229,8 @@ def _cmd_train(args):
     outputs = []
     if args.dump_checkpoints:
         dump_dir = Path(args.dump_checkpoints)
-        dump_dir.mkdir(parents=True, exist_ok=True)
+        with _writing(dump_dir):
+            dump_dir.mkdir(parents=True, exist_ok=True)
         snapshot = bundle.snapshot()
         for ck in result.checkpoints:
             bundle.restore(ck["params"])

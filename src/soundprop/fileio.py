@@ -28,6 +28,7 @@ import hashlib
 import json
 import math
 import struct
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -58,6 +59,15 @@ def _read_input(path) -> bytes:
             return fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror or exc}") from None
+
+
+@contextmanager
+def _writing(path):
+    """Writing output file or directory ``path``; an ``OSError`` becomes ``InputError``."""
+    try:
+        yield
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def sha256_file(path) -> str:
@@ -132,7 +142,7 @@ def write_scene(path, scene: VoxelScene, kind: str = "custom", seed: int = 0) ->
     body = _rle_encode(occ, "B")
     regions = scene.regions if scene.regions is not None else np.ones(scene.dims, np.int32)
     body += _rle_encode(regions.ravel(order="F").astype(np.int64), "i")
-    with open(path, "wb") as fh:
+    with _writing(path), open(path, "wb") as fh:
         fh.write(header + body)
 
 
@@ -191,7 +201,7 @@ def write_field(path, fv: FieldVolume) -> None:
     header = FIELD_MAGIC + _FIELD_HEADER.pack(
         *fv.dims, _KIND_CODES[fv.kind], channels, *fv.source, fv.spacing, *fv.origin
     )
-    with open(path, "wb") as fh:
+    with _writing(path), open(path, "wb") as fh:
         fh.write(header)
         if channels == 1:
             fh.write(fv.values.astype("<f4").ravel(order="F").tobytes())
@@ -249,7 +259,7 @@ def write_ir(path, samples: np.ndarray, sample_rate: float, t0: float = 0.0) -> 
         f"channels={channels}\n\n"
     ).encode()
     data = samples if samples.ndim == 1 else samples.T.reshape(-1)
-    with open(path, "wb") as fh:
+    with _writing(path), open(path, "wb") as fh:
         fh.write(header)
         fh.write(data.astype("<f4").tobytes())
 
@@ -325,7 +335,7 @@ def save_checkpoint(path, bundle: ModelBundle, extra: dict | None = None) -> Non
     if extra:
         header["extra"] = extra
     blob = json.dumps(header, sort_keys=True).encode()
-    with open(path, "wb") as fh:
+    with _writing(path), open(path, "wb") as fh:
         fh.write(CKPT_MAGIC)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
@@ -415,7 +425,7 @@ def load_checkpoint(path, scene: VoxelScene) -> ModelBundle:
 def write_layout(path, layout: SpeakerLayout) -> None:
     lines = [f"s {float(d[0])!r} {float(d[1])!r} {float(d[2])!r}" for d in layout.directions]
     lines += [f"t {a} {b} {c}" for a, b, c in layout.triples]
-    with open(path, "w") as fh:
+    with _writing(path), open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -457,7 +467,7 @@ def write_pgm_slice(path, fv: FieldVolume, j: int) -> tuple[float, float]:
     span = vmax - vmin if vmax > vmin else 1.0
     img = np.zeros(plane.shape, dtype=np.uint8)
     img[valid] = np.clip((plane[valid] - vmin) / span * 255.0, 0, 255).astype(np.uint8)
-    with open(path, "wb") as fh:
+    with _writing(path), open(path, "wb") as fh:
         fh.write(f"P5\n{plane.shape[0]} {plane.shape[1]}\n255\n".encode())
         fh.write(img.T.tobytes())  # rows are z lines, x fastest
     return vmin, vmax
@@ -472,13 +482,13 @@ def write_manifest(path, command: str, config: dict, inputs, outputs, version: s
         "outputs": {str(p): sha256_file(p) for p in outputs},
         "version": version,
     }
-    with open(path, "w") as fh:
+    with _writing(path), open(path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def write_csv(path, rows: list[dict], fieldnames: list[str]) -> None:
-    with open(path, "w") as fh:
+    with _writing(path), open(path, "w") as fh:
         fh.write(",".join(fieldnames) + "\n")
         for row in rows:
             fh.write(",".join(str(row.get(f, "")) for f in fieldnames) + "\n")

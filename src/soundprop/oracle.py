@@ -122,21 +122,18 @@ def geodesic_field(scene: VoxelScene, source) -> FieldVolume:
     s = (np.array(start) + 1) @ scene._strides
     dist[s] = float(np.linalg.norm(source - scene.voxel_center(start)))
     frontier = np.array([s])
-    # The next frontier is the sorted set of lowered voxels, read off a
-    # mark array that is cleared again after each sweep.
-    mark = np.zeros(dist.size, dtype=bool)
+    # The next frontier is the sorted set of voxels whose distance fell
+    # below ``old``, read off the flat span the offers reached (``reach`` is
+    # the largest flat offset of a neighbour).
+    old, reach = dist.copy(), scene._strides.sum()
     while frontier.size:
         targets = (frontier[:, None] + strides).ravel()
-        cand = (dist[frontier][:, None] + steps).ravel()
-        better = cand < dist[targets]
-        targets, cand = targets[better], cand[better]
-        np.minimum.at(dist, targets, cand)
-        mark[targets] = True
-        frontier = np.flatnonzero(mark)
-        mark[frontier] = False
+        np.minimum.at(dist, targets, (dist[frontier][:, None] + steps).ravel())
+        lo, hi = frontier[0] - reach, frontier[-1] + reach + 1
+        frontier = np.flatnonzero(dist[lo:hi] < old[lo:hi]) + lo
+        old[frontier] = dist[frontier]
 
-    padded = tuple(n + 2 for n in scene.dims)
-    dist = dist.reshape(padded)[1:-1, 1:-1, 1:-1]
+    dist = dist.reshape(tuple(n + 2 for n in scene.dims))[1:-1, 1:-1, 1:-1]
     values = np.where(np.isfinite(dist), dist, np.nan)
     return FieldVolume(
         source=source,

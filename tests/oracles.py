@@ -8,7 +8,9 @@ import numpy as np
 import soundprop as sp
 from soundprop.errors import ConfigurationError, InputError, IsolationError
 from soundprop.oracle import _DIFFRACTION_DB_PER_M, _L0_DB, FieldVolume
-from soundprop.scene import _FREE, _OCCUPIED, _OUTSIDE, _PROBE_MASK, _TIE_EPS, _TIE_PROBES, _segment_cells
+from soundprop.scene import (
+    _FREE, _OCCUPIED, _OUTSIDE, _PROBE_MASK, _TIE_EPS, _TIE_PROBES, _segment_cells, visible_targets,
+)
 from soundprop.training import GROUP_HEADS, _source_stencils
 
 from conftest import latent_at
@@ -256,6 +258,33 @@ def heapq_geodesic(scene, source) -> np.ndarray:
     return np.where(np.isfinite(dist), dist, np.nan)
 
 
+def marked_geodesic(scene, source) -> np.ndarray:
+    """``geodesic_field`` as a filtered frontier sweep: each sweep keeps
+    only the offers below the current distance, and its next frontier is
+    the sorted set of offered voxels, read off a mark array that is cleared
+    again after each sweep. NaN where no path reaches."""
+    source = np.asarray(source, dtype=float)
+    start = scene.voxel_of(source)
+    dist = np.where(scene._labels == _FREE, np.inf, -np.inf)
+    strides = np.array([(di, dj, dk) for di, dj, dk, _ in _OFFSETS]) @ scene._strides
+    steps = np.array([w * scene.spacing for *_, w in _OFFSETS])
+    s = (np.array(start) + 1) @ scene._strides
+    dist[s] = float(np.linalg.norm(source - scene.voxel_center(start)))
+    frontier = np.array([s])
+    mark = np.zeros(dist.size, dtype=bool)
+    while frontier.size:
+        targets = (frontier[:, None] + strides).ravel()
+        cand = (dist[frontier][:, None] + steps).ravel()
+        better = cand < dist[targets]
+        targets, cand = targets[better], cand[better]
+        np.minimum.at(dist, targets, cand)
+        mark[targets] = True
+        frontier = np.flatnonzero(mark)
+        mark[frontier] = False
+    dist = dist.reshape(tuple(n + 2 for n in scene.dims))[1:-1, 1:-1, 1:-1]
+    return np.where(np.isfinite(dist), dist, np.nan)
+
+
 def loop_synth_fields(scene, source, geo) -> dict:
     """``synth_acoustic_fields`` from the whole-grid centre table
     (``voxel_centers``, ``np.linalg.norm``), two ``log10`` calls and one
@@ -321,6 +350,30 @@ def full_visibility_sources(scene, seed=0, init_count=20) -> list:
         covered |= sp.visible_voxels(scene, src)
         uncovered = scene.free_mask() & ~covered
     return sources
+
+
+def per_source_sampler(scene, seed=0, init_count=20):
+    """``sample_sources`` with each initial source casting rays to the
+    still-uncovered free voxels in turn, one ``visible_targets`` call per
+    source. Returns the sources and the mask of free voxels that no
+    initial source sees."""
+    rng = np.random.default_rng(seed)
+    free = scene.free_indices()
+    k = min(init_count, len(free))
+    chosen = rng.choice(len(free), size=k, replace=False)
+    sources = [scene.voxel_center(free[i]) for i in sorted(chosen)]
+
+    uncovered = scene.free_mask()
+    for src in sources:
+        uncovered &= ~visible_targets(scene, src, uncovered)
+    after_initial = uncovered.copy()
+    while uncovered.any():
+        candidates = np.argwhere(uncovered)
+        pick = candidates[rng.integers(len(candidates))]
+        src = scene.voxel_center(pick)
+        sources.append(src)
+        uncovered &= ~visible_targets(scene, src, uncovered)
+    return sources, after_initial
 
 
 def per_bundle_query(bundles, a, b) -> dict:

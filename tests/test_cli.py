@@ -606,3 +606,65 @@ def test_query_prints_strict_json(tmp_path, capsys, monkeypatch):
         record = json.loads(text, parse_constant=no_constants)
         assert {k for k, v in record.items() if v is None} == {"l_ds", "l_er", "l_lr", "tau_er", "tau_lr"}
         assert np.isfinite(record["pi"]) and len(record["doa"]) == 3
+
+
+WRITE_CASES = {
+    "scene-gen": ["scene", "gen", "--kind", "empty-box", "--dims", "8x4x8", "--out", "{missing}/s.scn"],
+    "sources-sample": ["sources", "sample", "--scene", "{scene}", "--out", "{missing}/s.txt"],
+    "sources-splits": ["sources", "sample", "--scene", "{scene}", "--splits", "0.6,0.2,0.2",
+                       "--out", "{under_file}/splits"],
+    "bake": ["bake", "--scene", "{scene}", "--sources", "one.txt", "--out-dir", "{under_file}/baked"],
+    "train": ["train", "--scene", "{scene}", "--train-fields", "fields", "--epochs", "2",
+              "--out", "{missing}/t.ckpt"],
+    "train-log": ["train", "--scene", "{scene}", "--train-fields", "fields", "--epochs", "2",
+                  "--out", "t.ckpt", "--log", "{missing}/log.csv"],
+    "train-dump": ["train", "--scene", "{scene}", "--train-fields", "fields", "--epochs", "2",
+                   "--val-fields", "fields", "--eval-interval", "1", "--out", "t.ckpt",
+                   "--dump-checkpoints", "{under_file}/dump"],
+    "eval": ["eval", "--scene", "{scene}", "--checkpoint", "m.ckpt", "--fields", "fields",
+             "--out", "{missing}/m.csv"],
+    "ablate": ["ablate", "--scene", "{scene}", "--train-fields", "fields", "--val-fields", "fields",
+               "--test-fields", "fields", "--families", "euclidean", "--n-values", "2",
+               "--epochs", "2", "--out", "{missing}/a.csv"],
+    "query": ["query", "--scene", "{scene}", "--distance", "m.ckpt", "--a", "2,1.5,2", "--b", "5,2,5",
+              "--out", "{missing}/q.json"],
+    "render": ["render", "--input", "imp.ir", "--l-ds", "-6", "--l-er", "-12", "--tau-er", "0.3",
+               "--tau-lr", "0.9", "--out", "{missing}/o.ir"],
+    "export-slice": ["export-slice", "--field", "fields/src000_pi.fld", "--out", "{missing}/s.pgm"],
+    "params-extract": ["params", "extract", "--ir", "imp.ir", "--out", "{missing}/p.csv"],
+    "cost": ["cost", "--dims", "8x4x8", "--n", "4", "--out", "{missing}/c.txt"],
+    "cost-csv": ["cost", "--dims", "8x4x8", "--n", "4", "--csv", "{missing}/c.csv"],
+    "manifest": ["cost", "--dims", "8x4x8", "--n", "4", "--manifest", "{missing}/c.json"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRITE_CASES))
+def test_unwritable_output_exit_code(tmp_path, capsys, monkeypatch, case):
+    """Every writing subcommand, given an output in a missing directory (or,
+    for an output directory, under a regular file), exits 3 with an
+    ``error:`` line naming the output."""
+    monkeypatch.chdir(tmp_path)
+    scene_path, _ = _baked_box(tmp_path)
+    scene = fileio.read_scene(scene_path)[0]
+    fileio.save_checkpoint(tmp_path / "m.ckpt", sp.make_bundle(scene, "distance", "euclidean", 2))
+    ir = sp.synth_ir(sp.AcousticParamSet(pi=6.86, l_ds=-8.0, l_er=-14.0, tau_er=0.4, tau_lr=1.0),
+                     sp.SyntheticIRConfig(seed=3))
+    fileio.write_ir(tmp_path / "imp.ir", ir.samples, ir.sample_rate, ir.t0)
+    (tmp_path / "a_file").write_text("")
+    paths = {"scene": str(scene_path), "missing": "nowhere", "under_file": "a_file"}
+    args = [a.format(**paths) for a in WRITE_CASES[case]]
+    err = _exits_3(capsys, args)
+    assert "cannot write" in err
+    assert not (tmp_path / "nowhere").exists()
+
+
+def test_bake_empty_sources_file_exit_code(tmp_path, capsys, monkeypatch):
+    """A sources file with no sources is an input error: exit 3, no
+    manifest and no field."""
+    monkeypatch.chdir(tmp_path)
+    scene_path, _ = _baked_box(tmp_path)
+    empty = tmp_path / "empty.txt"
+    empty.write_text("\n\n")
+    _exits_3(capsys, ["bake", "--scene", str(scene_path), "--sources", str(empty),
+                      "--out-dir", str(tmp_path / "none")])
+    assert not (tmp_path / "none").exists()

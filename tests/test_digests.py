@@ -1,0 +1,32 @@
+"""The committed precompute digests (``precompute_digests.py``)."""
+
+import json
+
+import numpy as np
+
+import soundprop as sp
+from soundprop import fileio
+
+from oracles import loop_synth_fields
+from precompute_digests import DIGESTS, configuration, digests
+
+
+def test_precompute_digests_are_pinned(tmp_path):
+    """A gym-size ``scene gen``, ``sources sample`` and ``bake`` write the
+    committed bytes, and the baked level fields are the float32 of the
+    region-loop oracle's."""
+    record = json.loads(DIGESTS.read_text())
+    got = digests(tmp_path)
+    assert sorted(got) == sorted(record["files"])
+    changed = sorted(name for name in got if got[name] != record["files"][name])
+    assert not changed, (
+        f"{len(changed)} files differ from the digests made with numpy {record['numpy']} and "
+        f"{record['blas']} (running {configuration()}), first {changed[:3]}"
+    )
+    scene = fileio.read_scene(tmp_path / "gym.scn")[0]
+    for pi_path in sorted((tmp_path / "fields").glob("src*_pi.fld")):
+        source = fileio.read_field(pi_path).source
+        want = loop_synth_fields(scene, source, sp.geodesic_field(scene, source))
+        for name in ("l_ds", "l_er"):
+            got_level = fileio.read_field(pi_path.with_name(pi_path.name.replace("_pi", f"_{name}")))
+            assert np.array_equal(got_level.values, want[name].values.astype(np.float32), equal_nan=True)

@@ -6,7 +6,7 @@ from scipy.sparse.csgraph import dijkstra as scipy_dijkstra
 import soundprop as sp
 from soundprop.errors import ConfigurationError, InputError
 
-from oracles import heapq_geodesic, line_of_sight, loop_synth_fields
+from oracles import heapq_geodesic, line_of_sight, loop_synth_fields, marked_geodesic
 
 
 
@@ -329,3 +329,28 @@ def test_geodesic_bit_identical_to_heapq_dijkstra(forest_with_pocket, where):
     else:
         assert not reached[in_pocket].any()
         assert reached[scene.free_mask() & ~in_pocket].all()
+
+
+GEODESIC_SCENES = {
+    "gym": sp.SceneSpec(kind="cylinder-forest", dims=(59, 8, 59), seed=11, geometry={"n_cylinders": 12}),
+    "maze32": sp.SceneSpec(kind="maze", dims=(32, 4, 32), seed=7),
+    "maze64": sp.SceneSpec(kind="maze", dims=(64, 4, 64), seed=7),
+    "rooms-door0": sp.SceneSpec(kind="coupled-rooms", dims=(28, 6, 20), geometry={"door": 0}),
+    "rooms-door1": sp.SceneSpec(kind="coupled-rooms", dims=(28, 6, 20), geometry={"door": 1}),
+    "box": sp.SceneSpec(kind="empty-box", dims=(40, 10, 40)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GEODESIC_SCENES))
+def test_geodesic_bit_identical_to_marked_sweep(name):
+    """Offering every candidate and taking the voxels whose distance fell
+    gives the filtered, mark-array sweep's field bit for bit."""
+    scene = sp.build_scene(GEODESIC_SCENES[name])
+    free = scene.free_indices()
+    rng = np.random.default_rng(5)
+    for i in rng.choice(len(free), 3, replace=False):
+        centre = scene.voxel_center(free[i])
+        for src in (centre, centre + rng.uniform(-0.45, 0.45, 3) * scene.spacing):
+            got = sp.geodesic_field(scene, src).values
+            assert np.array_equal(got, marked_geodesic(scene, src), equal_nan=True)
+

@@ -8,7 +8,7 @@ from soundprop import training
 from soundprop.training import GROUP_HEADS
 
 from oracles import Adam as PerArrayAdam
-from oracles import full_visibility_sources, per_source_train, reference_train
+from oracles import full_visibility_sources, per_source_sampler, per_source_train, reference_train
 
 
 # ---------------------------------------------------------------------------
@@ -338,25 +338,92 @@ def test_sample_sources_matches_full_visibility_sampler(name):
 
 
 def test_sample_sources_casts_one_ray_per_uncovered_voxel(monkeypatch):
+    """The initial sources' rays: every free voxel casts one ray to its
+    nearest source, and a voxel casts to its next-nearest sources, in
+    passes of width 1, 2, 4, ..., only while no earlier pass has seen it.
+    Each adaptive source then casts one ray per still-uncovered voxel."""
     from soundprop import scene as scene_mod
 
     scene = sp.build_scene(SAMPLER_SCENES["maze"])
-    rays = []
-    cast = scene_mod.lines_of_sight
+    initial, adaptive = [], []
+    walk, cast = training._walk, scene_mod.lines_of_sight
     monkeypatch.setattr(
-        scene_mod, "lines_of_sight", lambda s, p, q: rays.append(len(q)) or cast(s, p, q)
+        training, "_walk",
+        lambda s, a, b, start, end: initial.append((start, end)) or walk(s, a, b, start, end),
     )
-    sources = sp.sample_sources(scene, seed=2, init_count=3)
+    monkeypatch.setattr(
+        scene_mod, "lines_of_sight", lambda s, p, q: adaptive.append(len(q)) or cast(s, p, q)
+    )
+    sources = sp.sample_sources(scene, seed=2, init_count=20)
     monkeypatch.undo()
 
+    cells = np.array([scene.voxel_of(src) for src in sources[:20]])
+    cast_to = {}
+    for start, end in initial:
+        for cell, voxel in zip(map(tuple, start), map(tuple, end)):
+            cast_to.setdefault(voxel, []).append(cell)
+    sees = np.array([sp.visible_voxels(scene, src) for src in sources[:20]])
+    free = scene.free_indices()
+    assert sorted(cast_to) == sorted(map(tuple, free))
+    later = 0
+    for voxel in map(tuple, free):
+        d2 = ((cells - voxel) ** 2).sum(axis=1)
+        ranked = np.lexsort((np.arange(20), d2))
+        seen_at = np.flatnonzero(sees[(slice(None), *voxel)][ranked])
+        first = seen_at[0] if seen_at.size else 19
+        width_end = 1
+        while width_end <= first:
+            width_end = 2 * width_end + 1
+        budget = ranked[: min(width_end, 20)]
+        assert sorted(cast_to[voxel]) == sorted(map(tuple, cells[budget]))
+        later += len(budget) - 1
+    assert later > 0  # some voxels need more than the first pass
+
     expected = 0
-    uncovered = scene.free_mask()
-    for src in sources:
+    uncovered = scene.free_mask() & ~sees.any(axis=0)
+    for src in sources[20:]:
         expected += np.count_nonzero(uncovered)
         uncovered &= ~sp.visible_voxels(scene, src)
     assert not uncovered.any()
-    assert sum(rays) == expected
-    assert expected < len(sources) * np.count_nonzero(scene.free_mask())
+    assert sum(adaptive) == expected
+
+
+GYM_FOREST = sp.SceneSpec(kind="cylinder-forest", dims=(59, 8, 59), seed=11, geometry={"n_cylinders": 12})
+COVERAGE_SCENES = dict(
+    SAMPLER_SCENES,
+    gym=GYM_FOREST,
+    maze32=sp.SceneSpec(kind="maze", dims=(32, 4, 32), seed=7),
+)
+
+
+@pytest.mark.parametrize("init_count", [0, 1, 20, "all"])
+@pytest.mark.parametrize("name", sorted(COVERAGE_SCENES))
+def test_sample_sources_matches_per_source_sampler(name, init_count):
+    """Nearest-first coverage passes leave the same voxels unseen as one
+    ``visible_targets`` call per initial source, and the placement is the
+    same."""
+    scene = sp.build_scene(COVERAGE_SCENES[name])
+    free = scene.free_indices()
+    count = len(free) + 5 if init_count == "all" else init_count
+    seed = 4
+    cells = free[np.sort(np.random.default_rng(seed).choice(len(free), min(count, len(free)), replace=False))]
+    got = sp.sample_sources(scene, seed=seed, init_count=count)
+    unseen = training._unseen(scene, cells)
+    if name == "gym" and init_count == "all":
+        # The per-source loop takes tens of seconds here; every free voxel
+        # is a source and sees its own centre.
+        assert unseen.shape == (0, 3)
+        assert np.array_equal(np.array(got), scene.voxel_center(free))
+        return
+    want, after_initial = per_source_sampler(scene, seed=seed, init_count=count)
+    assert np.array_equal(unseen, np.argwhere(after_initial))
+    assert len(got) == len(want)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_sample_sources_rejects_negative_init_count(box_scene):
+    with pytest.raises(ConfigurationError, match="init_count"):
+        sp.sample_sources(box_scene, seed=0, init_count=-1)
 
 
 def test_off_centre_source_latent_matches_predict_fields(box_scene):

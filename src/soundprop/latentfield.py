@@ -33,6 +33,37 @@ _SHELL_OFFSETS = np.array(
 )
 _SHELL_RADIUS = np.abs(_SHELL_OFFSETS).max(axis=1)
 
+
+def _chain_table() -> np.ndarray:
+    """``_CHAIN[pv, code, c]``: the corners that the ray from corner ``c``
+    to a point in the voxel of corner ``pv`` visits before ``pv``, as three
+    corner ids ``i + 2j + 4k``, ``c`` first; one repeats where it visits
+    fewer.
+
+    The ray flips the axes where ``c`` and ``pv`` differ, in ascending
+    order of the point's offsets from its voxel centre. ``code`` orders
+    them: bit 0 says the x offset exceeds the y one, bit 1 y over z, bit 2
+    x over z. The corners are ``c`` with none, its first and its first two
+    axes of that order set to ``pv``'s."""
+    masks = []
+    for code in range(8):
+        gt0, gt1, gt2 = (code >> k & 1 for k in range(3))
+        rank = (gt0 + gt2, 1 - gt0 + gt1, 2 - gt1 - gt2)
+        first, second, _ = sorted(range(3), key=rank.__getitem__)
+        masks.append((0, 1 << first, 1 << first | 1 << second))
+    c = np.arange(8)[:, None]
+    return c ^ ((c ^ c[:, :, None, None]) & np.array(masks)[:, None, :])
+
+
+_CHAIN = _chain_table()
+_BITS = np.array([1, 2, 4])
+# Offset pairs compared for the chain order, and the margin within which a
+# point's offsets tie or touch a face: such a point's corners are walked.
+# The margin keeps every table crossing far outside the walker's 1e-9 tie
+# band, so the table and the walk agree bit for bit.
+_PAIR_A, _PAIR_B = [0, 1, 0], [1, 2, 2]
+_NEAR = 1e-6
+
 # Per-point outcome of ``interp_points``, and the outcome of a point in a
 # cell of each label of the scene's padded grid.
 RESOLVED, OUTSIDE, OCCUPIED, ISOLATED = 0, 1, 2, 3
@@ -115,8 +146,8 @@ class InterpBatch:
     def sample(self, data: np.ndarray) -> np.ndarray:
         """``(N, c)`` weighted sums of the per-vertex rows of ``data``
         (shape ``(nx, ny, nz, c)``); NaN rows for unresolved points."""
-        c = self.corners
-        rows = data[c[..., 0], c[..., 1], c[..., 2]]
+        ny, nz, c = data.shape[1:]
+        rows = data.reshape(-1, c).take(self.corners @ (ny * nz, nz, 1), axis=0)
         rows = np.where(self.weights[..., None] > 0.0, rows, 0.0)  # unused vertices may be NaN
         out = (self.weights[:, None, :] @ rows)[:, 0]
         out[self.status != RESOLVED] = np.nan
@@ -150,9 +181,11 @@ def interp_points(scene: VoxelScene, points, value_mask: np.ndarray | None = Non
     samples) and it sees the point; the surviving weights are
     renormalized. A point with no such corner falls back to the nearest
     usable vertex that sees it, in the lowest Chebyshev shell (radius 0 to
-    2) around its nearest vertex, ties to the first in C order. The corner
-    rays make one walk of ``scene.lines_of_sight``'s core, the fallback
-    rays one more; neither checks the points again.
+    2) around its nearest vertex, ties to the first in C order. A corner
+    ray stays in the point's cell, so whether it sees the point is read
+    from ``_CHAIN``; only the corner rays of points whose offsets tie or
+    near a face, and the fallback rays, walk ``scene.lines_of_sight``'s
+    core, one walk each, and neither checks the points again.
     Unresolvable points are reported in ``status``, not raised.
     """
     P = np.asarray(points, dtype=float).reshape(-1, 3)
@@ -166,19 +199,31 @@ def interp_points(scene: VoxelScene, points, value_mask: np.ndarray | None = Non
     ok = status == RESOLVED
     usable = scene._free if value_mask is None else scene._free & value_mask
 
-    base = np.clip(np.floor(v).astype(int), 0, dims - 2)
-    t = np.clip(v - base, 0.0, 1.0)
+    base = np.minimum(np.maximum(np.floor(v).astype(int), 0), dims - 2)
+    t = np.minimum(np.maximum(v - base, 0.0), 1.0)
     corners = base[:, None, :] + _CORNERS
     f = np.where(_CORNERS == 1, t[:, None, :], 1.0 - t[:, None, :])
     w = f[..., 0] * f[..., 1] * f[..., 2]
 
-    row, slot = np.nonzero((w > 0.0) & usable[tuple(corners.T)].T & ok[:, None])
-    keep = np.zeros(w.shape, dtype=bool)
-    keep[row, slot] = _sees(scene, corners[row, slot], v[row], voxel[row])
+    # A corner sees the point when every corner of its chain is free; the
+    # ray stays in the cell, so they are in the grid.
+    beta = np.abs(v - voxel)
+    order = beta[:, _PAIR_A] - beta[:, _PAIR_B]
+    near = ((np.abs(order) <= _NEAR) | (beta >= 0.5 - _NEAR)).any(axis=1)
+    chain = _CHAIN[(voxel - base) @ _BITS, (order > 0.0) @ _BITS]
+    cells = ((base + 1) @ scene._strides)[:, None, None] + (_CORNERS @ scene._strides)[chain]
+    free = scene._labels[cells] == _FREE
+    keep = (w > 0.0) & free[..., 0] & ok[:, None]
+    if value_mask is not None:
+        keep &= value_mask[tuple(corners.T)].T
+    row, slot = np.nonzero(keep & near[:, None])
+    keep &= free.all(axis=2)
+    if row.size:
+        keep[row, slot] = _sees(scene, corners[row, slot], v[row], voxel[row])
     w = np.where(keep, w, 0.0)
     total = w.sum(axis=1)
     hit = total > 0.0
-    w[hit] /= total[hit, None]
+    w /= np.where(hit, total, 1.0)[:, None]
 
     lost = np.flatnonzero(ok & ~hit)
     if lost.size:

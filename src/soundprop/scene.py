@@ -499,15 +499,8 @@ def visible_voxels(scene: VoxelScene, p) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if not scene.contains(p):
         raise InputError("query point outside the scene bounding box")
-    return visible_targets(scene, p, scene._free)
-
-
-def visible_targets(scene: VoxelScene, p, targets: np.ndarray) -> np.ndarray:
-    """``visible_voxels(scene, p) & targets`` for ``p`` inside the scene,
-    casting one batch of rays to the free voxel centres of ``targets``."""
     mask = np.zeros(scene.dims, dtype=bool)
-    if scene.occupancy[scene.voxel_of(p)]:
-        return mask
-    idx = np.argwhere(targets & scene._free)
-    mask[tuple(idx.T)] = lines_of_sight(scene, p, scene.voxel_center(idx))
+    if not scene.occupancy[scene.voxel_of(p)]:
+        idx = scene.free_indices()
+        mask[tuple(idx.T)] = lines_of_sight(scene, p, scene.voxel_center(idx))
     return mask

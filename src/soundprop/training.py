@@ -23,7 +23,7 @@ from .decoders import DecaysModel, DistanceModel, LevelsModel, make_distance_dec
 from .errors import ConfigurationError, DivergenceError, InputError
 from .latentfield import RESOLVED, InterpBatch, LatentGrid, init_latent_grid, interp_points
 from .oracle import FieldVolume, bake_source, valid_pairs
-from .scene import VoxelScene, _segment_cells, _walk, visible_targets
+from .scene import VoxelScene, _segment_cells, _walk, lines_of_sight
 
 GROUP_HEADS = {
     "distance": ("pi",),
@@ -233,14 +233,11 @@ def sample_sources(scene: VoxelScene, seed: int = 0, init_count: int = 20) -> li
     cells = free[np.sort(rng.choice(len(free), size=k, replace=False))]
     sources = [scene.voxel_center(c) for c in cells]
 
-    uncovered = np.zeros(scene.dims, dtype=bool)
-    uncovered[tuple(_unseen(scene, cells).T)] = True
-    while uncovered.any():
-        candidates = np.argwhere(uncovered)
-        pick = candidates[rng.integers(len(candidates))]
-        src = scene.voxel_center(pick)
+    uncovered = _unseen(scene, cells)  # C order, kept so by every drop
+    while len(uncovered):
+        src = scene.voxel_center(uncovered[rng.integers(len(uncovered))])
         sources.append(src)
-        uncovered &= ~visible_targets(scene, src, uncovered)
+        uncovered = uncovered[~lines_of_sight(scene, src, scene.voxel_center(uncovered))]
     return sources
 
 

@@ -8,8 +8,11 @@ import numpy as np
 import soundprop as sp
 from soundprop.errors import ConfigurationError, InputError, IsolationError
 from soundprop.oracle import _DIFFRACTION_DB_PER_M, _L0_DB, FieldVolume
+from soundprop.latentfield import (
+    _STATUS_OF_LABEL, ISOLATED, RESOLVED, InterpBatch, _nearest_visible_vertex, _sees,
+)
 from soundprop.scene import (
-    _FREE, _OCCUPIED, _OUTSIDE, _PROBE_MASK, _TIE_EPS, _TIE_PROBES, _segment_cells, visible_targets,
+    _FREE, _OCCUPIED, _OUTSIDE, _PROBE_MASK, _TIE_EPS, _TIE_PROBES, _segment_cells, _voxel_cells,
 )
 from soundprop.training import GROUP_HEADS, _source_stencils
 
@@ -224,6 +227,49 @@ def masked_interp(data, scene, p, value_mask=None):
     raise IsolationError(f"no visible vertex within {_FALLBACK_SHELLS} shells of {p.tolist()}")
 
 
+def walk_interp_points(scene, points, value_mask=None):
+    """``latentfield.interp_points`` with every corner ray walked: the
+    reference for its chain-table visibility.
+
+    A cell corner contributes if its trilinear weight is positive, it is
+    usable and ``scene._walk`` sees the point from it; the surviving
+    weights are renormalized, and a point with no such corner falls back
+    as in ``interp_points``.
+    """
+    P = np.asarray(points, dtype=float).reshape(-1, 3)
+    dims = scene._dims
+    inside = scene._inside(P)
+    P = np.where(inside[:, None], P, scene.origin)  # keep rejected points out of the arithmetic
+    v = (P - scene.origin) / scene.spacing
+    voxel = _voxel_cells(v + 0.5, dims)
+    label = np.where(inside, scene._labels[(voxel + 1) @ scene._strides], _OUTSIDE)
+    status = _STATUS_OF_LABEL[label]
+    ok = status == RESOLVED
+    usable = scene._free if value_mask is None else scene._free & value_mask
+
+    base = np.clip(np.floor(v).astype(int), 0, dims - 2)
+    t = np.clip(v - base, 0.0, 1.0)
+    corners = base[:, None, :] + _CORNERS
+    f = np.where(_CORNERS == 1, t[:, None, :], 1.0 - t[:, None, :])
+    w = f[..., 0] * f[..., 1] * f[..., 2]
+
+    row, slot = np.nonzero((w > 0.0) & usable[tuple(corners.T)].T & ok[:, None])
+    keep = np.zeros(w.shape, dtype=bool)
+    keep[row, slot] = _sees(scene, corners[row, slot], v[row], voxel[row])
+    w = np.where(keep, w, 0.0)
+    total = w.sum(axis=1)
+    hit = total > 0.0
+    w[hit] /= total[hit, None]
+
+    lost = np.flatnonzero(ok & ~hit)
+    if lost.size:
+        vertex, found = _nearest_visible_vertex(scene, P[lost], v[lost], voxel[lost], usable)
+        w[lost[found], 0] = 1.0
+        corners[lost[found], 0] = vertex[found]
+        status[lost[~found]] = ISOLATED
+    return InterpBatch(corners=corners, weights=w, status=status)
+
+
 def heapq_geodesic(scene, source) -> np.ndarray:
     """Textbook Dijkstra over the 26-connected free-voxel graph.
 
@@ -354,7 +400,7 @@ def full_visibility_sources(scene, seed=0, init_count=20) -> list:
 
 def per_source_sampler(scene, seed=0, init_count=20):
     """``sample_sources`` with each initial source casting rays to the
-    still-uncovered free voxels in turn, one ``visible_targets`` call per
+    still-uncovered free voxels in turn, one ``visible_voxels`` call per
     source. Returns the sources and the mask of free voxels that no
     initial source sees."""
     rng = np.random.default_rng(seed)
@@ -365,14 +411,14 @@ def per_source_sampler(scene, seed=0, init_count=20):
 
     uncovered = scene.free_mask()
     for src in sources:
-        uncovered &= ~visible_targets(scene, src, uncovered)
+        uncovered &= ~sp.visible_voxels(scene, src)
     after_initial = uncovered.copy()
     while uncovered.any():
         candidates = np.argwhere(uncovered)
         pick = candidates[rng.integers(len(candidates))]
         src = scene.voxel_center(pick)
         sources.append(src)
-        uncovered &= ~visible_targets(scene, src, uncovered)
+        uncovered &= ~sp.visible_voxels(scene, src)
     return sources, after_initial
 
 

@@ -1,4 +1,5 @@
-"""The committed precompute digests (``precompute_digests.py``)."""
+"""The committed precompute and query digests (``precompute_digests.py``,
+``query_digests.py``)."""
 
 import json
 
@@ -9,6 +10,7 @@ from soundprop import fileio
 
 from oracles import loop_synth_fields
 from precompute_digests import DIGESTS, configuration, digests
+import query_digests
 
 
 def test_precompute_digests_are_pinned(tmp_path):
@@ -30,3 +32,16 @@ def test_precompute_digests_are_pinned(tmp_path):
         for name in ("l_ds", "l_er"):
             got_level = fileio.read_field(pi_path.with_name(pi_path.name.replace("_pi", f"_{name}")))
             assert np.array_equal(got_level.values, want[name].values.astype(np.float32), equal_nan=True)
+
+
+def test_query_digests_are_pinned():
+    """A seeded maze query stream and the stencils of one point set per
+    scene kind give the committed bits."""
+    record = json.loads(query_digests.DIGESTS.read_text())
+    got = query_digests.digests()
+    assert sorted(got) == sorted(record["digests"])
+    changed = sorted(name for name in got if got[name] != record["digests"][name])
+    assert not changed, (
+        f"{len(changed)} digests differ from those made with numpy {record['numpy']} and "
+        f"{record['blas']} (running {configuration()}): {changed}"
+    )

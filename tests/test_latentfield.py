@@ -1,12 +1,17 @@
+import itertools
+
 import numpy as np
 import pytest
 
 import soundprop as sp
 from soundprop.errors import InputError, IsolationError
+from soundprop.latentfield import _CORNERS as CORNERS
 from soundprop.latentfield import ISOLATED, OCCUPIED, OUTSIDE, RESOLVED
+from soundprop.scene import SCENE_KINDS
 
 from conftest import latent_at, random_free_position
 from oracles import masked_interp as oracle_masked_interp
+from oracles import walk_interp_points
 
 
 @pytest.fixture(scope="module")
@@ -237,3 +242,123 @@ def test_interp_points_rows_do_not_depend_on_the_batch(maze_scene):
     values = sp.interp_points(maze_scene, points).sample(data)
     for p, row in zip(points, values):
         assert np.array_equal(sp.interp_points(maze_scene, p[None]).sample(data)[0], row)
+
+
+# ---------------------------------------------------------------------------
+# Chain-table visibility against the walked corner rays
+# ---------------------------------------------------------------------------
+
+_PLACEMENTS = [(1.0, (0.0, 0.0, 0.0)), (0.37, (-3.1, 2.2, 0.7)), (2.5, (10.0, -4.0, 1.25))]
+
+
+def _degenerate_offsets(rng, n, eps):
+    """Offsets from a voxel centre, in voxel units, of ``n`` points: in
+    turn two offsets tie, all three tie, or one sits at a face, each to
+    within ``eps`` on either side."""
+    beta = rng.uniform(0.0, 0.5, size=(n, 3))
+    a, b = rng.permuted(np.tile([0, 1, 2], (n, 1)), axis=1)[:, :2].T
+    jitter = rng.choice([-eps, eps], size=(n, 3))
+    pair, triple, face = (np.arange(k, n, 3) for k in range(3))
+    beta[pair, b[pair]] = beta[pair, a[pair]] + jitter[pair, 0]
+    beta[triple] = beta[triple, :1] + jitter[triple]
+    beta[face, a[face]] = 0.5 + jitter[face, 0]
+    return np.abs(beta) * rng.choice([-1.0, 1.0], size=(n, 3))
+
+
+def _chain_points(scene, rng):
+    """Uniform points over the bounding box and a margin, points on the
+    quarter- and half-grid of the voxel centres, and near-degenerate
+    points around free voxel centres at 1e-7, 1e-9, 1e-12 and 0."""
+    lo, hi, dims = scene._lo, scene._hi, np.array(scene.dims)
+    free = scene.free_indices()
+    pad = 0.05 * (hi - lo)
+    cells = [rng.uniform(-0.5, dims - 0.5, size=(1000, 3)),
+             rng.integers(-2, 4 * dims - 1, size=(600, 3)) / 4.0,
+             rng.integers(-1, 2 * dims, size=(600, 3)) / 2.0]
+    for eps in (1e-7, 1e-9, 1e-12, 0.0):
+        cells.append(free[rng.integers(len(free), size=400)] + _degenerate_offsets(rng, 400, eps))
+    margin = rng.uniform(lo - pad, hi + pad, size=(200, 3))
+    return np.vstack([scene.origin + np.vstack(cells) * scene.spacing, margin])
+
+
+@pytest.mark.parametrize("placement", _PLACEMENTS, ids=["unit", "0.37", "2.5"])
+@pytest.mark.parametrize("kind", SCENE_KINDS)
+def test_interp_points_matches_walked_corner_rays(kind, placement):
+    """The chain table gives the corners, weights and status of the walk
+    over every corner ray, with and without a value mask, on uniform,
+    quarter- and half-grid points and on points whose offsets tie or sit
+    at a face to within 1e-7, 1e-9, 1e-12 or exactly."""
+    spacing, origin = placement
+    k = SCENE_KINDS.index(kind)
+    scene = sp.build_scene(sp.SceneSpec(kind=kind, dims=(10, 5, 11), spacing=spacing, origin=origin, seed=k))
+    rng = np.random.default_rng(50 + k)
+    points = _chain_points(scene, rng)
+    for mask in (None, rng.random(scene.dims) < 0.7):
+        got, want = sp.interp_points(scene, points, mask), walk_interp_points(scene, points, mask)
+        assert np.array_equal(got.status, want.status)
+        assert np.array_equal(got.corners, want.corners)
+        assert np.array_equal(got.weights, want.weights)
+    assert (got.status == RESOLVED).sum() > 1600
+
+
+def test_chain_table_matches_walk_on_every_block_pattern(monkeypatch):
+    """Every occupancy pattern of a 2x2x2 block, a point in each of its
+    voxels with each order of its offsets: a corner keeps its weight
+    exactly when it is free and the walk from its centre sees the point,
+    and no ray is walked."""
+    from soundprop import latentfield
+
+    occ = np.zeros((3 * 256, 4, 4), dtype=bool)
+    blocks = 3 * np.arange(256) + 1
+    for bit, (i, j, k) in enumerate(CORNERS):
+        occ[blocks[(np.arange(256) >> bit & 1) == 1] + i, 1 + j, 1 + k] = True
+    scene = sp.VoxelScene(dims=occ.shape, spacing=1.0, origin=np.zeros(3), occupancy=occ)
+    orders = list(itertools.permutations(range(3)))
+    pattern, pv, order = (a.ravel() for a in np.meshgrid(np.arange(256), np.arange(8), np.arange(6), indexing="ij"))
+    beta = np.zeros((len(pattern), 3))
+    for o, axes in enumerate(orders):
+        beta[np.ix_(order == o, list(axes))] = (0.1, 0.25, 0.4)
+    side = CORNERS[pv]
+    base = np.stack([blocks[pattern], np.ones_like(pattern), np.ones_like(pattern)], axis=1)
+    points = base + np.where(side == 1, 1.0 - beta, beta)
+
+    def no_walk(*args):
+        raise AssertionError("a non-degenerate point was walked")
+
+    monkeypatch.setattr(latentfield, "_walk", no_walk)
+    batch = sp.interp_points(scene, points)
+    monkeypatch.undo()
+    resolved = batch.status == RESOLVED
+    assert resolved.sum() == len(points) // 2  # its voxel is free in half the patterns
+    corners = base[:, None, :] + CORNERS
+    assert np.array_equal(batch.corners, corners)
+    free = ~occ[tuple(corners.reshape(-1, 3).T)].reshape(-1, 8)
+    sees = sp.lines_of_sight(scene, corners.reshape(-1, 3).astype(float), np.repeat(points, 8, axis=0))
+    want = free & sees.reshape(-1, 8)
+    assert np.array_equal(batch.weights[resolved] > 0.0, want[resolved])
+    assert 0 < want[resolved].sum() < want[resolved].size
+
+
+def test_near_degenerate_points_reach_the_walker(box, monkeypatch):
+    """A point whose offsets tie, or one of which nears a face, to within
+    1e-6 has its corner rays walked; a point clear of both has none."""
+    from soundprop import latentfield
+
+    walked = []
+    walk = latentfield._walk
+    monkeypatch.setattr(
+        latentfield, "_walk", lambda s, a, b, start, end: walked.append(end.copy()) or walk(s, a, b, start, end)
+    )
+    centre = box.voxel_center((3, 1, 4))
+    clear = centre + np.array([0.1, -0.2, 0.3]) * box.spacing
+    for offset in ([0.1, 0.1 + 5e-7, 0.3], [0.2, -0.2, 0.3], [0.1, 0.5 - 5e-7, -0.3]):
+        walked.clear()
+        p = centre + np.array(offset) * box.spacing
+        batch = sp.interp_points(box, np.array([clear, p]))
+        assert (batch.status == RESOLVED).all()
+        assert len(walked) == 1
+        assert (walked[0] == [3, 1, 4]).all()
+        assert len(walked[0]) == np.count_nonzero(batch.weights[1])
+    walked.clear()
+    sp.interp_points(box, clear[None])
+    assert walked == []

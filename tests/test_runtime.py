@@ -379,10 +379,21 @@ def _falls_back(scene, p) -> bool:
     return not np.isin(corners - base, (0, 1)).all()
 
 
+def _near_degenerate(scene, p) -> bool:
+    """Whether ``p`` resolves to a free voxel and two of its offsets from
+    the voxel centre tie or one nears a face, within 1e-6 voxel: the
+    corners of such a point are walked, not read from the chain table."""
+    if not scene.contains(p) or scene.occupancy[scene.voxel_of(p)]:
+        return False
+    beta = np.abs((p - scene.origin) / scene.spacing - scene.voxel_of(p))
+    gaps = np.abs(beta - np.roll(beta, 1))
+    return bool((gaps <= 1e-6).any() or (beta >= 0.5 - 1e-6).any())
+
+
 def test_query_interpolates_each_point_once(maze_scene, maze_bundles, monkeypatch):
     """One interpolation over ``a``, ``b`` and the 12 DOA stencil points,
-    one ray batch when no point falls back, one pair decode per bundle and
-    one stencil decode on the distance bundle."""
+    no ray walk unless a point is near-degenerate or falls back, one pair
+    decode per bundle and one stencil decode on the distance bundle."""
     from soundprop import latentfield
 
     batches, rays, decodes = [], [], []
@@ -407,7 +418,8 @@ def test_query_interpolates_each_point_once(maze_scene, maze_bundles, monkeypatc
         assert len(batches) == 1
         assert np.array_equal(batches[0], np.vstack([a, b, b + h * DOA_STENCIL]))
         fell_back = any(_falls_back(maze_scene, p) for p in batches[0])
-        assert len(rays) == 1 + fell_back
+        walked = any(_near_degenerate(maze_scene, p) for p in batches[0])
+        assert len(rays) == walked + fell_back
         assert sorted(decodes) == [
             ("DecaysModel", 1), ("DistanceModel", 1), ("DistanceModel", 12), ("LevelsModel", 1)
         ]

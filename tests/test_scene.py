@@ -289,20 +289,22 @@ def test_query_outside_bbox_raises(box_scene):
         sp.visible_voxels(box_scene, (-100.0, 0.0, 0.0))
 
 
-def test_visible_targets_is_masked_visibility(aperture_scene):
-    from soundprop.scene import visible_targets
-
+def test_lines_of_sight_to_voxel_centres_is_masked_visibility(aperture_scene):
+    """Rays from ``p`` to some free voxel centres, as the adaptive sampler
+    casts them, read ``visible_voxels`` at those voxels."""
     rng = np.random.default_rng(4)
     points = [
         aperture_scene.voxel_center((2, 1, 3)),
         random_free_position(aperture_scene, rng),
         aperture_scene.voxel_center((0, 0, 0)),  # inside the shell
     ]
+    free = aperture_scene.free_indices()
     for p in points:
         full = sp.visible_voxels(aperture_scene, p)
         for _ in range(3):
-            targets = rng.random(aperture_scene.dims) < 0.3
-            assert (visible_targets(aperture_scene, p, targets) == (full & targets)).all()
+            idx = free[rng.random(len(free)) < 0.3]
+            got = sp.lines_of_sight(aperture_scene, p, aperture_scene.voxel_center(idx))
+            assert np.array_equal(got, full[tuple(idx.T)])
 
 
 # ---------------------------------------------------------------------------

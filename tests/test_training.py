@@ -342,17 +342,15 @@ def test_sample_sources_casts_one_ray_per_uncovered_voxel(monkeypatch):
     nearest source, and a voxel casts to its next-nearest sources, in
     passes of width 1, 2, 4, ..., only while no earlier pass has seen it.
     Each adaptive source then casts one ray per still-uncovered voxel."""
-    from soundprop import scene as scene_mod
-
     scene = sp.build_scene(SAMPLER_SCENES["maze"])
     initial, adaptive = [], []
-    walk, cast = training._walk, scene_mod.lines_of_sight
+    walk, cast = training._walk, training.lines_of_sight
     monkeypatch.setattr(
         training, "_walk",
         lambda s, a, b, start, end: initial.append((start, end)) or walk(s, a, b, start, end),
     )
     monkeypatch.setattr(
-        scene_mod, "lines_of_sight", lambda s, p, q: adaptive.append(len(q)) or cast(s, p, q)
+        training, "lines_of_sight", lambda s, p, q: adaptive.append(len(q)) or cast(s, p, q)
     )
     sources = sp.sample_sources(scene, seed=2, init_count=20)
     monkeypatch.undo()
@@ -400,7 +398,7 @@ COVERAGE_SCENES = dict(
 @pytest.mark.parametrize("name", sorted(COVERAGE_SCENES))
 def test_sample_sources_matches_per_source_sampler(name, init_count):
     """Nearest-first coverage passes leave the same voxels unseen as one
-    ``visible_targets`` call per initial source, and the placement is the
+    ``visible_voxels`` call per initial source, and the placement is the
     same."""
     scene = sp.build_scene(COVERAGE_SCENES[name])
     free = scene.free_indices()

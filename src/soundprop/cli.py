@@ -397,8 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--manifest", help="run-manifest path override")
-        p.add_argument("--workers", type=int, default=1,
-                       help="accepted for compatibility; commands run in one process")
 
     scene = sub.add_parser("scene", help="scene construction").add_subparsers(
         dest="subcmd", required=True
@@ -434,6 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     bake.add_argument("--scene", required=True)
     bake.add_argument("--sources", required=True)
     bake.add_argument("--out-dir", required=True)
+    bake.add_argument("--workers", type=int, default=1, help="accepted; the bake runs in one process")
     add_common(bake)
     bake.set_defaults(func=_cmd_bake, command="bake")
 

@@ -140,8 +140,7 @@ def write_scene(path, scene: VoxelScene, kind: str = "custom", seed: int = 0) ->
     header = ("\n".join(lines) + "\n\n").encode()
     occ = scene.occupancy.ravel(order="F").astype(np.uint8)
     body = _rle_encode(occ, "B")
-    regions = scene.regions if scene.regions is not None else np.ones(scene.dims, np.int32)
-    body += _rle_encode(regions.ravel(order="F").astype(np.int64), "i")
+    body += _rle_encode(scene.regions.ravel(order="F").astype(np.int64), "i")
     with _writing(path), open(path, "wb") as fh:
         fh.write(header + body)
 
@@ -159,7 +158,7 @@ def read_scene(path) -> tuple[VoxelScene, dict]:
     region_params = {}
     try:
         for line in blob[:sep].decode().splitlines()[1:]:
-            key, _, value = line.partition("=")
+            key, value = line.split("=", 1)  # a line without "=" is malformed
             if key.startswith("region."):
                 te, tl, ler = (float(x) for x in value.split(","))
                 region_params[int(key.split(".", 1)[1])] = RegionAcoustics(te, tl, ler)
@@ -169,7 +168,7 @@ def read_scene(path) -> tuple[VoxelScene, dict]:
         spacing = float(meta["spacing"])
         origin = np.array([float(x) for x in meta["origin"].split(",")])
         info = {"kind": meta.get("kind", "custom"), "seed": int(meta.get("seed", 0))}
-    except (KeyError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
+    except (KeyError, ValueError, ConfigurationError) as exc:  # UnicodeDecodeError is a ValueError
         raise FormatError(f"{path}: malformed scene header ({exc!r})") from exc
     if len(dims) != 3 or min(dims) < 2 or origin.shape != (3,) or not np.isfinite(origin).all():
         raise FormatError(f"{path}: malformed scene header")
@@ -488,7 +487,7 @@ def write_manifest(path, command: str, config: dict, inputs, outputs, version: s
 
 
 def write_csv(path, rows: list[dict], fieldnames: list[str]) -> None:
-    with _writing(path), open(path, "w") as fh:
-        fh.write(",".join(fieldnames) + "\n")
-        for row in rows:
-            fh.write(",".join(str(row.get(f, "")) for f in fieldnames) + "\n")
+    import csv  # not at module level: only the commands writing a CSV load it
+    with _writing(path), open(path, "w", newline="") as fh:
+        values = ([str(row.get(f, "")) for f in fieldnames] for row in rows)
+        csv.writer(fh, lineterminator="\n").writerows([fieldnames, *values])

@@ -65,6 +65,19 @@ class ImpulseResponse:
         return self.samples.size / self.sample_rate
 
 
+def _decaying_noise(n: int, fs: float, tau: float, rng) -> np.ndarray:
+    """Exponential amplitude envelope with random signs.
+
+    Random signs (rather than random amplitudes) keep the energy envelope
+    exactly exponential, so decay slopes measured from the backward energy
+    integral match the construction without estimator bias.
+    """
+    t = np.arange(n) / fs
+    envelope = 10.0 ** (-3.0 * t / tau)
+    signs = rng.integers(0, 2, size=n) * 2.0 - 1.0
+    return envelope * signs
+
+
 @dataclass(frozen=True)
 class WindowConfig:
     """Analysis windows, all anchored at the direct-sound arrival ``t_DS``.
@@ -164,9 +177,6 @@ class SchroederCurve:
 
     values_db: np.ndarray
     sample_rate: float
-
-    def time_axis(self) -> np.ndarray:
-        return np.arange(self.values_db.size) / self.sample_rate
 
     def window_slice(self, window: tuple[float, float]) -> slice:
         i0 = int(round(window[0] * self.sample_rate))

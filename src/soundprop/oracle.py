@@ -18,8 +18,9 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
+from .decoders import DEFAULT_MAX_DECAY
 from .errors import ConfigurationError, InputError
-from .irparams import AcousticParamSet, ImpulseResponse, WindowConfig, fd_derivative
+from .irparams import AcousticParamSet, ImpulseResponse, WindowConfig, _decaying_noise, fd_derivative
 from .scene import _FREE, VoxelScene
 
 FIELD_KINDS = ("path-distance", "level", "decay-time", "doa")
@@ -157,7 +158,7 @@ def synth_acoustic_fields(
     """
     if geo.kind != "path-distance" or geo.dims != scene.dims:
         raise InputError("geo must be the path-distance field for this scene")
-    if scene.regions is None or scene.region_params is None:
+    if scene.region_params is None:
         raise ConfigurationError("scene carries no region annotations")
 
     source = np.asarray(source, dtype=float)
@@ -259,8 +260,7 @@ class SyntheticIRConfig:
     """Construction parameters for synthetic impulse responses.
 
     ``duration`` of ``None`` auto-sizes the signal to cover the late window
-    plus 100 ms of tail margin. ``max_decay`` bounds the admissible decay
-    times (matching the renderer's longest reference decay).
+    plus 100 ms of tail margin.
     """
 
     sample_rate: float = 16000.0
@@ -268,26 +268,12 @@ class SyntheticIRConfig:
     t0: float = 0.0
     c: float = 343.0
     seed: int = 0
-    max_decay: float = 2.0
 
     def __post_init__(self):
         if self.sample_rate < 8000:
             raise ConfigurationError("synthetic IRs need a sample rate >= 8 kHz")
         if self.c <= 0:
             raise ConfigurationError("speed of sound must be positive")
-
-
-def _decaying_noise(n: int, fs: float, tau: float, rng) -> np.ndarray:
-    """Exponential amplitude envelope with random signs.
-
-    Random signs (rather than random amplitudes) keep the energy envelope
-    exactly exponential, so decay slopes measured from the backward energy
-    integral match the construction without estimator bias.
-    """
-    t = np.arange(n) / fs
-    envelope = 10.0 ** (-3.0 * t / tau)
-    signs = rng.integers(0, 2, size=n) * 2.0 - 1.0
-    return envelope * signs
 
 
 def synth_ir(params: AcousticParamSet, cfg: SyntheticIRConfig = SyntheticIRConfig()) -> ImpulseResponse:
@@ -306,9 +292,9 @@ def synth_ir(params: AcousticParamSet, cfg: SyntheticIRConfig = SyntheticIRConfi
             raise InputError(f"parameter {name} must be finite")
     for name in ("tau_er", "tau_lr"):
         tau = getattr(params, name)
-        if not (0.0 < tau <= cfg.max_decay):
+        if not (0.0 < tau <= DEFAULT_MAX_DECAY):
             raise ConfigurationError(
-                f"{name}={tau} outside the admissible range (0, {cfg.max_decay}]"
+                f"{name}={tau} outside the admissible range (0, {DEFAULT_MAX_DECAY}]"
             )
     if params.pi < 0:
         raise InputError("path distance must be non-negative")

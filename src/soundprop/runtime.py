@@ -27,6 +27,7 @@ from .irparams import (
     AcousticParamSet,
     ImpulseResponse,
     WindowConfig,
+    _decaying_noise,
     doa_from_samples,
 )
 from .latentfield import interp_points
@@ -207,9 +208,7 @@ def default_reference_irs(sample_rate: float = 16000.0, seed: int = 0) -> Refere
     lr_taus = (0.4, 1.0, 1.8)
 
     def tail(tau):
-        n = max(int(round(3.0 * tau * sample_rate)), 8)
-        t = np.arange(n) / sample_rate
-        x = 10.0 ** (-3.0 * t / tau) * (rng.integers(0, 2, size=n) * 2.0 - 1.0)
+        x = _decaying_noise(max(int(round(3.0 * tau * sample_rate)), 8), sample_rate, tau, rng)
         x /= np.sqrt(np.sum(x * x))
         return ImpulseResponse(samples=x, sample_rate=sample_rate)
 

@@ -64,6 +64,10 @@ class RegionAcoustics:
     tau_lr: float
     l_er_ref: float
 
+    def __post_init__(self):
+        if not (0 < self.tau_er < math.inf and 0 < self.tau_lr < math.inf and math.isfinite(self.l_er_ref)):
+            raise ConfigurationError(f"decay times must be finite and positive, levels finite: {self}")
+
 
 @dataclass(frozen=True)
 class VoxelScene:
@@ -79,9 +83,9 @@ class VoxelScene:
         Position of the center of voxel ``(0, 0, 0)`` in meters.
     occupancy : ndarray of bool, shape (nx, ny, nz)
         ``True`` marks an obstacle voxel.
-    regions : ndarray of int32 or None, shape (nx, ny, nz)
-        Region id per voxel, used by the synthetic oracle. Only meaningful
-        on free voxels.
+    regions : ndarray of int32, shape (nx, ny, nz)
+        Region id per voxel, used by the synthetic oracle (all ones when
+        none is given). Only meaningful on free voxels.
     region_params : dict[int, RegionAcoustics] or None
         Acoustic constants per region id.
     """
@@ -108,11 +112,10 @@ class VoxelScene:
             raise ConfigurationError("scene has no free voxel")
         object.__setattr__(self, "occupancy", occ)
         object.__setattr__(self, "origin", _frozen(self.origin, float))
-        if self.regions is not None:
-            reg = _frozen(self.regions, np.int32)
-            if reg.shape != (nx, ny, nz):
-                raise ConfigurationError("region map shape does not match dims")
-            object.__setattr__(self, "regions", reg)
+        reg = _frozen(np.ones(self.dims) if self.regions is None else self.regions, np.int32)
+        if reg.shape != (nx, ny, nz):
+            raise ConfigurationError("region map shape does not match dims")
+        object.__setattr__(self, "regions", reg)
         # Read-only tables every query reads, built once: the grid dims,
         # the free mask, the bounding box and the walker's labels of the
         # grid padded by one cell (a step or a tie probe leaves the grid by
@@ -251,28 +254,25 @@ def _shell(occ: np.ndarray) -> None:
 def _build_empty_box(spec: SceneSpec):
     occ = np.zeros(spec.dims, dtype=bool)
     _shell(occ)
-    reg = np.ones(spec.dims, dtype=np.int32)
-    return occ, reg
+    return occ, None
 
 
-def _build_wall_with_aperture(spec: SceneSpec):
-    nx, ny, nz = spec.dims
-    aperture = int(spec.geometry.get("aperture", 1))
+def _build_divided_rooms(spec: SceneSpec):
+    """Two regions split by a wall at ``x = nx // 2`` with a centred square
+    opening of ``aperture`` (or ``door``) voxels a side, clamped to the
+    interior; the wall is in region 2 only of ``coupled-rooms``."""
+    key, first = ("aperture", 1) if spec.kind == "wall-with-aperture" else ("door", 0)
+    size = int(spec.geometry.get(key, 1))
+    if size < 0:
+        raise ConfigurationError(f"{key} must be >= 0 voxels, got {size}")
     occ = np.zeros(spec.dims, dtype=bool)
     _shell(occ)
-    mid = nx // 2
-    occ[mid, :, :] = True
-    if aperture > 0:
-        # Free column through the wall, centered in y and z.
-        jc = ny // 2
-        j0, j1 = jc - (aperture - 1) // 2, jc + aperture // 2 + 1
-        j0, j1 = max(j0, 1), min(j1, ny - 1)
-        kc = nz // 2
-        k0, k1 = max(kc - (aperture - 1) // 2, 1), min(kc + aperture // 2 + 1, nz - 1)
-        occ[mid, j0:j1, k0:k1] = False
-    reg = np.ones(spec.dims, dtype=np.int32)
-    reg[mid + 1 :, :, :] = 2
-    return occ, reg
+    mid = spec.dims[0] // 2
+    occ[mid] = True
+    # [c - (size - 1) // 2, c + size // 2] around each centre c; empty for size 0
+    j, k = (slice(max(n // 2 - (size - 1) // 2, 1), min(n // 2 + size // 2 + 1, n - 1)) for n in spec.dims[1:])
+    occ[mid, j, k] = False
+    return occ, mid + first
 
 
 def _build_maze(spec: SceneSpec):
@@ -312,27 +312,7 @@ def _build_maze(spec: SceneSpec):
         occ[xm, 1 : ny - 1, zm] = False
         occ[x1, 1 : ny - 1, z1] = False
         stack.append((na, nb))
-
-    reg = np.ones(spec.dims, dtype=np.int32)
-    return occ, reg
-
-
-def _build_coupled_rooms(spec: SceneSpec):
-    nx, ny, nz = spec.dims
-    door = int(spec.geometry.get("door", 1))
-    occ = np.zeros(spec.dims, dtype=bool)
-    _shell(occ)
-    mid = nx // 2
-    occ[mid, :, :] = True
-    if door > 0:
-        jc = ny // 2
-        kc = nz // 2
-        j0, j1 = max(jc - (door - 1) // 2, 1), min(jc + door // 2 + 1, ny - 1)
-        k0, k1 = max(kc - (door - 1) // 2, 1), min(kc + door // 2 + 1, nz - 1)
-        occ[mid, j0:j1, k0:k1] = False
-    reg = np.ones(spec.dims, dtype=np.int32)
-    reg[mid:, :, :] = 2
-    return occ, reg
+    return occ, None
 
 
 def _build_cylinder_forest(spec: SceneSpec):
@@ -340,6 +320,8 @@ def _build_cylinder_forest(spec: SceneSpec):
     if nx < 7 or nz < 7:
         raise ConfigurationError("cylinder-forest scenes need dims >= 7 in x and z")
     n_cyl = int(spec.geometry.get("n_cylinders", max(4, (nx * nz) // 64)))
+    if n_cyl < 0:
+        raise ConfigurationError(f"n_cylinders must be >= 0, got {n_cyl}")
     radius = 1.0
     rng = np.random.default_rng(spec.seed)
     occ = np.zeros(spec.dims, dtype=bool)
@@ -353,15 +335,15 @@ def _build_cylinder_forest(spec: SceneSpec):
         disk = (gx - cx) ** 2 + (gz - cz) ** 2 <= radius**2
         occ |= disk[:, None, :]
     _shell(occ)
-    reg = np.ones(spec.dims, dtype=np.int32)
-    return occ, reg
+    return occ, None
 
 
+# Scene kind -> builder of the occupancy and region 2's first x plane (or None).
 _BUILDERS = {
     "empty-box": _build_empty_box,
-    "wall-with-aperture": _build_wall_with_aperture,
+    "wall-with-aperture": _build_divided_rooms,
     "maze": _build_maze,
-    "coupled-rooms": _build_coupled_rooms,
+    "coupled-rooms": _build_divided_rooms,
     "cylinder-forest": _build_cylinder_forest,
 }
 
@@ -372,7 +354,11 @@ def build_scene(spec: SceneSpec) -> VoxelScene:
     The returned scene carries the region annotation map and the per-region
     acoustic constants needed by the synthetic-field oracle.
     """
-    occ, reg = _BUILDERS[spec.kind](spec)
+    occ, split = _BUILDERS[spec.kind](spec)
+    reg = None
+    if split is not None:
+        reg = np.ones(spec.dims, dtype=np.int32)
+        reg[split:] = 2
     return VoxelScene(
         dims=tuple(spec.dims),
         spacing=float(spec.spacing),

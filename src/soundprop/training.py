@@ -19,11 +19,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decoders import DecaysModel, DistanceModel, LevelsModel, make_distance_decoder
+from .decoders import DEFAULT_MAX_DECAY, DecaysModel, DistanceModel, LevelsModel, make_distance_decoder
 from .errors import ConfigurationError, DivergenceError, InputError
 from .latentfield import RESOLVED, InterpBatch, LatentGrid, init_latent_grid, interp_points
 from .oracle import FieldVolume, bake_source, valid_pairs
-from .scene import VoxelScene, _segment_cells, _walk, lines_of_sight
+from .scene import VoxelScene, _segment_cells, _walk
 
 GROUP_HEADS = {
     "distance": ("pi",),
@@ -32,6 +32,7 @@ GROUP_HEADS = {
 }
 # Decoder family a group trains with when none is named.
 DEFAULT_FAMILY = {"distance": "euclidean", "levels": "euclidean", "decays": "dot-product"}
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
 
 
 @dataclass
@@ -59,9 +60,6 @@ class TrainConfig:
     batch_sources: int = 4
     lr_decoder: float = 1e-3
     lr_grid: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
     eval_interval: int = 50
     stop_gradient_at_source: bool = True
@@ -72,8 +70,6 @@ class TrainConfig:
         for name in ("lr_decoder", "lr_grid"):  # a zero rate freezes its parameters
             if not (np.isfinite(getattr(self, name)) and getattr(self, name) >= 0):
                 raise ConfigurationError(f"{name} must be finite and non-negative")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1 and self.eps > 0):
-            raise ConfigurationError("Adam needs beta1 and beta2 in [0, 1) and eps > 0")
         if self.eval_interval < 0:
             raise ConfigurationError("eval_interval must be >= 0")
         if self.lr_grid > self.lr_decoder:
@@ -86,7 +82,7 @@ class TrainConfig:
 
 class Adam:
     """Adaptive moment estimation (Kingma & Ba, 2015) over a named
-    parameter dict.
+    parameter dict, with the module's ``ADAM_*`` constants.
 
     The moments and learning rates of all parameters live in one flat
     buffer each. A step gathers the gradients into another and runs on
@@ -94,10 +90,9 @@ class Adam:
     the final update is written back into each parameter array.
     """
 
-    def __init__(self, params: dict, lrs: dict, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params: dict, lrs: dict):
         self.params = params
         self.lr = np.concatenate([np.full(p.size, float(lrs[name])) for name, p in params.items()])
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         bounds = np.cumsum([0] + [p.size for p in params.values()])
         self._slices = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
         self.m = np.zeros(bounds[-1])
@@ -106,26 +101,22 @@ class Adam:
         self._tmp = np.empty(bounds[-1])
         self.t = 0
 
-    def moment_count(self) -> int:
-        return self.m.size
-
     def step(self, grads: dict) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
         g, a, m, v = self._g, self._tmp, self.m, self.v
         for name, sl in zip(self.params, self._slices):
             g[sl] = grads[name].reshape(-1)
-        m *= b1
-        m += np.multiply(1 - b1, g, out=a)
-        v *= b2
-        np.multiply(1 - b2, g, out=a)
+        m *= ADAM_BETA1
+        m += np.multiply(1 - ADAM_BETA1, g, out=a)
+        v *= ADAM_BETA2
+        np.multiply(1 - ADAM_BETA2, g, out=a)
         v += np.multiply(a, g, out=a)
         # update = lr * m_hat / (sqrt(v_hat) + eps); g is free from here on
-        np.divide(m, 1 - b1**self.t, out=a)
+        np.divide(m, 1 - ADAM_BETA1**self.t, out=a)
         a *= self.lr
-        np.divide(v, 1 - b2**self.t, out=g)
+        np.divide(v, 1 - ADAM_BETA2**self.t, out=g)
         np.sqrt(g, out=g)
-        g += self.eps
+        g += ADAM_EPS
         a /= g
         for p, sl in zip(self.params.values(), self._slices):
             p -= a[sl].reshape(p.shape)
@@ -159,7 +150,7 @@ def make_bundle(
     family: str,
     n: int,
     seed: int = 0,
-    K: float = 2.0,
+    K: float = DEFAULT_MAX_DECAY,
     hidden=None,
 ) -> ModelBundle:
     """Fresh bundle for one parameter group.
@@ -188,15 +179,15 @@ def make_bundle(
 # ---------------------------------------------------------------------------
 
 
-def _unseen(scene: VoxelScene, cells: np.ndarray) -> np.ndarray:
-    """Indices of the free voxels that no centre of the voxels ``cells`` sees.
+def _unseen(scene: VoxelScene, cells: np.ndarray, free: np.ndarray | None = None) -> np.ndarray:
+    """The free voxels ``free`` (default: all) that no centre of ``cells`` sees, in order.
 
     Each free voxel casts a ray to its nearest cell (squared index distance,
     ties by index), those still unseen to their next-nearest cells in passes
     of width 2, 4, ...; what the cells see does not depend on that order.
     Rays reach the walker with ``lines_of_sight``'s cell coordinates, 4096
     at a time, and distances are ranked ~2**16 at a time, to stay in cache."""
-    free, k = scene.free_indices(), len(cells)
+    free, k = (scene.free_indices() if free is None else free), len(cells)
     ca, cf = (_segment_cells(scene, scene.voxel_center(x))[0] for x in (cells, free))
     ct, cq = -2.0 * cells.T, (cells * cells).sum(axis=1)  # f @ ct + cq ranks as |f - c|^2
     left, lo = np.arange(len(free)), 0
@@ -235,9 +226,9 @@ def sample_sources(scene: VoxelScene, seed: int = 0, init_count: int = 20) -> li
 
     uncovered = _unseen(scene, cells)  # C order, kept so by every drop
     while len(uncovered):
-        src = scene.voxel_center(uncovered[rng.integers(len(uncovered))])
-        sources.append(src)
-        uncovered = uncovered[~lines_of_sight(scene, src, scene.voxel_center(uncovered))]
+        cell = uncovered[rng.integers(len(uncovered))]
+        sources.append(scene.voxel_center(cell))
+        uncovered = _unseen(scene, cell[None], uncovered)
     return sources
 
 
@@ -431,7 +422,7 @@ def train(
 
     params = bundle.trainable()
     lrs = {name: (cfg.lr_grid if name == "grid" else cfg.lr_decoder) for name in params}
-    opt = Adam(params, lrs, cfg.beta1, cfg.beta2, cfg.eps)
+    opt = Adam(params, lrs)
     rng = np.random.default_rng(cfg.seed)
     result = TrainResult(bundle=bundle)
     last_good = bundle.snapshot()

@@ -12,7 +12,8 @@ from soundprop.latentfield import (
     _STATUS_OF_LABEL, ISOLATED, RESOLVED, InterpBatch, _nearest_visible_vertex, _sees,
 )
 from soundprop.scene import (
-    _FREE, _OCCUPIED, _OUTSIDE, _PROBE_MASK, _TIE_EPS, _TIE_PROBES, _segment_cells, _voxel_cells,
+    _FREE, _OCCUPIED, _OUTSIDE, _PROBE_MASK, _TIE_EPS, _TIE_PROBES, _segment_cells, _shell,
+    _voxel_cells,
 )
 from soundprop.training import GROUP_HEADS, _source_stencils
 
@@ -570,7 +571,7 @@ def reference_train(bundle, ds, cfg) -> list:
 
     params = bundle.trainable()
     lrs = {name: (cfg.lr_grid if name == "grid" else cfg.lr_decoder) for name in params}
-    opt = Adam(params, lrs, cfg.beta1, cfg.beta2, cfg.eps)
+    opt = Adam(params, lrs)
     rng = np.random.default_rng(cfg.seed)
     losses = []
     for _ in range(cfg.epochs):
@@ -621,7 +622,7 @@ def per_source_train(bundle, ds, cfg) -> None:
         prepared.append((corners, weights, np.argwhere(valid), {h: fields[h].values[valid] for h in heads}))
     params = bundle.trainable()
     lrs = {name: (cfg.lr_grid if name == "grid" else cfg.lr_decoder) for name in params}
-    opt = Adam(params, lrs, cfg.beta1, cfg.beta2, cfg.eps)
+    opt = Adam(params, lrs)
     rng = np.random.default_rng(cfg.seed)
     for _ in range(cfg.epochs):
         order = rng.permutation(len(prepared))
@@ -689,3 +690,46 @@ def render_two_buses(x, params, refs, layout):
         bus = gain * _wet_bus(x, irs, weights, n_out)
         out += np.outer(sp.spatialize_wet(1.0, params.doa, layout), bus)
     return out
+
+
+# The two divided-room builders as they were before they became one,
+# ``scene._build_divided_rooms``; each returns the occupancy and the region
+# map.
+
+
+def build_wall_with_aperture(spec):
+    nx, ny, nz = spec.dims
+    aperture = int(spec.geometry.get("aperture", 1))
+    occ = np.zeros(spec.dims, dtype=bool)
+    _shell(occ)
+    mid = nx // 2
+    occ[mid, :, :] = True
+    if aperture > 0:
+        # Free column through the wall, centered in y and z.
+        jc = ny // 2
+        j0, j1 = jc - (aperture - 1) // 2, jc + aperture // 2 + 1
+        j0, j1 = max(j0, 1), min(j1, ny - 1)
+        kc = nz // 2
+        k0, k1 = max(kc - (aperture - 1) // 2, 1), min(kc + aperture // 2 + 1, nz - 1)
+        occ[mid, j0:j1, k0:k1] = False
+    reg = np.ones(spec.dims, dtype=np.int32)
+    reg[mid + 1 :, :, :] = 2
+    return occ, reg
+
+
+def build_coupled_rooms(spec):
+    nx, ny, nz = spec.dims
+    door = int(spec.geometry.get("door", 1))
+    occ = np.zeros(spec.dims, dtype=bool)
+    _shell(occ)
+    mid = nx // 2
+    occ[mid, :, :] = True
+    if door > 0:
+        jc = ny // 2
+        kc = nz // 2
+        j0, j1 = max(jc - (door - 1) // 2, 1), min(jc + door // 2 + 1, ny - 1)
+        k0, k1 = max(kc - (door - 1) // 2, 1), min(kc + door // 2 + 1, nz - 1)
+        occ[mid, j0:j1, k0:k1] = False
+    reg = np.ones(spec.dims, dtype=np.int32)
+    reg[mid:, :, :] = 2
+    return occ, reg

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 import soundprop as sp
 from soundprop import fileio
-from soundprop.cli import main
+from soundprop.cli import build_parser, main
 
 
 def run(args):
@@ -56,7 +57,9 @@ def test_bake_corrupted_scene_exit_code(tmp_path, capsys, monkeypatch):
     sources = tmp_path / "one.txt"
     sources.write_text("4.0 2.0 4.0\n")
     blob = scene.read_bytes()
-    for header, error in ((b"dims=8x4x8", b"dims=8x4"), (b"spacing=", b"spacing\xff")):
+    for header, error in ((b"dims=8x4x8", b"dims=8x4"), (b"spacing=", b"spacing\xff"),
+                          (b"seed=0", b"seed=0\nwalls"), (b"region.1=0.3", b"region.1=-0.3")):
+        assert header in blob
         scene.write_bytes(blob.replace(header, error, 1))
         capsys.readouterr()
         code = run(["bake", "--scene", str(scene), "--sources", str(sources),
@@ -585,6 +588,49 @@ def test_small_cylinder_forest_exit_code(tmp_path, capsys, monkeypatch, dims):
     monkeypatch.chdir(tmp_path)
     _exits_3(capsys, ["scene", "gen", "--kind", "cylinder-forest", "--dims", dims, "--out", "f.scn"])
     assert list(tmp_path.iterdir()) == []  # neither the scene nor a manifest
+
+
+@pytest.mark.parametrize("args", [["--kind", "cylinder-forest", "--n-cylinders", "-3"],
+                                  ["--kind", "wall-with-aperture", "--aperture", "-3"],
+                                  ["--kind", "coupled-rooms", "--door", "-3"]])
+def test_negative_scene_sizes_exit_code(tmp_path, capsys, monkeypatch, args):
+    monkeypatch.chdir(tmp_path)
+    _exits_3(capsys, ["scene", "gen", *args, "--dims", "8x4x8", "--out", "s.scn"])
+    assert list(tmp_path.iterdir()) == []  # neither the scene nor a manifest
+
+
+# Every subcommand's option strings. A new option shows up here as a
+# reviewed change; ``bake --workers`` is kept for the callers that pass it.
+OPTIONS = {
+    "scene gen": "--aperture --dims --door --kind --manifest --n-cylinders --out --seed --spacing",
+    "sources sample": "--manifest --out --runs --scene --seed --splits",
+    "bake": "--manifest --out-dir --scene --sources --workers",
+    "train": "--batch-sources --dump-checkpoints --epochs --eval-interval --family --group --log "
+             "--lr-decoder --lr-grid --manifest --n --out --scene --seed --train-fields --val-fields",
+    "eval": "--checkpoint --fields --manifest --out --scene",
+    "ablate": "--epochs --eval-interval --families --group --manifest --n-values --out --scene --seed "
+              "--test-fields --train-fields --val-fields",
+    "query": "--a --b --decays --distance --levels --manifest --out --scene",
+    "render": "--doa --input --l-ds --l-er --l-lr --layout --manifest --out --pi --refs-seed --tau-er --tau-lr",
+    "export-slice": "--field --manifest --out --y-index --y-meters",
+    "params extract": "--ir --manifest --out",
+    "cost": "--csv --dims --family --manifest --n --out",
+}
+
+
+def _subcommand_options(parser, prefix=()):
+    """(subcommand, sorted option strings without ``--help``) per leaf parser."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _subcommand_options(sub, prefix + (name,))
+            return
+    options = {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
+    yield " ".join(prefix), " ".join(sorted(options))
+
+
+def test_option_census():
+    assert dict(_subcommand_options(build_parser())) == OPTIONS
 
 
 def test_query_prints_strict_json(tmp_path, capsys, monkeypatch):

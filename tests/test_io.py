@@ -1,3 +1,4 @@
+import csv
 import json
 import tempfile
 from pathlib import Path
@@ -162,6 +163,22 @@ def test_write_csv(tmp_path):
     assert path.read_text() == "a,b\n1,x\n2,\n"
 
 
+def test_write_csv_quotes_an_ablation_error(tmp_path, box_scene, box_datasets):
+    """An ablation cell's error message holds a comma; the row reads back
+    with ``csv.reader`` as the 9 columns the CLI writes."""
+    columns = ["family", "n", "param", "mae", "params", "flops", "rlf_bytes", "wavecoding_bytes", "error"]
+    rows = sp.ablation_run(box_scene, *box_datasets, ["euclidean"], [0], sp.TrainConfig(epochs=1))
+    assert "," in rows[0]["error"]
+    path = tmp_path / "ablation.csv"
+    fileio.write_csv(path, rows, columns)
+    with open(path, newline="") as fh:
+        header, *read = list(csv.reader(fh))
+    assert header == columns
+    assert read == [[str(row.get(c, "")) for c in columns] for row in rows]
+    fileio.write_csv(path, [{"a": 'say "hi"', "b": "two\nlines"}], ["a", "b"])
+    assert path.read_text() == 'a,b\n"say ""hi""","two\nlines"\n'
+
+
 # ---------------------------------------------------------------------------
 # Corrupted files: a valid object or FormatError, nothing else
 # ---------------------------------------------------------------------------
@@ -243,6 +260,11 @@ def _field_or_format_error(path):
         (b"seed=1", b"seed=x"),  # ValueError
         (b"dims=8x3x6", b"dims=8x1x6"),  # ConfigurationError
         (b"dims=8x3x6", b"dims=99999x99999x99999"),  # MemoryError before
+        (b"seed=1", b"seed=1\nwalls"),  # a line without "=", ignored before
+        (b"region.1=0.15", b"region.1=-0.3"),  # negative decay time, loaded before
+        (b"region.1=0.15,0.4", b"region.1=0.15,0.0"),  # zero decay time
+        (b"region.1=0.15", b"region.1=nan"),  # NaN decay time
+        (b"0.4,-12.0", b"0.4,inf"),  # infinite level
     ],
 )
 def test_read_scene_malformed_header_is_format_error(tmp_path, header, error):

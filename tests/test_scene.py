@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 import soundprop as sp
 from soundprop import scene as scene_mod
 from soundprop.errors import ConfigurationError, InputError
-from soundprop import latentfield
+from soundprop import fileio, latentfield
 from soundprop.latentfield import OCCUPIED, OUTSIDE
 
 from conftest import random_free_position
-from oracles import line_of_sight, row_walk
+from oracles import build_coupled_rooms, build_wall_with_aperture, line_of_sight, row_walk
 
 
 def los(scene, p, q) -> bool:
@@ -115,6 +115,50 @@ def test_cylinder_forest_needs_seven_voxels_in_x_and_z(dims):
     with pytest.raises(ConfigurationError):
         sp.build_scene(sp.SceneSpec(kind="cylinder-forest", dims=dims))
     assert sp.build_scene(sp.SceneSpec(kind="cylinder-forest", dims=(7, 4, 7))).free_mask().any()
+
+
+# Each kind's geometry key, and the builder it had before the divided rooms
+# became one (None: the kind's builder is unchanged and has one region).
+BUILDER_CASES = {
+    "empty-box": (None, None),
+    "wall-with-aperture": ("aperture", build_wall_with_aperture),
+    "maze": (None, None),
+    "coupled-rooms": ("door", build_coupled_rooms),
+    "cylinder-forest": ("n_cylinders", None),
+}
+
+
+@pytest.mark.parametrize("kind", scene_mod.SCENE_KINDS)
+def test_build_scene_matches_the_per_kind_builders(kind, tmp_path):
+    """Occupancy, region map and scene file bytes as the separate
+    wall-with-aperture and coupled-rooms builders made them; one-region
+    kinds get an all-ones map, written as an explicit one was."""
+    key, old_builder = BUILDER_CASES[kind]
+    for dims in [(7, 3, 7), (8, 4, 8), (9, 5, 12), (12, 8, 7), (16, 4, 16)]:
+        for size in range(4):
+            for seed in (0, 1, 5):
+                spec = sp.SceneSpec(kind=kind, dims=dims, seed=seed, geometry={key: size} if key else {})
+                scene = sp.build_scene(spec)
+                if old_builder is None:
+                    occ, reg = scene_mod._BUILDERS[kind](spec)[0], np.ones(dims, np.int32)
+                else:
+                    occ, reg = old_builder(spec)
+                assert np.array_equal(scene.occupancy, occ), (dims, size, seed)
+                assert np.array_equal(scene.regions, reg), (dims, size, seed)
+                assert scene.regions.dtype == np.int32
+                want = sp.VoxelScene(dims=dims, spacing=1.0, origin=np.zeros(3), occupancy=occ,
+                                     regions=reg, region_params=scene.region_params)
+                for name, s in (("got.scn", scene), ("want.scn", want)):
+                    fileio.write_scene(tmp_path / name, s, kind=kind, seed=seed)
+                assert (tmp_path / "got.scn").read_bytes() == (tmp_path / "want.scn").read_bytes()
+
+
+@pytest.mark.parametrize("bad", [(-0.3, 0.8, -6.0), (0.3, 0.0, -6.0), (np.nan, 0.8, -6.0),
+                                 (0.3, np.inf, -6.0), (0.3, 0.8, np.inf), (0.3, 0.8, np.nan)])
+def test_region_acoustics_rejects_bad_constants(bad):
+    with pytest.raises(ConfigurationError):
+        sp.RegionAcoustics(*bad)
+    sp.RegionAcoustics(1e-6, 1e3, -200.0)
 
 
 # ---------------------------------------------------------------------------

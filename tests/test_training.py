@@ -253,19 +253,17 @@ def test_train_config_validation():
     with pytest.raises(ConfigurationError):
         sp.TrainConfig(lr_decoder=1e-4, lr_grid=1e-3)
     bad = [{"lr_grid": -1.0}, {"lr_grid": np.nan}, {"lr_decoder": np.inf}, {"lr_decoder": np.nan},
-           {"lr_decoder": -1e-3, "lr_grid": -1e-2}, {"eval_interval": -5}, {"beta1": 1.0},
-           {"beta1": -0.1}, {"beta2": 1.0}, {"beta2": np.nan}, {"eps": 0.0}, {"eps": -1e-8},
-           {"eps": np.nan}]
+           {"lr_decoder": -1e-3, "lr_grid": -1e-2}, {"eval_interval": -5}]
     for kwargs in bad:
         with pytest.raises(ConfigurationError):
             sp.TrainConfig(**kwargs)
-    sp.TrainConfig(lr_decoder=0.0, lr_grid=0.0, beta1=0.0, beta2=0.0, eval_interval=0)
+    sp.TrainConfig(lr_decoder=0.0, lr_grid=0.0, eval_interval=0)
 
 
 def test_adam_moment_alignment():
     params = {"a": np.zeros((3, 2)), "b": np.zeros(5)}
     opt = sp.Adam(params, {"a": 1e-3, "b": 1e-3})
-    assert opt.moment_count() == sum(p.size for p in params.values())
+    assert opt.m.size == opt.v.size == sum(p.size for p in params.values())
     opt.step({"a": np.ones((3, 2)), "b": np.ones(5)})
     assert np.all(params["a"] != 0.0)
 
@@ -341,19 +339,21 @@ def test_sample_sources_casts_one_ray_per_uncovered_voxel(monkeypatch):
     """The initial sources' rays: every free voxel casts one ray to its
     nearest source, and a voxel casts to its next-nearest sources, in
     passes of width 1, 2, 4, ..., only while no earlier pass has seen it.
-    Each adaptive source then casts one ray per still-uncovered voxel."""
+    Each adaptive source then casts one ray per still-uncovered voxel.
+    Rays are counted where they reach the walker, per ``_unseen`` call."""
     scene = sp.build_scene(SAMPLER_SCENES["maze"])
-    initial, adaptive = [], []
-    walk, cast = training._walk, training.lines_of_sight
+    walks = []  # the (start, end) voxels walked, one list per ``_unseen`` call
+    walk, unseen = training._walk, training._unseen
+    monkeypatch.setattr(training, "_unseen", lambda *args: walks.append([]) or unseen(*args))
     monkeypatch.setattr(
         training, "_walk",
-        lambda s, a, b, start, end: initial.append((start, end)) or walk(s, a, b, start, end),
-    )
-    monkeypatch.setattr(
-        training, "lines_of_sight", lambda s, p, q: adaptive.append(len(q)) or cast(s, p, q)
+        lambda s, a, b, start, end: walks[-1].append((start, end)) or walk(s, a, b, start, end),
     )
     sources = sp.sample_sources(scene, seed=2, init_count=20)
     monkeypatch.undo()
+    initial = walks[0]
+    adaptive = [sum(len(end) for _, end in calls) for calls in walks[1:]]
+    assert len(adaptive) == len(sources) - 20
 
     cells = np.array([scene.voxel_of(src) for src in sources[:20]])
     cast_to = {}
@@ -379,7 +379,8 @@ def test_sample_sources_casts_one_ray_per_uncovered_voxel(monkeypatch):
 
     expected = 0
     uncovered = scene.free_mask() & ~sees.any(axis=0)
-    for src in sources[20:]:
+    for src, count in zip(sources[20:], adaptive):
+        assert count == np.count_nonzero(uncovered)
         expected += np.count_nonzero(uncovered)
         uncovered &= ~sp.visible_voxels(scene, src)
     assert not uncovered.any()

@@ -1,8 +1,11 @@
-"""Measure decode throughput and full query latency.
+"""Measure block decode throughput and full query latency.
 
-The decoder math itself amortizes to far below a microsecond per pair when
-batched; a single cold query from Python costs a few hundred microseconds,
-dominated by interpolation and the visibility rays, not by the decoder.
+A decode is a block: every source latent against every receiver latent,
+as one training batch decodes its sources against their shared
+receivers. The decoder math amortizes to far below a microsecond per
+pair on a large block; a single cold query from Python costs a few
+hundred microseconds, dominated by interpolation and the visibility rays,
+not by the decoder.
 """
 
 import time
@@ -16,16 +19,17 @@ n = 16
 decoder = make_distance_decoder("riemann-diag", n, seed=0)
 rng = np.random.default_rng(0)
 
-for batch in (1, 64, 4096, 65536):
-    U = rng.normal(size=(batch, n))
-    V = rng.normal(size=(batch, n))
+for sources, receivers in ((1, 1), (1, 64), (4, 1024), (16, 4096)):
+    U = rng.normal(size=(sources, n))
+    V = rng.normal(size=(receivers, n))
     decoder.pairwise(U, V)  # warm up
-    reps = max(1, 200_000 // batch)
+    pairs = sources * receivers
+    reps = max(1, 200_000 // pairs)
     t0 = time.perf_counter()
     for _ in range(reps):
         decoder.pairwise(U, V)
-    per_pair = (time.perf_counter() - t0) / (reps * batch) * 1e6
-    print(f"batched decode, batch {batch:6d}: {per_pair:9.3f} us/pair")
+    per_pair = (time.perf_counter() - t0) / (reps * pairs) * 1e6
+    print(f"block decode, {sources:2d} x {receivers:4d} pairs: {per_pair:9.3f} us/pair")
 
 scene = sp.build_scene(sp.SceneSpec(kind="empty-box", dims=(8, 4, 8)))
 bundle = sp.make_bundle(scene, "distance", "riemann-diag", n, seed=0)
@@ -39,5 +43,5 @@ for _ in range(reps):
     sp.query_params(bundles, scene, a, b)
 full = (time.perf_counter() - t0) / reps * 1e6
 print(f"\nfull single query (interp + rays + stencil): {full:.0f} us")
-print("the arithmetic cost per pair is the batched figure; the Python")
+print("the arithmetic cost per pair is the block figure; the Python")
 print("query path spends its time on interpolation and line-of-sight rays")

@@ -85,6 +85,17 @@ def _seed(text: str) -> int:
     return seed
 
 
+def _positive(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+# The geometry option each scene kind reads; the other kinds read none.
+GEOMETRY_OPTION = {"wall-with-aperture": "aperture", "coupled-rooms": "door", "cylinder-forest": "n_cylinders"}
+
+
 def _print_out(args, text: str) -> list:
     """Print ``text`` and write it to ``--out`` when given; the files written."""
     print(text)
@@ -148,13 +159,8 @@ def _load_field_dataset(scene, directory: Path, split: str) -> Dataset:
 
 
 def _cmd_scene_gen(args):
-    geometry = {}
-    if args.aperture is not None:
-        geometry["aperture"] = args.aperture
-    if args.door is not None:
-        geometry["door"] = args.door
-    if args.n_cylinders is not None:
-        geometry["n_cylinders"] = args.n_cylinders
+    key = GEOMETRY_OPTION.get(args.kind)
+    geometry = {} if key is None or getattr(args, key) is None else {key: getattr(args, key)}
     spec = SceneSpec(
         kind=args.kind,
         dims=args.dims,
@@ -432,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     bake.add_argument("--scene", required=True)
     bake.add_argument("--sources", required=True)
     bake.add_argument("--out-dir", required=True)
-    bake.add_argument("--workers", type=int, default=1, help="accepted; the bake runs in one process")
+    bake.add_argument("--workers", type=_positive, default=1, help="accepted; the bake runs in one process")
     add_common(bake)
     bake.set_defaults(func=_cmd_bake, command="bake")
 
@@ -538,6 +544,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "scene gen":
+        for key in GEOMETRY_OPTION.values():
+            if getattr(args, key) is not None and key != GEOMETRY_OPTION.get(args.kind):
+                parser.error(f"scene gen: --{key.replace('_', '-')} does not apply to --kind {args.kind}")
     try:
         inputs, outputs, primary = args.func(args)
         if args.manifest:

@@ -20,17 +20,31 @@ admissible decay ``K``. Level heads subtract a distance from a reference
 level (global for direct sound, a latent-projected local field for early
 reflections).
 
-The batched decoder objects are the only API, and every decoder and head
-has one forward/backward pair:
+Decoders and heads decode *blocks*: ``B`` source latents against ``R``
+receiver latents, every source with every receiver. Every decoder and
+head has one forward/backward pair:
 
-* ``forward(U, V) -> (out, cache)`` decodes rows of pairs (a single pair is
-  a one-row call) and returns, beside the outputs, the intermediates its
-  adjoint needs (midpoints, metric values, norms, activations, sigmoids).
+* ``forward(U, V) -> (out, cache)`` decodes the ``(B, n)`` rows ``U``
+  against the ``(R, n)`` rows ``V`` (a single pair is a 1x1 block, a 1-D
+  vector one row) into ``(B, R)`` outputs, and returns, beside them, the
+  intermediates its adjoint needs (midpoints, metric values, norms,
+  activations, sigmoids).
 * ``backward(cache, upstream) -> (gU, gV, grads)`` is the analytic adjoint
-  for the ``upstream`` gradient of the outputs. It reads every
-  intermediate from ``cache`` and recomputes none, so a training step
-  decodes once. The cache does not copy the parameters, so a training step
-  updates them only after its backward.
+  for the ``(B, R)`` ``upstream`` gradient of the outputs: ``gU`` holds
+  each source's gradient summed over its receivers, in receiver order,
+  and ``gV`` each receiver's summed over the sources, in source order. It
+  reads every intermediate from ``cache`` and recomputes none, so a
+  training step decodes once. The cache does not copy the parameters, so
+  a training step updates them only after its backward.
+
+Work that reads one side runs once per side: the projection of the pair
+heads, the levels head's local term and the dot product's ``(B, R)``
+inner products and gradient contractions. The metric and MLP families
+form each pair's midpoint, difference or concatenation, so a pair has
+the same bits in every block of two or more pairs. A block swaps into
+its transpose bit for bit, and a one-row side of a many-row block is
+projected through the many-row BLAS path, like the other side
+(``_side_product``).
 
 The three metric distances are one core, ``_MetricDecoder``: its
 forward and backward take the midpoint and difference, the row norm and
@@ -90,6 +104,41 @@ def _norm_adjoint(y: np.ndarray, d: np.ndarray, upstream) -> np.ndarray:
     return y * scale[:, None]
 
 
+def _pair_upstream(upstream, B: int, R: int, k: int = 1) -> np.ndarray:
+    """The upstream gradient of a ``(B, R)`` block (``(B, R, k)`` for ``k``
+    outputs; a scalar broadcasts) as one row per pair, source by source."""
+    shape = (B, R) if k == 1 else (B, R, k)
+    upstream = np.asarray(upstream, dtype=float)
+    if upstream.shape != shape:
+        upstream = np.broadcast_to(upstream, shape)
+    return upstream.reshape(B * R, -1)
+
+
+def _source_sums(rows: np.ndarray, B: int, R: int) -> np.ndarray:
+    """``(B, c)`` sums of per-pair rows, source by source, over each
+    source's ``R`` receivers in order (``einsum`` sums in order, about
+    three times faster than ``sum(axis=1)`` on narrow rows)."""
+    return np.einsum("brc->bc", rows.reshape(B, R, -1))
+
+
+def _receiver_sums(rows: np.ndarray, B: int, R: int) -> np.ndarray:
+    """``(R, c)`` sums of per-pair rows, source by source, over each
+    receiver's ``B`` sources in order."""
+    return rows.reshape(B, R, -1).sum(axis=0)
+
+
+def _side_product(X: np.ndarray, W: np.ndarray, rows: int) -> np.ndarray:
+    """``X @ W`` for one side of a block whose larger side has ``rows``
+    rows. A one-row ``X`` of a many-row block is padded to two rows: a
+    one-row product (BLAS gemv) can differ in the last bit from the same
+    row of a many-row one (gemm). With both sides of a pair on one path,
+    the one-source block of ``a`` decodes ``(a, b)`` to the bits that the
+    one-source block of ``b`` decodes ``(b, a)`` to."""
+    if len(X) == 1 and rows > 1:
+        return (np.concatenate([X, X]) @ W)[:1]
+    return X @ W
+
+
 # ---------------------------------------------------------------------------
 # Decoders
 # ---------------------------------------------------------------------------
@@ -121,25 +170,32 @@ class _MetricDecoder(_Decoder):
     adjoint ``_map_adjoint(M, delta, T, gy) -> (g_delta, g_m, grads)``, with
     ``g_m`` ``None`` where the map does not depend on ``m``. Since ``u`` and
     ``v`` enter as ``m +- delta/2``, ``gU = g_delta + g_m/2`` and
-    ``gV = g_m/2 - g_delta``.
+    ``gV = g_m/2 - g_delta``. ``M`` and ``delta`` hold one row per pair,
+    source by source, and the per-pair gradients are summed in order.
     """
 
     def forward(self, U, V):
         U, V = _as_rows(U), _as_rows(V)
-        M = 0.5 * (U + V)
-        delta = U - V
+        B, R = len(U), len(V)
+        # one row per pair, source by source; V broadcasts over the sources
+        U_pairs = np.repeat(U, R, axis=0).reshape(B, R, self.n)
+        M = U_pairs + V
+        M *= 0.5
+        delta = np.subtract(U_pairs, V, out=U_pairs)
+        M, delta = M.reshape(B * R, self.n), delta.reshape(B * R, self.n)
         y, T = self._map(M, delta)
         d = _row_norm(y)
-        return d, (M, delta, T, y, d)
+        return d.reshape(B, R), (M, delta, T, y, d, B, R)
 
     def backward(self, cache, upstream):
-        M, delta, T, y, d = cache
-        gy = _norm_adjoint(y, d, upstream)
+        M, delta, T, y, d, B, R = cache
+        gy = _norm_adjoint(y, d, _pair_upstream(upstream, B, R)[:, 0])
         g_delta, g_m, grads = self._map_adjoint(M, delta, T, gy)
         if g_m is None:
-            return g_delta, -g_delta, grads
-        half_gm = 0.5 * g_m
-        return g_delta + half_gm, half_gm - g_delta, grads
+            return _source_sums(g_delta, B, R), -_receiver_sums(g_delta, B, R), grads
+        half_gm = np.multiply(g_m, 0.5, out=g_m)
+        gU = _source_sums(g_delta + half_gm, B, R)
+        return gU, _receiver_sums(np.subtract(half_gm, g_delta, out=half_gm), B, R), grads
 
 
 class EuclideanDecoder(_MetricDecoder):
@@ -215,7 +271,8 @@ class DiagDecoder(_MetricDecoder):
         return n**2 + 7 * n
 
     def _map(self, M, delta):
-        lam = 1.0 + M @ self.weights.T
+        lam = M @ self.weights.T
+        lam += 1.0
         return lam * delta, lam
 
     def _map_adjoint(self, M, delta, lam, gy):
@@ -266,7 +323,9 @@ class MlpDecoder(_Decoder):
         pre = []
         a = z
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            s = a @ w.T + b
+            # a one-unit layer through ``@`` would be a matrix-vector product
+            # (BLAS gemv), whose rows depend on their position in the block
+            s = (a @ w.T if len(w) > 1 else np.einsum("ij,kj->ik", a, w)) + b
             if i < len(self.weights) - 1:
                 pre.append(s)
                 a = np.maximum(s, 0.0)
@@ -285,25 +344,24 @@ class MlpDecoder(_Decoder):
         return g @ self.weights[0]
 
     def forward(self, U, V):
-        """Symmetrized outputs, shape (B,) if k == 1 else (B, k)."""
+        """Symmetrized outputs, shape (B, R) if k == 1 else (B, R, k)."""
         U, V = _as_rows(U), _as_rows(V)
-        out1, acts1, pre1 = self._forward_pass(np.concatenate([U, V], axis=1))
-        out2, acts2, pre2 = self._forward_pass(np.concatenate([V, U], axis=1))
-        out = 0.5 * (out1 + out2)
-        return (out[:, 0] if self.k == 1 else out), (acts1, pre1, acts2, pre2)
+        B, R = len(U), len(V)
+        U_pairs, V_pairs = np.repeat(U, R, axis=0), np.tile(V, (B, 1))  # source by source
+        out1, acts1, pre1 = self._forward_pass(np.concatenate([U_pairs, V_pairs], axis=1))
+        out2, acts2, pre2 = self._forward_pass(np.concatenate([V_pairs, U_pairs], axis=1))
+        out = (0.5 * (out1 + out2)).reshape(B, R, self.k)
+        return (out[..., 0] if self.k == 1 else out), (acts1, pre1, acts2, pre2, B, R)
 
     def backward(self, cache, upstream):
-        acts1, pre1, acts2, pre2 = cache
-        upstream = np.atleast_1d(np.asarray(upstream, dtype=float))
-        if upstream.ndim == 1:
-            upstream = upstream[:, None]
+        acts1, pre1, acts2, pre2, B, R = cache
+        upstream = _pair_upstream(upstream, B, R, self.k)
         n = self.n
         grads = {name: np.zeros_like(p) for name, p in self.trainable().items()}
         gz1 = self._backward_pass(0.5 * upstream, acts1, pre1, grads)
         gz2 = self._backward_pass(0.5 * upstream, acts2, pre2, grads)
-        gU = gz1[:, :n] + gz2[:, n:]
-        gV = gz1[:, n:] + gz2[:, :n]
-        return gU, gV, grads
+        gU = _source_sums(gz1[:, :n] + gz2[:, n:], B, R)
+        return gU, _receiver_sums(gz1[:, n:] + gz2[:, :n], B, R), grads
 
 
 class DotProductDecoder(_Decoder):
@@ -323,16 +381,17 @@ class DotProductDecoder(_Decoder):
 
     def forward(self, U, V):
         U, V = _as_rows(U), _as_rows(V)
-        s = _sigmoid(np.einsum("bi,bi->b", U, V))
+        # every inner product sums in the same order in any block and in
+        # either input order, unlike a BLAS block product
+        s = _sigmoid(np.einsum("bi,ri->br", U, V))
         # keep the output strictly inside (0, K) even where the sigmoid
         # saturates to 1.0 in float64
         return self.K * np.clip(s, 1e-300, 1.0 - 1e-15), (U, V, s)
 
     def backward(self, cache, upstream):
         U, V, s = cache
-        upstream = np.atleast_1d(np.asarray(upstream, dtype=float))
-        gs = upstream * self.K * s * (1.0 - s)
-        return gs[:, None] * V, gs[:, None] * U, {}
+        gs = np.asarray(upstream, dtype=float) * self.K * s * (1.0 - s)
+        return gs @ V, gs.T @ U, {}
 
 
 # ---------------------------------------------------------------------------
@@ -416,20 +475,23 @@ class _PairHead(_Head):
         return params
 
     def _decode(self, U, V):
-        """The two decoder outputs for rows ``U``, ``V``, and the cache
-        ``(U, V, decoder caches)`` that ``_decode_backward`` reads."""
+        """The two ``(B, R)`` decoder outputs for the blocks ``U``, ``V``, and
+        the cache ``(U, V, decoder caches)`` that ``_decode_backward``
+        reads. The projection runs once per side."""
         if self.proj is None:
-            h, cache = self.decoder.forward(U, V)  # (B, 2)
-            return h[:, 0], h[:, 1], (U, V, [cache])
+            h, cache = self.decoder.forward(U, V)  # (B, R, 2)
+            return h[..., 0], h[..., 1], (U, V, [cache])
+        rows = max(len(U), len(V))
         h1, c1 = self.decoder.forward(U, V)
-        h2, c2 = self.decoder.forward(U @ self.proj.T, V @ self.proj.T)
+        h2, c2 = self.decoder.forward(_side_product(U, self.proj.T, rows), _side_product(V, self.proj.T, rows))
         return h1, h2, (U, V, [c1, c2])
 
     def _decode_backward(self, cache, up1, up2, grads, gU=None, gV=None):
-        """Add the adjoint of ``_decode`` for upstreams ``up1``, ``up2`` to
-        ``gU``, ``gV`` (``None`` starts them) and to ``grads``."""
+        """Add the adjoint of ``_decode`` for the ``(B, R)`` upstreams
+        ``up1``, ``up2`` to ``gU``, ``gV`` (``None`` starts them) and to
+        ``grads``."""
         U, V, caches = cache
-        ups = [np.stack([up1, up2], axis=1)] if self.proj is None else [up1, up2]
+        ups = [np.stack([up1, up2], axis=-1)] if self.proj is None else [up1, up2]
         for branch, (c, up) in enumerate(zip(caches, ups)):
             dU, dV, dP = self.decoder.backward(c, up)
             if branch == 1:  # the projected pair
@@ -440,6 +502,12 @@ class _PairHead(_Head):
             for name, g in dP.items():
                 grads[f"decoder.{name}"] += g
         return gU, gV
+
+    @staticmethod
+    def _upstreams(cache, upstream: dict, names) -> list:
+        """The heads' ``(B, R)`` upstream gradients (a scalar broadcasts)."""
+        B, R = len(cache[0]), len(cache[1])
+        return [_pair_upstream(upstream[h], B, R).reshape(B, R) for h in names]
 
 
 class LevelsModel(_PairHead):
@@ -463,20 +531,21 @@ class LevelsModel(_PairHead):
 
     def forward(self, U, V):
         U, V = _as_rows(U), _as_rows(V)
-        local = 0.5 * ((U @ self.w) + (V @ self.w)) + self.beta[0]
+        local = 0.5 * ((U @ self.w)[:, None] + (V @ self.w)[None]) + self.beta[0]
         h_ds, h_er, cache = self._decode(U, V)
         return {"l_ds": self.l0[0] - h_ds, "l_er": local - h_er}, cache
 
     def backward(self, cache, upstream: dict[str, np.ndarray]):
         U, V, _ = cache
-        up_ds = np.atleast_1d(np.asarray(upstream["l_ds"], dtype=float))
-        up_er = np.atleast_1d(np.asarray(upstream["l_er"], dtype=float))
+        up_ds, up_er = self._upstreams(cache, upstream, ("l_ds", "l_er"))
         grads = {name: np.zeros_like(p) for name, p in self.trainable().items()}
         grads["l0"][0] = up_ds.sum()
         grads["beta"][0] = up_er.sum()
-        grads["w"] += 0.5 * (up_er @ U + up_er @ V)
-        local = 0.5 * up_er[:, None] * self.w  # the same for both endpoints
-        gU, gV = self._decode_backward(cache, -up_ds, -up_er, grads, local, local)
+        # the local term reads each side once: its upstream sums over the other side
+        er_U, er_V = up_er.sum(axis=1), up_er.sum(axis=0)
+        grads["w"] += 0.5 * (er_U @ U + er_V @ V)
+        gU, gV = 0.5 * er_U[:, None] * self.w, 0.5 * er_V[:, None] * self.w
+        gU, gV = self._decode_backward(cache, -up_ds, -up_er, grads, gU, gV)
         return gU, gV, grads
 
 
@@ -502,8 +571,7 @@ class DecaysModel(_PairHead):
         return {"tau_er": tau_er, "tau_lr": tau_lr}, cache
 
     def backward(self, cache, upstream: dict[str, np.ndarray]):
-        up_er = np.atleast_1d(np.asarray(upstream["tau_er"], dtype=float))
-        up_lr = np.atleast_1d(np.asarray(upstream["tau_lr"], dtype=float))
+        up_er, up_lr = self._upstreams(cache, upstream, ("tau_er", "tau_lr"))
         grads = {name: np.zeros_like(p) for name, p in self.trainable().items()}
         gU, gV = self._decode_backward(cache, up_er, up_lr, grads)
         return gU, gV, grads

@@ -274,10 +274,26 @@ def _wet_bus(x: np.ndarray, parts, n_out: int) -> np.ndarray:
     for t, w in used:
         tail[: t.size] += w * t
     n = x.size + tail.size - 1
-    size = 1 << (n - 1).bit_length()
+    size = _fft_size(n)
     bus = np.zeros(n_out)
     bus[:n] = np.fft.irfft(np.fft.rfft(x, size) * np.fft.rfft(tail, size), size)[:n]
     return bus
+
+
+def _fft_size(n: int) -> int:
+    """The smallest ``2^a 3^b 5^c >= n``: an FFT of a length with only
+    these factors runs about as fast per sample as a power of two, and
+    the length can be close to half of the next power of two."""
+    best = 1 << max(n - 1, 0).bit_length()
+    odd = 1  # 3^b 5^c
+    while odd < best:
+        part = odd
+        while part < best:
+            # the smallest part * 2^a >= n
+            best = min(best, part << max(-(-n // part) - 1, 0).bit_length())
+            part *= 3
+        odd *= 5
+    return best
 
 
 def render_offline(
@@ -320,10 +336,10 @@ def query_params(bundles: dict, scene: VoxelScene, a, b) -> AcousticParamSet:
     trained model bundles over ``scene``. One masked interpolation finds
     the stencils of ``a``, ``b`` and the 12 DOA stencil points around
     ``b``; the corners and weights depend only on the scene and the point,
-    so every bundle's latents reuse them. Each bundle decodes the pair in
-    one row. The direction of arrival is the negated gradient of the
-    distance field predicted for ``a`` at the stencil points, decoded in
-    one block; a stencil point that cannot be resolved is a missing
+    so every bundle's latents reuse them. Each bundle decodes the pair as
+    a 1x1 block. The direction of arrival is the negated gradient of the
+    distance field predicted for ``a`` at the stencil points, decoded as
+    one 1x12 block; a stencil point that cannot be resolved is a missing
     sample. A pure function of the checkpoints and positions.
     """
     if "distance" not in bundles:
@@ -340,15 +356,13 @@ def query_params(bundles: dict, scene: VoxelScene, a, b) -> AcousticParamSet:
     out = {}
     for group, bundle in bundles.items():
         latents = batch.sample(bundle.grid.values)
-        # The pair gets its own one-row decode: a row of a many-row BLAS
-        # product can differ in the last bit from the same row alone.
+        # The pair is its own 1x1 block: a row of a many-row BLAS product
+        # can differ in the last bit from the same row alone.
         out.update(bundle.head.predict(latents[:1], latents[1:2]))
         if group == "distance":
-            stencil = latents[2:]
-            u = np.repeat(latents[:1], len(stencil), axis=0)
-            samples = bundle.head.predict(u, stencil)["pi"]
+            samples = bundle.head.predict(latents[:1], latents[2:])["pi"][0]
     pi, l_ds, l_er, tau_er, tau_lr = (
-        float(out[name][0]) if name in out else float("nan")
+        float(out[name][0, 0]) if name in out else float("nan")
         for name in ("pi", "l_ds", "l_er", "tau_er", "tau_lr")
     )
 

@@ -2,11 +2,11 @@
 
 A *model bundle* couples one latent grid with one parameter head (path
 distance, levels, or decay times). Groups are trained independently on
-batches of sources: a batch stacks the (source, receiver) rows of all its
-sources into one decode, the per-source mean-squared error against the
-oracle fields is backpropagated through the decoder and the receiver-side
-latents in one backward pass, and the gradient flowing into the
-source-position latent is zeroed (stop-gradient) to prevent it from
+batches of sources: a batch decodes its source latents against their
+shared receiver latents as one block, the per-source mean-squared error
+against the oracle fields is backpropagated through the decoder and the
+receiver-side latents in one backward pass, and the gradient flowing into
+the source-position latent is zeroed (stop-gradient) to prevent it from
 overfitting.
 
 Training is deterministic for a fixed seed: batches are drawn from a
@@ -321,8 +321,8 @@ def _source_stencils(scene: VoxelScene, sources) -> InterpBatch:
 
 def _predictions(bundle: ModelBundle, sources):
     """Predicted receiver fields of the bundle's heads, one dict per source:
-    the source stencils are built once, then each source makes one decode
-    over the free voxels."""
+    the source stencils are built once, then each source decodes one
+    one-source block over the free voxels."""
     scene = bundle.scene
     if bundle.grid.dims != scene.dims:
         raise InputError("latent grid dims do not match scene dims")
@@ -331,9 +331,9 @@ def _predictions(bundle: ModelBundle, sources):
     V = bundle.grid.values[free]
     for source, u in zip(sources, latents):
         out = {}
-        for head, vals in bundle.head.predict(np.broadcast_to(u, V.shape), V).items():
+        for head, vals in bundle.head.predict(u[None], V).items():
             grid_vals = np.full(scene.dims, np.nan)
-            grid_vals[free] = vals
+            grid_vals[free] = vals[0]
             out[head] = FieldVolume(
                 source=np.asarray(source, dtype=float),
                 kind="path-distance" if head == "pi" else ("level" if head.startswith("l_") else "decay-time"),
@@ -371,18 +371,6 @@ class TrainResult:
     checkpoints: list = field(default_factory=list)
 
 
-def _row_bins(index: np.ndarray, c: int) -> np.ndarray:
-    """Flat bins ``index * c + channel`` of ``(m, c)`` rows."""
-    return (index[:, None] * c + np.arange(c)).reshape(-1)
-
-
-def _scatter_rows(bins: np.ndarray, rows: np.ndarray, size: int) -> np.ndarray:
-    """``(size, c)`` sums of the ``(m, c)`` ``rows`` that share an index,
-    each added in row order: one ``bincount`` over their ``_row_bins``."""
-    c = rows.shape[1]
-    return np.bincount(bins, weights=rows.reshape(-1), minlength=size * c).reshape(size, c)
-
-
 def train(
     bundle: ModelBundle,
     train_ds: Dataset,
@@ -396,31 +384,54 @@ def train(
     source lookup are dropped when ``stop_gradient_at_source`` is set.
     Raises ``DivergenceError`` (carrying the last finite snapshot) if the
     loss goes non-finite.
+
+    A batch decodes its sources as one block against their shared
+    receivers (one block per receiver set, in order of first appearance,
+    when the sources' valid receivers differ). Adam steps a table of the
+    grid rows that can get a gradient, the receivers (and, without
+    stop-gradient, the source stencils' vertices), and writes it back into
+    the grid after each step; every other row has zero gradient and zero
+    moments, so stepping it would not move it.
     """
     scene = bundle.scene
     if bundle.grid.dims != scene.dims:
         raise InputError("latent grid dims do not match scene dims")
     heads = GROUP_HEADS[bundle.group]
-    n_heads = len(heads)
     stencils = _source_stencils(scene, train_ds.sources)
-    n_vertices, n = scene.occupancy.size, bundle.grid.n
-    # Per source: the flat grid bins of its receivers' latents, shared by
-    # the sources with the same receivers (usually all of them); {head:
-    # truth rows}. Receivers are free voxels, so obstacles get no gradient.
-    bins, truths, shared = [], [], {}
+    # Receiver sets: the free voxels valid in every field of the group,
+    # one entry per distinct set (usually one for all sources), and per
+    # set a (sources of the set, receivers) truth table per head.
+    receivers, set_of, known = [], [], {}
     for fields in train_ds.fields:
         valid = scene.free_mask()
         for head in heads:
             valid &= fields[head].valid_mask()
-        if (key := valid.tobytes()) not in shared:
-            shared[key] = _row_bins(np.flatnonzero(valid), n)
-        bins.append(shared[key])
-        truths.append({head: fields[head].values[valid] for head in heads})
-    counts = np.array([len(b) // n for b in bins])
+        k = known.setdefault(valid.tobytes(), len(known))
+        if k == len(receivers):
+            receivers.append(np.flatnonzero(valid))
+        set_of.append(k)
+    set_of = np.array(set_of)
+    counts = np.array([len(receivers[k]) for k in set_of])
     if not counts.all():
         raise InputError("a training source has no receiver valid in every field of its group")
+    row_in_set = np.zeros(len(set_of), dtype=int)
+    truths = []
+    for k, cells in enumerate(receivers):
+        members = np.flatnonzero(set_of == k)
+        row_in_set[members] = np.arange(len(members))
+        truths.append({h: np.stack([train_ds.fields[i][h].values.reshape(-1)[cells] for i in members])
+                       for h in heads})
 
-    params = bundle.trainable()
+    # The rows Adam steps: receivers, plus stencil vertices without stop-gradient.
+    src, slot = np.nonzero(stencils.weights > 0.0)
+    vertex = stencils.corners[src, slot] @ (scene.dims[1] * scene.dims[2], scene.dims[2], 1)
+    live = np.unique(np.concatenate(receivers + ([] if cfg.stop_gradient_at_source else [vertex])))
+    # a set's rows in the table; a set of every row reads the table itself
+    at = [slice(None) if len(cells) == len(live) else np.searchsorted(live, cells) for cells in receivers]
+    vertex_at, vertex_w = np.searchsorted(live, vertex), stencils.weights[src, slot, None]
+    live_cells = np.unravel_index(live, scene.dims)
+    table = bundle.grid.values[live_cells]
+    params = {"grid": table, **bundle.head.trainable()}
     lrs = {name: (cfg.lr_grid if name == "grid" else cfg.lr_decoder) for name in params}
     opt = Adam(params, lrs)
     rng = np.random.default_rng(cfg.seed)
@@ -433,32 +444,42 @@ def train(
         n_batches = 0
         for b0 in range(0, len(order), cfg.batch_sources):
             batch = order[b0 : b0 + cfg.batch_sources]
-            # One row per (source, receiver) pair, source by source; each
-            # source's squared error is a mean over its receivers.
-            batch_bins = np.concatenate([bins[i] for i in batch])
-            denom = np.repeat(counts[batch] * float(n_heads * len(batch)), counts[batch])
-            source = InterpBatch(stencils.corners[batch], stencils.weights[batch], stencils.status[batch])
-            U = np.repeat(source.sample(bundle.grid.values), counts[batch], axis=0)
-            V = np.take(bundle.grid.values, batch_bins).reshape(-1, n)
-            preds, cache = bundle.head.forward(U, V)
-            upstream = {}
+            # each source's squared error is a mean over its receivers
+            denom = (counts[batch] * float(len(heads) * len(batch)))[:, None]
+            U = InterpBatch(stencils.corners[batch], stencils.weights[batch], stencils.status[batch]).sample(
+                bundle.grid.values
+            )
+            grads = {"grid": np.zeros_like(table)}
+            gU = np.empty_like(U)
             batch_loss = 0.0
-            for h in heads:
-                r = preds[h] - np.concatenate([truths[i][h] for i in batch])
-                batch_loss += float(np.sum(r * r / denom))
-                upstream[h] = 2.0 * r / denom
-            gU, gV, grads = bundle.head.backward(cache, upstream)
-            grid_grad = _scatter_rows(batch_bins, gV, n_vertices).reshape(bundle.grid.values.shape)
-            if not cfg.stop_gradient_at_source:
-                owner_bins = _row_bins(np.repeat(batch, counts[batch]), n)
-                stencils.backward(_scatter_rows(owner_bins, gU, len(counts)), grid_grad)
-            grads["grid"] = grid_grad
+            keys = set_of[batch]
+            for k in dict.fromkeys(keys.tolist()):
+                block = slice(None) if len(receivers) == 1 else np.flatnonzero(keys == k)
+                preds, cache = bundle.head.forward(U[block], table[at[k]])
+                upstream = {}
+                for h in heads:
+                    r = preds[h] - truths[k][h][row_in_set[batch[block]]]
+                    sq = r * r
+                    sq /= denom[block]
+                    batch_loss += float(np.sum(sq))
+                    r *= 2.0
+                    r /= denom[block]
+                    upstream[h] = r
+                gU[block], gV, head_grads = bundle.head.backward(cache, upstream)
+                grads["grid"][at[k]] += gV
+                for name, g in head_grads.items():
+                    grads[name] = grads[name] + g if name in grads else g
+            if not cfg.stop_gradient_at_source:  # ``InterpBatch.backward``, in table rows
+                source_grad = np.zeros((len(set_of), bundle.grid.n))
+                source_grad[batch] = gU
+                np.add.at(grads["grid"], vertex_at, vertex_w * source_grad[src])
             if not np.isfinite(batch_loss):
                 bundle.restore(last_good)
                 raise DivergenceError(
                     f"non-finite loss at epoch {epoch}", last_good=last_good
                 )
             opt.step(grads)
+            bundle.grid.values[live_cells] = table
             epoch_loss += batch_loss
             n_batches += 1
         epoch_loss /= max(n_batches, 1)

@@ -434,7 +434,7 @@ def per_bundle_query(bundles, a, b) -> dict:
     for bundle in bundles.values():
         u, v = (latent_at(bundle.grid, bundle.scene, p) for p in (a, b))
         for head, values in bundle.head.predict(u[None, :], v[None, :]).items():
-            out[head] = float(values[0])
+            out[head] = float(values[0, 0])
     finite = np.isfinite(out["l_er"]) and out["tau_er"] > 0
     out["l_lr"] = sp.derive_l_lr(out["l_er"], out["tau_er"]) if finite else None
     return out
@@ -463,25 +463,31 @@ def masked_norm_adjoint(y, upstream):
 
 
 def norm_decode(decoder, U, V, upstream):
-    """A decoder's outputs and its adjoint for ``upstream`` in the forms
-    that take each row norm with ``np.linalg.norm``: ``(out, gU, gV,
-    grads)``. The reference for the decoders' ``einsum`` row norms; the
-    MLP and dot-product decoders reduce no row norm and run their own
-    ``forward``/``backward``."""
+    """A decoder's ``(B, R)`` block outputs and its adjoint for the
+    ``(B, R)`` ``upstream`` in the forms that take each pair's row norm with
+    ``np.linalg.norm`` on flat pair rows and sum the pairs' gradients by
+    source and by receiver: ``(out, gU, gV, grads)``. The reference for the
+    decoders' ``einsum`` row norms; the MLP and dot-product decoders reduce
+    no row norm and run their own ``forward``/``backward``."""
     U, V = np.atleast_2d(U), np.atleast_2d(V)
     if decoder.family not in ("euclidean", "riemann-psd", "riemann-diag"):
         out, cache = decoder.forward(U, V)
         return (out, *decoder.backward(cache, upstream))
-    n, delta, M = decoder.n, U - V, 0.5 * (U + V)
+    (B, n), R = U.shape, len(V)
+    Up, Vp = np.repeat(U, R, axis=0), np.tile(V, (B, 1))
+    upstream = np.broadcast_to(upstream, (B, R)).reshape(-1)
+    delta, M = Up - Vp, 0.5 * (Up + Vp)
+    grads = {}
     if decoder.family == "euclidean":
-        gy = masked_norm_adjoint(delta, upstream)
-        return np.linalg.norm(delta, axis=1), gy, -gy, {}
-    if decoder.family == "riemann-diag":
+        y = delta
+        g_delta = masked_norm_adjoint(delta, upstream)
+        gm = np.zeros_like(delta)
+    elif decoder.family == "riemann-diag":
         lam = 1.0 + M @ decoder.weights.T
         y = lam * delta
         gy = masked_norm_adjoint(y, upstream)
         g_delta, g_lam = lam * gy, delta * gy
-        gm, gW = g_lam @ decoder.weights, g_lam.T @ M
+        gm, grads["weights"] = g_lam @ decoder.weights, g_lam.T @ M
     else:
         A = (M @ decoder.weights.T).reshape(-1, n, n) + np.eye(n)
         y = np.einsum("bij,bj->bi", A, delta)
@@ -489,24 +495,27 @@ def norm_decode(decoder, U, V, upstream):
         g_delta = np.einsum("bij,bi->bj", A, gy)
         gA = np.einsum("bi,bj->bij", gy, delta)
         gm = gA.reshape(-1, n * n) @ decoder.weights
-        gW = np.einsum("bij,bk->ijk", gA, M).reshape(n * n, n)
-    return np.linalg.norm(y, axis=1), g_delta + 0.5 * gm, -g_delta + 0.5 * gm, {"weights": gW}
+        grads["weights"] = np.einsum("bij,bk->ijk", gA, M).reshape(n * n, n)
+    gU, gV = (g_delta + 0.5 * gm).reshape(B, R, n), (-g_delta + 0.5 * gm).reshape(B, R, n)
+    return np.linalg.norm(y, axis=1).reshape(B, R), gU.sum(axis=1), gV.sum(axis=0), grads
 
 
 def levels_decode(model, U, V, upstream):
-    """``LevelsModel`` outputs and gradients with ``norm_decode`` for the
-    decoder and the ``w`` gradient as column sums ``(U * up[:, None]).sum(0)``:
-    ``(out, gU, gV, grads)``."""
+    """``LevelsModel`` block outputs and gradients with ``norm_decode`` for
+    the decoder and the ``w`` gradient as column sums ``(U * up[:,
+    None]).sum(0)`` of each side's upstream sums: ``(out, gU, gV, grads)``."""
     U, V = np.atleast_2d(U), np.atleast_2d(V)
-    up_ds, up_er = (np.atleast_1d(upstream[h]) for h in ("l_ds", "l_er"))
+    shape = (len(U), len(V))
+    up_ds, up_er = (np.broadcast_to(upstream[h], shape) for h in ("l_ds", "l_er"))
     w = model.w
-    local = 0.5 * ((U @ w) + (V @ w)) + model.beta[0]
+    local = 0.5 * ((U @ w)[:, None] + (V @ w)[None, :]) + model.beta[0]
+    er_U, er_V = up_er.sum(axis=1), up_er.sum(axis=0)
     grads = {"l0": np.array([up_ds.sum()]), "beta": np.array([up_er.sum()]),
-             "w": 0.5 * ((U * up_er[:, None]).sum(0) + (V * up_er[:, None]).sum(0))}
-    gU = gV = 0.5 * up_er[:, None] * w[None, :]
+             "w": 0.5 * ((U * er_U[:, None]).sum(0) + (V * er_V[:, None]).sum(0))}
+    gU, gV = 0.5 * er_U[:, None] * w[None, :], 0.5 * er_V[:, None] * w[None, :]
     if model.proj is None:
-        h, dU, dV, dP = norm_decode(model.decoder, U, V, np.stack([-up_ds, -up_er], axis=1))
-        h_ds, h_er = h[:, 0], h[:, 1]
+        h, dU, dV, dP = norm_decode(model.decoder, U, V, np.stack([-up_ds, -up_er], axis=-1))
+        h_ds, h_er = h[..., 0], h[..., 1]
     else:
         P = model.proj
         h_ds, dU, dV, dP = norm_decode(model.decoder, U, V, -up_ds)
@@ -551,9 +560,11 @@ def reference_train(bundle, ds, cfg) -> list:
     """``training.train`` without eval, in place on ``bundle``, from the
     parts it replaced: each batch decodes with ``predict``, takes its
     gradients from a second, fresh ``forward`` (``backward(forward(U,
-    V)[1], up)``), sums receiver gradients with one ``bincount`` per
-    channel and steps the per-parameter ``Adam``. Returns the epoch
-    losses."""
+    V)[1], up)``), keeps its truths, residuals and denominators as flat
+    (source, receiver) rows, sums receiver gradients with one ``bincount``
+    per channel and steps the per-parameter ``Adam`` on the full grid.
+    The sources of a batch that share their receivers decode as one block,
+    sets in order of first appearance. Returns the epoch losses."""
     scene = bundle.scene
     heads = GROUP_HEADS[bundle.group]
     prepared = []  # per source: flat receiver indices, {head: truth rows}
@@ -579,21 +590,30 @@ def reference_train(bundle, ds, cfg) -> list:
         total, n_batches = 0.0, 0
         for b0 in range(0, len(order), cfg.batch_sources):
             batch = order[b0 : b0 + cfg.batch_sources]
-            rows = np.concatenate([prepared[i][0] for i in batch])
-            owner = np.repeat(batch, counts[batch])
-            denom = np.repeat(counts[batch] * (len(heads) * len(batch)), counts[batch])
-            U = stencils.sample(bundle.grid.values)[owner]
-            V = bundle.grid.values.reshape(n_vertices, n)[rows]
-            preds = bundle.head.predict(U, V)
-            up, loss = {}, 0.0
-            for h in heads:
-                r = preds[h] - np.concatenate([prepared[i][1][h] for i in batch])
-                loss += float(np.sum(r * r / denom))
-                up[h] = 2.0 * r / denom
-            gU, gV, grads = bundle.head.backward(bundle.head.forward(U, V)[1], up)
-            grads["grid"] = scatter(rows, gV, n_vertices).reshape(bundle.grid.values.shape)
+            blocks = {}  # receiver set -> its sources, in batch order
+            for i in batch:
+                blocks.setdefault(prepared[i][0].tobytes(), []).append(i)
+            latents = stencils.sample(bundle.grid.values)
+            grid = bundle.grid.values.reshape(n_vertices, n)
+            grads, source_rows, loss = {"grid": np.zeros((n_vertices, n))}, np.zeros((len(counts), n)), 0.0
+            for sources in blocks.values():
+                rows = prepared[sources[0]][0]
+                U, V = latents[sources], grid[rows]
+                denom = np.repeat(counts[sources] * (len(heads) * len(batch)), counts[sources])
+                preds = bundle.head.predict(U, V)
+                up = {}
+                for h in heads:
+                    r = preds[h].reshape(-1) - np.concatenate([prepared[i][1][h] for i in sources])
+                    loss += float(np.sum(r * r / denom))
+                    up[h] = (2.0 * r / denom).reshape(len(sources), len(rows))
+                gU, gV, block_grads = bundle.head.backward(bundle.head.forward(U, V)[1], up)
+                grads["grid"] += scatter(rows, gV, n_vertices)
+                source_rows[sources] = gU
+                for name, g in block_grads.items():
+                    grads[name] = grads[name] + g if name in grads else g
+            grads["grid"] = grads["grid"].reshape(bundle.grid.values.shape)
             if not cfg.stop_gradient_at_source:
-                stencils.backward(scatter(owner, gU, len(counts)), grads["grid"])
+                stencils.backward(source_rows, grads["grid"])
             grads["grid"][scene.occupancy] = 0.0
             opt.step(grads)
             total += loss
@@ -633,14 +653,13 @@ def per_source_train(bundle, ds, cfg) -> None:
                 corners, weights, recv, truths = prepared[si]
                 u = weights @ bundle.grid.values[tuple(corners.T)]
                 V = bundle.grid.values[tuple(recv.T)]
-                U = np.broadcast_to(u, V.shape)
-                preds, cache = bundle.head.forward(U, V)
+                preds, cache = bundle.head.forward(u[None, :], V)
                 scale = len(recv) * len(heads) * len(batch)
                 upstream = {h: 2.0 * (preds[h] - truths[h]) / scale for h in heads}
                 gU, gV, gP = bundle.head.backward(cache, upstream)
                 np.add.at(grads["grid"], tuple(recv.T), gV)
                 if not cfg.stop_gradient_at_source:
-                    np.add.at(grads["grid"], tuple(corners.T), weights[:, None] * gU.sum(axis=0))
+                    np.add.at(grads["grid"], tuple(corners.T), weights[:, None] * gU[0])
                 for name, g in gP.items():
                     grads[name] += g
             grads["grid"][scene.occupancy] = 0.0

@@ -599,6 +599,37 @@ def test_negative_scene_sizes_exit_code(tmp_path, capsys, monkeypatch, args):
     assert list(tmp_path.iterdir()) == []  # neither the scene nor a manifest
 
 
+@pytest.mark.parametrize("kind,option", [
+    ("empty-box", "--n-cylinders"),
+    ("maze", "--aperture"),
+    ("wall-with-aperture", "--door"),
+    ("coupled-rooms", "--aperture"),
+    ("cylinder-forest", "--door"),
+])
+def test_scene_gen_rejects_a_geometry_option_its_kind_ignores(tmp_path, capsys, monkeypatch, kind, option):
+    """A geometry option that the kind's builder does not read is a usage
+    error, not a manifest entry; the kind's own option is still read."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run(["scene", "gen", "--kind", kind, "--dims", "8x4x8", option, "2", "--out", "s.scn"])
+    assert exc.value.code == 2
+    assert f"{option} does not apply to --kind {kind}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    own = {"wall-with-aperture": "--aperture", "coupled-rooms": "--door", "cylinder-forest": "--n-cylinders"}
+    extra = [own[kind], "2"] if kind in own else []
+    assert run(["scene", "gen", "--kind", kind, "--dims", "8x4x8", *extra, "--out", "s.scn"]) == 0
+
+
+@pytest.mark.parametrize("workers", ["-5", "0", "two"])
+def test_bake_workers_must_be_a_positive_integer(tmp_path, capsys, monkeypatch, workers):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run(["bake", "--scene", "x.scn", "--sources", "s.txt", "--out-dir", "f", "--workers", workers])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 # Every subcommand's option strings. A new option shows up here as a
 # reviewed change; ``bake --workers`` is kept for the callers that pass it.
 OPTIONS = {

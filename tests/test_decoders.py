@@ -31,10 +31,10 @@ FAMILIES = ("euclidean", "riemann-psd", "riemann-diag", "mlp")
 def test_euclid_identity_and_pythagoras():
     d = EuclideanDecoder(8)
     u = np.zeros(8)
-    assert d.pairwise(u, u)[0] == 0.0
+    assert d.pairwise(u, u)[0, 0] == 0.0
     v = np.zeros(8)
     v[0], v[1] = 3.0, 4.0
-    assert d.pairwise(u, v)[0] == pytest.approx(5.0, abs=1e-12)
+    assert d.pairwise(u, v)[0, 0] == pytest.approx(5.0, abs=1e-12)
 
 
 def test_euclid_matches_two_pass_sum():
@@ -45,7 +45,7 @@ def test_euclid_matches_two_pass_sum():
         total = 0.0
         for i in range(16):
             total += (u[i] - v[i]) * (u[i] - v[i])
-        assert EuclideanDecoder(16).pairwise(u, v)[0] == pytest.approx(np.sqrt(total), abs=1e-12)
+        assert EuclideanDecoder(16).pairwise(u, v)[0, 0] == pytest.approx(np.sqrt(total), abs=1e-12)
 
 
 @settings(max_examples=100, deadline=None)
@@ -55,7 +55,7 @@ def test_euclid_metric_axioms(seed):
     u, v, w = rng.normal(size=(3, 8))
 
     def d(a, b):
-        return EuclideanDecoder(8).pairwise(a, b)[0]
+        return EuclideanDecoder(8).pairwise(a, b)[0, 0]
 
     assert d(u, v) >= 0.0
     assert d(u, u) == 0.0
@@ -74,8 +74,8 @@ def test_psd_identity_map_reduces_to_euclid():
     rng = np.random.default_rng(1)
     for _ in range(50):
         u, v = rng.normal(size=(2, n))
-        assert model.pairwise(u, v)[0] == pytest.approx(
-            EuclideanDecoder(n).pairwise(u, v)[0], abs=1e-12
+        assert model.pairwise(u, v)[0, 0] == pytest.approx(
+            EuclideanDecoder(n).pairwise(u, v)[0, 0], abs=1e-12
         )
 
 
@@ -85,8 +85,8 @@ def test_diag_unit_weights_reduce_to_euclid():
     rng = np.random.default_rng(2)
     for _ in range(50):
         u, v = rng.normal(size=(2, n))
-        assert model.pairwise(u, v)[0] == pytest.approx(
-            EuclideanDecoder(n).pairwise(u, v)[0], abs=1e-12
+        assert model.pairwise(u, v)[0, 0] == pytest.approx(
+            EuclideanDecoder(n).pairwise(u, v)[0, 0], abs=1e-12
         )
 
 
@@ -100,8 +100,8 @@ def test_diag_constant_two_doubles_distance():
     m = 0.5 * (u + v)
     row = m / (m @ m)
     model = DiagDecoder(n, np.tile(row, (n, 1)))
-    base = EuclideanDecoder(n).pairwise(u, v)[0]
-    assert model.pairwise(u, v)[0] == pytest.approx(2.0 * base, rel=1e-12)
+    base = EuclideanDecoder(n).pairwise(u, v)[0, 0]
+    assert model.pairwise(u, v)[0, 0] == pytest.approx(2.0 * base, rel=1e-12)
 
 
 def test_riemann_symmetry_and_positivity():
@@ -110,11 +110,11 @@ def test_riemann_symmetry_and_positivity():
         model = make_distance_decoder(family, 8, seed=9)
         for _ in range(50):
             u, v = rng.normal(size=(2, 8))
-            d_uv = model.pairwise(u, v)[0]
-            d_vu = model.pairwise(v, u)[0]
+            d_uv = model.pairwise(u, v)[0, 0]
+            d_vu = model.pairwise(v, u)[0, 0]
             assert d_uv == pytest.approx(d_vu, abs=1e-12)
             assert d_uv >= 0.0
-            assert model.pairwise(u, u)[0] == 0.0
+            assert model.pairwise(u, u)[0, 0] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +127,7 @@ def test_mlp_swap_bit_identical():
     rng = np.random.default_rng(6)
     for _ in range(50):
         u, v = rng.normal(size=(2, 8))
-        assert model.pairwise(u, v)[0] == model.pairwise(v, u)[0]
+        assert model.pairwise(u, v)[0, 0] == model.pairwise(v, u)[0, 0]
 
 
 def test_mlp_zero_weights_constant_bias():
@@ -137,7 +137,7 @@ def test_mlp_zero_weights_constant_bias():
     model.biases[-1][:] = -2.5
     rng = np.random.default_rng(7)
     u, v = rng.normal(size=(2, 4))
-    assert model.pairwise(u, v)[0] == pytest.approx(-2.5, abs=1e-15)
+    assert model.pairwise(u, v)[0, 0] == pytest.approx(-2.5, abs=1e-15)
 
 
 def test_mlp_matches_independent_forward():
@@ -154,7 +154,7 @@ def test_mlp_matches_independent_forward():
         return a[0]
 
     expected = 0.5 * (phi(np.concatenate([u, v])) + phi(np.concatenate([v, u])))
-    assert model.pairwise(u, v)[0] == pytest.approx(expected, abs=1e-10)
+    assert model.pairwise(u, v)[0, 0] == pytest.approx(expected, abs=1e-10)
 
 
 def test_mlp_standard_shapes():
@@ -174,12 +174,12 @@ def test_decay_dot_pinned_values():
     d = DotProductDecoder(n, K=2.0)
     u = np.zeros(n)
     v = np.zeros(n)
-    assert d.pairwise(u, v)[0] == pytest.approx(1.0, abs=1e-12)  # K/2
+    assert d.pairwise(u, v)[0, 0] == pytest.approx(1.0, abs=1e-12)  # K/2
     u = np.array([np.log(3.0), 0.0, 0.0, 0.0])
     v = np.array([1.0, 0.0, 0.0, 0.0])
-    assert d.pairwise(u, v)[0] == pytest.approx(1.5, abs=1e-12)
+    assert d.pairwise(u, v)[0, 0] == pytest.approx(1.5, abs=1e-12)
     u = np.array([30.0, 0.0, 0.0, 0.0])
-    assert d.pairwise(u, v)[0] == pytest.approx(2.0, abs=1e-9 * 2.0)
+    assert d.pairwise(u, v)[0, 0] == pytest.approx(2.0, abs=1e-9 * 2.0)
 
 
 def test_decay_dot_strict_range_and_symmetry():
@@ -188,9 +188,9 @@ def test_decay_dot_strict_range_and_symmetry():
     d = DotProductDecoder(8, K)
     for _ in range(200):
         u, v = rng.normal(size=(2, 8)) * 3.0
-        tau = d.pairwise(u, v)[0]
+        tau = d.pairwise(u, v)[0, 0]
         assert 0.0 < tau < K
-        assert tau == d.pairwise(v, u)[0]
+        assert tau == d.pairwise(v, u)[0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +202,7 @@ def test_level_heads_identity_pair():
     model = LevelsModel(EuclideanDecoder(6), 6, seed=0)
     model.l0[0] = -3.0
     u = np.random.default_rng(10).normal(size=6)
-    l_ds = model.predict(u, u)["l_ds"][0]
+    l_ds = model.predict(u, u)["l_ds"][0, 0]
     assert l_ds == pytest.approx(-3.0, abs=1e-12)
 
 
@@ -213,7 +213,7 @@ def test_level_heads_constant_local_field():
     u = np.array([2.0, 0.0, 0.0, 0.0])
     v = np.array([0.0, 0.0, 0.0, 0.0])  # h(Pu, Pv) with P = I-ish
     model.proj[:] = np.eye(4)
-    l_er = model.predict(u, v)["l_er"][0]
+    l_er = model.predict(u, v)["l_er"][0, 0]
     assert l_er == pytest.approx(-12.0, abs=1e-12)
 
 
@@ -224,7 +224,7 @@ def test_level_heads_symmetric():
         model = LevelsModel(make_distance_decoder(family, 8, seed=1, k=k), 8, seed=1)
         u, v = rng.normal(size=(2, 8))
         uv, vu = model.predict(u, v), model.predict(v, u)
-        assert (uv["l_ds"][0], uv["l_er"][0]) == (vu["l_ds"][0], vu["l_er"][0])
+        assert (uv["l_ds"][0, 0], uv["l_er"][0, 0]) == (vu["l_ds"][0, 0], vu["l_er"][0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +278,7 @@ def _finite_difference_check(decoder, n, rng, k=1, trials=10, tol=1e-4):
         g = {"u": gU[0], "v": gV[0], "params": gP}
 
         def objective():
-            out = np.atleast_1d(decoder.pairwise(u, v)[0])
+            out = np.atleast_1d(decoder.pairwise(u, v)[0, 0])
             return float(out @ np.atleast_1d(up))
 
         eps = 1e-5
@@ -335,8 +335,9 @@ def test_gradient_zero_at_coincident_inputs():
 
 
 def _row_cases(rng, n):
-    """Row pairs to decode: 40 random rows with every third pair
-    coincident, one random row and one coincident row as 1-D vectors."""
+    """Blocks to decode: 40 random source rows against 40 random receiver
+    rows with every third receiver equal to a source, one random pair and
+    one coincident pair as 1-D vectors."""
     U, V = rng.normal(size=(2, 40, n))
     V[::3] = U[::3]
     u, v = rng.normal(size=(2, n))
@@ -344,22 +345,26 @@ def _row_cases(rng, n):
 
 
 def _assert_relative(actual, expected, what):
+    """Outputs within 1e-12 of each entry; gradients, sums over the pairs
+    of a block whose terms may cancel, within 1e-12 of the largest entry."""
     actual, expected = np.asarray(actual), np.asarray(expected)
     assert actual.shape == expected.shape, what
-    assert np.all(np.abs(actual - expected) <= 1e-12 * np.abs(expected)), what
+    scale = np.abs(expected) if what[-1] in ("d", "l_ds", "l_er") else np.abs(expected).max()
+    assert np.all(np.abs(actual - expected) <= 1e-12 * scale), what
 
 
 @pytest.mark.parametrize("family", ["euclidean", "riemann-psd", "riemann-diag"])
 def test_row_norm_decoders_match_the_linalg_norm_forms(family):
-    """Forward outputs and backward gradients of the einsum row norms
-    against ``np.linalg.norm`` and the masked adjoint, to 1e-12 relative."""
+    """Block outputs and backward gradients of the einsum row norms
+    against ``np.linalg.norm`` and the masked adjoint on flat pair rows,
+    to 1e-12 relative."""
     rng = np.random.default_rng(21)
     decoder = make_distance_decoder(family, 8, seed=4)
     for p in decoder.trainable().values():
         p += rng.normal(0.0, 0.1, size=p.shape)
     for U, V in _row_cases(rng, 8):
-        up = rng.normal(size=np.atleast_2d(U).shape[0])
         out, cache = decoder.forward(U, V)
+        up = rng.normal(size=out.shape)
         gU, gV, grads = decoder.backward(cache, up)
         ref, rU, rV, rgrads = norm_decode(decoder, U, V, up)
         for what, a, b in [("d", out, ref), ("gU", gU, rU), ("gV", gV, rV)] + [
@@ -367,7 +372,7 @@ def test_row_norm_decoders_match_the_linalg_norm_forms(family):
         ]:
             _assert_relative(a, b, (family, len(out), what))
         assert set(grads) == set(rgrads)
-        assert np.all(out[np.all(np.atleast_2d(U) == np.atleast_2d(V), axis=1)] == 0.0)
+        assert np.all(out[np.all(np.atleast_2d(U)[:, None] == np.atleast_2d(V)[None], axis=2)] == 0.0)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -380,7 +385,7 @@ def test_levels_head_matches_the_column_sum_forms(family):
     for p in head.trainable().values():
         p += rng.normal(0.0, 0.1, size=p.shape)
     for U, V in _row_cases(rng, 8):
-        m = np.atleast_2d(U).shape[0]
+        m = (len(np.atleast_2d(U)), len(np.atleast_2d(V)))
         up = {"l_ds": rng.normal(size=m), "l_er": rng.normal(size=m)}
         out, cache = head.forward(U, V)
         gU, gV, grads = head.backward(cache, up)
@@ -474,12 +479,12 @@ def test_head_gradients_match_finite_differences(kind, family):
     for p in head.trainable().values():
         p += rng.normal(0.0, 0.1, size=p.shape)
     U, V = rng.normal(size=(2, rows, n))
-    up = {h: rng.normal(size=rows) for h in head.predict(U, V)}
+    up = {h: rng.normal(size=(rows, rows)) for h in head.predict(U, V)}
     gU, gV, grads = head.backward(head.forward(U, V)[1], up)
     assert set(grads) == set(head.trainable())
 
     def objective():
-        return sum(float(out @ up[h]) for h, out in head.predict(U, V).items())
+        return sum(float(np.sum(out * up[h])) for h, out in head.predict(U, V).items())
 
     f0 = objective()
     worst, probed = 0.0, 0
@@ -513,3 +518,109 @@ def test_head_models_declare_their_params():
     assert set(decays.trainable()) == {"proj"}
     dist = DistanceModel(make_distance_decoder("riemann-psd", 8, seed=0))
     assert set(dist.trainable()) == {"decoder.weights"}
+
+
+# ---------------------------------------------------------------------------
+# Blocks
+# ---------------------------------------------------------------------------
+
+BLOCK_SIZES = (1, 2, 4, 13)
+PER_PAIR_FAMILIES = ("euclidean", "riemann-psd", "riemann-diag", "mlp", "dot-product")
+
+
+def _block_heads(n=8):
+    """Every decoder family bare and under every head that takes it."""
+    out = []
+    for family in PER_PAIR_FAMILIES:
+        out.append((f"decoder-{family}", make_distance_decoder(family, n, seed=3, hidden=(8, 8))))
+    for kind, families in ((DistanceModel, FAMILIES), (LevelsModel, FAMILIES + ("dot-product",)),
+                           (DecaysModel, ("dot-product", "mlp"))):
+        for family in families:
+            k = 2 if family == "mlp" and kind is not DistanceModel else 1
+            decoder = make_distance_decoder(family, n, seed=3, hidden=(8, 8), k=k)
+            head = kind(decoder) if kind is DistanceModel else kind(decoder, n, seed=3)
+            out.append((f"{kind.__name__}-{family}", head))
+    rng = np.random.default_rng(31)
+    for _, model in out:  # off their initial values, so no term hides behind a zero
+        for p in model.trainable().values():
+            p += rng.normal(0.0, 0.1, size=p.shape)
+    return out
+
+
+BLOCK_MODELS = _block_heads()
+
+
+def _outputs(model, U, V) -> dict:
+    out = model.forward(U, V)[0]
+    return out if isinstance(out, dict) else {"out": out}
+
+
+@pytest.mark.parametrize("name,model", BLOCK_MODELS, ids=[name for name, _ in BLOCK_MODELS])
+def test_block_matches_per_pair_decodes(name, model):
+    """A (B, R) block holds each pair's 1x1 decode to 1e-12 relative, for
+    B, R in {1, 2, 4, 13}. Where a pair's rows do not depend on the other
+    pairs of the block (metric, MLP and dot-product decoders, and the
+    distance and decay heads, whose per-side work is a projection), the
+    block's rows equal the one-source blocks' and its columns the
+    one-receiver blocks' bit for bit."""
+    rng = np.random.default_rng(BLOCK_MODELS.index((name, model)))
+    bitwise = not name.startswith("LevelsModel")  # ``U @ w`` is not row-stable
+    for B in BLOCK_SIZES:
+        for R in BLOCK_SIZES:
+            U, V = rng.normal(size=(B, 8)), rng.normal(size=(R, 8))
+            V[: min(B, R) : 3] = U[: min(B, R) : 3]  # a few coincident pairs
+            block = _outputs(model, U, V)
+            for key, out in block.items():
+                assert out.shape[:2] == (B, R), (key, B, R)
+                pairs = np.array([[_outputs(model, u, v)[key][0, 0] for v in V] for u in U])
+                assert np.all(np.abs(out - pairs) <= 1e-12 * np.abs(pairs)), (key, B, R)
+                if bitwise and R > 1:
+                    rows = np.concatenate([_outputs(model, U[i : i + 1], V)[key] for i in range(B)])
+                    assert np.array_equal(out, rows), (key, B, R)
+                elif bitwise and B > 1:
+                    cols = np.concatenate([_outputs(model, U, V[j : j + 1])[key] for j in range(R)], axis=1)
+                    assert np.array_equal(out, cols), (key, B, R)
+
+
+@pytest.mark.parametrize("name,model", BLOCK_MODELS, ids=[name for name, _ in BLOCK_MODELS])
+def test_swapped_block_is_the_transpose(name, model):
+    """Decoding ``(V, U)`` gives the transpose of ``(U, V)``, bit for bit,
+    for every block size: reciprocity holds on blocks as on pairs."""
+    rng = np.random.default_rng(40 + BLOCK_MODELS.index((name, model)))
+    for B in BLOCK_SIZES:
+        for R in BLOCK_SIZES:
+            U, V = rng.normal(size=(B, 8)), rng.normal(size=(R, 8))
+            uv, vu = _outputs(model, U, V), _outputs(model, V, U)
+            for key in uv:
+                assert np.array_equal(uv[key], np.swapaxes(vu[key], 0, 1)), (key, B, R)
+
+
+@pytest.mark.parametrize("name,model", BLOCK_MODELS, ids=[name for name, _ in BLOCK_MODELS])
+def test_block_backward_matches_finite_differences(name, model):
+    """The block adjoint of a 2x3 block, ``gU`` summed over receivers and
+    ``gV`` over sources, against central differences of the outputs on
+    every entry of ``U``, ``V`` and every trainable array."""
+    rng = np.random.default_rng(60 + BLOCK_MODELS.index((name, model)))
+    U, V = rng.normal(size=(2, 8)), rng.normal(size=(3, 8))
+    block, cache = model.forward(U, V)
+    up = {key: rng.normal(size=out.shape) for key, out in _outputs(model, U, V).items()}
+    gU, gV, grads = model.backward(cache, up if isinstance(block, dict) else up["out"])
+
+    def objective():
+        return sum(float(np.sum(out * up[key])) for key, out in _outputs(model, U, V).items())
+
+    eps, worst = 1e-6, 0.0
+    arrays = [(U, gU), (V, gV)] + [(p, grads[key]) for key, p in model.trainable().items()]
+    for arr, grad in arrays:
+        assert grad.shape == arr.shape
+        flat = arr.reshape(-1)
+        for i, an in enumerate(grad.reshape(-1)):
+            old = flat[i]
+            flat[i] = old + eps
+            fp = objective()
+            flat[i] = old - eps
+            fm = objective()
+            flat[i] = old
+            fd = (fp - fm) / (2 * eps)
+            worst = max(worst, abs(fd - an) / max(abs(fd), abs(an), 1e-4))
+    assert worst <= 1e-5

@@ -1,5 +1,5 @@
-"""The committed precompute and query digests (``precompute_digests.py``,
-``query_digests.py``)."""
+"""The committed precompute, query and training digests
+(``precompute_digests.py``, ``query_digests.py``, ``train_digests.py``)."""
 
 import json
 
@@ -11,6 +11,7 @@ from soundprop import fileio
 from oracles import loop_synth_fields
 from precompute_digests import DIGESTS, configuration, digests
 import query_digests
+import train_digests
 
 
 def test_precompute_digests_are_pinned(tmp_path):
@@ -39,6 +40,19 @@ def test_query_digests_are_pinned():
     scene kind give the committed bits."""
     record = json.loads(query_digests.DIGESTS.read_text())
     got = query_digests.digests()
+    assert sorted(got) == sorted(record["digests"])
+    changed = sorted(name for name in got if got[name] != record["digests"][name])
+    assert not changed, (
+        f"{len(changed)} digests differ from those made with numpy {record['numpy']} and "
+        f"{record['blas']} (running {configuration()}): {changed}"
+    )
+
+
+def test_train_digests_are_pinned():
+    """Short fixed-seed trainings of every group with its families, with
+    stop-gradient on and off, give the committed parameters and losses."""
+    record = json.loads(train_digests.DIGESTS.read_text())
+    got = train_digests.digests()
     assert sorted(got) == sorted(record["digests"])
     changed = sorted(name for name in got if got[name] != record["digests"][name])
     assert not changed, (

@@ -181,6 +181,24 @@ def test_render_matches_direct_convolution(tau_er, tau_lr):
     assert np.abs(out - want).max() <= 1e-12 * np.abs(want).max()
 
 
+def test_fft_size_is_the_smallest_5_smooth_length():
+    """The wet convolution's FFT length is the smallest 2^a 3^b 5^c >= n,
+    against a search over every length from n up, for n = 1..5000."""
+    def smooth(m):
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        return m == 1
+
+    want, m = [], 1
+    for n in range(1, 5001):
+        m = max(m, n)
+        while not smooth(m):
+            m += 1
+        want.append(m)
+    assert [runtime._fft_size(n) for n in range(1, 5001)] == want
+
+
 @pytest.mark.parametrize("er_gain, lr_gain, er_weights, lr_weights", [
     (0.5, 0.25, [0.3, 0.7, 0.0], [0.0, 0.4, 0.6]),  # two tails per bus
     (0.5, 0.25, [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]),  # one tail per bus
@@ -392,8 +410,9 @@ def _near_degenerate(scene, p) -> bool:
 
 def test_query_interpolates_each_point_once(maze_scene, maze_bundles, monkeypatch):
     """One interpolation over ``a``, ``b`` and the 12 DOA stencil points,
-    no ray walk unless a point is near-degenerate or falls back, one pair
-    decode per bundle and one stencil decode on the distance bundle."""
+    no ray walk unless a point is near-degenerate or falls back, one 1x1
+    pair block per bundle and one 1x12 stencil block on the distance
+    bundle."""
     from soundprop import latentfield
 
     batches, rays, decodes = [], [], []
@@ -407,7 +426,7 @@ def test_query_interpolates_each_point_once(maze_scene, maze_bundles, monkeypatc
     )
     for head in {type(bundle.head) for bundle in maze_bundles.values()}:
         def counting(self, U, V, _predict=head.predict):
-            decodes.append((type(self).__name__, len(U)))
+            decodes.append((type(self).__name__, len(U), len(V)))
             return _predict(self, U, V)
         monkeypatch.setattr(head, "predict", counting)
 
@@ -421,7 +440,7 @@ def test_query_interpolates_each_point_once(maze_scene, maze_bundles, monkeypatc
         walked = any(_near_degenerate(maze_scene, p) for p in batches[0])
         assert len(rays) == walked + fell_back
         assert sorted(decodes) == [
-            ("DecaysModel", 1), ("DistanceModel", 1), ("DistanceModel", 12), ("LevelsModel", 1)
+            ("DecaysModel", 1, 1), ("DistanceModel", 1, 1), ("DistanceModel", 1, 12), ("LevelsModel", 1, 1)
         ]
 
 
@@ -467,7 +486,7 @@ def test_query_doa_one_sided_is_second_order():
         step = np.zeros(3)
         step[axis] = k * h
         v = latent_at(dist.grid, scene, b + step)
-        return float(dist.head.predict(u[None, :], v[None, :])["pi"][0])
+        return float(dist.head.predict(u[None, :], v[None, :])["pi"][0, 0])
 
     c = pi_at(0, 0)
     gy, gz = ((pi_at(ax, 1) - pi_at(ax, -1)) / (2.0 * h) for ax in (1, 2))
@@ -492,7 +511,7 @@ def test_query_doa_ignores_unresolvable_stencil_points(box_scene):
 
     def pi_at(axis, k):
         v = latent_at(dist.grid, box_scene, b + k * h * np.eye(3)[axis])
-        return float(dist.head.predict(u[None, :], v[None, :])["pi"][0])
+        return float(dist.head.predict(u[None, :], v[None, :])["pi"][0, 0])
 
     c = pi_at(0, 0)
     g = np.array([

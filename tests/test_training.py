@@ -292,6 +292,36 @@ def test_flat_adam_matches_per_array_adam():
         assert np.array_equal(flat.v, np.concatenate([ref.v[name].reshape(-1) for name in shapes]))
 
 
+def test_adam_on_a_row_table_matches_the_full_grid():
+    """Adam on a table of the grid rows that get gradients, written back
+    after every step, moves the grid as Adam on the whole grid does, bit
+    for bit, over 20 steps; no other row moves."""
+    rng = np.random.default_rng(12)
+    grid = rng.normal(size=(4, 4, 4, 3)) * 1e-6
+    live = np.sort(rng.choice(64, size=23, replace=False))
+    cells = np.unravel_index(live, grid.shape[:3])
+    w = rng.normal(size=5)
+    full = {"grid": grid.copy(), "w": w.copy()}
+    rows = {"grid": grid[cells], "w": w.copy()}
+    lrs = {"grid": 1e-4, "w": 1e-3}
+    full_opt, rows_opt = sp.Adam(full, lrs), sp.Adam(rows, lrs)
+    tabled = grid.copy()
+    for step in range(20):
+        g = rng.normal(size=(len(live), 3)) * 10.0 ** rng.integers(-9, 3)
+        g[step % len(live)] = 0.0
+        gw = rng.normal(size=5)
+        full_grad = np.zeros_like(grid)
+        full_grad[cells] = g
+        full_opt.step({"grid": full_grad, "w": gw})
+        rows_opt.step({"grid": g, "w": gw})
+        tabled[cells] = rows["grid"]
+        assert np.array_equal(tabled, full["grid"]), step
+        assert np.array_equal(rows["w"], full["w"]), step
+    dead = np.ones(64, bool)
+    dead[live] = False
+    assert np.array_equal(full["grid"].reshape(64, 3)[dead], grid.reshape(64, 3)[dead])
+
+
 def test_select_best_rules():
     with pytest.raises(InputError):
         sp.select_best([])
@@ -472,10 +502,10 @@ def test_off_centre_source_gradient_scatters_over_stencil(box_scene):
 
 
 def test_train_makes_one_decode_and_one_backward_per_batch(box_scene, monkeypatch):
-    """A batch stacks the rows of all its sources into one ``forward`` and
-    one ``backward`` on that forward's cache, and never calls ``predict``;
-    the off-centre sources share one ``interp_points`` call, made once for
-    the whole run."""
+    """A batch decodes its sources against their shared receivers as one
+    block: one ``forward`` and one ``backward`` on that forward's cache,
+    and never ``predict``; the off-centre sources share one
+    ``interp_points`` call, made once for the whole run."""
     offset = np.array([0.3, 0.2, -0.35]) * box_scene.spacing
     sources = [box_scene.voxel_center(i) for i in ((2, 1, 2), (5, 2, 5), (4, 1, 3))]
     sources += [box_scene.voxel_center(i) + offset for i in ((3, 1, 4), (5, 2, 2))]
@@ -485,12 +515,12 @@ def test_train_makes_one_decode_and_one_backward_per_batch(box_scene, monkeypatc
     real_forward, real_backward = bundle.head.forward, bundle.head.backward
 
     def forward(U, V):
-        rows["forward"].append(len(U))
+        rows["forward"].append((len(U), len(V)))
         return real_forward(U, V)
 
     def backward(cache, upstream):
         gU, gV, grads = real_backward(cache, upstream)
-        rows["backward"].append(len(gU))
+        rows["backward"].append((len(gU), len(gV)))
         return gU, gV, grads
 
     monkeypatch.setattr(bundle.head, "forward", forward)
@@ -505,7 +535,8 @@ def test_train_makes_one_decode_and_one_backward_per_batch(box_scene, monkeypatc
     assert rows["forward"] == rows["backward"]
     assert rows["predict"] == []
     n_free = np.count_nonzero(box_scene.free_mask())
-    assert sum(rows["forward"][:3]) == len(sources) * n_free
+    assert sum(b for b, _ in rows["forward"][:3]) == len(sources)
+    assert {r for _, r in rows["forward"]} == {n_free}
     assert stencil_points == [2]
 
 
@@ -531,6 +562,35 @@ def test_train_matches_per_source_reference(box_scene, group, family, stop):
         assert np.allclose(batched.trainable()[name], p, rtol=0.0, atol=1e-12), name
     moved = reference.grid.values != sp.make_bundle(box_scene, group, family, 4, seed=1).grid.values
     assert moved.any()
+
+
+@pytest.mark.parametrize("group,family,stop", [
+    ("distance", "riemann-diag", True),
+    ("levels", "riemann-diag", False),
+    ("decays", "dot-product", False),
+    ("levels", "mlp", True),
+])
+def test_train_with_two_receiver_sets_matches_per_source_reference(box_scene, group, family, stop):
+    """One source whose fields are NaN at one receiver has a receiver set
+    of its own, so batches with it decode two blocks: the parameters match
+    the source-by-source loop up to the float reduction order, and the
+    flat-row reference bit for bit."""
+    offset = np.array([0.3, 0.2, -0.35]) * box_scene.spacing
+    sources = [box_scene.voxel_center(i) for i in ((2, 1, 2), (5, 2, 5), (4, 1, 3))]
+    sources += [box_scene.voxel_center(i) + offset for i in ((3, 1, 4), (5, 2, 2))]
+    ds = sp.build_dataset(box_scene, sources)
+    for field in ds.fields[1].values():
+        field.values[6, 2, 1] = np.nan
+    cfg = sp.TrainConfig(epochs=8, batch_sources=3, eval_interval=0, seed=4,
+                         stop_gradient_at_source=stop)
+    batched, reference, flat = (sp.make_bundle(box_scene, group, family, 4, seed=1) for _ in range(3))
+    history = sp.train(batched, ds, cfg).history
+    per_source_train(reference, ds, cfg)
+    assert [loss for _, _, loss, _ in history] == reference_train(flat, ds, cfg)
+    for name, p in reference.trainable().items():
+        assert np.allclose(batched.trainable()[name], p, rtol=0.0, atol=1e-12), name
+        assert np.array_equal(batched.trainable()[name], flat.trainable()[name]), name
+    assert batched.grid.values[6, 2, 1].any()  # the other sources' receiver
 
 
 TRAIN_CASES = (
@@ -569,19 +629,12 @@ def test_train_is_bit_identical_to_the_two_forward_reference(box_scene, five_sou
 @pytest.mark.parametrize("stop", [True, False], ids=["stop", "no-stop"])
 def test_batch_source_latents_equal_the_stencil_sample_rows(box_scene, five_source_ds, stop):
     """A batch samples only its own sources' latents, on and off voxel
-    centres, and repeats each per receiver row: the rows equal those of
+    centres, once each: the block's source rows equal those of
     ``InterpBatch.sample`` over every source at that step, to the bit."""
     cfg = sp.TrainConfig(epochs=3, batch_sources=2, eval_interval=0, seed=4,
                          stop_gradient_at_source=stop)
     bundle = sp.make_bundle(box_scene, "levels", "riemann-diag", 4, seed=1)
     stencils = training._source_stencils(box_scene, five_source_ds.sources)
-    counts = []
-    for fields in five_source_ds.fields:
-        valid = box_scene.free_mask()
-        for h in GROUP_HEADS["levels"]:
-            valid &= fields[h].valid_mask()
-        counts.append(np.count_nonzero(valid))
-    counts = np.array(counts)
     rng = np.random.default_rng(cfg.seed)
     batches = [order[b0 : b0 + 2] for order in (rng.permutation(5) for _ in range(3)) for b0 in (0, 2, 4)]
     real = bundle.head.forward
@@ -589,7 +642,7 @@ def test_batch_source_latents_equal_the_stencil_sample_rows(box_scene, five_sour
 
     def forward(U, V):
         batch = batches[len(seen)]
-        expected = stencils.sample(bundle.grid.values)[np.repeat(batch, counts[batch])]
+        expected = stencils.sample(bundle.grid.values)[batch]
         seen.append(np.array_equal(U, expected))
         return real(U, V)
 

@@ -50,7 +50,7 @@ from .runtime import (
     render_offline,
     render_params,
 )
-from .scene import SceneSpec, build_scene
+from .scene import GEOMETRY_KEY, SceneSpec, build_scene
 from .training import (
     DEFAULT_FAMILY,
     Dataset,
@@ -90,10 +90,6 @@ def _positive(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return value
-
-
-# The geometry option each scene kind reads; the other kinds read none.
-GEOMETRY_OPTION = {"wall-with-aperture": "aperture", "coupled-rooms": "door", "cylinder-forest": "n_cylinders"}
 
 
 def _print_out(args, text: str) -> list:
@@ -159,7 +155,7 @@ def _load_field_dataset(scene, directory: Path, split: str) -> Dataset:
 
 
 def _cmd_scene_gen(args):
-    key = GEOMETRY_OPTION.get(args.kind)
+    key = GEOMETRY_KEY.get(args.kind)
     geometry = {} if key is None or getattr(args, key) is None else {key: getattr(args, key)}
     spec = SceneSpec(
         kind=args.kind,
@@ -545,8 +541,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "scene gen":
-        for key in GEOMETRY_OPTION.values():
-            if getattr(args, key) is not None and key != GEOMETRY_OPTION.get(args.kind):
+        for key in GEOMETRY_KEY.values():
+            if getattr(args, key) is not None and key != GEOMETRY_KEY.get(args.kind):
                 parser.error(f"scene gen: --{key.replace('_', '-')} does not apply to --kind {args.kind}")
     try:
         inputs, outputs, primary = args.func(args)

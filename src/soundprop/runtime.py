@@ -268,13 +268,16 @@ def render_params(params: AcousticParamSet, refs: ReferenceIRSet,
 def _wet_bus(x: np.ndarray, parts, n_out: int) -> np.ndarray:
     """``x`` convolved with the blended tail ``sum_i w_i * tail_i`` of the
     ``(tail, w_i)`` ``parts``, zero-padded to ``n_out`` samples: one FFT
-    convolution."""
+    convolution. Its length is the smallest 5-smooth one that holds
+    ``n_out`` samples, whichever tails have a nonzero weight, so every
+    render of one input against one reference set uses one FFT length
+    (numpy keeps a plan per length)."""
     used = [(t, w) for t, w in parts if w != 0.0]
     tail = np.zeros(max((t.size for t, _ in used), default=1))
     for t, w in used:
         tail[: t.size] += w * t
     n = x.size + tail.size - 1
-    size = _fft_size(n)
+    size = _fft_size(n_out)
     bus = np.zeros(n_out)
     bus[:n] = np.fft.irfft(np.fft.rfft(x, size) * np.fft.rfft(tail, size), size)[:n]
     return bus

@@ -212,6 +212,10 @@ _DEFAULT_REGIONS = {
 }
 
 
+# The one ``SceneSpec.geometry`` key each kind reads; the other kinds read none.
+GEOMETRY_KEY = {"wall-with-aperture": "aperture", "coupled-rooms": "door", "cylinder-forest": "n_cylinders"}
+
+
 @dataclass(frozen=True)
 class SceneSpec:
     """Recipe for one synthetic scene.
@@ -261,7 +265,7 @@ def _build_divided_rooms(spec: SceneSpec):
     """Two regions split by a wall at ``x = nx // 2`` with a centred square
     opening of ``aperture`` (or ``door``) voxels a side, clamped to the
     interior; the wall is in region 2 only of ``coupled-rooms``."""
-    key, first = ("aperture", 1) if spec.kind == "wall-with-aperture" else ("door", 0)
+    key, first = GEOMETRY_KEY[spec.kind], (1 if spec.kind == "wall-with-aperture" else 0)
     size = int(spec.geometry.get(key, 1))
     if size < 0:
         raise ConfigurationError(f"{key} must be >= 0 voxels, got {size}")
@@ -319,7 +323,7 @@ def _build_cylinder_forest(spec: SceneSpec):
     nx, ny, nz = spec.dims
     if nx < 7 or nz < 7:
         raise ConfigurationError("cylinder-forest scenes need dims >= 7 in x and z")
-    n_cyl = int(spec.geometry.get("n_cylinders", max(4, (nx * nz) // 64)))
+    n_cyl = int(spec.geometry.get(GEOMETRY_KEY[spec.kind], max(4, (nx * nz) // 64)))
     if n_cyl < 0:
         raise ConfigurationError(f"n_cylinders must be >= 0, got {n_cyl}")
     radius = 1.0
@@ -352,8 +356,12 @@ def build_scene(spec: SceneSpec) -> VoxelScene:
     """Construct the deterministic scene described by ``spec``.
 
     The returned scene carries the region annotation map and the per-region
-    acoustic constants needed by the synthetic-field oracle.
+    acoustic constants needed by the synthetic-field oracle. A geometry
+    key the kind does not read is a ``ConfigurationError``.
     """
+    for key in spec.geometry:
+        if key != GEOMETRY_KEY.get(spec.kind):
+            raise ConfigurationError(f"geometry key {key!r} does not apply to scene kind {spec.kind!r}")
     occ, split = _BUILDERS[spec.kind](spec)
     reg = None
     if split is not None:

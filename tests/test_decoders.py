@@ -335,66 +335,79 @@ def test_gradient_zero_at_coincident_inputs():
 
 
 def _row_cases(rng, n):
-    """Blocks to decode: 40 random source rows against 40 random receiver
-    rows with every third receiver equal to a source, one random pair and
-    one coincident pair as 1-D vectors."""
+    """Row pairs to decode: 40 random rows with every third pair
+    coincident, one random row and one coincident row as 1-D vectors."""
     U, V = rng.normal(size=(2, 40, n))
     V[::3] = U[::3]
     u, v = rng.normal(size=(2, n))
     return [(U, V), (u, v), (u, u.copy())]
 
 
-def _assert_relative(actual, expected, what):
-    """Outputs within 1e-12 of each entry; gradients, sums over the pairs
-    of a block whose terms may cancel, within 1e-12 of the largest entry."""
-    actual, expected = np.asarray(actual), np.asarray(expected)
-    assert actual.shape == expected.shape, what
-    scale = np.abs(expected) if what[-1] in ("d", "l_ds", "l_er") else np.abs(expected).max()
-    assert np.all(np.abs(actual - expected) <= 1e-12 * scale), what
+def _assert_relative(pairs, what):
+    """Each ``(name, actual, expected)`` within 1e-12 of each entry of
+    ``expected``; gradients (every name but the outputs') of a block with
+    more than one pair within 1e-12 of their largest entry instead, as they
+    are sums over the block's pairs whose terms may cancel."""
+    for name, actual, expected in pairs:
+        actual, expected = np.asarray(actual), np.asarray(expected)
+        assert actual.shape == expected.shape, (*what, name)
+        scale = np.abs(expected)
+        if name not in ("d", "l_ds", "l_er") and what[-1] != (1, 1):
+            scale = scale.max()
+        assert np.all(np.abs(actual - expected) <= 1e-12 * scale), (*what, name)
+
+
+def _blocks(U, V):
+    """A 1-D pair as it is; of rows, each pair ``(U[i], V[i])`` as a 1x1
+    block, then the block of every row of ``U`` against every row of ``V``."""
+    if U.ndim == 1:
+        return [(U, V)]
+    return list(zip(U[:, None], V[:, None])) + [(U, V)]
 
 
 @pytest.mark.parametrize("family", ["euclidean", "riemann-psd", "riemann-diag"])
 def test_row_norm_decoders_match_the_linalg_norm_forms(family):
-    """Block outputs and backward gradients of the einsum row norms
-    against ``np.linalg.norm`` and the masked adjoint on flat pair rows,
-    to 1e-12 relative."""
+    """Outputs and backward gradients of the einsum row norms against
+    ``np.linalg.norm`` and the masked adjoint on flat pair rows, to 1e-12
+    relative: entry by entry for every pair as a 1x1 block, and on the
+    40x40 block of all rows."""
     rng = np.random.default_rng(21)
     decoder = make_distance_decoder(family, 8, seed=4)
     for p in decoder.trainable().values():
         p += rng.normal(0.0, 0.1, size=p.shape)
     for U, V in _row_cases(rng, 8):
-        out, cache = decoder.forward(U, V)
-        up = rng.normal(size=out.shape)
-        gU, gV, grads = decoder.backward(cache, up)
-        ref, rU, rV, rgrads = norm_decode(decoder, U, V, up)
-        for what, a, b in [("d", out, ref), ("gU", gU, rU), ("gV", gV, rV)] + [
-            (name, grads[name], rgrads[name]) for name in rgrads
-        ]:
-            _assert_relative(a, b, (family, len(out), what))
-        assert set(grads) == set(rgrads)
-        assert np.all(out[np.all(np.atleast_2d(U)[:, None] == np.atleast_2d(V)[None], axis=2)] == 0.0)
+        for u, v in _blocks(U, V):
+            out, cache = decoder.forward(u, v)
+            up = rng.normal(size=out.shape)
+            gU, gV, grads = decoder.backward(cache, up)
+            ref, rU, rV, rgrads = norm_decode(decoder, u, v, up)
+            assert set(grads) == set(rgrads)
+            _assert_relative([("d", out, ref), ("gU", gU, rU), ("gV", gV, rV)]
+                             + [(name, grads[name], rgrads[name]) for name in rgrads], (family, out.shape))
+            assert np.all(out[np.all(np.atleast_2d(u)[:, None] == np.atleast_2d(v)[None], axis=2)] == 0.0)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_levels_head_matches_the_column_sum_forms(family):
     """``LevelsModel`` outputs and gradients, ``w`` taken by two
-    vector-matrix products, against column sums and ``norm_decode``."""
+    vector-matrix products, against column sums and ``norm_decode``: entry
+    by entry for every pair as a 1x1 block, and on the 40x40 block of all
+    rows."""
     rng = np.random.default_rng(22)
     k = 2 if family == "mlp" else 1
     head = LevelsModel(make_distance_decoder(family, 8, seed=5, hidden=(8, 8), k=k), 8, seed=5)
     for p in head.trainable().values():
         p += rng.normal(0.0, 0.1, size=p.shape)
     for U, V in _row_cases(rng, 8):
-        m = (len(np.atleast_2d(U)), len(np.atleast_2d(V)))
-        up = {"l_ds": rng.normal(size=m), "l_er": rng.normal(size=m)}
-        out, cache = head.forward(U, V)
-        gU, gV, grads = head.backward(cache, up)
-        ref, rU, rV, rgrads = levels_decode(head, U, V, up)
-        assert set(grads) == set(rgrads)
-        for what, a, b in [(h, out[h], ref[h]) for h in ref] + [("gU", gU, rU), ("gV", gV, rV)] + [
-            (name, grads[name], rgrads[name]) for name in rgrads
-        ]:
-            _assert_relative(a, b, (family, m, what))
+        for u, v in _blocks(U, V):
+            m = (len(np.atleast_2d(u)), len(np.atleast_2d(v)))
+            up = {"l_ds": rng.normal(size=m), "l_er": rng.normal(size=m)}
+            out, cache = head.forward(u, v)
+            gU, gV, grads = head.backward(cache, up)
+            ref, rU, rV, rgrads = levels_decode(head, u, v, up)
+            assert set(grads) == set(rgrads)
+            _assert_relative([(h, out[h], ref[h]) for h in ref] + [("gU", gU, rU), ("gV", gV, rV)]
+                             + [(name, grads[name], rgrads[name]) for name in rgrads], (family, m))
 
 
 # ---------------------------------------------------------------------------

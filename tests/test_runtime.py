@@ -521,3 +521,16 @@ def test_query_doa_ignores_unresolvable_stencil_points(box_scene):
     ])
     got = sp.query_params({"distance": dist}, box_scene, a, b).doa
     assert np.allclose(got, -g / np.linalg.norm(g), rtol=0.0, atol=1e-12)
+
+
+def test_renders_of_one_input_share_one_fft_length(monkeypatch):
+    """Blends of short and long tails pad one input to one FFT length, the
+    smallest 5-smooth length that holds the output."""
+    lengths = []
+    rfft = np.fft.rfft
+    monkeypatch.setattr(np.fft, "rfft", lambda a, n=None: lengths.append(n) or rfft(a, n))
+    x = np.random.default_rng(4).normal(size=1500)
+    for tau_er, tau_lr in [(0.05, 0.4), (0.2, 1.2), (0.6, 1.4), (2.0, 3.0)]:
+        rp, refs = _params(tau_er=tau_er, tau_lr=tau_lr)
+        out = sp.render_offline(x, rp, refs, sp.octahedral_layout())
+    assert set(lengths) == {runtime._fft_size(out.shape[1])}

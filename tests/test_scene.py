@@ -117,6 +117,16 @@ def test_cylinder_forest_needs_seven_voxels_in_x_and_z(dims):
     assert sp.build_scene(sp.SceneSpec(kind="cylinder-forest", dims=(7, 4, 7))).free_mask().any()
 
 
+@pytest.mark.parametrize("kind", scene_mod.SCENE_KINDS)
+def test_build_scene_rejects_a_geometry_key_its_kind_ignores(kind):
+    """Every geometry key but the kind's own is a configuration error, not
+    a silently ignored entry."""
+    for key in ("aperture", "door", "n_cylinders", "radius"):
+        if key != scene_mod.GEOMETRY_KEY.get(kind):
+            with pytest.raises(ConfigurationError, match=repr(key)):
+                sp.build_scene(sp.SceneSpec(kind=kind, dims=(8, 4, 8), geometry={key: 1}))
+
+
 # Each kind's geometry key, and the builder it had before the divided rooms
 # became one (None: the kind's builder is unchanged and has one region).
 BUILDER_CASES = {

@@ -19,7 +19,8 @@ All binary payloads are little-endian. Formats:
   ``t i j k`` per panning triple.
 
 Every write has a matching read; reading back yields the float32-rounded
-values that were stored.
+values that were stored. Array payloads are cast to float32 through one
+buffer of ``_BLOCK`` values, so a writer holds no copy of what it writes.
 """
 
 from __future__ import annotations
@@ -49,6 +50,8 @@ _KIND_CODES = {kind: i for i, kind in enumerate(FIELD_KINDS)}
 # After the magic: dims, kind code, channel count, 2 pad bytes, source,
 # spacing, origin.
 _FIELD_HEADER = struct.Struct("<3IBB2x3dd3d")
+# float32 values per block of an array payload: 256 KiB, a few writes per render
+_BLOCK = 1 << 16
 
 
 def _read_input(path) -> bytes:
@@ -68,6 +71,20 @@ def _writing(path):
         yield
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+def _f4_blocks(arr: np.ndarray):
+    """``arr`` in C order as blocks of at most ``_BLOCK`` little-endian
+    float32 values, each cast (as ``astype("<f4")`` casts) into the one
+    buffer the iterator reuses."""
+    return np.nditer(arr, flags=["external_loop", "buffered", "zerosize_ok"], op_dtypes=["<f4"],
+                     casting="same_kind", buffersize=_BLOCK, order="C")
+
+
+def _write_f4(fh, arr: np.ndarray) -> None:
+    """Write ``arr`` to open file ``fh`` as little-endian float32 in C order."""
+    for block in _f4_blocks(arr):
+        fh.write(block)
 
 
 def sha256_file(path) -> str:
@@ -202,11 +219,8 @@ def write_field(path, fv: FieldVolume) -> None:
     )
     with _writing(path), open(path, "wb") as fh:
         fh.write(header)
-        if channels == 1:
-            fh.write(fv.values.astype("<f4").ravel(order="F").tobytes())
-        else:
-            for c in range(channels):
-                fh.write(fv.values[..., c].astype("<f4").ravel(order="F").tobytes())
+        # (channels, nz, ny, nx) in C order: one x-fastest volume per channel
+        _write_f4(fh, fv.values.reshape(*fv.dims, channels).T)
 
 
 def read_field(path) -> FieldVolume:
@@ -251,16 +265,27 @@ def read_field(path) -> FieldVolume:
 
 
 def write_ir(path, samples: np.ndarray, sample_rate: float, t0: float = 0.0) -> None:
+    """Write mono ``(N,)`` or ``(C, N)`` samples, channel-interleaved.
+
+    Raises ``InputError``, before the file is opened, for samples that
+    ``read_ir`` would reject: none, no channels, more than two dimensions,
+    or a sample that is not finite as float32.
+    """
     samples = np.asarray(samples, dtype=float)
+    if samples.ndim not in (1, 2) or samples.size == 0:
+        raise InputError(f"cannot write {path}: samples of shape {samples.shape} are not non-empty "
+                         "(N,) or (C, N)")
+    with np.errstate(over="ignore"):
+        if not all(np.isfinite(block).all() for block in _f4_blocks(samples)):
+            raise InputError(f"cannot write {path}: a sample is not finite as float32")
     channels = 1 if samples.ndim == 1 else samples.shape[0]
     header = (
         f"{IR_MAGIC.decode()}\nsample_rate={float(sample_rate)!r}\nt0={float(t0)!r}\n"
         f"channels={channels}\n\n"
     ).encode()
-    data = samples if samples.ndim == 1 else samples.T.reshape(-1)
     with _writing(path), open(path, "wb") as fh:
         fh.write(header)
-        fh.write(data.astype("<f4").tobytes())
+        _write_f4(fh, samples.T)  # (N, C) in C order: interleaved frames
 
 
 def read_ir(path):
@@ -309,12 +334,7 @@ def read_ir_mono(path) -> ImpulseResponse:
 
 def save_checkpoint(path, bundle: ModelBundle, extra: dict | None = None) -> None:
     params = bundle.trainable()
-    sections = []
-    payload = bytearray()
-    for name in sorted(params):
-        arr = params[name].astype("<f4")
-        sections.append({"name": name, "shape": list(arr.shape)})
-        payload += arr.tobytes()
+    sections = [{"name": name, "shape": list(params[name].shape)} for name in sorted(params)]
     decoder = bundle.head.decoder
     header = {
         "version": 1,
@@ -338,7 +358,8 @@ def save_checkpoint(path, bundle: ModelBundle, extra: dict | None = None) -> Non
         fh.write(CKPT_MAGIC)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        fh.write(bytes(payload))
+        for name in sorted(params):
+            _write_f4(fh, params[name])
 
 
 def _is_int(x) -> bool:

@@ -1,11 +1,14 @@
 """Independent reference implementations that fast paths are tested against."""
 
 import heapq
+import json
 import math
+import struct
 
 import numpy as np
 
 import soundprop as sp
+from soundprop import fileio
 from soundprop.errors import ConfigurationError, InputError, IsolationError
 from soundprop.oracle import _DIFFRACTION_DB_PER_M, _L0_DB, FieldVolume
 from soundprop.latentfield import (
@@ -752,3 +755,69 @@ def build_coupled_rooms(spec):
     reg = np.ones(spec.dims, dtype=np.int32)
     reg[mid:, :, :] = 2
     return occ, reg
+
+
+# The array writers as they were before they streamed through
+# ``fileio._write_f4``: each casts its whole payload at once and writes it
+# as one ``bytes`` object.
+
+
+def one_shot_write_field(path, fv) -> None:
+    channels = 3 if fv.kind == "doa" else 1
+    header = fileio.FIELD_MAGIC + fileio._FIELD_HEADER.pack(
+        *fv.dims, fileio._KIND_CODES[fv.kind], channels, *fv.source, fv.spacing, *fv.origin
+    )
+    with open(path, "wb") as fh:
+        fh.write(header)
+        if channels == 1:
+            fh.write(fv.values.astype("<f4").ravel(order="F").tobytes())
+        else:
+            for c in range(channels):
+                fh.write(fv.values[..., c].astype("<f4").ravel(order="F").tobytes())
+
+
+def one_shot_write_ir(path, samples, sample_rate, t0=0.0) -> None:
+    samples = np.asarray(samples, dtype=float)
+    channels = 1 if samples.ndim == 1 else samples.shape[0]
+    header = (
+        f"{fileio.IR_MAGIC.decode()}\nsample_rate={float(sample_rate)!r}\nt0={float(t0)!r}\n"
+        f"channels={channels}\n\n"
+    ).encode()
+    data = samples if samples.ndim == 1 else samples.T.reshape(-1)
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(data.astype("<f4").tobytes())
+
+
+def one_shot_save_checkpoint(path, bundle, extra=None) -> None:
+    params = bundle.trainable()
+    sections = []
+    payload = bytearray()
+    for name in sorted(params):
+        arr = params[name].astype("<f4")
+        sections.append({"name": name, "shape": list(arr.shape)})
+        payload += arr.tobytes()
+    decoder = bundle.head.decoder
+    header = {
+        "version": 1,
+        "group": bundle.group,
+        "family": decoder.family,
+        "n": bundle.grid.n,
+        "dims": list(bundle.grid.dims),
+        "spacing": bundle.grid.spacing,
+        "origin": list(bundle.grid.origin),
+        "sections": sections,
+    }
+    if decoder.family == "mlp":
+        header["hidden"] = [w.shape[0] for w in decoder.weights[:-1]]
+        header["k"] = decoder.k
+    if hasattr(decoder, "K"):
+        header["K"] = decoder.K
+    if extra:
+        header["extra"] = extra
+    blob = json.dumps(header, sort_keys=True).encode()
+    with open(path, "wb") as fh:
+        fh.write(fileio.CKPT_MAGIC)
+        fh.write(struct.pack("<I", len(blob)))
+        fh.write(blob)
+        fh.write(bytes(payload))

@@ -312,6 +312,18 @@ def test_render_non_finite_parameters_exit_code(tmp_path, capsys, monkeypatch, b
     assert not out.exists()
 
 
+def test_render_that_overflows_float32_exit_code(tmp_path, capsys, monkeypatch):
+    """A render whose samples overflow float32 is refused before any file is
+    written, rather than written as an IR that ``read_ir`` rejects."""
+    monkeypatch.chdir(tmp_path)
+    fileio.write_ir(tmp_path / "dry.ir", np.random.default_rng(0).normal(size=400), 8000.0)
+    err = _exits_3(capsys, ["render", "--input", "dry.ir", "--l-ds=900", "--l-er=-20", "--tau-er=0.3",
+                            "--tau-lr=1.0", "--doa=0,0,1", "--out", "big.ir"])
+    assert "not finite" in err
+    assert not (tmp_path / "big.ir").exists()
+    assert not (tmp_path / "big.ir.manifest.json").exists()
+
+
 def test_train_family_defaults_to_the_group_family(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     scene_path = tmp_path / "box.scn"

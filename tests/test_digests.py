@@ -1,5 +1,6 @@
-"""The committed precompute, query and training digests
-(``precompute_digests.py``, ``query_digests.py``, ``train_digests.py``)."""
+"""The committed precompute, query, training and writer digests
+(``precompute_digests.py``, ``query_digests.py``, ``train_digests.py``,
+``write_digests.py``)."""
 
 import json
 
@@ -12,6 +13,7 @@ from oracles import loop_synth_fields
 from precompute_digests import DIGESTS, configuration, digests
 import query_digests
 import train_digests
+import write_digests
 
 
 def test_precompute_digests_are_pinned(tmp_path):
@@ -57,5 +59,18 @@ def test_train_digests_are_pinned():
     changed = sorted(name for name in got if got[name] != record["digests"][name])
     assert not changed, (
         f"{len(changed)} digests differ from those made with numpy {record['numpy']} and "
+        f"{record['blas']} (running {configuration()}): {changed}"
+    )
+
+
+def test_write_digests_are_pinned(tmp_path):
+    """A CLI ``render`` and ``export-slice``, a scalar and a DOA field, a mono
+    IR and one checkpoint per group (and an MLP) write the committed bytes."""
+    record = json.loads(write_digests.DIGESTS.read_text())
+    got = write_digests.digests(tmp_path)
+    assert sorted(got) == sorted(record["files"])
+    changed = sorted(name for name in got if got[name] != record["files"][name])
+    assert not changed, (
+        f"{len(changed)} files differ from the digests made with numpy {record['numpy']} and "
         f"{record['blas']} (running {configuration()}): {changed}"
     )

@@ -1,6 +1,7 @@
 import csv
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,9 @@ from hypothesis import strategies as st
 
 import soundprop as sp
 from soundprop import fileio
-from soundprop.errors import FormatError
+from soundprop.errors import FormatError, InputError
+
+from oracles import one_shot_save_checkpoint, one_shot_write_field, one_shot_write_ir
 
 
 def test_scene_round_trip(tmp_path, maze_scene):
@@ -112,6 +115,112 @@ def test_checkpoint_round_trip(tmp_path, box_scene, group, family, n):
     assert set(ours) == set(theirs)
     for name in ours:
         assert np.array_equal(theirs[name], ours[name].astype("<f4").astype(float))
+
+
+# ---------------------------------------------------------------------------
+# Streamed writers: the bytes of the one-shot writers, without their copies
+# ---------------------------------------------------------------------------
+
+_B = fileio._BLOCK
+
+
+def _same_bytes(tmp_path, write, reference, obj, **kwargs):
+    write(tmp_path / "streamed", obj, **kwargs)
+    reference(tmp_path / "one-shot", obj, **kwargs)
+    assert (tmp_path / "streamed").read_bytes() == (tmp_path / "one-shot").read_bytes()
+
+
+@pytest.mark.parametrize("shape", [(_B + 3,), (1, 7), (6, _B - 1), (6, _B), (6, _B + 1),
+                                   (2, 2 * _B + 1)])
+def test_write_ir_matches_one_shot_writer(tmp_path, shape):
+    x = np.random.default_rng(len(shape) + shape[-1]).normal(0.0, 0.3, size=shape)
+    x.flat[::997] = 1e-40  # a float32 subnormal
+    x.flat[1::997] = -1e-46  # underflows to float32 -0.0
+    _same_bytes(tmp_path, fileio.write_ir, one_shot_write_ir, x, sample_rate=16000.0, t0=0.125)
+
+
+def test_write_ir_matches_one_shot_writer_on_views_and_lists(tmp_path):
+    x = np.random.default_rng(2).normal(size=(12, 5000))
+    for samples in (x[::2, ::3], np.asfortranarray(x), x[3], x[3].tolist(), x.astype(np.float32)):
+        _same_bytes(tmp_path, fileio.write_ir, one_shot_write_ir, samples, sample_rate=8000.0)
+
+
+def _field(kind, dims, seed):
+    rng = np.random.default_rng(seed)
+    values = rng.normal(0.0, 50.0, size=dims + ((3,) if kind == "doa" else ()))
+    values[rng.random(dims) < 0.2] = np.nan
+    return sp.FieldVolume(source=rng.normal(size=3), kind=kind, values=values, spacing=0.5,
+                          origin=rng.normal(size=3))
+
+
+def test_write_field_matches_one_shot_writer(tmp_path, box_scene):
+    geo = sp.geodesic_field(box_scene, box_scene.voxel_center((4, 2, 4)))
+    big_doa = _field("doa", (64, 8, 64), 1)  # 3 x 32768 values, across the block boundary
+    fortran = sp.FieldVolume(source=geo.source, kind="level", values=np.asfortranarray(geo.values),
+                             spacing=geo.spacing, origin=geo.origin)
+    for fv in (geo, sp.doa_field(box_scene, geo), _field("decay-time", (5, 3, 7), 2), big_doa, fortran):
+        _same_bytes(tmp_path, fileio.write_field, one_shot_write_field, fv)
+
+
+@pytest.mark.parametrize(
+    "group,family,kwargs",
+    [
+        ("distance", "euclidean", {}),
+        ("distance", "riemann-diag", {}),
+        ("distance", "mlp", {}),
+        ("levels", "riemann-psd", {}),
+        ("levels", "mlp", {"hidden": (7, 3)}),
+        ("decays", "dot-product", {}),
+        ("decays", "mlp", {"K": 3.5}),
+    ],
+)
+def test_save_checkpoint_matches_one_shot_writer(tmp_path, box_scene, group, family, kwargs):
+    bundle = sp.make_bundle(box_scene, group, family, 5, seed=8, **kwargs)
+    _same_bytes(tmp_path, fileio.save_checkpoint, one_shot_save_checkpoint, bundle,
+                extra={"epoch": 3, "seed": 8})
+
+
+@pytest.mark.parametrize(
+    "samples",
+    [np.zeros(0), np.zeros((0, 5)), np.zeros((3, 0)), np.zeros((2, 3, 4)), np.float64(1.0),
+     np.array([0.0, np.nan]), np.array([[0.0, 1.0], [-np.inf, 0.0]]), np.array([1.0, 3.5e38])],
+    ids=["empty", "no-channels", "no-frames", "3-d", "0-d", "nan", "inf", "float32-overflow"],
+)
+def test_write_ir_rejects_what_read_ir_rejects(tmp_path, samples):
+    path = tmp_path / "x.ir"
+    with pytest.raises(InputError):
+        fileio.write_ir(path, samples, 8000.0)
+    assert not path.exists()
+
+
+def _transient_bytes(write) -> int:
+    """Peak traced allocation of ``write()`` above what was live before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        write()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_write_ir_holds_no_copy_of_a_render(tmp_path):
+    """A (6, 94 399) float64 render (4.5 MB) is written with under 1 MB of
+    transient memory; the one-shot writer took 9.1 MB."""
+    out = np.random.default_rng(0).normal(size=(6, 94_399))
+    assert _transient_bytes(lambda: fileio.write_ir(tmp_path / "r.ir", out, 16000.0)) < 1_000_000
+
+
+def test_save_checkpoint_holds_no_copy_of_its_payload(tmp_path):
+    """A gym-size (59x8x59, n=16) levels checkpoint, 1.78 MB of float32
+    payload, is saved with under 1 MB of transient memory; the one-shot
+    writer took 5.35 MB."""
+    scene = sp.build_scene(sp.SceneSpec(kind="cylinder-forest", dims=(59, 8, 59), seed=11,
+                                        geometry={"n_cylinders": 12}))
+    bundle = sp.make_bundle(scene, "levels", "riemann-diag", 16, seed=1)
+    path = tmp_path / "gym.ckpt"
+    assert _transient_bytes(lambda: fileio.save_checkpoint(path, bundle)) < 1_000_000
+    assert path.stat().st_size > 1_780_000
 
 
 def test_checkpoint_scene_mismatch(tmp_path, box_scene, maze_scene):

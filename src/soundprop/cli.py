@@ -42,7 +42,7 @@ from .fileio import (
     write_scene,
 )
 from .irparams import extract_params
-from .oracle import bake_source
+from .oracle import PARAM_KINDS, bake_source
 from .runtime import (
     default_reference_irs,
     octahedral_layout,
@@ -62,9 +62,6 @@ from .training import (
     select_best,
     train,
 )
-
-FIELD_NAMES = ("pi", "l_ds", "l_er", "tau_er", "tau_lr")
-
 
 def _list_type(kind, count: int | None = None, sep: str = ","):
     """Argparse type reading ``sep``-separated ``kind`` values (exactly
@@ -141,7 +138,7 @@ def _load_field_dataset(scene, directory: Path, split: str) -> Dataset:
     sources, fields = [], []
     for idx in indices:
         per_source = {}
-        for name in FIELD_NAMES:
+        for name in PARAM_KINDS:
             per_source[name] = read_field(directory / f"{idx}_{name}.fld")
         sources.append(per_source["pi"].source)
         fields.append(per_source)
@@ -205,11 +202,11 @@ def _cmd_bake(args):
     outputs = []
     for i, source in enumerate(sources):
         fields = bake_source(scene, source)
-        for name in FIELD_NAMES:
+        for name in PARAM_KINDS:
             path = out_dir / f"src{i:03d}_{name}.fld"
             write_field(path, fields[name])
             outputs.append(path)
-    print(f"baked {len(sources)} sources x {len(FIELD_NAMES)} fields -> {out_dir}")
+    print(f"baked {len(sources)} sources x {len(PARAM_KINDS)} fields -> {out_dir}")
     return [args.scene, args.sources], outputs, out_dir / "bake"
 
 
@@ -321,7 +318,7 @@ def _cmd_render(args):
     refs = default_reference_irs(sample_rate=rate, seed=args.refs_seed)
     layout = read_layout(args.layout) if args.layout else octahedral_layout()
     pset = AcousticParamSet(
-        pi=args.pi,
+        pi=0.0,  # the render reads no path distance
         l_ds=args.l_ds,
         l_er=args.l_er,
         tau_er=args.tau_er,
@@ -495,7 +492,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     rn = sub.add_parser("render", help="offline parametric render")
     rn.add_argument("--input", required=True, help="mono input .ir file")
-    rn.add_argument("--pi", type=float, default=0.0)
     rn.add_argument("--l-ds", type=float, required=True)
     rn.add_argument("--l-er", type=float, required=True)
     rn.add_argument("--l-lr", type=float, default=None)

@@ -365,15 +365,10 @@ class MlpDecoder(_Decoder):
 
 
 class DotProductDecoder(_Decoder):
-    """Bounded decay-time decoder: ``K * sigmoid(u . v)``."""
+    """Bounded decay-time decoder: ``K * sigmoid(u . v)``, ``K = DEFAULT_MAX_DECAY``."""
 
     family = "dot-product"
-
-    def __init__(self, n: int, K: float = DEFAULT_MAX_DECAY):
-        if K <= 0:
-            raise ConfigurationError("K must be positive")
-        super().__init__(n)
-        self.K = float(K)
+    K = DEFAULT_MAX_DECAY
 
     def flop_count(self) -> int:
         # n products, n-1 adds, sigmoid, scale by K
@@ -399,19 +394,16 @@ class DotProductDecoder(_Decoder):
 # ---------------------------------------------------------------------------
 
 
-def make_distance_decoder(
-    family: str, n: int, seed: int = 0, hidden=None, k: int = 1, K: float = DEFAULT_MAX_DECAY
-):
+def make_distance_decoder(family: str, n: int, seed: int = 0, hidden=None, k: int = 1):
     """Construct a decoder of any family; the one place decoder weights are
     drawn.
 
     ``family`` is one of ``ALL_FAMILIES`` or the aliases ``"mlp-small"`` and
     ``"mlp-large"`` for the two standard network sizes (``hidden``
     overrides the hidden widths). ``k`` is the number of MLP output units,
-    one per predicted parameter; ``K`` the dot-product bound on decay times
-    (s). Metric maps draw normal(0, 1e-3) weights and MLP layers He-normal
-    weights, input layer first, with zero biases, all from
-    ``default_rng(seed)``.
+    one per predicted parameter. Metric maps draw normal(0, 1e-3) weights
+    and MLP layers He-normal weights, input layer first, with zero biases,
+    all from ``default_rng(seed)``.
     """
     if family not in ALL_FAMILIES + ("mlp-small", "mlp-large"):
         raise ConfigurationError(f"unknown decoder family {family!r}")
@@ -420,7 +412,7 @@ def make_distance_decoder(
     if family == "euclidean":
         return EuclideanDecoder(n)
     if family == "dot-product":
-        return DotProductDecoder(n, K)
+        return DotProductDecoder(n)
     rng = np.random.default_rng(seed)
     if family == "riemann-psd":
         return PsdDecoder(n, rng.normal(0.0, 1e-3, size=(n * n, n)))

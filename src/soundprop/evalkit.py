@@ -8,7 +8,7 @@ import numpy as np
 
 from .decoders import make_distance_decoder
 from .errors import InputError
-from .oracle import FieldVolume, valid_pairs
+from .oracle import FieldVolume, mae_field, valid_pairs  # noqa: F401 - mae_field is public here
 from .training import (
     Dataset,
     TrainConfig,
@@ -19,12 +19,6 @@ from .training import (
 )
 
 BYTES_PER_VALUE = 4  # float32 storage
-
-
-def mae_field(pred: FieldVolume, truth: FieldVolume) -> float:
-    """Mean absolute error over voxels valid in both fields."""
-    p, t = valid_pairs(pred, truth)
-    return float(np.mean(np.abs(p - t)))
 
 
 def doa_error(pred: FieldVolume, truth: FieldVolume) -> float:

@@ -87,6 +87,16 @@ def _write_f4(fh, arr: np.ndarray) -> None:
         fh.write(block)
 
 
+def _read_f4(blob, count: int, offset: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The ``count`` little-endian float32 values of ``blob`` at byte
+    ``offset`` as float64, cast into ``out`` (in C order) when given; a
+    signalling NaN reads as NaN, without a warning."""
+    out = np.empty(count) if out is None else out
+    with np.errstate(invalid="ignore"):
+        np.copyto(out, np.frombuffer(blob, dtype="<f4", count=count, offset=offset).reshape(out.shape))
+    return out
+
+
 def sha256_file(path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -245,15 +255,8 @@ def read_field(path) -> FieldVolume:
     count = nx * ny * nz
     if len(blob) - off != count * channels * 4:
         raise FormatError(f"{path}: field payload size does not match its header")
-    raw = np.frombuffer(blob, dtype="<f4", count=count * channels, offset=off)
-    with np.errstate(invalid="ignore"):  # a signalling NaN reads as NaN
-        if channels == 1:
-            values = raw.reshape(dims, order="F").astype(float)
-        else:
-            values = np.stack(
-                [raw[c * count : (c + 1) * count].reshape(dims, order="F") for c in range(channels)],
-                axis=-1,
-            ).astype(float)
+    shape = dims if channels == 1 else (*dims, channels)  # x fastest, the channel slowest
+    values = _read_f4(blob, count * channels, off).reshape(shape, order="F")
     return FieldVolume(
         source=np.array(source), kind=kind, values=values, spacing=spacing, origin=np.array(origin)
     )
@@ -311,8 +314,7 @@ def read_ir(path):
     payload = len(blob) - sep - 2
     if payload == 0 or payload % (4 * channels):
         raise FormatError(f"{path}: payload is not whole frames of {channels} float32 samples")
-    with np.errstate(invalid="ignore"):  # a signalling NaN reads as NaN
-        raw = np.frombuffer(blob, dtype="<f4", offset=sep + 2).astype(float)
+    raw = _read_f4(blob, payload // 4, sep + 2)
     if not np.isfinite(raw).all():
         raise FormatError(f"{path}: non-finite sample")
     if channels > 1:
@@ -342,8 +344,8 @@ def save_checkpoint(path, bundle: ModelBundle, extra: dict | None = None) -> Non
         "family": decoder.family,
         "n": bundle.grid.n,
         "dims": list(bundle.grid.dims),
-        "spacing": bundle.grid.spacing,
-        "origin": list(bundle.grid.origin),
+        "spacing": bundle.scene.spacing,
+        "origin": list(bundle.scene.origin),
         "sections": sections,
     }
     if decoder.family == "mlp":
@@ -389,20 +391,19 @@ def load_checkpoint(path, scene: VoxelScene) -> ModelBundle:
         header.get(key) for key in ("group", "family", "n", "dims", "sections")
     )
     hidden = header.get("hidden") if family == "mlp" else []
-    K = header.get("K", DEFAULT_MAX_DECAY)
     if not (
         isinstance(group, str) and group in GROUP_HEADS
         and family in ALL_FAMILIES
         and _is_int(n) and n >= 1
         and isinstance(dims, list) and all(map(_is_int, dims))
         and isinstance(hidden, list) and all(_is_int(h) and h >= 1 for h in hidden)
-        and isinstance(K, (int, float)) and not isinstance(K, bool) and np.isfinite(K)
+        and header.get("K", DEFAULT_MAX_DECAY) == DEFAULT_MAX_DECAY
         and isinstance(sections, list)
     ):
         raise FormatError(f"{path}: malformed checkpoint header")
     if tuple(dims) != scene.dims:
         raise FormatError("checkpoint dims do not match the scene")
-    arrays = {}
+    arrays = {}  # name: (shape, payload offset)
     for section in sections:
         name = section.get("name") if isinstance(section, dict) else None
         shape = section.get("shape") if isinstance(section, dict) else None
@@ -414,26 +415,25 @@ def load_checkpoint(path, scene: VoxelScene) -> ModelBundle:
         count = math.prod(shape)
         if off + 4 * count > len(blob):
             raise FormatError(f"{path}: checkpoint section {name!r} runs past the end")
-        arrays[name] = np.frombuffer(blob, dtype="<f4", count=count, offset=off).reshape(shape)
+        arrays[name] = (tuple(shape), off)
         off += 4 * count
     if off != len(blob):
         raise FormatError(f"{path}: {len(blob) - off} trailing bytes after the checkpoint")
     # every stored grid value and hidden unit has a float in the payload, so
     # a header claiming more fails here rather than in the allocation
-    if n * math.prod(dims) + sum(hidden) > sum(a.size for a in arrays.values()):
+    if n * math.prod(dims) + sum(hidden) > sum(math.prod(s) for s, _ in arrays.values()):
         raise FormatError(f"{path}: checkpoint header claims more parameters than it stores")
     try:
-        bundle = make_bundle(scene, group, family, n, K=K, hidden=tuple(hidden))
+        bundle = make_bundle(scene, group, family, n, hidden=tuple(hidden))
     except ConfigurationError as exc:
         raise FormatError(f"{path}: {exc}") from None
     params = bundle.trainable()
     if bundle.head.decoder.family != family or set(arrays) != set(params):
         raise FormatError(f"{path}: checkpoint sections do not match a {group}/{family} bundle")
-    for name, arr in arrays.items():
-        if arr.shape != params[name].shape:
-            raise FormatError(f"{path}: checkpoint section {name!r} has shape {arr.shape}")
-        with np.errstate(invalid="ignore"):  # a signalling NaN reads as NaN
-            np.copyto(params[name], arr.astype(float))
+    for name, (shape, at) in arrays.items():
+        if shape != params[name].shape:
+            raise FormatError(f"{path}: checkpoint section {name!r} has shape {shape}")
+        _read_f4(blob, math.prod(shape), at, out=params[name])
     return bundle
 
 

@@ -141,14 +141,16 @@ class AcousticParamSet:
     l_lr: float | None = None
 
 
-def _window_slice(ir: ImpulseResponse, window: tuple[float, float]) -> slice:
+def _window_slice(window: tuple[float, float], rate: float, size: int, shortest: int) -> slice:
+    """The ``window`` (s) of ``size`` samples at ``rate``, ends rounded to the nearest
+    sample; ``InputError`` unless it holds at least ``shortest`` of them."""
     t0, t1 = window
     if not (t1 > t0):
         raise InputError(f"empty analysis window {window}")
-    i0 = int(round(t0 * ir.sample_rate))
-    i1 = int(round(t1 * ir.sample_rate))
-    if i0 < 0 or i1 > ir.samples.size or i1 <= i0:
-        raise InputError(f"window {window} outside the impulse response")
+    i0 = int(round(t0 * rate))
+    i1 = int(round(t1 * rate))
+    if i0 < 0 or i1 > size or i1 - i0 < shortest:
+        raise InputError(f"window {window} outside the signal of {size} samples")
     return slice(i0, i1)
 
 
@@ -179,11 +181,8 @@ class SchroederCurve:
     sample_rate: float
 
     def window_slice(self, window: tuple[float, float]) -> slice:
-        i0 = int(round(window[0] * self.sample_rate))
-        i1 = int(round(window[1] * self.sample_rate))
-        if i0 < 0 or i1 > self.values_db.size or i1 - i0 < 2:
-            raise InputError(f"window {window} outside the decay curve")
-        return slice(i0, i1)
+        """The curve samples of ``window``: at least two, for a slope."""
+        return _window_slice(window, self.sample_rate, self.values_db.size, 2)
 
 
 def schroeder_curve(ir: ImpulseResponse) -> SchroederCurve:
@@ -207,7 +206,7 @@ def schroeder_curve(ir: ImpulseResponse) -> SchroederCurve:
 
 def window_level(ir: ImpulseResponse, window: tuple[float, float]) -> float:
     """Energy integrated over ``window`` in dB (sum of squared samples)."""
-    seg = ir.samples[_window_slice(ir, window)]
+    seg = ir.samples[_window_slice(window, ir.sample_rate, ir.samples.size, 1)]
     energy = float(np.sum(seg * seg))
     if energy <= 0.0:
         raise InputError(f"window {window} has zero energy")

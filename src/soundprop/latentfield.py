@@ -79,14 +79,12 @@ class LatentGrid:
     ----------
     values : ndarray, shape (nx, ny, nz, n)
         Latent vector per vertex. Vertices inside obstacles carry storage
-        but are never selected by interpolation and never updated.
-    spacing, origin
-        Copied from the scene the grid belongs to.
+        but are never selected by interpolation and never updated. The
+        vertices sit at the voxel centres of the scene the grid belongs
+        to, which holds their spacing and origin.
     """
 
     values: np.ndarray
-    spacing: float
-    origin: np.ndarray
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -95,7 +93,6 @@ class LatentGrid:
         if not np.all(np.isfinite(v)):
             raise InputError("latent grid contains non-finite values")
         object.__setattr__(self, "values", v)
-        object.__setattr__(self, "origin", np.asarray(self.origin, dtype=float))
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -125,7 +122,7 @@ def init_latent_grid(
     mid = scene.origin + (np.asarray(scene.dims) - 1) * scene.spacing / 2.0
     nc = min(3, n)
     values[..., :nc] = (centers[..., :nc] - mid[:nc]) * coord_scale
-    return LatentGrid(values=values, spacing=scene.spacing, origin=scene.origin)
+    return LatentGrid(values=values)
 
 
 @dataclass(frozen=True)

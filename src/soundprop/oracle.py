@@ -24,6 +24,9 @@ from .irparams import AcousticParamSet, ImpulseResponse, WindowConfig, _decaying
 from .scene import _FREE, VoxelScene
 
 FIELD_KINDS = ("path-distance", "level", "decay-time", "doa")
+# The scalar wave-coding parameters, in bake order, and their field kinds.
+PARAM_KINDS = {"pi": "path-distance", "l_ds": "level", "l_er": "level",
+               "tau_er": "decay-time", "tau_lr": "decay-time"}
 
 # Synthetic direct-sound model: reference level at 1 m and the extra
 # attenuation per meter of detour beyond the straight line.
@@ -90,6 +93,12 @@ def valid_pairs(pred: FieldVolume, truth: FieldVolume) -> tuple[np.ndarray, np.n
     if not valid.any():
         raise InputError("no valid voxels to compare")
     return pred.values[valid], truth.values[valid]
+
+
+def mae_field(pred: FieldVolume, truth: FieldVolume) -> float:
+    """Mean absolute error over voxels valid in both fields."""
+    p, t = valid_pairs(pred, truth)
+    return float(np.mean(np.abs(p - t)))
 
 
 def geodesic_field(scene: VoxelScene, source) -> FieldVolume:
@@ -188,17 +197,11 @@ def synth_acoustic_fields(
         l_ds = _L0_DB - 20.0 * log_pi - _DIFFRACTION_DB_PER_M * (pi - straight)
         l_er = l_er_ref - 10.0 * log_pi
 
-    def _vol(kind, vals):
-        vals = np.where(valid, vals, np.nan)
-        return FieldVolume(
-            source=source, kind=kind, values=vals, spacing=scene.spacing, origin=scene.origin
-        )
-
+    values = {"l_ds": l_ds, "l_er": l_er, "tau_er": tau_er, "tau_lr": tau_lr}
     return {
-        "l_ds": _vol("level", l_ds),
-        "l_er": _vol("level", l_er),
-        "tau_er": _vol("decay-time", tau_er),
-        "tau_lr": _vol("decay-time", tau_lr),
+        name: FieldVolume(source=source, kind=PARAM_KINDS[name], values=np.where(valid, vals, np.nan),
+                          spacing=scene.spacing, origin=scene.origin)
+        for name, vals in values.items()
     }
 
 
@@ -287,7 +290,7 @@ def synth_ir(params: AcousticParamSet, cfg: SyntheticIRConfig = SyntheticIRConfi
     at ``-60/tau_LR`` dB/s whose start is amplitude-continuous with the
     extrapolated early regime.
     """
-    for name in ("pi", "l_ds", "l_er", "tau_er", "tau_lr"):
+    for name in PARAM_KINDS:
         if not math.isfinite(getattr(params, name)):
             raise InputError(f"parameter {name} must be finite")
     for name in ("tau_er", "tau_lr"):

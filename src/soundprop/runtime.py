@@ -31,6 +31,7 @@ from .irparams import (
     doa_from_samples,
 )
 from .latentfield import interp_points
+from .oracle import PARAM_KINDS
 from .scene import VoxelScene
 
 
@@ -366,7 +367,7 @@ def query_params(bundles: dict, scene: VoxelScene, a, b) -> AcousticParamSet:
             samples = bundle.head.predict(latents[:1], latents[2:])["pi"][0]
     pi, l_ds, l_er, tau_er, tau_lr = (
         float(out[name][0, 0]) if name in out else float("nan")
-        for name in ("pi", "l_ds", "l_er", "tau_er", "tau_lr")
+        for name in PARAM_KINDS
     )
 
     doa = doa_from_samples(pi, samples, h)

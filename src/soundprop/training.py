@@ -19,10 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decoders import DEFAULT_MAX_DECAY, DecaysModel, DistanceModel, LevelsModel, make_distance_decoder
+from .decoders import DecaysModel, DistanceModel, LevelsModel, make_distance_decoder
 from .errors import ConfigurationError, DivergenceError, InputError
 from .latentfield import RESOLVED, InterpBatch, LatentGrid, init_latent_grid, interp_points
-from .oracle import FieldVolume, bake_source, valid_pairs
+from .oracle import PARAM_KINDS, FieldVolume, bake_source, mae_field, valid_pairs
 from .scene import VoxelScene, _segment_cells, _walk
 
 GROUP_HEADS = {
@@ -144,15 +144,7 @@ class ModelBundle:
             np.copyto(p, snapshot[k])
 
 
-def make_bundle(
-    scene: VoxelScene,
-    group: str,
-    family: str,
-    n: int,
-    seed: int = 0,
-    K: float = DEFAULT_MAX_DECAY,
-    hidden=None,
-) -> ModelBundle:
+def make_bundle(scene: VoxelScene, group: str, family: str, n: int, seed: int = 0, hidden=None) -> ModelBundle:
     """Fresh bundle for one parameter group.
 
     The decoder has one output per parameter of the group, and the head
@@ -164,7 +156,7 @@ def make_bundle(
     if group not in GROUP_HEADS:
         raise ConfigurationError(f"unknown parameter group {group!r}")
     k = len(GROUP_HEADS[group])
-    decoder = make_distance_decoder(family, n, seed=seed, hidden=hidden, k=k, K=K)
+    decoder = make_distance_decoder(family, n, seed=seed, hidden=hidden, k=k)
     if group == "distance":
         head = DistanceModel(decoder)
     else:
@@ -341,7 +333,7 @@ def _predictions(bundle: ModelBundle, sources):
             grid_vals[free] = vals[0]
             out[head] = FieldVolume(
                 source=np.asarray(source, dtype=float),
-                kind="path-distance" if head == "pi" else ("level" if head.startswith("l_") else "decay-time"),
+                kind=PARAM_KINDS[head],
                 values=grid_vals,
                 spacing=scene.spacing,
                 origin=scene.origin,
@@ -359,8 +351,7 @@ def evaluate_mae(bundle: ModelBundle, ds: Dataset) -> dict[str, float]:
     totals = {h: 0.0 for h in GROUP_HEADS[bundle.group]}
     for preds, fields in zip(_predictions(bundle, ds.sources), ds.fields):
         for head in totals:
-            p, t = valid_pairs(preds[head], fields[head])
-            totals[head] += float(np.mean(np.abs(p - t)))
+            totals[head] += mae_field(preds[head], fields[head])
     return {h: t / len(ds) for h, t in totals.items()}
 
 

@@ -804,8 +804,8 @@ def one_shot_save_checkpoint(path, bundle, extra=None) -> None:
         "family": decoder.family,
         "n": bundle.grid.n,
         "dims": list(bundle.grid.dims),
-        "spacing": bundle.grid.spacing,
-        "origin": list(bundle.grid.origin),
+        "spacing": bundle.scene.spacing,
+        "origin": list(bundle.scene.origin),
         "sections": sections,
     }
     if decoder.family == "mlp":

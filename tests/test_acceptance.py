@@ -220,8 +220,8 @@ def test_criterion_04_gradient_suite():
         vm = grid.values.copy()
         vp[corner + (comp,)] += eps
         vm[corner + (comp,)] -= eps
-        gp = sp.LatentGrid(values=vp, spacing=grid.spacing, origin=grid.origin)
-        gm = sp.LatentGrid(values=vm, spacing=grid.spacing, origin=grid.origin)
+        gp = sp.LatentGrid(values=vp)
+        gm = sp.LatentGrid(values=vm)
         jp = phi @ r.sample(gp.values)[0]
         jm = phi @ r.sample(gm.values)[0]
         fd = (jp - jm) / (2 * eps)
@@ -258,7 +258,7 @@ def test_criterion_05_metric_axioms():
         b = _paired(dec, V[:500], U[:500])
         ok = ok and bool(np.allclose(a, b, atol=1e-12))
     K = 2.0
-    dot = DotProductDecoder(n, K)
+    dot = DotProductDecoder(n)
     taus = _paired(dot, U * 4.0, V * 4.0)
     ok = ok and bool(np.all((taus > 0.0) & (taus < K)))
     ok = ok and bool(np.all(taus == _paired(dot, V * 4.0, U * 4.0)))

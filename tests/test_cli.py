@@ -7,6 +7,7 @@ import pytest
 import soundprop as sp
 from soundprop import fileio
 from soundprop.cli import build_parser, main
+from soundprop.oracle import PARAM_KINDS
 
 
 def run(args):
@@ -113,6 +114,19 @@ def test_scene_gen_and_bake_single_source(tmp_path, monkeypatch):
         "src000_tau_er.fld",
         "src000_tau_lr.fld",
     ]
+
+
+def test_bake_writes_one_field_per_parameter(tmp_path):
+    """``bake`` writes one file per source and ``PARAM_KINDS`` entry, each
+    holding a field of that entry's kind."""
+    scene_path = tmp_path / "box.scn"
+    run(["scene", "gen", "--kind", "empty-box", "--dims", "8x4x8", "--out", str(scene_path)])
+    sources = tmp_path / "two.txt"
+    sources.write_text("4.0 2.0 4.0\n1.0 1.0 6.0\n")
+    assert run(["bake", "--scene", str(scene_path), "--sources", str(sources),
+                "--out-dir", str(tmp_path / "fields")]) == 0
+    files = {p.name: fileio.read_field(p).kind for p in (tmp_path / "fields").glob("*.fld")}
+    assert files == {f"src{i:03d}_{name}.fld": kind for i in (0, 1) for name, kind in PARAM_KINDS.items()}
 
 
 def test_full_pipeline_smoke(tmp_path, monkeypatch):
@@ -654,7 +668,7 @@ OPTIONS = {
     "ablate": "--epochs --eval-interval --families --group --manifest --n-values --out --scene --seed "
               "--test-fields --train-fields --val-fields",
     "query": "--a --b --decays --distance --levels --manifest --out --scene",
-    "render": "--doa --input --l-ds --l-er --l-lr --layout --manifest --out --pi --refs-seed --tau-er --tau-lr",
+    "render": "--doa --input --l-ds --l-er --l-lr --layout --manifest --out --refs-seed --tau-er --tau-lr",
     "export-slice": "--field --manifest --out --y-index --y-meters",
     "params extract": "--ir --manifest --out",
     "cost": "--csv --dims --family --manifest --n --out",

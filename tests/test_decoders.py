@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from soundprop.decoders import (
+    DEFAULT_MAX_DECAY,
     DecaysModel,
     DiagDecoder,
     DistanceModel,
@@ -171,7 +172,7 @@ def test_mlp_standard_shapes():
 
 def test_decay_dot_pinned_values():
     n = 4
-    d = DotProductDecoder(n, K=2.0)
+    d = DotProductDecoder(n)
     u = np.zeros(n)
     v = np.zeros(n)
     assert d.pairwise(u, v)[0, 0] == pytest.approx(1.0, abs=1e-12)  # K/2
@@ -185,7 +186,7 @@ def test_decay_dot_pinned_values():
 def test_decay_dot_strict_range_and_symmetry():
     rng = np.random.default_rng(9)
     K = 2.0
-    d = DotProductDecoder(8, K)
+    d = DotProductDecoder(8)
     for _ in range(200):
         u, v = rng.normal(size=(2, 8)) * 3.0
         tau = d.pairwise(u, v)[0, 0]
@@ -245,7 +246,7 @@ def test_decay_dot_gradient_pinned():
     n = 3
     u = np.zeros(n)
     v = np.array([1.0, -2.0, 0.5])
-    d = DotProductDecoder(n, K=2.0)
+    d = DotProductDecoder(n)
     gU, _, _ = d.backward(d.forward(u, v)[1], 1.0)
     assert np.allclose(gU[0], 0.25 * 2.0 * v, atol=1e-12)
 
@@ -445,8 +446,8 @@ def test_factory_rejects_a_non_positive_latent_size(family):
 
 
 def test_factory_builds_the_bounded_dot_product():
-    assert make_distance_decoder("dot-product", 4, K=3.5).K == 3.5
-    assert make_distance_decoder("dot-product", 4).K == DotProductDecoder(4).K
+    d = make_distance_decoder("dot-product", 4)
+    assert isinstance(d, DotProductDecoder) and d.K == DEFAULT_MAX_DECAY == 2.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
-"""The committed precompute, query, training and writer digests
+"""The committed precompute, query, training, writer and evaluation digests
 (``precompute_digests.py``, ``query_digests.py``, ``train_digests.py``,
-``write_digests.py``)."""
+``write_digests.py``, ``eval_digests.py``)."""
 
 import json
 
@@ -11,6 +11,7 @@ from soundprop import fileio
 
 from oracles import loop_synth_fields
 from precompute_digests import DIGESTS, configuration, digests
+import eval_digests
 import query_digests
 import train_digests
 import write_digests
@@ -68,6 +69,19 @@ def test_write_digests_are_pinned(tmp_path):
     IR and one checkpoint per group (and an MLP) write the committed bytes."""
     record = json.loads(write_digests.DIGESTS.read_text())
     got = write_digests.digests(tmp_path)
+    assert sorted(got) == sorted(record["files"])
+    changed = sorted(name for name in got if got[name] != record["files"][name])
+    assert not changed, (
+        f"{len(changed)} files differ from the digests made with numpy {record['numpy']} and "
+        f"{record['blas']} (running {configuration()}): {changed}"
+    )
+
+
+def test_eval_digests_are_pinned(tmp_path):
+    """CLI trainings with validation fields and a log, and the ``eval`` of
+    their checkpoints, write the committed CSVs and checkpoints."""
+    record = json.loads(eval_digests.DIGESTS.read_text())
+    got = eval_digests.digests(tmp_path)
     assert sorted(got) == sorted(record["files"])
     changed = sorted(name for name in got if got[name] != record["files"][name])
     assert not changed, (

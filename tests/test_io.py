@@ -171,7 +171,7 @@ def test_write_field_matches_one_shot_writer(tmp_path, box_scene):
         ("levels", "riemann-psd", {}),
         ("levels", "mlp", {"hidden": (7, 3)}),
         ("decays", "dot-product", {}),
-        ("decays", "mlp", {"K": 3.5}),
+        ("decays", "mlp", {"hidden": (4,)}),
     ],
 )
 def test_save_checkpoint_matches_one_shot_writer(tmp_path, box_scene, group, family, kwargs):
@@ -475,6 +475,7 @@ def _case(name, blob):
         _case("dims-null", _with_header(_LEVELS, _edit(dims=None))),
         _case("hidden-a-string", _with_header(_LEVELS, _edit(hidden=[32, "32"]))),
         _case("K-nan", _with_header(_LEVELS, _edit(K=float("nan")))),
+        _case("K-3.5", _with_header(CKPT_BLOBS["decays-dot-product"], _edit(K=3.5))),  # loaded before
         _case("unknown-group", _with_header(_LEVELS, _edit(group="pressure"))),
         _case("unknown-family", _with_header(_LEVELS, _edit(family="spline"))),
         _case("distance-dot-product",

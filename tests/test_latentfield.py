@@ -84,7 +84,7 @@ def test_no_mixing_across_sealed_wall():
     # perturb every latent strictly on the far side of the wall
     values = grid.values.copy()
     values[5:, :, :, :] += 1000.0
-    far_grid = sp.LatentGrid(values=values, spacing=grid.spacing, origin=grid.origin)
+    far_grid = sp.LatentGrid(values=values)
     after = [latent_at(far_grid, scene, p) for p in near]
     for a, b in zip(before, after):
         assert np.array_equal(a, b)
@@ -138,8 +138,8 @@ def test_backward_matches_finite_differences(box, grid):
             vm = grid.values.copy()
             vp[corner + (comp,)] += eps
             vm[corner + (comp,)] -= eps
-            gp = sp.LatentGrid(values=vp, spacing=grid.spacing, origin=grid.origin)
-            gm = sp.LatentGrid(values=vm, spacing=grid.spacing, origin=grid.origin)
+            gp = sp.LatentGrid(values=vp)
+            gm = sp.LatentGrid(values=vm)
             jp = phi @ latent_at(gp, box, p)
             jm = phi @ latent_at(gm, box, p)
             fd = (jp - jm) / (2 * eps)

@@ -3,7 +3,7 @@ import pytest
 
 import soundprop as sp
 from soundprop.errors import ConfigurationError, InputError
-from soundprop.oracle import FieldVolume
+from soundprop.oracle import PARAM_KINDS, FieldVolume
 from soundprop import training
 from soundprop.training import GROUP_HEADS
 
@@ -731,3 +731,16 @@ def test_train_source_without_common_valid_voxels_raises(box_scene):
     bundle = sp.make_bundle(box_scene, "levels", "euclidean", 4, seed=0)
     with pytest.raises(InputError):
         sp.train(bundle, ds, sp.TrainConfig(epochs=2, eval_interval=0))
+
+
+@pytest.mark.parametrize("group", sorted(GROUP_HEADS))
+def test_predicted_and_baked_kinds_agree(box_scene, group):
+    """Each head's predicted field has the kind its baked field has, and
+    the bake yields one field per ``PARAM_KINDS`` entry, of that kind."""
+    source = box_scene.voxel_center((2, 1, 5))
+    baked = sp.bake_source(box_scene, source)
+    assert {name: fv.kind for name, fv in baked.items()} == PARAM_KINDS
+    bundle = sp.make_bundle(box_scene, group, training.DEFAULT_FAMILY[group], 3)
+    predicted = sp.predict_fields(bundle, source)
+    assert list(predicted) == list(GROUP_HEADS[group])
+    assert {head: fv.kind for head, fv in predicted.items()} == {head: baked[head].kind for head in predicted}

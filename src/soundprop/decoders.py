@@ -31,25 +31,26 @@ head has one forward/backward pair:
   activations, sigmoids).
 * ``backward(cache, upstream) -> (gU, gV, grads)`` is the analytic adjoint
   for the ``(B, R)`` ``upstream`` gradient of the outputs: ``gU`` holds
-  each source's gradient summed over its receivers, in receiver order,
-  and ``gV`` each receiver's summed over the sources, in source order. It
+  each source's gradient summed over its receivers, and ``gV`` each
+  receiver's summed over the sources, each in a fixed order. It
   reads every intermediate from ``cache`` and recomputes none, so a
   training step decodes once. The cache does not copy the parameters, so
   a training step updates them only after its backward.
 
 Work that reads one side runs once per side: the projection of the pair
-heads, the levels head's local term and the dot product's ``(B, R)``
-inner products and gradient contractions. The metric and MLP families
-form each pair's midpoint, difference or concatenation, so a pair has
-the same bits in every block of two or more pairs. A block swaps into
-its transpose bit for bit, and a one-row side of a many-row block is
-projected through the many-row BLAS path, like the other side
-(``_side_product``).
+heads, the levels head's local term, the diagonal metric's products and
+its adjoint's ``n x n`` products, and the dot product's ``(B, R)`` inner
+products and gradient contractions. The metric and MLP families form
+each pair's difference (the full metric also its midpoint) or
+concatenation, so a pair has the same bits in every block of two or
+more pairs. A block swaps into its transpose bit for bit, and a one-row
+side of a many-row block is projected through the many-row BLAS path,
+like the other side (``_side_product``).
 
 The three metric distances are one core, ``_MetricDecoder``: its
-forward and backward take the midpoint and difference, the row norm and
-its adjoint, and split the metric gradient between the two inputs; each
-family supplies only its metric map and that map's adjoint. Every decoder
+forward and backward take the difference, the row norm and its adjoint;
+each family supplies only its metric map and that map's adjoint, summed
+per side. Every decoder
 inherits ``pairwise`` (``forward(...)[0]``) and ``param_count`` from
 ``_Decoder``, every head ``family`` and ``predict`` (``forward(...)[0]``)
 from ``_Head``. ``make_distance_decoder`` builds every family and is the
@@ -165,37 +166,29 @@ class _MetricDecoder(_Decoder):
     """Metric distance ``d = |T(m) delta|`` with midpoint ``m = (u + v)/2``
     and difference ``delta = u - v``.
 
-    A family supplies its metric map ``_map(M, delta) -> (y, T)``, the rows
-    ``y = T(m) delta`` and the values ``T`` its adjoint reads, and that
-    adjoint ``_map_adjoint(M, delta, T, gy) -> (g_delta, g_m, grads)``, with
-    ``g_m`` ``None`` where the map does not depend on ``m``. Since ``u`` and
-    ``v`` enter as ``m +- delta/2``, ``gU = g_delta + g_m/2`` and
-    ``gV = g_m/2 - g_delta``. ``M`` and ``delta`` hold one row per pair,
-    source by source, and the per-pair gradients are summed in order.
+    ``delta`` holds one row per pair, source by source. A family supplies
+    its metric map ``_map(U, V, delta) -> (y, T)``, the rows ``y = T(m)
+    delta`` and the values ``T`` its adjoint reads, and that adjoint
+    ``_map_adjoint(U, V, delta, T, gy) -> (gU, gV, grads)``, the side
+    gradients summed in order and the parameter gradients. Since ``u`` and
+    ``v`` enter as ``m +- delta/2``, a per-pair gradient ``g_m`` of the
+    midpoint goes half to each side.
     """
 
     def forward(self, U, V):
         U, V = _as_rows(U), _as_rows(V)
         B, R = len(U), len(V)
-        # one row per pair, source by source; V broadcasts over the sources
-        U_pairs = np.repeat(U, R, axis=0).reshape(B, R, self.n)
-        M = U_pairs + V
-        M *= 0.5
-        delta = np.subtract(U_pairs, V, out=U_pairs)
-        M, delta = M.reshape(B * R, self.n), delta.reshape(B * R, self.n)
-        y, T = self._map(M, delta)
+        delta = U.repeat(R, axis=0).reshape(B, R, self.n)
+        delta -= V  # V broadcasts over the sources
+        delta = delta.reshape(B * R, self.n)
+        y, T = self._map(U, V, delta)
         d = _row_norm(y)
-        return d.reshape(B, R), (M, delta, T, y, d, B, R)
+        return d.reshape(B, R), (U, V, delta, T, y, d)
 
     def backward(self, cache, upstream):
-        M, delta, T, y, d, B, R = cache
-        gy = _norm_adjoint(y, d, _pair_upstream(upstream, B, R)[:, 0])
-        g_delta, g_m, grads = self._map_adjoint(M, delta, T, gy)
-        if g_m is None:
-            return _source_sums(g_delta, B, R), -_receiver_sums(g_delta, B, R), grads
-        half_gm = np.multiply(g_m, 0.5, out=g_m)
-        gU = _source_sums(g_delta + half_gm, B, R)
-        return gU, _receiver_sums(np.subtract(half_gm, g_delta, out=half_gm), B, R), grads
+        U, V, delta, T, y, d = cache
+        gy = _norm_adjoint(y, d, _pair_upstream(upstream, len(U), len(V))[:, 0])
+        return self._map_adjoint(U, V, delta, T, gy)
 
 
 class EuclideanDecoder(_MetricDecoder):
@@ -207,16 +200,17 @@ class EuclideanDecoder(_MetricDecoder):
         # n subtractions, n squarings, n-1 adds, one sqrt
         return 3 * self.n
 
-    def _map(self, M, delta):
+    def _map(self, U, V, delta):
         return delta, None
 
-    def _map_adjoint(self, M, delta, T, gy):
-        return gy, None, {}
+    def _map_adjoint(self, U, V, delta, T, gy):
+        B, R = len(U), len(V)
+        return _source_sums(gy, B, R), -_receiver_sums(gy, B, R), {}
 
 
 class PsdDecoder(_MetricDecoder):
     """Full positive semi-definite local metric at the latent midpoint:
-    ``T = A(m) = I + reshape(W m)``."""
+    ``T = A(m) = I + reshape(W m)``, with ``m`` formed per pair."""
 
     family = "riemann-psd"
 
@@ -236,21 +230,39 @@ class PsdDecoder(_MetricDecoder):
         # (n^2), difference (n), matrix-vector (n^2), norm (2n)
         return n**3 + 2 * n**2 + 5 * n
 
-    def _map(self, M, delta):
-        A = (M @ self.weights.T).reshape(M.shape[0], self.n, self.n)
-        A[:, np.arange(self.n), np.arange(self.n)] += 1.0
-        return np.einsum("bij,bj->bi", A, delta), A
+    def _map(self, U, V, delta):
+        B, R, n = len(U), len(V), self.n
+        M = U.repeat(R, axis=0).reshape(B, R, n)
+        M += V
+        M *= 0.5
+        M = M.reshape(B * R, n)
+        A = (M @ self.weights.T).reshape(B * R, n, n)
+        A[:, np.arange(n), np.arange(n)] += 1.0
+        return np.einsum("bij,bj->bi", A, delta), (A, M)
 
-    def _map_adjoint(self, M, delta, A, gy):
+    def _map_adjoint(self, U, V, delta, T, gy):
+        (A, M), B, R, n = T, len(U), len(V), self.n
         g_delta = np.einsum("bij,bi->bj", A, gy)
         gA = np.einsum("bi,bj->bij", gy, delta)
-        gW = np.einsum("bij,bk->ijk", gA, M).reshape(self.n * self.n, self.n)
-        return g_delta, gA.reshape(-1, self.n * self.n) @ self.weights, {"weights": gW}
+        # the weight gradient sums per pair: its per-side split cancels
+        gW = np.einsum("bij,bk->ijk", gA, M).reshape(n * n, n)
+        half_gm = gA.reshape(-1, n * n) @ self.weights
+        half_gm *= 0.5
+        gU = _source_sums(g_delta + half_gm, B, R)
+        return gU, _receiver_sums(np.subtract(half_gm, g_delta, out=half_gm), B, R), {"weights": gW}
 
 
 class DiagDecoder(_MetricDecoder):
     """Diagonal local metric, a locally weighted Euclidean distance:
-    ``T = diag(lambda(m))`` with ``lambda(m) = 1 + M m``."""
+    ``T = diag(lambda(m))`` with ``lambda(m) = 1 + W m``.
+
+    ``lambda`` is affine in the midpoint, so a pair's ``lambda`` is
+    ``(a_u + a_v) + 1`` with ``a = W x / 2`` taken once per side, and its
+    adjoint is reduced per side before the ``n x n`` products:
+    ``gU = sum_r g_delta + (sum_r g_lambda) W / 2``, ``gV = (sum_s
+    g_lambda) W / 2 - sum_s g_delta`` and ``gW = [(sum_r g_lambda)^T U +
+    (sum_s g_lambda)^T V] / 2``.
+    """
 
     family = "riemann-diag"
 
@@ -270,14 +282,41 @@ class DiagDecoder(_MetricDecoder):
         # weighting (n), squares (n), sum (n-1), sqrt (1)
         return n**2 + 7 * n
 
-    def _map(self, M, delta):
-        lam = M @ self.weights.T
+    def _lam(self, U, V) -> np.ndarray:
+        """``lambda`` of every pair of the block, one row per pair, source
+        by source. Each side's product runs on one BLAS path
+        (``_side_product``), and the sum commutes, so a pair has the same
+        bits in either input order and in every block of two or more
+        pairs. The sources' rows are repeated, not broadcast, so every
+        elementwise op runs on contiguous rows."""
+        B, R = len(U), len(V)
+        half, rows = 0.5 * self.weights.T, max(B, R)
+        lam = _side_product(U, half, rows).repeat(R, axis=0).reshape(B, R, self.n)
+        lam += _side_product(V, half, rows)
         lam += 1.0
+        return lam.reshape(B * R, self.n)
+
+    def _map(self, U, V, delta):
+        lam = self._lam(U, V)
         return lam * delta, lam
 
-    def _map_adjoint(self, M, delta, lam, gy):
+    def _map_adjoint(self, U, V, delta, lam, gy):
+        B, R, n = len(U), len(V), self.n
         g_lam = delta * gy
-        return lam * gy, g_lam @ self.weights, {"weights": g_lam.T @ M}
+        g_delta = np.multiply(gy, lam, out=gy)  # gy is the backward's own temporary
+        # side sums as products with ones: a source's sum does not depend on the other sources
+        ones_R, ones_B = np.ones(R), np.ones(B)
+        dU, lU = (ones_R @ g.reshape(B, R, n) for g in (g_delta, g_lam))
+        dV, lV = ((ones_B @ g.reshape(B, R * n)).reshape(R, n) for g in (g_delta, g_lam))
+        half = 0.5 * self.weights
+        gU = lU @ half
+        gU += dU
+        gV = lV @ half
+        gV -= dV
+        gW = lU.T @ U
+        gW += lV.T @ V
+        gW *= 0.5
+        return gU, gV, {"weights": gW}
 
 
 class MlpDecoder(_Decoder):
@@ -480,19 +519,23 @@ class _PairHead(_Head):
 
     def _decode_backward(self, cache, up1, up2, grads, gU=None, gV=None):
         """Add the adjoint of ``_decode`` for the ``(B, R)`` upstreams
-        ``up1``, ``up2`` to ``gU``, ``gV`` (``None`` starts them) and to
-        ``grads``."""
+        ``up1``, ``up2`` to ``gU``, ``gV`` (``None`` starts them), and put
+        the projection's and the decoder's gradients into ``grads``."""
         U, V, caches = cache
-        ups = [np.stack([up1, up2], axis=-1)] if self.proj is None else [up1, up2]
-        for branch, (c, up) in enumerate(zip(caches, ups)):
-            dU, dV, dP = self.decoder.backward(c, up)
-            if branch == 1:  # the projected pair
-                grads["proj"] += dU.T @ U + dV.T @ V
-                dU, dV = dU @ self.proj, dV @ self.proj
-            gU = dU if gU is None else gU + dU
-            gV = dV if gV is None else gV + dV
+        if self.proj is None:
+            dU, dV, dP = self.decoder.backward(caches[0], np.stack([up1, up2], axis=-1))
+        else:
+            dU, dV, dP = self.decoder.backward(caches[0], up1)
+            pU, pV, pP = self.decoder.backward(caches[1], up2)
+            grads["proj"] = pU.T @ U + pV.T @ V
             for name, g in dP.items():
-                grads[f"decoder.{name}"] += g
+                g += pP[name]
+        gU = dU if gU is None else gU + dU
+        gV = dV if gV is None else gV + dV
+        if self.proj is not None:
+            gU += pU @ self.proj
+            gV += pV @ self.proj
+        grads.update((f"decoder.{name}", g) for name, g in dP.items())
         return gU, gV
 
     @staticmethod
@@ -530,12 +573,9 @@ class LevelsModel(_PairHead):
     def backward(self, cache, upstream: dict[str, np.ndarray]):
         U, V, _ = cache
         up_ds, up_er = self._upstreams(cache, upstream, ("l_ds", "l_er"))
-        grads = {name: np.zeros_like(p) for name, p in self.trainable().items()}
-        grads["l0"][0] = up_ds.sum()
-        grads["beta"][0] = up_er.sum()
         # the local term reads each side once: its upstream sums over the other side
         er_U, er_V = up_er.sum(axis=1), up_er.sum(axis=0)
-        grads["w"] += 0.5 * (er_U @ U + er_V @ V)
+        grads = {"l0": np.array([up_ds.sum()]), "w": 0.5 * (er_U @ U + er_V @ V), "beta": np.array([up_er.sum()])}
         gU, gV = 0.5 * er_U[:, None] * self.w, 0.5 * er_V[:, None] * self.w
         gU, gV = self._decode_backward(cache, -up_ds, -up_er, grads, gU, gV)
         return gU, gV, grads
@@ -564,7 +604,7 @@ class DecaysModel(_PairHead):
 
     def backward(self, cache, upstream: dict[str, np.ndarray]):
         up_er, up_lr = self._upstreams(cache, upstream, ("tau_er", "tau_lr"))
-        grads = {name: np.zeros_like(p) for name, p in self.trainable().items()}
+        grads = {}
         gU, gV = self._decode_backward(cache, up_er, up_lr, grads)
         return gU, gV, grads
 

@@ -403,6 +403,8 @@ def load_checkpoint(path, scene: VoxelScene) -> ModelBundle:
         raise FormatError(f"{path}: malformed checkpoint header")
     if tuple(dims) != scene.dims:
         raise FormatError("checkpoint dims do not match the scene")
+    if header.get("spacing") != scene.spacing or header.get("origin") != scene.origin.tolist():
+        raise FormatError("checkpoint spacing or origin does not match the scene")
     arrays = {}  # name: (shape, payload offset)
     for section in sections:
         name = section.get("name") if isinstance(section, dict) else None

@@ -171,16 +171,19 @@ def make_bundle(scene: VoxelScene, group: str, family: str, n: int, seed: int = 
 # ---------------------------------------------------------------------------
 
 
-def _unseen(scene: VoxelScene, cells: np.ndarray, free: np.ndarray | None = None) -> np.ndarray:
+def _unseen(scene: VoxelScene, cells: np.ndarray, free: np.ndarray | None = None, coords=None):
     """The free voxels ``free`` (default: all) that no centre of ``cells`` sees, in order.
 
     Each free voxel casts a ray to its nearest cell (squared index distance,
     ties by index), those still unseen to their next-nearest cells in passes
     of width 2, 4, ...; what the cells see does not depend on that order.
     Rays reach the walker with ``lines_of_sight``'s cell coordinates, 4096
-    at a time, and distances are ranked ~2**16 at a time, to stay in cache."""
+    at a time, and distances are ranked ~2**16 at a time, to stay in cache.
+    ``coords``, the cell coordinates of the centres of ``cells`` and of
+    ``free`` (``_segment_cells``), saves checking and placing them again;
+    given it, the result is the unseen voxels and their cell coordinates."""
     free, k = (scene.free_indices() if free is None else free), len(cells)
-    ca, cf = (_segment_cells(scene, scene.voxel_center(x))[0] for x in (cells, free))
+    ca, cf = coords or (_segment_cells(scene, scene.voxel_center(x))[0] for x in (cells, free))
     ct, cq = -2.0 * cells.T, (cells * cells).sum(axis=1)  # f @ ct + cq ranks as |f - c|^2
     left, lo = np.arange(len(free)), 0
     while len(left) and lo < k:
@@ -193,7 +196,7 @@ def _unseen(scene: VoxelScene, cells: np.ndarray, free: np.ndarray | None = None
         hit = [_walk(scene, *(x[i : i + 4096] for x in rays)) for i in range(0, len(far), 4096)]
         hit = np.concatenate(hit).reshape(-1, hi - lo).any(axis=1)
         left, order, lo = left[~hit], order[~hit], hi
-    return free[left]
+    return free[left] if coords is None else (free[left], cf[left])
 
 
 def sample_sources(scene: VoxelScene, seed: int = 0, init_count: int = 20) -> list:
@@ -206,21 +209,24 @@ def sample_sources(scene: VoxelScene, seed: int = 0, init_count: int = 20) -> li
 
     Coverage can only change on voxels no earlier source sees, so every
     ray goes to a still-uncovered free voxel (``_unseen``); the placement
-    is the same as with full visibility masks.
+    is the same as with full visibility masks. The free voxels' cell
+    coordinates are found once and kept next to the uncovered list.
     """
     if init_count < 0:
         raise ConfigurationError(f"init_count must be >= 0, got {init_count}")
     rng = np.random.default_rng(seed)
     free = scene.free_indices()
+    cf = _segment_cells(scene, scene.voxel_center(free))[0]
     k = min(init_count, len(free))
-    cells = free[np.sort(rng.choice(len(free), size=k, replace=False))]
+    picks = np.sort(rng.choice(len(free), size=k, replace=False))
+    cells = free[picks]
     sources = [scene.voxel_center(c) for c in cells]
 
-    uncovered = _unseen(scene, cells)  # C order, kept so by every drop
+    uncovered, cf = _unseen(scene, cells, free, (cf[picks], cf))  # C order, kept so by every drop
     while len(uncovered):
-        cell = uncovered[rng.integers(len(uncovered))]
-        sources.append(scene.voxel_center(cell))
-        uncovered = _unseen(scene, cell[None], uncovered)
+        i = rng.integers(len(uncovered))
+        sources.append(scene.voxel_center(uncovered[i]))
+        uncovered, cf = _unseen(scene, uncovered[i][None], uncovered, (cf[i][None], cf))
     return sources
 
 
@@ -384,10 +390,11 @@ def train(
     A batch decodes its sources as one block against their shared
     receivers (one block per receiver set, in order of first appearance,
     when the sources' valid receivers differ). Adam steps a table of the
-    grid rows that can get a gradient, the receivers (and, without
-    stop-gradient, the source stencils' vertices), and writes it back into
-    the grid after each step; every other row has zero gradient and zero
-    moments, so stepping it would not move it.
+    grid rows training reads, the receivers and the source stencils'
+    vertices; every other row has zero gradient and zero moments, so
+    stepping it would not move it. Each batch reads its source latents
+    from the table, and the table is written back into the grid before
+    each eval and at the end.
     """
     scene = bundle.scene
     if bundle.grid.dims != scene.dims:
@@ -418,12 +425,13 @@ def train(
         truths.append({h: np.stack([train_ds.fields[i][h].values.reshape(-1)[cells] for i in members])
                        for h in heads})
 
-    # The rows Adam steps: receivers, plus stencil vertices without
-    # stop-gradient, and each grid vertex's row of that table.
+    # The rows Adam steps: receivers and source stencil vertices, and each
+    # grid vertex's row of that table. With stop-gradient a vertex that is
+    # no receiver gets zero gradient, so zero moments and a zero update.
+    used = stencils.weights > 0.0
     live = np.zeros(scene.dims, dtype=bool)
     live.reshape(-1)[np.concatenate(receivers)] = True
-    if not cfg.stop_gradient_at_source:
-        live[tuple(stencils.corners[stencils.weights > 0.0].T)] = True
+    live[tuple(stencils.corners[used].T)] = True
     live_cells = np.nonzero(live)
     row_of = np.full(scene.dims, -1)
     row_of[live_cells] = np.arange(len(live_cells[0]))
@@ -431,6 +439,9 @@ def train(
     # of all rows would copy them on each read and make each step's add
     # about 10x slower (24 against 2.4 us for 365 rows of 8).
     at = [slice(None) if len(cells) == len(live_cells[0]) else row_of.reshape(-1)[cells] for cells in receivers]
+    # Each source's stencil as table rows; an unused slot reads row 0 at
+    # weight 0, which adds a zero as every row is finite.
+    stencil_rows = np.where(used, row_of[tuple(stencils.corners.transpose(2, 0, 1))], 0)
     table = bundle.grid.values[live_cells]
     params = {"grid": table, **bundle.head.trainable()}
     lrs = {name: (cfg.lr_grid if name == "grid" else cfg.lr_decoder) for name in params}
@@ -447,42 +458,46 @@ def train(
             batch = order[b0 : b0 + cfg.batch_sources]
             # each source's squared error is a mean over its receivers
             denom = (counts[batch] * float(len(heads) * len(batch)))[:, None]
-            U = _stencils_of(stencils, batch).sample(bundle.grid.values)
-            grads = {"grid": np.zeros_like(table)}
+            U = (stencils.weights[batch, None, :] @ table.take(stencil_rows[batch], axis=0))[:, 0]
+            grid_grad, grads = np.zeros_like(table), None
             gU = np.empty_like(U)
             batch_loss = 0.0
             keys = set_of[batch]
             for k in dict.fromkeys(keys.tolist()):
                 block = np.flatnonzero(keys == k)
+                rows, d = row_in_set[batch[block]], denom[block]
+                half_d = d * 0.5  # r / (d / 2) is 2 r / d to the bit
                 preds, cache = bundle.head.forward(U[block], table[at[k]])
                 upstream = {}
                 for h in heads:
-                    r = preds[h] - truths[k][h][row_in_set[batch[block]]]
+                    r = preds[h] - truths[k][h][rows]
                     sq = r * r
-                    sq /= denom[block]
-                    batch_loss += float(np.sum(sq))
-                    r *= 2.0
-                    r /= denom[block]
-                    upstream[h] = r
+                    sq /= d
+                    batch_loss += float(sq.sum())
+                    upstream[h] = np.divide(r, half_d, out=r)
                 gU[block], gV, head_grads = bundle.head.backward(cache, upstream)
-                grads["grid"][at[k]] += gV
-                for name, g in head_grads.items():
-                    grads[name] = grads[name] + g if name in grads else g
+                grid_grad[at[k]] += gV
+                if grads is None:
+                    grads = head_grads
+                else:
+                    for name, g in head_grads.items():
+                        grads[name] += g
+            grads["grid"] = grid_grad
             if not cfg.stop_gradient_at_source:  # by source index, as one scatter of every source adds them
                 by_index = np.argsort(batch)
-                _stencils_of(stencils, batch[by_index]).backward(gU[by_index], grads["grid"], row_of)
+                _stencils_of(stencils, batch[by_index]).backward(gU[by_index], grid_grad, row_of)
             if not np.isfinite(batch_loss):
                 bundle.restore(last_good)
                 raise DivergenceError(
                     f"non-finite loss at epoch {epoch}", last_good=last_good
                 )
             opt.step(grads)
-            bundle.grid.values[live_cells] = table
             epoch_loss += batch_loss
             n_batches += 1
         epoch_loss /= max(n_batches, 1)
 
         if cfg.eval_interval and (epoch % cfg.eval_interval == 0 or epoch == cfg.epochs):
+            bundle.grid.values[live_cells] = table
             val_mae = evaluate_mae(bundle, val_ds) if val_ds is not None else None
             mean_val = (
                 float(np.mean(list(val_mae.values()))) if val_mae is not None else None
@@ -499,6 +514,7 @@ def train(
             result.history.append((epoch, bundle.group, epoch_loss, mean_val))
         else:
             result.history.append((epoch, bundle.group, epoch_loss, None))
+    bundle.grid.values[live_cells] = table
     return result
 
 

@@ -531,6 +531,31 @@ def levels_decode(model, U, V, upstream):
     return out, gU + dU, gV + dV, grads
 
 
+def midpoint_diag_decode(decoder, U, V, upstream):
+    """The ``riemann-diag`` block decode from per-pair midpoints: each pair's
+    ``lambda = 1 + W m`` from its midpoint row ``m``, and the adjoint's
+    per-pair midpoint gradient ``g_m = g_lambda W``, split half to each
+    side, and weight gradient ``g_lambda^T M``: ``(out, gU, gV, gW)``. The
+    differential oracle of ``DiagDecoder``'s per-side products."""
+    U, V = np.atleast_2d(U), np.atleast_2d(V)
+    (B, n), R = U.shape, len(V)
+    U_pairs = np.repeat(U, R, axis=0).reshape(B, R, n)
+    M = U_pairs + V
+    M *= 0.5
+    delta = np.subtract(U_pairs, V, out=U_pairs)
+    M, delta = M.reshape(B * R, n), delta.reshape(B * R, n)
+    lam = M @ decoder.weights.T
+    lam += 1.0
+    y = lam * delta
+    d = np.sqrt(np.einsum("ij,ij->i", y, y))
+    gy = masked_norm_adjoint(y, np.broadcast_to(upstream, (B, R)).reshape(-1))
+    g_delta, g_lam = lam * gy, delta * gy
+    half_gm = 0.5 * (g_lam @ decoder.weights)
+    gU = (g_delta + half_gm).reshape(B, R, n).sum(axis=1)
+    gV = (half_gm - g_delta).reshape(B, R, n).sum(axis=0)
+    return d.reshape(B, R), gU, gV, g_lam.T @ M
+
+
 class Adam:
     """Adam with one pair of moment arrays per parameter, each step written
     as plain array expressions."""

@@ -91,6 +91,29 @@ def test_eval_corrupted_checkpoint_exit_code(tmp_path, capsys, monkeypatch):
         assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_query_checkpoint_of_another_grid_exit_code(tmp_path, capsys, monkeypatch):
+    """A checkpoint trained on an 8x4x8 box at spacing 1.0 decodes latents of
+    other voxel positions on an 8x4x8 box at spacing 0.5, or with another
+    origin: ``query`` refuses it as a format error, like other dims."""
+    monkeypatch.chdir(tmp_path)
+    scene_path = tmp_path / "box.scn"
+    run(["scene", "gen", "--kind", "empty-box", "--dims", "8x4x8", "--out", str(scene_path)])
+    ckpt = tmp_path / "model.ckpt"
+    fileio.save_checkpoint(ckpt, sp.make_bundle(fileio.read_scene(scene_path)[0], "distance", "euclidean", 2))
+    query = ["query", "--distance", str(ckpt), "--a", "1.2,1,1.3", "--b", "2.1,1.1,2.2"]
+    assert run([*query, "--scene", str(scene_path)]) == 0
+    fine = tmp_path / "fine.scn"
+    run(["scene", "gen", "--kind", "empty-box", "--dims", "8x4x8", "--spacing", "0.5", "--out", str(fine)])
+    moved = tmp_path / "moved.scn"
+    blob = scene_path.read_bytes()
+    assert b"origin=0.0,0.0,0.0" in blob
+    moved.write_bytes(blob.replace(b"origin=0.0,0.0,0.0", b"origin=0.25,0.0,0.0", 1))
+    for other in (fine, moved):
+        capsys.readouterr()
+        assert run([*query, "--scene", str(other)]) == 3
+        assert "spacing or origin" in capsys.readouterr().err
+
+
 def test_scene_gen_and_bake_single_source(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     scene_path = tmp_path / "box.scn"

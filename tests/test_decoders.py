@@ -19,7 +19,7 @@ from soundprop.decoders import (
 )
 from soundprop.errors import ConfigurationError
 
-from oracles import levels_decode, masked_norm_adjoint, masked_sigmoid, norm_decode
+from oracles import levels_decode, masked_norm_adjoint, masked_sigmoid, midpoint_diag_decode, norm_decode
 
 FAMILIES = ("euclidean", "riemann-psd", "riemann-diag", "mlp")
 
@@ -638,3 +638,49 @@ def test_block_backward_matches_finite_differences(name, model):
             fd = (fp - fm) / (2 * eps)
             worst = max(worst, abs(fd - an) / max(abs(fd), abs(an), 1e-4))
     assert worst <= 1e-5
+
+
+DIAG_BLOCKS = [(B, R) for B in BLOCK_SIZES for R in BLOCK_SIZES] + [(4, 365)]
+
+
+def _diag_decoder(rng, n=8):
+    decoder = make_distance_decoder("riemann-diag", n, seed=7)
+    decoder.weights += rng.normal(0.0, 0.1, size=decoder.weights.shape)
+    return decoder
+
+
+@pytest.mark.parametrize("B,R", DIAG_BLOCKS)
+def test_diag_block_matches_the_midpoint_oracle(B, R):
+    """The per-side ``riemann-diag`` block against the per-pair-midpoint
+    decode it replaced (``midpoint_diag_decode``): outputs, ``gU`` and
+    ``gV`` entry by entry to 1e-12 relative. ``gW`` holds to 1e-12 of its
+    largest entry: per side it is ``[(sum_r g_lambda)^T U + (sum_s
+    g_lambda)^T V] / 2``, two side sums whose terms largely cancel, so a
+    small entry keeps only the absolute error of the large terms."""
+    rng = np.random.default_rng(B * 100 + R)
+    decoder = _diag_decoder(rng)
+    U, V = rng.normal(size=(B, 8)), rng.normal(size=(R, 8))
+    V[: min(B, R) : 3] = U[: min(B, R) : 3]  # a few coincident pairs
+    up = rng.normal(size=(B, R))
+    out, cache = decoder.forward(U, V)
+    gU, gV, grads = decoder.backward(cache, up)
+    ref, rU, rV, rW = midpoint_diag_decode(decoder, U, V, up)
+    for got, want in ((out, ref), (gU, rU), (gV, rV)):
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+    assert np.all(np.abs(grads["weights"] - rW) <= 1e-12 * np.abs(rW).max())
+
+
+def test_diag_lambda_has_one_value_per_pair():
+    """A pair's ``lambda`` has the same bits in both input orders and in
+    every block of two or more pairs that holds it."""
+    rng = np.random.default_rng(8)
+    decoder = _diag_decoder(rng)
+    U, V = rng.normal(size=(13, 8)), rng.normal(size=(365, 8))
+    whole = decoder._lam(U, V).reshape(13, 365, 8)
+    for B, R in DIAG_BLOCKS:
+        if B * R < 2:
+            continue
+        lam = decoder._lam(U[:B], V[:R]).reshape(B, R, 8)
+        swapped = decoder._lam(V[:R], U[:B]).reshape(R, B, 8)
+        assert np.array_equal(lam, np.swapaxes(swapped, 0, 1)), (B, R)
+        assert np.array_equal(lam, whole[:B, :R]), (B, R)

@@ -10,11 +10,18 @@ import soundprop as sp
 from soundprop import fileio
 
 from oracles import loop_synth_fields
+import precompute_digests
 from precompute_digests import DIGESTS, configuration, digests
 import eval_digests
 import query_digests
 import train_digests
 import write_digests
+
+
+def _regenerate(module) -> str:
+    """The command that rewrites a digest file, for the failure messages."""
+    return (f"; after an intended change only, regenerate with "
+            f"`PYTHONPATH=src python tests/{module.__name__}.py` and record it in CHANGES.md")
 
 
 def test_precompute_digests_are_pinned(tmp_path):
@@ -27,7 +34,7 @@ def test_precompute_digests_are_pinned(tmp_path):
     changed = sorted(name for name in got if got[name] != record["files"][name])
     assert not changed, (
         f"{len(changed)} files differ from the digests made with numpy {record['numpy']} and "
-        f"{record['blas']} (running {configuration()}), first {changed[:3]}"
+        f"{record['blas']} (running {configuration()}), first {changed[:3]}" + _regenerate(precompute_digests)
     )
     scene = fileio.read_scene(tmp_path / "gym.scn")[0]
     for pi_path in sorted((tmp_path / "fields").glob("src*_pi.fld")):
@@ -47,7 +54,7 @@ def test_query_digests_are_pinned():
     changed = sorted(name for name in got if got[name] != record["digests"][name])
     assert not changed, (
         f"{len(changed)} digests differ from those made with numpy {record['numpy']} and "
-        f"{record['blas']} (running {configuration()}): {changed}"
+        f"{record['blas']} (running {configuration()}): {changed}" + _regenerate(query_digests)
     )
 
 
@@ -60,7 +67,7 @@ def test_train_digests_are_pinned():
     changed = sorted(name for name in got if got[name] != record["digests"][name])
     assert not changed, (
         f"{len(changed)} digests differ from those made with numpy {record['numpy']} and "
-        f"{record['blas']} (running {configuration()}): {changed}"
+        f"{record['blas']} (running {configuration()}): {changed}" + _regenerate(train_digests)
     )
 
 
@@ -73,7 +80,7 @@ def test_write_digests_are_pinned(tmp_path):
     changed = sorted(name for name in got if got[name] != record["files"][name])
     assert not changed, (
         f"{len(changed)} files differ from the digests made with numpy {record['numpy']} and "
-        f"{record['blas']} (running {configuration()}): {changed}"
+        f"{record['blas']} (running {configuration()}): {changed}" + _regenerate(write_digests)
     )
 
 
@@ -86,5 +93,5 @@ def test_eval_digests_are_pinned(tmp_path):
     changed = sorted(name for name in got if got[name] != record["files"][name])
     assert not changed, (
         f"{len(changed)} files differ from the digests made with numpy {record['numpy']} and "
-        f"{record['blas']} (running {configuration()}): {changed}"
+        f"{record['blas']} (running {configuration()}): {changed}" + _regenerate(eval_digests)
     )

@@ -630,7 +630,10 @@ def test_train_is_bit_identical_to_the_two_forward_reference(box_scene, five_sou
 def test_batch_source_latents_equal_the_stencil_sample_rows(box_scene, five_source_ds, stop):
     """A batch samples only its own sources' latents, on and off voxel
     centres, once each: the block's source rows equal those of
-    ``InterpBatch.sample`` over every source at that step, to the bit."""
+    ``InterpBatch.sample`` over every source at that step, to the bit.
+    Training writes the grid back only at its end, so the grid at a step
+    is the initial one with the step's receiver rows, every free voxel's,
+    written in."""
     cfg = sp.TrainConfig(epochs=3, batch_sources=2, eval_interval=0, seed=4,
                          stop_gradient_at_source=stop)
     bundle = sp.make_bundle(box_scene, "levels", "riemann-diag", 4, seed=1)
@@ -642,7 +645,9 @@ def test_batch_source_latents_equal_the_stencil_sample_rows(box_scene, five_sour
 
     def forward(U, V):
         batch = batches[len(seen)]
-        expected = stencils.sample(bundle.grid.values)[batch]
+        grid = bundle.grid.values.copy()
+        grid[box_scene.free_mask()] = V
+        expected = stencils.sample(grid)[batch]
         seen.append(np.array_equal(U, expected))
         return real(U, V)
 

@@ -4,11 +4,12 @@ for the Tier-1 digest gate.
 Runs ``scene gen``, ``sources sample --splits`` and ``bake`` (train,
 validation and test fields) through the CLI on one seeded 10x4x10
 wall-with-aperture scene, then per case below a ``train`` with
-``--val-fields`` and ``--log`` that evaluates the validation MAE every
-two epochs and keeps the best checkpoint, and an ``eval`` of that
-checkpoint on the test fields. It digests each training's log CSV (the
-``val_mae`` column at every eval interval), its checkpoint and its
-``eval`` CSV. It runs in a few seconds.
+``--val-fields``, ``--log`` and ``--dump-checkpoints`` that evaluates the
+validation MAE every two epochs and keeps the best checkpoint, and an
+``eval`` of that checkpoint on the test fields. It digests each
+training's log CSV (the ``val_mae`` column at every eval interval), its
+checkpoint, the checkpoint it dumped at each eval and its ``eval`` CSV.
+It runs in a few seconds.
 
 Regenerate the committed digests, after an intended output change only,
 with::
@@ -50,10 +51,12 @@ def write_files(work: Path) -> list:
     for name, (group, family) in CASES.items():
         _cli("train", "--scene", work / "room.scn", "--train-fields", work / "ftrain",
              "--val-fields", work / "fval", "--group", group, "--family", family, *TRAIN,
-             "--out", work / f"{name}.ckpt", "--log", work / f"{name}-log.csv")
+             "--out", work / f"{name}.ckpt", "--log", work / f"{name}-log.csv",
+             "--dump-checkpoints", work / f"{name}-dump")
         _cli("eval", "--scene", work / "room.scn", "--checkpoint", work / f"{name}.ckpt",
              "--fields", work / "ftest", "--out", work / f"{name}-eval.csv")
         names += [f"{name}-log.csv", f"{name}.ckpt", f"{name}-eval.csv"]
+        names += sorted(p.relative_to(work).as_posix() for p in (work / f"{name}-dump").iterdir())
     return names
 
 

@@ -21,8 +21,7 @@ print(f"{'decoder':14s} {'n':>3s} {'test MAE (m)':>13s} {'time':>7s}")
 for family, n in (("euclidean", 8), ("riemann-diag", 8)):
     t0 = time.perf_counter()
     bundle = sp.make_bundle(scene, "distance", family, n, seed=0)
-    result = sp.train(bundle, train_ds, cfg, val_ds=val_ds)
-    bundle.restore(sp.select_best(result.checkpoints)["params"])
+    sp.train(bundle, train_ds, cfg, val_ds=val_ds)
     mae = sp.evaluate_mae(bundle, test_ds)["pi"]
     print(f"{family:14s} {n:3d} {mae:13.3f} {time.perf_counter() - t0:6.1f}s")
 

@@ -21,8 +21,7 @@ bundles = {}
 for group, family in (("distance", "euclidean"), ("levels", "euclidean"),
                       ("decays", "dot-product")):
     bundle = sp.make_bundle(scene, group, family, 4, seed=0)
-    result = sp.train(bundle, train_ds, cfg, val_ds=val_ds)
-    bundle.restore(sp.select_best(result.checkpoints)["params"])
+    sp.train(bundle, train_ds, cfg, val_ds=val_ds)
     bundles[group] = bundle
 
 a = scene.voxel_center((2, 1, 2))

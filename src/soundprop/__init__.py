@@ -77,10 +77,8 @@ from .training import (
     evaluate_mae,
     make_bundle,
     make_splits,
-    mse_loss,
     predict_fields,
     sample_sources,
-    select_best,
     train,
 )
 

@@ -59,7 +59,6 @@ from .training import (
     make_bundle,
     make_splits,
     sample_sources,
-    select_best,
     train,
 )
 
@@ -224,21 +223,19 @@ def _cmd_train(args):
         seed=args.seed,
         eval_interval=args.eval_interval,
     )
-    result = train(bundle, train_ds, cfg, val_ds=val_ds)
     outputs = []
+    dump = None
     if args.dump_checkpoints:
         dump_dir = Path(args.dump_checkpoints)
         with _writing(dump_dir):
             dump_dir.mkdir(parents=True, exist_ok=True)
-        snapshot = bundle.snapshot()
-        for ck in result.checkpoints:
-            bundle.restore(ck["params"])
-            path = dump_dir / f"epoch{ck['epoch']:06d}.ckpt"
-            save_checkpoint(path, bundle, extra={"epoch": ck["epoch"], "seed": args.seed})
+
+        def dump(epoch):
+            path = dump_dir / f"epoch{epoch:06d}.ckpt"
+            save_checkpoint(path, bundle, extra={"epoch": epoch, "seed": args.seed})
             outputs.append(path)
-        bundle.restore(snapshot)
-    if val_ds is not None and result.checkpoints:
-        bundle.restore(select_best(result.checkpoints)["params"])
+
+    result = train(bundle, train_ds, cfg, val_ds=val_ds, on_eval=dump)
     save_checkpoint(args.out, bundle, extra={"epochs": args.epochs, "seed": args.seed})
     outputs.append(args.out)
     if args.log:

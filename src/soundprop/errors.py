@@ -32,7 +32,8 @@ class DegenerateGradientError(InputError):
 class DivergenceError(SoundPropError):
     """Training produced a non-finite loss.
 
-    Carries the last finite-loss parameter snapshot so callers can recover.
+    Carries the snapshot training had kept, the parameters it restored
+    before raising, so callers can recover.
     """
 
     def __init__(self, message, last_good=None):

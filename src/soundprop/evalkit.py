@@ -14,7 +14,6 @@ from .training import (
     TrainConfig,
     evaluate_mae,
     make_bundle,
-    select_best,
     train,
 )
 
@@ -118,9 +117,7 @@ def ablation_run(
         for n in n_values:
             try:
                 bundle = make_bundle(scene, group, family, n, seed=cfg.seed)
-                result = train(bundle, train_ds, cfg, val_ds=val_ds)
-                best = select_best(result.checkpoints)
-                bundle.restore(best["params"])
+                train(bundle, train_ds, cfg, val_ds=val_ds)
                 maes = evaluate_mae(bundle, test_ds)
                 report = cost_report(scene.dims, n, model=bundle.head.decoder)
                 for head, mae in maes.items():

@@ -22,7 +22,7 @@ import numpy as np
 from .decoders import DecaysModel, DistanceModel, LevelsModel, make_distance_decoder
 from .errors import ConfigurationError, DivergenceError, InputError
 from .latentfield import RESOLVED, InterpBatch, LatentGrid, init_latent_grid, interp_points
-from .oracle import PARAM_KINDS, FieldVolume, bake_source, mae_field, valid_pairs
+from .oracle import PARAM_KINDS, FieldVolume, bake_source, mae_field
 from .scene import VoxelScene, _segment_cells, _walk
 
 GROUP_HEADS = {
@@ -282,13 +282,6 @@ def build_dataset(scene: VoxelScene, sources, split: str = "train") -> Dataset:
 # ---------------------------------------------------------------------------
 
 
-def mse_loss(pred: FieldVolume, truth: FieldVolume) -> float:
-    """Mean squared error over voxels valid in both fields."""
-    p, t = valid_pairs(pred, truth)
-    diff = p - t
-    return float(np.mean(diff * diff))
-
-
 def _source_stencils(scene: VoxelScene, sources) -> InterpBatch:
     """Stencils the source latents are read from. A source within
     ``1e-9 * spacing`` of a free voxel's centre on every axis reads that
@@ -370,7 +363,6 @@ def evaluate_mae(bundle: ModelBundle, ds: Dataset) -> dict[str, float]:
 class TrainResult:
     bundle: ModelBundle
     history: list = field(default_factory=list)  # (epoch, group, loss, val_mae)
-    checkpoints: list = field(default_factory=list)
 
 
 def train(
@@ -378,14 +370,25 @@ def train(
     train_ds: Dataset,
     cfg: TrainConfig = TrainConfig(),
     val_ds: Dataset | None = None,
+    on_eval=None,
 ) -> TrainResult:
-    """Minimize the per-source field MSE with two-tier learning rates.
+    """Minimize the per-source field MSE with two-tier learning rates, and
+    leave the bundle holding the eval it selects.
 
     Decoder parameters use ``lr_decoder``; the latent grid uses the smaller
     ``lr_grid``. Gradients reaching the source-position latent through the
     source lookup are dropped when ``stop_gradient_at_source`` is set.
-    Raises ``DivergenceError`` (carrying the last finite snapshot) if the
-    loss goes non-finite.
+
+    Every ``eval_interval`` epochs and at the last epoch the run evaluates
+    the mean validation MAE and calls ``on_eval(epoch)``, if given, while
+    the bundle holds that eval's parameters. It keeps one snapshot: the
+    entry state until the first eval, then the eval with the lowest mean
+    validation MAE (the earliest on ties), or the latest eval when there
+    is no validation set. At the end the bundle is restored to it; with
+    ``eval_interval`` 0 nothing is evaluated and the bundle keeps its final
+    parameters. If the loss goes non-finite the bundle is restored to the
+    kept snapshot and ``DivergenceError`` is raised carrying it as
+    ``last_good``.
 
     A batch decodes its sources as one block against their shared
     receivers (one block per receiver set, in order of first appearance,
@@ -448,7 +451,7 @@ def train(
     opt = Adam(params, lrs)
     rng = np.random.default_rng(cfg.seed)
     result = TrainResult(bundle=bundle)
-    last_good = bundle.snapshot()
+    kept, kept_mae = bundle.snapshot(), None
 
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(len(train_ds))
@@ -487,10 +490,8 @@ def train(
                 by_index = np.argsort(batch)
                 _stencils_of(stencils, batch[by_index]).backward(gU[by_index], grid_grad, row_of)
             if not np.isfinite(batch_loss):
-                bundle.restore(last_good)
-                raise DivergenceError(
-                    f"non-finite loss at epoch {epoch}", last_good=last_good
-                )
+                bundle.restore(kept)
+                raise DivergenceError(f"non-finite loss at epoch {epoch}", last_good=kept)
             opt.step(grads)
             epoch_loss += batch_loss
             n_batches += 1
@@ -502,31 +503,15 @@ def train(
             mean_val = (
                 float(np.mean(list(val_mae.values()))) if val_mae is not None else None
             )
-            result.checkpoints.append(
-                {
-                    "epoch": epoch,
-                    "params": bundle.snapshot(),
-                    "val_mae": val_mae,
-                    "mean_val_mae": mean_val,
-                }
-            )
-            last_good = result.checkpoints[-1]["params"]
+            if kept_mae is None or mean_val < kept_mae:  # unscored (no validation set), first or better
+                kept, kept_mae = bundle.snapshot(), mean_val
             result.history.append((epoch, bundle.group, epoch_loss, mean_val))
+            if on_eval is not None:
+                on_eval(epoch)
         else:
             result.history.append((epoch, bundle.group, epoch_loss, None))
-    bundle.grid.values[live_cells] = table
+    if cfg.eval_interval:  # the last epoch evals, so the kept snapshot is an eval's
+        bundle.restore(kept)
+    else:
+        bundle.grid.values[live_cells] = table
     return result
-
-
-def select_best(checkpoints: list) -> dict:
-    """Checkpoint with the lowest mean validation MAE (earliest on ties)."""
-    if not checkpoints:
-        raise InputError("no checkpoints to select from")
-    scored = [c for c in checkpoints if c.get("mean_val_mae") is not None]
-    if not scored:
-        return checkpoints[-1]
-    best = scored[0]
-    for c in scored[1:]:
-        if c["mean_val_mae"] < best["mean_val_mae"]:
-            best = c
-    return best

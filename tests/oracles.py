@@ -650,6 +650,23 @@ def reference_train(bundle, ds, cfg) -> list:
     return losses
 
 
+def select_from_every_eval(bundle, train_ds, cfg, val_ds) -> int:
+    """``training.train`` with the selection it made from a list of
+    snapshots: one snapshot per eval, collected through ``on_eval``, then
+    the eval with the lowest mean validation MAE, the earliest on ties,
+    restored into ``bundle``. Returns that eval's epoch."""
+    snapshots = {}
+    result = sp.train(bundle, train_ds, cfg, val_ds=val_ds,
+                      on_eval=lambda epoch: snapshots.setdefault(epoch, bundle.snapshot()))
+    scored = [(epoch, mae) for epoch, _, _, mae in result.history if epoch in snapshots]
+    best = scored[0]
+    for epoch, mae in scored[1:]:
+        if mae < best[1]:
+            best = (epoch, mae)
+    bundle.restore(snapshots[best[0]])
+    return best[0]
+
+
 def per_source_train(bundle, ds, cfg) -> None:
     """``training.train`` source by source, in place on ``bundle``: one
     decode, one backward and one ``np.add.at`` scatter per source, with the

@@ -40,8 +40,7 @@ def small_box_run():
     test_ds = sp.build_dataset(scene, test_s, "test")
     t0 = time.perf_counter()
     bundle = sp.make_bundle(scene, "distance", "euclidean", 4, seed=0)
-    result = sp.train(bundle, train_ds, sp.TrainConfig(epochs=2000, seed=0), val_ds=val_ds)
-    bundle.restore(sp.select_best(result.checkpoints)["params"])
+    sp.train(bundle, train_ds, sp.TrainConfig(epochs=2000, seed=0), val_ds=val_ds)
     elapsed = time.perf_counter() - t0
     return scene, bundle, test_ds, elapsed
 
@@ -59,10 +58,7 @@ def wall_runs():
     for family in ("euclidean", "riemann-diag"):
         for n in (4, 8, 16):
             bundle = sp.make_bundle(scene, "distance", family, n, seed=0)
-            result = sp.train(
-                bundle, train_ds, sp.TrainConfig(epochs=2000, seed=0), val_ds=val_ds
-            )
-            bundle.restore(sp.select_best(result.checkpoints)["params"])
+            sp.train(bundle, train_ds, sp.TrainConfig(epochs=2000, seed=0), val_ds=val_ds)
             maes[(family, n)] = sp.evaluate_mae(bundle, test_ds)["pi"]
     elapsed = time.perf_counter() - t0
     return maes, elapsed
@@ -76,8 +72,7 @@ def doa_box_run():
     train_ds = sp.build_dataset(scene, train_s, "train")
     val_ds = sp.build_dataset(scene, val_s, "val")
     bundle = sp.make_bundle(scene, "distance", "euclidean", 4, seed=0)
-    result = sp.train(bundle, train_ds, sp.TrainConfig(epochs=2000, seed=0), val_ds=val_ds)
-    bundle.restore(sp.select_best(result.checkpoints)["params"])
+    sp.train(bundle, train_ds, sp.TrainConfig(epochs=2000, seed=0), val_ds=val_ds)
     return scene, bundle, test_s
 
 

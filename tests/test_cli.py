@@ -6,7 +6,7 @@ import pytest
 
 import soundprop as sp
 from soundprop import fileio
-from soundprop.cli import build_parser, main
+from soundprop.cli import _load_field_dataset, build_parser, main
 from soundprop.oracle import PARAM_KINDS
 
 
@@ -223,6 +223,26 @@ def test_ablate_command(tmp_path, monkeypatch):
         assert row.split(",")[-1] == ""  # no cell errors
 
 
+def test_ablate_without_evals_scores_each_final_model(tmp_path, monkeypatch):
+    """With ``--eval-interval 0`` nothing is evaluated during training, and
+    each cell reports the test MAE of the model its training ends with."""
+    monkeypatch.chdir(tmp_path)
+    scene_path = tmp_path / "box.scn"
+    run(["scene", "gen", "--kind", "empty-box", "--dims", "6x3x6", "--out", str(scene_path)])
+    (tmp_path / "s.txt").write_text("1.0 1.0 1.0\n4.0 1.0 3.0\n2.0 1.0 4.0\n")
+    run(["bake", "--scene", str(scene_path), "--sources", "s.txt", "--out-dir", "fields"])
+    assert run(["ablate", "--scene", str(scene_path), "--train-fields", "fields",
+                "--val-fields", "fields", "--test-fields", "fields", "--families", "euclidean",
+                "--n-values", "2", "--epochs", "3", "--eval-interval", "0", "--out", "a.csv"]) == 0
+    header, *rows = [line.split(",") for line in (tmp_path / "a.csv").read_text().splitlines()]
+    assert [row[header.index("error")] for row in rows] == [""]
+    scene = fileio.read_scene(scene_path)[0]
+    ds = _load_field_dataset(scene, tmp_path / "fields", "train")
+    bundle = sp.make_bundle(scene, "distance", "euclidean", 2)
+    sp.train(bundle, ds, sp.TrainConfig(epochs=3, eval_interval=0))
+    assert float(rows[0][header.index("mae")]) == sp.evaluate_mae(bundle, ds)["pi"]
+
+
 def test_train_byte_identical_and_periodic_checkpoints(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     scene_path = tmp_path / "box.scn"
@@ -401,7 +421,6 @@ def test_query_command_reciprocal(tmp_path, capsys, monkeypatch):
 
 
 def test_field_sets_load_in_numeric_source_order(tmp_path):
-    from soundprop.cli import _load_field_dataset
     from soundprop.errors import InputError
 
     scene = sp.build_scene(sp.SceneSpec(kind="empty-box", dims=(6, 4, 6)))

@@ -64,7 +64,7 @@ def test_sample_sources_fewer_free_than_initial_batch():
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_divergence_raises_and_rolls_back(box_scene):
+def test_divergence_raises_and_rolls_back(box_scene, selection_run):
     sources = [box_scene.voxel_center((2, 1, 2)), box_scene.voxel_center((5, 2, 5))]
     ds = sp.build_dataset(box_scene, sources)
     bundle = sp.make_bundle(box_scene, "distance", "euclidean", 3, seed=0)
@@ -79,6 +79,25 @@ def test_divergence_raises_and_rolls_back(box_scene):
     assert exc.value.last_good is not None
     for name, arr in bundle.trainable().items():
         assert np.array_equal(arr, entry[name], equal_nan=True)
+
+    # After scored evals it rolls back to the best eval so far, epoch 4,
+    # not to the latest: a NaN decoder weight set at the epoch-10 eval
+    # makes epoch 11 diverge.
+    train_ds, val_ds, cfg = selection_run
+    bundle = sp.make_bundle(box_scene, "distance", "riemann-diag", 4, seed=0)
+    snapshots = {}
+
+    def poison_at_10(epoch):
+        snapshots[epoch] = bundle.snapshot()
+        if epoch == 10:
+            next(iter(bundle.head.trainable().values())).flat[0] = np.nan
+
+    with pytest.raises(DivergenceError, match="epoch 11") as exc:
+        sp.train(bundle, train_ds, cfg, val_ds=val_ds, on_eval=poison_at_10)
+    for name, arr in bundle.trainable().items():
+        assert np.array_equal(arr, snapshots[4][name]), name
+        assert np.array_equal(exc.value.last_good[name], arr), name
+    assert not np.array_equal(bundle.grid.values, snapshots[10]["grid"])
 
 
 def test_window_config_validation():

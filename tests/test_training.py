@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,7 +11,13 @@ from soundprop import training
 from soundprop.training import GROUP_HEADS
 
 from oracles import Adam as PerArrayAdam
-from oracles import full_visibility_sources, per_source_sampler, per_source_train, reference_train
+from oracles import (
+    full_visibility_sources,
+    per_source_sampler,
+    per_source_train,
+    reference_train,
+    select_from_every_eval,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -94,53 +103,6 @@ def test_dataset_pi_reciprocity(box_scene):
     assert ds.fields[0]["pi"].values[b_idx] == pytest.approx(
         ds.fields[1]["pi"].values[a_idx], abs=1e-9
     )
-
-
-# ---------------------------------------------------------------------------
-# Loss
-# ---------------------------------------------------------------------------
-
-
-def _field_from(box_scene, values):
-    return FieldVolume(
-        source=box_scene.voxel_center((4, 2, 4)),
-        kind="level",
-        values=values,
-        spacing=box_scene.spacing,
-        origin=box_scene.origin,
-    )
-
-
-def test_mse_loss_examples(box_scene):
-    base = np.where(box_scene.free_mask(), 1.0, np.nan)
-    truth = _field_from(box_scene, base)
-    assert sp.mse_loss(truth, truth) == 0.0
-    offset = _field_from(box_scene, base + 2.0)
-    assert sp.mse_loss(offset, truth) == pytest.approx(4.0, abs=1e-12)
-
-
-def test_mse_loss_matches_two_loop_reference(box_scene):
-    rng = np.random.default_rng(0)
-    a = np.where(box_scene.free_mask(), rng.normal(size=box_scene.dims), np.nan)
-    b = np.where(box_scene.free_mask(), rng.normal(size=box_scene.dims), np.nan)
-    total = 0.0
-    count = 0
-    nx, ny, nz = box_scene.dims
-    for i in range(nx):
-        for j in range(ny):
-            for k in range(nz):
-                if np.isfinite(a[i, j, k]) and np.isfinite(b[i, j, k]):
-                    total += (a[i, j, k] - b[i, j, k]) ** 2
-                    count += 1
-    expected = total / count
-    got = sp.mse_loss(_field_from(box_scene, a), _field_from(box_scene, b))
-    assert got == pytest.approx(expected, abs=1e-12)
-
-
-def test_mse_loss_no_valid_voxels(box_scene):
-    empty = _field_from(box_scene, np.full(box_scene.dims, np.nan))
-    with pytest.raises(InputError):
-        sp.mse_loss(empty, empty)
 
 
 # ---------------------------------------------------------------------------
@@ -322,21 +284,60 @@ def test_adam_on_a_row_table_matches_the_full_grid():
     assert np.array_equal(full["grid"].reshape(64, 3)[dead], grid.reshape(64, 3)[dead])
 
 
-def test_select_best_rules():
-    with pytest.raises(InputError):
-        sp.select_best([])
-    cks = [
-        {"epoch": e, "params": {}, "mean_val_mae": m}
-        for e, m in ((1, 0.9), (2, 0.5), (3, 0.5), (4, 0.7))
-    ]
-    best = sp.select_best(cks)
-    assert best["epoch"] == 2  # earliest of the tied minima
-    single = [{"epoch": 1, "params": {}, "mean_val_mae": 1.0}]
-    assert sp.select_best(single)["epoch"] == 1
-    monotone = [
-        {"epoch": e, "params": {}, "mean_val_mae": 1.0 / e} for e in (1, 2, 3)
-    ]
-    assert sp.select_best(monotone)["epoch"] == 3
+def test_train_keeps_the_eval_a_snapshot_per_eval_selects(box_scene, selection_run):
+    """``train`` leaves the bundle holding, bit for bit, the eval that one
+    snapshot per eval and the earliest-minimum rule select, on a run whose
+    best eval is not its last."""
+    train_ds, val_ds, cfg = selection_run
+    got = sp.make_bundle(box_scene, "distance", "riemann-diag", 4, seed=0)
+    sp.train(got, train_ds, cfg, val_ds=val_ds)
+    want = sp.make_bundle(box_scene, "distance", "riemann-diag", 4, seed=0)
+    assert select_from_every_eval(want, train_ds, cfg, val_ds) == 4 < cfg.epochs
+    for name, arr in want.trainable().items():
+        assert np.array_equal(got.trainable()[name], arr), name
+
+
+def test_train_keeps_the_first_of_tied_evals(box_scene, selection_run, monkeypatch):
+    """With zero learning rates every eval ties and the bundle holds the
+    first eval's parameters. So it does when every eval scores alike while
+    the parameters move, and then they differ from the last eval's."""
+    train_ds, val_ds, cfg = selection_run
+    frozen = dataclasses.replace(cfg, lr_decoder=0.0, lr_grid=0.0)
+    for cfg, tie in ((frozen, False), (cfg, True)):
+        if tie:
+            monkeypatch.setattr(training, "evaluate_mae", lambda bundle, ds: {"pi": 1.0})
+        bundle = sp.make_bundle(box_scene, "distance", "riemann-diag", 4, seed=0)
+        snapshots = {}
+        result = sp.train(bundle, train_ds, cfg, val_ds=val_ds,
+                          on_eval=lambda epoch: snapshots.setdefault(epoch, bundle.snapshot()))
+        assert len({mae for _, _, _, mae in result.history if mae is not None}) == 1
+        for name, arr in bundle.trainable().items():
+            assert np.array_equal(arr, snapshots[cfg.eval_interval][name]), name
+    assert not np.array_equal(bundle.grid.values, snapshots[cfg.epochs]["grid"])
+
+
+def test_train_keeps_one_snapshot_however_often_it_evals(box_scene, selection_run):
+    """Once ``train`` has returned, a 20-epoch run that evaluates every
+    epoch holds no more traced memory than the same run evaluating once,
+    give or take one grid snapshot."""
+    train_ds, val_ds, _ = selection_run
+
+    def live_after(eval_interval):
+        bundle = sp.make_bundle(box_scene, "distance", "euclidean", 8, seed=0)
+        cfg = sp.TrainConfig(epochs=20, eval_interval=eval_interval, seed=0)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = sp.train(bundle, train_ds, cfg, val_ds=val_ds)
+            return tracemalloc.get_traced_memory()[0] - before, result
+        finally:
+            tracemalloc.stop()
+
+    live_after(20)  # first-call allocations
+    every, _ = live_after(1)
+    once, _ = live_after(20)
+    grid = np.zeros((*box_scene.dims, 8)).nbytes
+    assert every - once <= grid, (every, once, grid)
 
 
 def test_generalization_held_out_sources_finite(box_scene, box_datasets, trained_box_euclid4):
@@ -722,7 +723,7 @@ def test_evaluate_mae_without_common_valid_voxels_raises(box_scene):
                                spacing=box_scene.spacing, origin=box_scene.origin)
     ds = sp.Dataset(scene=box_scene, sources=[src], fields=[fields])
     bundle = sp.make_bundle(box_scene, "distance", "euclidean", 4, seed=0)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="no valid voxels to compare"):  # oracle.valid_pairs
         sp.evaluate_mae(bundle, ds)
 
 

@@ -302,10 +302,8 @@ def test_train_keeps_the_first_of_tied_evals(box_scene, selection_run, monkeypat
     first eval's parameters. So it does when every eval scores alike while
     the parameters move, and then they differ from the last eval's."""
     train_ds, val_ds, cfg = selection_run
-    frozen = dataclasses.replace(cfg, lr_decoder=0.0, lr_grid=0.0)
-    for cfg, tie in ((frozen, False), (cfg, True)):
-        if tie:
-            monkeypatch.setattr(training, "evaluate_mae", lambda bundle, ds: {"pi": 1.0})
+
+    def run(cfg):
         bundle = sp.make_bundle(box_scene, "distance", "riemann-diag", 4, seed=0)
         snapshots = {}
         result = sp.train(bundle, train_ds, cfg, val_ds=val_ds,
@@ -313,6 +311,11 @@ def test_train_keeps_the_first_of_tied_evals(box_scene, selection_run, monkeypat
         assert len({mae for _, _, _, mae in result.history if mae is not None}) == 1
         for name, arr in bundle.trainable().items():
             assert np.array_equal(arr, snapshots[cfg.eval_interval][name]), name
+        return bundle, snapshots
+
+    run(dataclasses.replace(cfg, lr_decoder=0.0, lr_grid=0.0))
+    monkeypatch.setattr(training, "evaluate_mae", lambda bundle, ds: {"pi": 1.0})
+    bundle, snapshots = run(cfg)
     assert not np.array_equal(bundle.grid.values, snapshots[cfg.epochs]["grid"])
 
 
@@ -329,7 +332,7 @@ def test_train_keeps_one_snapshot_however_often_it_evals(box_scene, selection_ru
         try:
             before = tracemalloc.get_traced_memory()[0]
             result = sp.train(bundle, train_ds, cfg, val_ds=val_ds)
-            return tracemalloc.get_traced_memory()[0] - before, result
+            return tracemalloc.get_traced_memory()[0] - before, result  # measured with the result alive
         finally:
             tracemalloc.stop()
 

@@ -6,7 +6,7 @@ import soundprop as sp
 truth = sp.AcousticParamSet(
     pi=12.0, l_ds=-14.0, l_er=-20.0, tau_er=0.45, tau_lr=1.1
 )
-ir = sp.synth_ir(truth, sp.SyntheticIRConfig(seed=42))
+ir = sp.synth_ir(truth, seed=42)
 got = sp.extract_params(ir)
 
 print(f"{'parameter':10s} {'truth':>10s} {'extracted':>10s}")

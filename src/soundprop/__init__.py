@@ -25,7 +25,6 @@ from .evalkit import CostReport, ablation_run, cost_report, doa_error, mae_field
 from .irparams import (
     AcousticParamSet,
     ImpulseResponse,
-    WindowConfig,
     arrival_and_distance,
     decay_time,
     doa_from_field,
@@ -39,7 +38,6 @@ from .irparams import (
 from .latentfield import InterpBatch, LatentGrid, init_latent_grid, interp_points
 from .oracle import (
     FieldVolume,
-    SyntheticIRConfig,
     bake_source,
     doa_field,
     geodesic_field,

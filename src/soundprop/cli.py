@@ -53,6 +53,7 @@ from .runtime import (
 from .scene import GEOMETRY_KEY, SceneSpec, build_scene
 from .training import (
     DEFAULT_FAMILY,
+    GROUP_HEADS,
     Dataset,
     TrainConfig,
     evaluate_mae,
@@ -268,9 +269,9 @@ def _cmd_eval(args):
 def _cmd_ablate(args):
     scene, _ = read_scene(args.scene)
     families = args.families.split(",")
-    # ``ablation_run`` records a cell's failure as data; refuse up front a
-    # family the group cannot use or a latent size below 1, which fail
-    # every cell they are in.
+    # Refuse a family the group cannot use or a latent size below 1 before
+    # any cell trains, not after the cells before it (``ablation_run``
+    # records only a diverging cell as data).
     for family in families:
         for n in args.n_values:
             make_bundle(scene, args.group, family, n)
@@ -436,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--scene", required=True)
     tr.add_argument("--train-fields", required=True)
     tr.add_argument("--val-fields", default=None)
-    tr.add_argument("--group", default="distance", choices=["distance", "levels", "decays"])
+    tr.add_argument("--group", default="distance", choices=list(GROUP_HEADS))
     tr.add_argument("--family", default=None,
                     help="decoder family (default: dot-product for decays, euclidean otherwise)")
     tr.add_argument("--n", type=int, default=8)
@@ -468,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     ab.add_argument("--test-fields", required=True)
     ab.add_argument("--families", default="euclidean,riemann-diag")
     ab.add_argument("--n-values", type=_list_type(int), default="2,4,8")
-    ab.add_argument("--group", default="distance", choices=["distance", "levels", "decays"])
+    ab.add_argument("--group", default="distance", choices=list(GROUP_HEADS))
     ab.add_argument("--epochs", type=int, default=500)
     ab.add_argument("--eval-interval", type=int, default=50)
     ab.add_argument("--seed", type=_seed, default=0)

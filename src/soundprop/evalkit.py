@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decoders import make_distance_decoder
-from .errors import InputError
+from .errors import DivergenceError, InputError
 from .oracle import FieldVolume, mae_field, valid_pairs  # noqa: F401 - mae_field is public here
 from .training import (
     Dataset,
@@ -110,7 +110,8 @@ def ablation_run(
     """Train every (family, latent-size) cell with identical configs.
 
     Returns one row dict per (cell, head): ``family, n, param, mae`` plus
-    cost columns. Cells that fail record the error and the run continues.
+    cost columns. A cell whose training diverges records the error and the
+    run continues; any other error propagates.
     """
     rows = []
     for family in families:
@@ -134,7 +135,7 @@ def ablation_run(
                             "error": "",
                         }
                     )
-            except Exception as exc:  # noqa: BLE001 - cell failures are data
+            except DivergenceError as exc:
                 rows.append(
                     {
                         "family": family,

@@ -435,7 +435,8 @@ def load_checkpoint(path, scene: VoxelScene) -> ModelBundle:
     for name, (shape, at) in arrays.items():
         if shape != params[name].shape:
             raise FormatError(f"{path}: checkpoint section {name!r} has shape {shape}")
-        _read_f4(blob, math.prod(shape), at, out=params[name])
+        if not np.isfinite(_read_f4(blob, math.prod(shape), at, out=params[name])).all():
+            raise FormatError(f"{path}: checkpoint section {name!r} holds a non-finite value")
     return bundle
 
 

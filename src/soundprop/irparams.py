@@ -78,49 +78,21 @@ def _decaying_noise(n: int, fs: float, tau: float, rng) -> np.ndarray:
     return envelope * signs
 
 
-@dataclass(frozen=True)
-class WindowConfig:
-    """Analysis windows, all anchored at the direct-sound arrival ``t_DS``.
+# Analysis windows in s after the direct-sound arrival ``t_DS``, the
+# standard split: 15 ms of direct sound, the early reflections 15-115 ms
+# and the late reverberation 415-1015 ms after arrival, and 25 ms matching
+# sub-windows at the ER tail / LR head that level the late reverberation.
+DS_WINDOW = (0.0, 0.015)
+ER_WINDOW = (0.015, 0.115)
+LR_WINDOW = (0.415, 1.015)
+MATCH_LEN = 0.025
+# The arrival is the first sample at this share of the peak magnitude.
+ARRIVAL_THRESHOLD = 0.1
 
-    Defaults follow the standard split: a 15 ms direct-sound window, the
-    early-reflections window 15-115 ms after arrival, the late window
-    415-1015 ms after arrival, and 25 ms matching sub-windows at the
-    ER tail / LR head used to level the late reverberation.
-    """
 
-    ds_len: float = 0.015
-    er_start: float = 0.015
-    er_end: float = 0.115
-    lr_start: float = 0.415
-    lr_end: float = 1.015
-    match_len: float = 0.025
-    arrival_threshold: float = 0.1
-
-    def __post_init__(self):
-        ordered = (
-            0.0 < self.ds_len <= self.er_start < self.er_end <= self.lr_start < self.lr_end
-        )
-        if not ordered:
-            raise ConfigurationError("analysis windows must be ordered and non-overlapping")
-        if not (0.0 < self.arrival_threshold < 1.0):
-            raise ConfigurationError("arrival threshold must lie in (0, 1)")
-        if not (0.0 < self.match_len <= min(self.er_end - self.er_start, self.lr_end - self.lr_start)):
-            raise ConfigurationError("match window must fit inside the ER and LR windows")
-
-    def ds_window(self, t_ds: float) -> tuple[float, float]:
-        return (t_ds, t_ds + self.ds_len)
-
-    def er_window(self, t_ds: float) -> tuple[float, float]:
-        return (t_ds + self.er_start, t_ds + self.er_end)
-
-    def lr_window(self, t_ds: float) -> tuple[float, float]:
-        return (t_ds + self.lr_start, t_ds + self.lr_end)
-
-    def er_tail(self, t_ds: float) -> tuple[float, float]:
-        return (t_ds + self.er_end - self.match_len, t_ds + self.er_end)
-
-    def lr_head(self, t_ds: float) -> tuple[float, float]:
-        return (t_ds + self.lr_start, t_ds + self.lr_start + self.match_len)
+def anchored(window: tuple[float, float], t_ds: float) -> tuple[float, float]:
+    """``window`` (s after the arrival) on the clock of an arrival at ``t_ds``."""
+    return (t_ds + window[0], t_ds + window[1])
 
 
 @dataclass(frozen=True)
@@ -154,22 +126,20 @@ def _window_slice(window: tuple[float, float], rate: float, size: int, shortest:
     return slice(i0, i1)
 
 
-def arrival_and_distance(
-    ir: ImpulseResponse, cfg: WindowConfig = WindowConfig(), c: float = SPEED_OF_SOUND
-) -> tuple[float, float]:
+def arrival_and_distance(ir: ImpulseResponse) -> tuple[float, float]:
     """Direct-sound arrival time and traveled path distance.
 
     The arrival is the first sample whose magnitude reaches
-    ``arrival_threshold`` times the peak magnitude of the unfiltered IR;
-    the distance follows from the time of flight at speed ``c``.
+    ``ARRIVAL_THRESHOLD`` times the peak magnitude of the unfiltered IR;
+    the distance follows from the time of flight at ``SPEED_OF_SOUND``.
     """
     x = np.abs(ir.samples)
     peak = x.max()
     if peak <= 0.0:
         raise NoArrivalError("impulse response is identically zero")
-    idx = int(np.argmax(x >= cfg.arrival_threshold * peak))
+    idx = int(np.argmax(x >= ARRIVAL_THRESHOLD * peak))
     t_ds = idx / ir.sample_rate
-    pi = max(c * (t_ds - ir.t0), 0.0)
+    pi = max(SPEED_OF_SOUND * (t_ds - ir.t0), 0.0)
     return t_ds, pi
 
 
@@ -213,9 +183,7 @@ def window_level(ir: ImpulseResponse, window: tuple[float, float]) -> float:
     return 10.0 * float(np.log10(energy))
 
 
-def level_lr_matched(
-    ir: ImpulseResponse, cfg: WindowConfig = WindowConfig(), t_ds: float | None = None
-) -> float:
+def level_lr_matched(ir: ImpulseResponse, t_ds: float | None = None) -> float:
     """Late-reverberation level with a smooth hand-over from the ER regime.
 
     The raw LR-window level is offset by the energy gap between the final
@@ -224,10 +192,11 @@ def level_lr_matched(
     reflections left off.
     """
     if t_ds is None:
-        t_ds, _ = arrival_and_distance(ir, cfg)
-    tail_db = window_level(ir, cfg.er_tail(t_ds))
-    head_db = window_level(ir, cfg.lr_head(t_ds))
-    raw_db = window_level(ir, cfg.lr_window(t_ds))
+        t_ds, _ = arrival_and_distance(ir)
+    er_end, lr_start = t_ds + ER_WINDOW[1], t_ds + LR_WINDOW[0]
+    tail_db = window_level(ir, (er_end - MATCH_LEN, er_end))
+    head_db = window_level(ir, (lr_start, lr_start + MATCH_LEN))
+    raw_db = window_level(ir, anchored(LR_WINDOW, t_ds))
     return raw_db + (tail_db - head_db)
 
 
@@ -257,19 +226,15 @@ def decay_time(
     return -60.0 / slope
 
 
-def extract_params(
-    ir: ImpulseResponse,
-    cfg: WindowConfig = WindowConfig(),
-    c: float = SPEED_OF_SOUND,
-) -> AcousticParamSet:
+def extract_params(ir: ImpulseResponse) -> AcousticParamSet:
     """Full extraction chain over one impulse response."""
-    t_ds, pi = arrival_and_distance(ir, cfg, c)
-    l_ds = window_level(ir, cfg.ds_window(t_ds))
-    l_er = window_level(ir, cfg.er_window(t_ds))
-    l_lr = level_lr_matched(ir, cfg, t_ds)
+    t_ds, pi = arrival_and_distance(ir)
+    l_ds = window_level(ir, anchored(DS_WINDOW, t_ds))
+    l_er = window_level(ir, anchored(ER_WINDOW, t_ds))
+    l_lr = level_lr_matched(ir, t_ds)
     curve = schroeder_curve(ir)
-    tau_er = decay_time(curve, cfg.er_window(t_ds), "rms-forward-diff")
-    tau_lr = decay_time(curve, cfg.lr_window(t_ds), "linear-regression")
+    tau_er = decay_time(curve, anchored(ER_WINDOW, t_ds), "rms-forward-diff")
+    tau_lr = decay_time(curve, anchored(LR_WINDOW, t_ds), "linear-regression")
     return AcousticParamSet(
         pi=pi, l_ds=l_ds, l_er=l_er, tau_er=tau_er, tau_lr=tau_lr, l_lr=l_lr
     )

@@ -150,15 +150,12 @@ class InterpBatch:
         out[self.status != RESOLVED] = np.nan
         return out
 
-    def backward(self, upstream: np.ndarray, grad: np.ndarray, rows: np.ndarray | None = None) -> None:
+    def backward(self, upstream: np.ndarray, grad: np.ndarray) -> None:
         """Adjoint of ``sample``: add each point's ``(N, c)`` ``upstream``
         row, times its weights, to the stencil vertices of ``grad`` (shape
-        ``(nx, ny, nz, c)``), in place. Given ``rows``, an ``(nx, ny, nz)``
-        map from each vertex to its row of a ``(m, c)`` ``grad`` table, add
-        to those rows instead."""
+        ``(nx, ny, nz, c)``), in place."""
         row, slot = np.nonzero(self.weights > 0.0)
-        vertex = tuple(self.corners[row, slot].T)
-        np.add.at(grad, vertex if rows is None else rows[vertex], self.weights[row, slot, None] * upstream[row])
+        np.add.at(grad, tuple(self.corners[row, slot].T), self.weights[row, slot, None] * upstream[row])
 
     def check(self, i: int, p) -> None:
         """Raise the error that says why point ``i`` (at ``p``) did not resolve."""

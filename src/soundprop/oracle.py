@@ -20,7 +20,17 @@ import numpy as np
 
 from .decoders import DEFAULT_MAX_DECAY
 from .errors import ConfigurationError, InputError
-from .irparams import AcousticParamSet, ImpulseResponse, WindowConfig, _decaying_noise, fd_derivative
+from .irparams import (
+    _GRAD_EPS,
+    ARRIVAL_THRESHOLD,
+    ER_WINDOW,
+    LR_WINDOW,
+    SPEED_OF_SOUND,
+    AcousticParamSet,
+    ImpulseResponse,
+    _decaying_noise,
+    fd_derivative,
+)
 from .scene import _FREE, VoxelScene
 
 FIELD_KINDS = ("path-distance", "level", "decay-time", "doa")
@@ -250,7 +260,7 @@ def doa_field(scene: VoxelScene, geo: FieldVolume) -> FieldVolume:
     norm = np.linalg.norm(grad, axis=-1)
     # Below half a voxel of path distance the direction is undefined (the
     # receiver sits essentially at the source).
-    good = valid & (norm > 1e-9) & (v > 0.5 * h)
+    good = valid & (norm >= _GRAD_EPS) & (v > 0.5 * h)
     doa = np.full(v.shape + (3,), np.nan)
     doa[good] = -grad[good] / norm[good][..., None]
     return FieldVolume(
@@ -258,37 +268,20 @@ def doa_field(scene: VoxelScene, geo: FieldVolume) -> FieldVolume:
     )
 
 
-@dataclass(frozen=True)
-class SyntheticIRConfig:
-    """Construction parameters for synthetic impulse responses.
-
-    ``duration`` of ``None`` auto-sizes the signal to cover the late window
-    plus 100 ms of tail margin.
-    """
-
-    sample_rate: float = 16000.0
-    duration: float | None = None
-    t0: float = 0.0
-    c: float = 343.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.sample_rate < 8000:
-            raise ConfigurationError("synthetic IRs need a sample rate >= 8 kHz")
-        if self.c <= 0:
-            raise ConfigurationError("speed of sound must be positive")
-
-
-def synth_ir(params: AcousticParamSet, cfg: SyntheticIRConfig = SyntheticIRConfig()) -> ImpulseResponse:
+def synth_ir(params: AcousticParamSet, seed: int = 0) -> ImpulseResponse:
     """Impulse response with known parameters, for extractor round trips.
 
-    The signal holds a single direct spike at ``t0 + pi / c`` whose
-    direct-sound window integrates to ``10^(L_DS/10)``, an early segment of
-    sign-randomized exponentially decaying noise normalized so the ER
-    window integrates to ``10^(L_ER/10)`` and decays at ``-60/tau_ER`` dB/s,
-    the same envelope extrapolated across the gap, and a late tail decaying
-    at ``-60/tau_LR`` dB/s whose start is amplitude-continuous with the
-    extrapolated early regime.
+    The signal, sampled at 16 kHz from emission at ``t0 = 0``, holds a
+    single direct spike at ``pi / SPEED_OF_SOUND`` whose direct-sound
+    window integrates to ``10^(L_DS/10)``, an early segment of
+    sign-randomized exponentially decaying noise (drawn from ``seed``)
+    normalized so the ER window integrates to ``10^(L_ER/10)`` and decays
+    at ``-60/tau_ER`` dB/s, the same envelope extrapolated across the gap,
+    and a late tail decaying at ``-60/tau_LR`` dB/s whose start is
+    amplitude-continuous with the extrapolated early regime. It runs
+    ``max(0.1, 1.2 tau_LR)`` s past the late window, so truncation cannot
+    bend the energy curve inside it (the missing energy is ~ -72 dB of the
+    boundary).
     """
     for name in PARAM_KINDS:
         if not math.isfinite(getattr(params, name)):
@@ -302,24 +295,11 @@ def synth_ir(params: AcousticParamSet, cfg: SyntheticIRConfig = SyntheticIRConfi
     if params.pi < 0:
         raise InputError("path distance must be non-negative")
 
-    w = WindowConfig()
-    fs = cfg.sample_rate
-    t_ds = cfg.t0 + params.pi / cfg.c
-    needed = t_ds + w.lr_end + 0.1
-    if cfg.duration is None:
-        # enough tail that truncation cannot bend the energy curve inside
-        # the late window (the missing energy is ~ -72 dB of the boundary)
-        duration = t_ds + w.lr_end + max(0.1, 1.2 * params.tau_lr)
-    else:
-        duration = cfg.duration
-    if duration < needed:
-        raise ConfigurationError(
-            f"duration {cfg.duration} too short; needs >= {needed:.3f} s"
-        )
-
-    n = int(round(duration * fs))
+    fs = 16000.0
+    t_ds = params.pi / SPEED_OF_SOUND
+    n = int(round((t_ds + LR_WINDOW[1] + max(0.1, 1.2 * params.tau_lr)) * fs))
     x = np.zeros(n)
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
 
     spike_idx = int(round(t_ds * fs))
     spike_amp = 10.0 ** (params.l_ds / 20.0)
@@ -327,9 +307,9 @@ def synth_ir(params: AcousticParamSet, cfg: SyntheticIRConfig = SyntheticIRConfi
 
     # Early regime: runs from the ER window start through the gap up to the
     # LR window start, decaying at tau_er throughout.
-    er_i0 = int(round((t_ds + w.er_start) * fs))
-    er_i1 = int(round((t_ds + w.er_end) * fs))
-    lr_i0 = int(round((t_ds + w.lr_start) * fs))
+    er_i0 = int(round((t_ds + ER_WINDOW[0]) * fs))
+    er_i1 = int(round((t_ds + ER_WINDOW[1]) * fs))
+    lr_i0 = int(round((t_ds + LR_WINDOW[0]) * fs))
     seg = _decaying_noise(lr_i0 - er_i0, fs, params.tau_er, rng)
     win_energy = float(np.sum(seg[: er_i1 - er_i0] ** 2))
     scale = math.sqrt(10.0 ** (params.l_er / 10.0) / win_energy)
@@ -341,9 +321,8 @@ def synth_ir(params: AcousticParamSet, cfg: SyntheticIRConfig = SyntheticIRConfi
     tail = _decaying_noise(n - lr_i0, fs, params.tau_lr, rng)
     x[lr_i0:] = start_amp * tail
 
-    if spike_amp < 0.1 * np.max(np.abs(x)):
+    if spike_amp < ARRIVAL_THRESHOLD * np.max(np.abs(x)):
         raise ConfigurationError(
-            "direct spike below the default detection threshold; "
-            "lower L_ER or raise L_DS"
+            "direct spike below the detection threshold; lower L_ER or raise L_DS"
         )
-    return ImpulseResponse(samples=x, sample_rate=fs, t0=cfg.t0)
+    return ImpulseResponse(samples=x, sample_rate=fs)

@@ -24,9 +24,10 @@ import numpy as np
 from .errors import ConfigurationError, InputError
 from .irparams import (
     DOA_STENCIL,
+    ER_WINDOW,
+    LR_WINDOW,
     AcousticParamSet,
     ImpulseResponse,
-    WindowConfig,
     _decaying_noise,
     doa_from_samples,
 )
@@ -75,7 +76,7 @@ def wet_weights(tau: float, ref_taus) -> np.ndarray:
     return np.array([0.0, a, 1.0 - a])
 
 
-def derive_l_lr(l_er: float, tau_er: float, windows: WindowConfig = WindowConfig()) -> float:
+def derive_l_lr(l_er: float, tau_er: float) -> float:
     """Late level extrapolated from the early regime across the gap.
 
     Continues the early decay at ``-60/tau_er`` dB/s from the ER window
@@ -84,7 +85,7 @@ def derive_l_lr(l_er: float, tau_er: float, windows: WindowConfig = WindowConfig
     """
     if not (tau_er > 0):
         raise InputError("tau_er must be positive")
-    gap = windows.lr_start - windows.er_start
+    gap = LR_WINDOW[0] - ER_WINDOW[0]
     return l_er - 60.0 * gap / tau_er
 
 
@@ -248,14 +249,13 @@ class RenderParams:
         object.__setattr__(self, "doa", d)
 
 
-def render_params(params: AcousticParamSet, refs: ReferenceIRSet,
-                  windows: WindowConfig = WindowConfig()) -> RenderParams:
+def render_params(params: AcousticParamSet, refs: ReferenceIRSet) -> RenderParams:
     """Gains and blend weights from one acoustic parameter set."""
     if params.doa is None:
         raise InputError("rendering needs a direction of arrival")
     l_lr = params.l_lr
     if l_lr is None:
-        l_lr = derive_l_lr(params.l_er, params.tau_er, windows)
+        l_lr = derive_l_lr(params.l_er, params.tau_er)
     return RenderParams(
         dry=dry_gain(params.l_ds),
         er_gain=_level_gain(params.l_er, "early-reflection level"),

@@ -62,7 +62,6 @@ class TrainConfig:
     lr_grid: float = 1e-4
     seed: int = 0
     eval_interval: int = 50
-    stop_gradient_at_source: bool = True
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -310,11 +309,6 @@ def _source_stencils(scene: VoxelScene, sources) -> InterpBatch:
     return stencils
 
 
-def _stencils_of(stencils: InterpBatch, rows) -> InterpBatch:
-    """The stencils of the sources ``rows``, in that order."""
-    return InterpBatch(stencils.corners[rows], stencils.weights[rows], stencils.status[rows])
-
-
 def _predictions(bundle: ModelBundle, sources):
     """Predicted receiver fields of the bundle's heads, one dict per source:
     the source stencils are built once, then each source decodes one
@@ -376,8 +370,8 @@ def train(
     leave the bundle holding the eval it selects.
 
     Decoder parameters use ``lr_decoder``; the latent grid uses the smaller
-    ``lr_grid``. Gradients reaching the source-position latent through the
-    source lookup are dropped when ``stop_gradient_at_source`` is set.
+    ``lr_grid``. The gradient is stopped at the source: the source latents
+    are read from the grid, but no gradient flows back through that read.
 
     Every ``eval_interval`` epochs and at the last epoch the run evaluates
     the mean validation MAE and calls ``on_eval(epoch)``, if given, while
@@ -386,9 +380,9 @@ def train(
     validation MAE (the earliest on ties), or the latest eval when there
     is no validation set. At the end the bundle is restored to it; with
     ``eval_interval`` 0 nothing is evaluated and the bundle keeps its final
-    parameters. If the loss goes non-finite the bundle is restored to the
-    kept snapshot and ``DivergenceError`` is raised carrying it as
-    ``last_good``.
+    parameters. If the loss goes non-finite, which is checked block by
+    block before its backward, the bundle is restored to the kept snapshot
+    and ``DivergenceError`` is raised carrying it as ``last_good``.
 
     A batch decodes its sources as one block against their shared
     receivers (one block per receiver set, in order of first appearance,
@@ -429,8 +423,8 @@ def train(
                        for h in heads})
 
     # The rows Adam steps: receivers and source stencil vertices, and each
-    # grid vertex's row of that table. With stop-gradient a vertex that is
-    # no receiver gets zero gradient, so zero moments and a zero update.
+    # grid vertex's row of that table. A vertex that is no receiver gets
+    # zero gradient, so zero moments and a zero update.
     used = stencils.weights > 0.0
     live = np.zeros(scene.dims, dtype=bool)
     live.reshape(-1)[np.concatenate(receivers)] = True
@@ -463,22 +457,26 @@ def train(
             denom = (counts[batch] * float(len(heads) * len(batch)))[:, None]
             U = (stencils.weights[batch, None, :] @ table.take(stencil_rows[batch], axis=0))[:, 0]
             grid_grad, grads = np.zeros_like(table), None
-            gU = np.empty_like(U)
             batch_loss = 0.0
             keys = set_of[batch]
             for k in dict.fromkeys(keys.tolist()):
                 block = np.flatnonzero(keys == k)
                 rows, d = row_in_set[batch[block]], denom[block]
                 half_d = d * 0.5  # r / (d / 2) is 2 r / d to the bit
-                preds, cache = bundle.head.forward(U[block], table[at[k]])
-                upstream = {}
-                for h in heads:
-                    r = preds[h] - truths[k][h][rows]
-                    sq = r * r
-                    sq /= d
-                    batch_loss += float(sq.sum())
-                    upstream[h] = np.divide(r, half_d, out=r)
-                gU[block], gV, head_grads = bundle.head.backward(cache, upstream)
+                # A diverging forward overflows; the loss check below reports it.
+                with np.errstate(over="ignore", invalid="ignore"):
+                    preds, cache = bundle.head.forward(U[block], table[at[k]])
+                    upstream = {}
+                    for h in heads:
+                        r = preds[h] - truths[k][h][rows]
+                        sq = r * r
+                        sq /= d
+                        batch_loss += float(sq.sum())
+                        upstream[h] = np.divide(r, half_d, out=r)
+                if not np.isfinite(batch_loss):
+                    bundle.restore(kept)
+                    raise DivergenceError(f"non-finite loss at epoch {epoch}", last_good=kept)
+                _, gV, head_grads = bundle.head.backward(cache, upstream)
                 grid_grad[at[k]] += gV
                 if grads is None:
                     grads = head_grads
@@ -486,12 +484,6 @@ def train(
                     for name, g in head_grads.items():
                         grads[name] += g
             grads["grid"] = grid_grad
-            if not cfg.stop_gradient_at_source:  # by source index, as one scatter of every source adds them
-                by_index = np.argsort(batch)
-                _stencils_of(stencils, batch[by_index]).backward(gU[by_index], grid_grad, row_of)
-            if not np.isfinite(batch_loss):
-                bundle.restore(kept)
-                raise DivergenceError(f"non-finite loss at epoch {epoch}", last_good=kept)
             opt.step(grads)
             epoch_loss += batch_loss
             n_batches += 1

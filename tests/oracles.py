@@ -623,7 +623,7 @@ def reference_train(bundle, ds, cfg) -> list:
                 blocks.setdefault(prepared[i][0].tobytes(), []).append(i)
             latents = stencils.sample(bundle.grid.values)
             grid = bundle.grid.values.reshape(n_vertices, n)
-            grads, source_rows, loss = {"grid": np.zeros((n_vertices, n))}, np.zeros((len(counts), n)), 0.0
+            grads, loss = {"grid": np.zeros((n_vertices, n))}, 0.0
             for sources in blocks.values():
                 rows = prepared[sources[0]][0]
                 U, V = latents[sources], grid[rows]
@@ -634,14 +634,11 @@ def reference_train(bundle, ds, cfg) -> list:
                     r = preds[h].reshape(-1) - np.concatenate([prepared[i][1][h] for i in sources])
                     loss += float(np.sum(r * r / denom))
                     up[h] = (2.0 * r / denom).reshape(len(sources), len(rows))
-                gU, gV, block_grads = bundle.head.backward(bundle.head.forward(U, V)[1], up)
+                _, gV, block_grads = bundle.head.backward(bundle.head.forward(U, V)[1], up)
                 grads["grid"] += scatter(rows, gV, n_vertices)
-                source_rows[sources] = gU
                 for name, g in block_grads.items():
                     grads[name] = grads[name] + g if name in grads else g
             grads["grid"] = grads["grid"].reshape(bundle.grid.values.shape)
-            if not cfg.stop_gradient_at_source:
-                stencils.backward(source_rows, grads["grid"])
             grads["grid"][scene.occupancy] = 0.0
             opt.step(grads)
             total += loss
@@ -701,10 +698,8 @@ def per_source_train(bundle, ds, cfg) -> None:
                 preds, cache = bundle.head.forward(u[None, :], V)
                 scale = len(recv) * len(heads) * len(batch)
                 upstream = {h: 2.0 * (preds[h] - truths[h]) / scale for h in heads}
-                gU, gV, gP = bundle.head.backward(cache, upstream)
+                _, gV, gP = bundle.head.backward(cache, upstream)
                 np.add.at(grads["grid"], tuple(recv.T), gV)
-                if not cfg.stop_gradient_at_source:
-                    np.add.at(grads["grid"], tuple(corners.T), weights[:, None] * gU[0])
                 for name, g in gP.items():
                     grads[name] += g
             grads["grid"][scene.occupancy] = 0.0

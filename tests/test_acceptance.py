@@ -347,14 +347,14 @@ def test_criterion_10_ir_round_trip():
             tau_er=float(rng.uniform(0.25, 1.2)),
             tau_lr=float(rng.uniform(0.5, 1.8)),
         )
-        ir = sp.synth_ir(truth, sp.SyntheticIRConfig(seed=trial))
+        ir = sp.synth_ir(truth, seed=trial)
         got = sp.extract_params(ir)
         worst["pi"] = max(worst["pi"], abs(got.pi - truth.pi))
         worst["l_ds"] = max(worst["l_ds"], abs(got.l_ds - truth.l_ds))
         worst["l_er"] = max(worst["l_er"], abs(got.l_er - truth.l_er))
         worst["tau_er"] = max(worst["tau_er"], abs(got.tau_er - truth.tau_er) / truth.tau_er)
         worst["tau_lr"] = max(worst["tau_lr"], abs(got.tau_lr - truth.tau_lr) / truth.tau_lr)
-    fs = sp.SyntheticIRConfig().sample_rate
+    fs = ir.sample_rate
     ok = (
         worst["pi"] <= 343.0 / fs
         and worst["l_ds"] <= 0.5

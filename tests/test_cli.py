@@ -1,11 +1,13 @@
 import argparse
+import dataclasses
+import inspect
 import json
 
 import numpy as np
 import pytest
 
 import soundprop as sp
-from soundprop import fileio
+from soundprop import fileio, runtime
 from soundprop.cli import _load_field_dataset, build_parser, main
 from soundprop.oracle import PARAM_KINDS
 
@@ -297,7 +299,7 @@ def test_bake_parallel_matches_serial(tmp_path, monkeypatch):
 def test_params_extract_round_trip(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     truth = sp.AcousticParamSet(pi=6.86, l_ds=-8.0, l_er=-14.0, tau_er=0.4, tau_lr=1.0)
-    ir = sp.synth_ir(truth, sp.SyntheticIRConfig(seed=3))
+    ir = sp.synth_ir(truth, seed=3)
     path = tmp_path / "x.ir"
     fileio.write_ir(path, ir.samples, ir.sample_rate, ir.t0)
     assert run(["params", "extract", "--ir", str(path)]) == 0
@@ -552,7 +554,7 @@ def test_corrupted_inputs_exit_code(tmp_path, capsys, monkeypatch):
     ckpt = tmp_path / "model.ckpt"
     fileio.save_checkpoint(ckpt, sp.make_bundle(scene, "distance", "euclidean", 2))
     ir = sp.synth_ir(sp.AcousticParamSet(pi=6.86, l_ds=-8.0, l_er=-14.0, tau_er=0.4, tau_lr=1.0),
-                     sp.SyntheticIRConfig(seed=3))
+                     seed=3)
     ir_path = tmp_path / "x.ir"
     fileio.write_ir(ir_path, ir.samples, ir.sample_rate, ir.t0)
 
@@ -732,6 +734,31 @@ def test_option_census():
     assert dict(_subcommand_options(build_parser())) == OPTIONS
 
 
+# The settable values of library entry points that no CLI option reaches:
+# the training config's fields and these functions' parameters. The IR
+# analysis windows, the synthetic IR's rate, clock and speed of sound, and
+# the stop-gradient are constants, so a setting shows up here as a
+# reviewed change.
+SETTINGS = {
+    "TrainConfig": "batch_sources epochs eval_interval lr_decoder lr_grid seed",
+    "arrival_and_distance": "ir",
+    "extract_params": "ir",
+    "level_lr_matched": "ir t_ds",
+    "derive_l_lr": "l_er tau_er",
+    "render_params": "params refs",
+    "synth_ir": "params seed",
+    "InterpBatch.backward": "grad self upstream",
+}
+
+
+def test_settings_census():
+    functions = [sp.arrival_and_distance, sp.extract_params, sp.level_lr_matched, sp.derive_l_lr,
+                 runtime.render_params, sp.synth_ir, sp.InterpBatch.backward]
+    found = {fn.__qualname__: " ".join(sorted(inspect.signature(fn).parameters)) for fn in functions}
+    found["TrainConfig"] = " ".join(sorted(f.name for f in dataclasses.fields(sp.TrainConfig)))
+    assert found == SETTINGS
+
+
 def test_query_prints_strict_json(tmp_path, capsys, monkeypatch):
     """Parameters of groups without a checkpoint print null, not NaN."""
     monkeypatch.chdir(tmp_path)
@@ -793,7 +820,7 @@ def test_unwritable_output_exit_code(tmp_path, capsys, monkeypatch, case):
     scene = fileio.read_scene(scene_path)[0]
     fileio.save_checkpoint(tmp_path / "m.ckpt", sp.make_bundle(scene, "distance", "euclidean", 2))
     ir = sp.synth_ir(sp.AcousticParamSet(pi=6.86, l_ds=-8.0, l_er=-14.0, tau_er=0.4, tau_lr=1.0),
-                     sp.SyntheticIRConfig(seed=3))
+                     seed=3)
     fileio.write_ir(tmp_path / "imp.ir", ir.samples, ir.sample_rate, ir.t0)
     (tmp_path / "a_file").write_text("")
     paths = {"scene": str(scene_path), "missing": "nowhere", "under_file": "a_file"}

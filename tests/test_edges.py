@@ -1,5 +1,7 @@
 """Edge behaviors: unreachable regions, divergence recovery, tiny scenes."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,12 +9,7 @@ from hypothesis import strategies as st
 
 import soundprop as sp
 from soundprop import fileio
-from soundprop.errors import (
-    ConfigurationError,
-    DivergenceError,
-    FormatError,
-    InputError,
-)
+from soundprop.errors import DivergenceError, FormatError, InputError
 
 
 @pytest.fixture(scope="module")
@@ -100,13 +97,21 @@ def test_divergence_raises_and_rolls_back(box_scene, selection_run):
     assert not np.array_equal(bundle.grid.values, snapshots[10]["grid"])
 
 
-def test_window_config_validation():
-    with pytest.raises(ConfigurationError):
-        sp.WindowConfig(er_start=0.2, er_end=0.1)
-    with pytest.raises(ConfigurationError):
-        sp.WindowConfig(arrival_threshold=1.5)
-    with pytest.raises(ConfigurationError):
-        sp.WindowConfig(match_len=0.2)  # larger than the ER window
+@pytest.mark.parametrize("group,family", [("distance", "euclidean"), ("levels", "riemann-diag"), ("decays", "mlp")])
+def test_divergence_raises_before_numpy_warns(group, family):
+    """At learning rates of 1e200 the second epoch's forward overflows: the
+    run raises ``DivergenceError`` on that block's loss, with warnings as
+    errors, so no backward ran on it, and the bundle holds its entry state."""
+    scene = sp.build_scene(sp.SceneSpec(kind="empty-box", dims=(6, 3, 6)))
+    ds = sp.build_dataset(scene, [scene.voxel_center(i) for i in ((1, 1, 1), (4, 1, 4), (2, 1, 3))])
+    bundle = sp.make_bundle(scene, group, family, 4, seed=0)
+    entry = bundle.snapshot()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError, match="epoch 2"):
+            sp.train(bundle, ds, sp.TrainConfig(epochs=5, eval_interval=0, lr_decoder=1e200, lr_grid=1e200))
+    for name, arr in bundle.trainable().items():
+        assert np.array_equal(arr, entry[name]), name
 
 
 def test_field_file_truncation_detected(tmp_path, box_scene):

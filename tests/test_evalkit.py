@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import soundprop as sp
-from soundprop.errors import InputError
+from soundprop.errors import ConfigurationError, InputError
 from soundprop.evalkit import format_bytes_si
 from soundprop.oracle import FieldVolume
 
@@ -144,10 +144,14 @@ def test_ablation_single_cell(box_scene, box_datasets):
 
 
 def test_ablation_records_cell_failures(box_scene, box_datasets):
+    """A diverging cell is a row that records the error; any other error,
+    such as an unknown family, is a defect of the sweep and propagates."""
     train_ds, val_ds, test_ds = box_datasets
-    cfg = sp.TrainConfig(epochs=10, eval_interval=10, seed=0)
+    cfg = sp.TrainConfig(epochs=10, eval_interval=10, seed=0, lr_decoder=1e200, lr_grid=1e200)
     rows = sp.ablation_run(
-        box_scene, train_ds, val_ds, test_ds, ["no-such-family"], [2], cfg
+        box_scene, train_ds, val_ds, test_ds, ["euclidean"], [2], cfg
     )
     assert len(rows) == 1
-    assert rows[0]["error"] != ""
+    assert rows[0]["error"].startswith("non-finite loss") and np.isnan(rows[0]["mae"])
+    with pytest.raises(ConfigurationError, match="no-such-family"):
+        sp.ablation_run(box_scene, train_ds, val_ds, test_ds, ["no-such-family"], [2], cfg)

@@ -272,12 +272,12 @@ def test_write_csv(tmp_path):
     assert path.read_text() == "a,b\n1,x\n2,\n"
 
 
-def test_write_csv_quotes_an_ablation_error(tmp_path, box_scene, box_datasets):
-    """An ablation cell's error message holds a comma; the row reads back
-    with ``csv.reader`` as the 9 columns the CLI writes."""
+def test_write_csv_quotes_an_ablation_error(tmp_path):
+    """An ablation cell's error message that holds a comma reads back with
+    ``csv.reader`` as the 9 columns the CLI writes."""
     columns = ["family", "n", "param", "mae", "params", "flops", "rlf_bytes", "wavecoding_bytes", "error"]
-    rows = sp.ablation_run(box_scene, *box_datasets, ["euclidean"], [0], sp.TrainConfig(epochs=1))
-    assert "," in rows[0]["error"]
+    rows = [{"family": "mlp", "n": 2, "param": "", "mae": float("nan"), "params": 0, "flops": 0,
+             "rlf_bytes": 0, "wavecoding_bytes": 0, "error": "non-finite loss at epoch 2, cell 1"}]
     path = tmp_path / "ablation.csv"
     fileio.write_csv(path, rows, columns)
     with open(path, newline="") as fh:
@@ -506,6 +506,21 @@ def test_load_checkpoint_edited_header_round_trip(tmp_path):
     path.write_bytes(_with_header(_LEVELS, lambda h: h))
     bundle = fileio.load_checkpoint(path, _BOX)
     assert bundle.group == "levels" and bundle.head.decoder.family == "mlp"
+
+
+@pytest.mark.parametrize("corrupt", ["nan-latent", "inf-decoder-weight"])
+def test_load_checkpoint_refuses_a_non_finite_parameter(tmp_path, corrupt):
+    """A checkpoint that stores a NaN latent or an infinite decoder weight
+    is refused, not loaded into a bundle that scores over fewer voxels."""
+    bundle = sp.make_bundle(_BOX, "levels", "mlp", 3, seed=0)
+    if corrupt == "nan-latent":
+        bundle.grid.values[1, 1, 2, 0] = np.nan
+    else:
+        bundle.head.decoder.trainable()["w0"].flat[0] = np.inf
+    path = tmp_path / "model.ckpt"
+    fileio.save_checkpoint(path, bundle)
+    with pytest.raises(FormatError, match="non-finite"):
+        fileio.load_checkpoint(path, _BOX)
 
 
 # ---------------------------------------------------------------------------

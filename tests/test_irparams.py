@@ -12,7 +12,7 @@ from soundprop.errors import (
     NoArrivalError,
     UndefinedDecayError,
 )
-from soundprop.irparams import SchroederCurve
+from soundprop.irparams import ER_WINDOW, LR_WINDOW, SchroederCurve, anchored
 from soundprop.oracle import FieldVolume
 
 from oracles import fd_derivative as oracle_fd_derivative
@@ -36,22 +36,22 @@ def test_arrival_unit_impulse_at_t0():
 
 
 def test_arrival_threshold_rule():
+    """The arrival is the first sample at a tenth of the peak magnitude."""
     x = np.zeros(1000)
     x[100] = 1.0
-    x[50] = 0.4  # below the 0.5 threshold, must be ignored
+    x[50] = 0.09  # below the threshold, must be ignored
     ir = sp.ImpulseResponse(samples=x, sample_rate=1000.0)
-    cfg = sp.WindowConfig(arrival_threshold=0.5)
-    t_ds, _ = sp.arrival_and_distance(ir, cfg)
+    t_ds, _ = sp.arrival_and_distance(ir)
     assert t_ds == pytest.approx(0.1)
-    # with a lower threshold the early spike wins
-    cfg = sp.WindowConfig(arrival_threshold=0.3)
-    t_ds, _ = sp.arrival_and_distance(ir, cfg)
+    # at the threshold the early spike wins
+    x[50] = 0.1
+    t_ds, _ = sp.arrival_and_distance(sp.ImpulseResponse(samples=x, sample_rate=1000.0))
     assert t_ds == pytest.approx(0.05)
 
 
 def test_arrival_round_trip_distance():
     params = sp.AcousticParamSet(pi=17.15, l_ds=-4.0, l_er=-10.0, tau_er=0.3, tau_lr=0.8)
-    ir = sp.synth_ir(params, sp.SyntheticIRConfig(seed=4))
+    ir = sp.synth_ir(params, seed=4)
     _, pi = sp.arrival_and_distance(ir)
     assert pi == pytest.approx(17.15, abs=343.0 / ir.sample_rate)
 
@@ -136,9 +136,9 @@ def test_window_level_translation_invariant():
 
 def test_window_level_er_round_trip():
     params = sp.AcousticParamSet(pi=5.0, l_ds=-3.0, l_er=-12.0, tau_er=0.35, tau_lr=0.9)
-    ir = sp.synth_ir(params, sp.SyntheticIRConfig(seed=5))
+    ir = sp.synth_ir(params, seed=5)
     t_ds, _ = sp.arrival_and_distance(ir)
-    got = sp.window_level(ir, sp.WindowConfig().er_window(t_ds))
+    got = sp.window_level(ir, anchored(ER_WINDOW, t_ds))
     assert got == pytest.approx(-12.0, abs=0.5)
 
 
@@ -158,40 +158,38 @@ def test_window_level_bad_window():
 def _ir_with_boundary_gap(gap_db):
     """Spike at t=0 plus flat ER block and LR block offset by gap_db."""
     fs = 8000.0
-    cfg = sp.WindowConfig()
     n = int(1.3 * fs)
     x = np.zeros(n)
     x[0] = 1.0
-    er = slice(int(cfg.er_start * fs), int(cfg.er_end * fs))
-    lr = slice(int(cfg.lr_start * fs), int(cfg.lr_end * fs))
+    er = slice(int(ER_WINDOW[0] * fs), int(ER_WINDOW[1] * fs))
+    lr = slice(int(LR_WINDOW[0] * fs), int(LR_WINDOW[1] * fs))
     x[er] = 0.05
     x[lr] = 0.05 * 10.0 ** (-gap_db / 20.0)
-    return sp.ImpulseResponse(samples=x, sample_rate=fs), cfg
+    return sp.ImpulseResponse(samples=x, sample_rate=fs)
 
 
 def test_level_lr_matched_zero_offset():
-    ir, cfg = _ir_with_boundary_gap(0.0)
-    t_ds, _ = sp.arrival_and_distance(ir, cfg)
-    raw = sp.window_level(ir, cfg.lr_window(t_ds))
-    assert sp.level_lr_matched(ir, cfg) == pytest.approx(raw, abs=1e-9)
+    ir = _ir_with_boundary_gap(0.0)
+    t_ds, _ = sp.arrival_and_distance(ir)
+    raw = sp.window_level(ir, anchored(LR_WINDOW, t_ds))
+    assert sp.level_lr_matched(ir) == pytest.approx(raw, abs=1e-9)
 
 
 def test_level_lr_matched_positive_offset():
-    ir, cfg = _ir_with_boundary_gap(6.02)
-    t_ds, _ = sp.arrival_and_distance(ir, cfg)
-    raw = sp.window_level(ir, cfg.lr_window(t_ds))
-    assert sp.level_lr_matched(ir, cfg) - raw == pytest.approx(6.02, abs=1e-6)
+    ir = _ir_with_boundary_gap(6.02)
+    t_ds, _ = sp.arrival_and_distance(ir)
+    raw = sp.window_level(ir, anchored(LR_WINDOW, t_ds))
+    assert sp.level_lr_matched(ir) - raw == pytest.approx(6.02, abs=1e-6)
 
 
 def test_level_lr_matched_continuous_decay_consistency():
     """Continuous decay: offset equals the natural boundary drop."""
     tau = 0.8
     params = sp.AcousticParamSet(pi=2.0, l_ds=0.0, l_er=-10.0, tau_er=tau, tau_lr=tau)
-    ir = sp.synth_ir(params, sp.SyntheticIRConfig(seed=6))
-    cfg = sp.WindowConfig()
-    t_ds, _ = sp.arrival_and_distance(ir, cfg)
-    raw = sp.window_level(ir, cfg.lr_window(t_ds))
-    offset = sp.level_lr_matched(ir, cfg) - raw
+    ir = sp.synth_ir(params, seed=6)
+    t_ds, _ = sp.arrival_and_distance(ir)
+    raw = sp.window_level(ir, anchored(LR_WINDOW, t_ds))
+    offset = sp.level_lr_matched(ir) - raw
     # boundary windows sit 325 ms apart on a -60/tau dB/s decay
     expected = 60.0 * 0.325 / tau
     assert offset == pytest.approx(expected, abs=1.0)
@@ -215,10 +213,10 @@ def test_decay_time_exact_lines(method):
 
 def test_decay_time_round_trip_lr():
     params = sp.AcousticParamSet(pi=2.0, l_ds=0.0, l_er=-8.0, tau_er=0.4, tau_lr=1.2)
-    ir = sp.synth_ir(params, sp.SyntheticIRConfig(seed=7))
+    ir = sp.synth_ir(params, seed=7)
     t_ds, _ = sp.arrival_and_distance(ir)
     curve = sp.schroeder_curve(ir)
-    tau = sp.decay_time(curve, sp.WindowConfig().lr_window(t_ds), "linear-regression")
+    tau = sp.decay_time(curve, anchored(LR_WINDOW, t_ds), "linear-regression")
     assert tau == pytest.approx(1.2, rel=0.05)
 
 
@@ -229,10 +227,10 @@ def test_decay_time_rejects_non_decay():
 
 def test_decay_time_gain_invariant():
     params = sp.AcousticParamSet(pi=1.0, l_ds=-2.0, l_er=-9.0, tau_er=0.3, tau_lr=0.7)
-    ir = sp.synth_ir(params, sp.SyntheticIRConfig(seed=8))
+    ir = sp.synth_ir(params, seed=8)
     scaled = sp.ImpulseResponse(samples=ir.samples * 7.3, sample_rate=ir.sample_rate, t0=ir.t0)
     t_ds, _ = sp.arrival_and_distance(ir)
-    w = sp.WindowConfig().lr_window(t_ds)
+    w = anchored(LR_WINDOW, t_ds)
     a = sp.decay_time(sp.schroeder_curve(ir), w, "linear-regression")
     b = sp.decay_time(sp.schroeder_curve(scaled), w, "linear-regression")
     assert a == pytest.approx(b, rel=1e-9)
@@ -354,7 +352,7 @@ def test_extract_params_round_trip_sample():
             tau_er=float(rng.uniform(0.25, 1.2)),
             tau_lr=float(rng.uniform(0.5, 1.8)),
         )
-        ir = sp.synth_ir(truth, sp.SyntheticIRConfig(seed=100 + trial))
+        ir = sp.synth_ir(truth, seed=100 + trial)
         got = sp.extract_params(ir)
         assert got.pi == pytest.approx(truth.pi, abs=343.0 / ir.sample_rate)
         assert got.l_ds == pytest.approx(truth.l_ds, abs=0.5)

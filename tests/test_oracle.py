@@ -5,6 +5,7 @@ from scipy.sparse.csgraph import dijkstra as scipy_dijkstra
 
 import soundprop as sp
 from soundprop.errors import ConfigurationError, InputError
+from soundprop.irparams import DS_WINDOW, LR_WINDOW, anchored
 
 from oracles import heapq_geodesic, line_of_sight, loop_synth_fields, marked_geodesic
 
@@ -215,7 +216,7 @@ def test_synth_fields_name_the_missing_region():
 
 def test_synth_ir_arrival_time():
     params = sp.AcousticParamSet(pi=34.3, l_ds=-6.0, l_er=-12.0, tau_er=0.3, tau_lr=0.9)
-    ir = sp.synth_ir(params, sp.SyntheticIRConfig(seed=1))
+    ir = sp.synth_ir(params, seed=1)
     t_ds, pi = sp.arrival_and_distance(ir)
     assert t_ds == pytest.approx(0.1, abs=1.0 / ir.sample_rate)
     assert pi == pytest.approx(34.3, abs=343.0 / ir.sample_rate)
@@ -223,27 +224,23 @@ def test_synth_ir_arrival_time():
 
 def test_synth_ir_ds_window_energy():
     params = sp.AcousticParamSet(pi=3.43, l_ds=-6.02, l_er=-30.0, tau_er=0.2, tau_lr=0.5)
-    ir = sp.synth_ir(params, sp.SyntheticIRConfig(seed=2))
+    ir = sp.synth_ir(params, seed=2)
     t_ds, _ = sp.arrival_and_distance(ir)
-    cfg = sp.WindowConfig()
-    level = sp.window_level(ir, cfg.ds_window(t_ds))
+    level = sp.window_level(ir, anchored(DS_WINDOW, t_ds))
     assert 10.0 ** (level / 10.0) == pytest.approx(0.25, rel=1e-3)
 
 
 def test_synth_ir_lr_schroeder_slope():
     params = sp.AcousticParamSet(pi=1.0, l_ds=0.0, l_er=-8.0, tau_er=0.4, tau_lr=1.0)
-    ir = sp.synth_ir(params, sp.SyntheticIRConfig(seed=3))
+    ir = sp.synth_ir(params, seed=3)
     t_ds, _ = sp.arrival_and_distance(ir)
     curve = sp.schroeder_curve(ir)
-    tau = sp.decay_time(curve, sp.WindowConfig().lr_window(t_ds), "linear-regression")
+    tau = sp.decay_time(curve, anchored(LR_WINDOW, t_ds), "linear-regression")
     slope = -60.0 / tau
     assert slope == pytest.approx(-60.0, rel=0.03)
 
 
 def test_synth_ir_rejects_bad_durations():
-    params = sp.AcousticParamSet(pi=1.0, l_ds=0.0, l_er=-8.0, tau_er=0.4, tau_lr=1.0)
-    with pytest.raises(ConfigurationError):
-        sp.synth_ir(params, sp.SyntheticIRConfig(duration=0.5))
     with pytest.raises(ConfigurationError):
         sp.synth_ir(
             sp.AcousticParamSet(pi=1.0, l_ds=0.0, l_er=-8.0, tau_er=5.0, tau_lr=1.0)

@@ -4,7 +4,7 @@ import pytest
 import soundprop as sp
 from soundprop import runtime
 from soundprop.errors import ConfigurationError, InputError, IsolationError
-from soundprop.irparams import DOA_STENCIL
+from soundprop.irparams import DOA_STENCIL, ER_WINDOW, LR_WINDOW, anchored
 from soundprop.runtime import render_params
 
 from conftest import latent_at, random_free_position
@@ -59,13 +59,12 @@ def test_derive_l_lr_matches_synthetic_continuation():
     """The construction extrapolates the early decay across the gap exactly."""
     tau = 0.8
     params = sp.AcousticParamSet(pi=2.0, l_ds=0.0, l_er=-10.0, tau_er=tau, tau_lr=tau)
-    ir = sp.synth_ir(params, sp.SyntheticIRConfig(seed=1))
-    cfg = sp.WindowConfig()
-    t_ds, _ = sp.arrival_and_distance(ir, cfg)
-    l_er = sp.window_level(ir, cfg.er_window(t_ds))
+    ir = sp.synth_ir(params, seed=1)
+    t_ds, _ = sp.arrival_and_distance(ir)
+    l_er = sp.window_level(ir, anchored(ER_WINDOW, t_ds))
     # level of a same-length window starting at the LR boundary
     shifted = sp.window_level(
-        ir, (t_ds + cfg.lr_start, t_ds + cfg.lr_start + (cfg.er_end - cfg.er_start))
+        ir, (t_ds + LR_WINDOW[0], t_ds + LR_WINDOW[0] + (ER_WINDOW[1] - ER_WINDOW[0]))
     )
     assert sp.derive_l_lr(l_er, tau) == pytest.approx(shifted, abs=1.0)
 

@@ -156,22 +156,6 @@ def test_stop_gradient_source_latent_frozen(box_scene):
     assert not np.array_equal(bundle.grid.values[recv_idx], before_recv)
 
 
-def test_stop_gradient_disabled_moves_source_latent(box_scene):
-    src_idx, recv_idx = (2, 1, 2), (5, 2, 5)
-    src = box_scene.voxel_center(src_idx)
-    geo = sp.geodesic_field(box_scene, src)
-    lone = np.full(box_scene.dims, np.nan)
-    lone[recv_idx] = geo.values[recv_idx]
-    pi = FieldVolume(source=src, kind="path-distance", values=lone,
-                     spacing=box_scene.spacing, origin=box_scene.origin)
-    ds = sp.Dataset(scene=box_scene, sources=[src], fields=[{"pi": pi}])
-    bundle = sp.make_bundle(box_scene, "distance", "euclidean", 4, seed=0)
-    before_src = bundle.grid.values[src_idx].copy()
-    cfg = sp.TrainConfig(epochs=20, eval_interval=0, seed=0, stop_gradient_at_source=False)
-    sp.train(bundle, ds, cfg)
-    assert not np.array_equal(bundle.grid.values[src_idx], before_src)
-
-
 def test_obstacle_vertices_never_move(box_scene):
     ds = _tiny_dataset(box_scene)
     bundle = sp.make_bundle(box_scene, "distance", "euclidean", 4, seed=0)
@@ -480,9 +464,9 @@ def test_off_centre_source_latent_matches_predict_fields(box_scene):
     assert not np.array_equal(rows[1], bundle.grid.values[box_scene.voxel_of(src)])
 
 
-def test_off_centre_source_gradient_scatters_over_stencil(box_scene):
+def test_off_centre_source_stencil_is_frozen(box_scene):
     """One off-centre source and one distant receiver: the stop-gradient
-    freezes the source stencil; without it, every stencil vertex moves."""
+    freezes the source stencil, and only the receiver moves."""
     src = box_scene.voxel_center((3, 1, 4)) + np.array([0.3, 0.2, -0.35]) * box_scene.spacing
     recv_idx = (6, 2, 6)
     geo = sp.geodesic_field(box_scene, src)
@@ -494,15 +478,12 @@ def test_off_centre_source_gradient_scatters_over_stencil(box_scene):
     stencil = sp.interp_points(box_scene, src[None])
     corners = stencil.corners[0, stencil.weights[0] > 0]
     assert len(corners) == 8 and recv_idx not in {tuple(c) for c in corners}
-    for stop in (True, False):
-        bundle = sp.make_bundle(box_scene, "distance", "euclidean", 4, seed=0)
-        before = bundle.grid.values.copy()
-        cfg = sp.TrainConfig(epochs=3, eval_interval=0, seed=0, stop_gradient_at_source=stop)
-        sp.train(bundle, ds, cfg)
-        moved = np.any(bundle.grid.values != before, axis=-1)
-        assert moved[recv_idx]
-        assert [bool(moved[tuple(c)]) for c in corners] == [not stop] * 8
-        assert np.count_nonzero(moved) == (1 if stop else 9)
+    bundle = sp.make_bundle(box_scene, "distance", "euclidean", 4, seed=0)
+    before = bundle.grid.values.copy()
+    sp.train(bundle, ds, sp.TrainConfig(epochs=3, eval_interval=0, seed=0))
+    moved = np.any(bundle.grid.values != before, axis=-1)
+    assert moved[recv_idx]
+    assert np.count_nonzero(moved) == 1
 
 
 def test_train_makes_one_decode_and_one_backward_per_batch(box_scene, monkeypatch):
@@ -544,20 +525,19 @@ def test_train_makes_one_decode_and_one_backward_per_batch(box_scene, monkeypatc
     assert stencil_points == [2]
 
 
-@pytest.mark.parametrize("group,family,stop", [
-    ("levels", "riemann-diag", True),
-    ("distance", "riemann-psd", False),
-    ("decays", "mlp", False),
+@pytest.mark.parametrize("group,family", [
+    ("levels", "riemann-diag"),
+    ("distance", "riemann-psd"),
+    ("decays", "mlp"),
 ])
-def test_train_matches_per_source_reference(box_scene, group, family, stop):
+def test_train_matches_per_source_reference(box_scene, group, family):
     """Stacked batches train the same parameters as the loop that decodes
     and scatters one source at a time, up to the float reduction order."""
     offset = np.array([0.3, 0.2, -0.35]) * box_scene.spacing
     sources = [box_scene.voxel_center(i) for i in ((2, 1, 2), (5, 2, 5), (4, 1, 3))]
     sources += [box_scene.voxel_center(i) + offset for i in ((3, 1, 4), (5, 2, 2))]
     ds = sp.build_dataset(box_scene, sources)
-    cfg = sp.TrainConfig(epochs=8, batch_sources=2, eval_interval=0, seed=4,
-                         stop_gradient_at_source=stop)
+    cfg = sp.TrainConfig(epochs=8, batch_sources=2, eval_interval=0, seed=4)
     batched = sp.make_bundle(box_scene, group, family, 4, seed=1)
     reference = sp.make_bundle(box_scene, group, family, 4, seed=1)
     sp.train(batched, ds, cfg)
@@ -568,13 +548,13 @@ def test_train_matches_per_source_reference(box_scene, group, family, stop):
     assert moved.any()
 
 
-@pytest.mark.parametrize("group,family,stop", [
-    ("distance", "riemann-diag", True),
-    ("levels", "riemann-diag", False),
-    ("decays", "dot-product", False),
-    ("levels", "mlp", True),
+@pytest.mark.parametrize("group,family", [
+    ("distance", "riemann-diag"),
+    ("levels", "riemann-diag"),
+    ("decays", "dot-product"),
+    ("levels", "mlp"),
 ])
-def test_train_with_two_receiver_sets_matches_per_source_reference(box_scene, group, family, stop):
+def test_train_with_two_receiver_sets_matches_per_source_reference(box_scene, group, family):
     """One source whose fields are NaN at one receiver has a receiver set
     of its own, so batches with it decode two blocks: the parameters match
     the source-by-source loop up to the float reduction order, and the
@@ -585,8 +565,7 @@ def test_train_with_two_receiver_sets_matches_per_source_reference(box_scene, gr
     ds = sp.build_dataset(box_scene, sources)
     for field in ds.fields[1].values():
         field.values[6, 2, 1] = np.nan
-    cfg = sp.TrainConfig(epochs=8, batch_sources=3, eval_interval=0, seed=4,
-                         stop_gradient_at_source=stop)
+    cfg = sp.TrainConfig(epochs=8, batch_sources=3, eval_interval=0, seed=4)
     batched, reference, flat = (sp.make_bundle(box_scene, group, family, 4, seed=1) for _ in range(3))
     history = sp.train(batched, ds, cfg).history
     per_source_train(reference, ds, cfg)
@@ -613,15 +592,15 @@ def five_source_ds(box_scene):
     return sp.build_dataset(box_scene, sources)
 
 
-@pytest.mark.parametrize("stop", [True, False], ids=["stop", "no-stop"])
-@pytest.mark.parametrize("group,family", TRAIN_CASES, ids=[f"{g}-{f}" for g, f in TRAIN_CASES])
-def test_train_is_bit_identical_to_the_two_forward_reference(box_scene, five_source_ds, group, family, stop):
+# Each id ends in "stop", as the training stops the gradient at the source
+# (so do the keys of ``train_digests.json``).
+@pytest.mark.parametrize("group,family", TRAIN_CASES, ids=[f"{g}-{f}-stop" for g, f in TRAIN_CASES])
+def test_train_is_bit_identical_to_the_two_forward_reference(box_scene, five_source_ds, group, family):
     """One forward per batch, its cache handed to the backward, the flat
     Adam and the one-``bincount`` scatter train the parameters and epoch
     losses of the loop that decodes twice, steps the per-array Adam and
     scatters channel by channel, to the bit."""
-    cfg = sp.TrainConfig(epochs=6, batch_sources=2, eval_interval=0, seed=4,
-                         stop_gradient_at_source=stop)
+    cfg = sp.TrainConfig(epochs=6, batch_sources=2, eval_interval=0, seed=4)
     trained = sp.make_bundle(box_scene, group, family, 4, seed=1)
     reference = sp.make_bundle(box_scene, group, family, 4, seed=1)
     history = sp.train(trained, five_source_ds, cfg).history
@@ -630,16 +609,14 @@ def test_train_is_bit_identical_to_the_two_forward_reference(box_scene, five_sou
         assert np.array_equal(trained.trainable()[name], p), name
 
 
-@pytest.mark.parametrize("stop", [True, False], ids=["stop", "no-stop"])
-def test_batch_source_latents_equal_the_stencil_sample_rows(box_scene, five_source_ds, stop):
+def test_batch_source_latents_equal_the_stencil_sample_rows(box_scene, five_source_ds):
     """A batch samples only its own sources' latents, on and off voxel
     centres, once each: the block's source rows equal those of
     ``InterpBatch.sample`` over every source at that step, to the bit.
     Training writes the grid back only at its end, so the grid at a step
     is the initial one with the step's receiver rows, every free voxel's,
     written in."""
-    cfg = sp.TrainConfig(epochs=3, batch_sources=2, eval_interval=0, seed=4,
-                         stop_gradient_at_source=stop)
+    cfg = sp.TrainConfig(epochs=3, batch_sources=2, eval_interval=0, seed=4)
     bundle = sp.make_bundle(box_scene, "levels", "riemann-diag", 4, seed=1)
     stencils = training._source_stencils(box_scene, five_source_ds.sources)
     rng = np.random.default_rng(cfg.seed)
@@ -708,7 +685,7 @@ def test_source_on_an_obstacle_voxel_centre_is_an_input_error(box_scene):
     ds = sp.Dataset(scene=box_scene, sources=[wall], fields=[fields])
     bundle = sp.make_bundle(box_scene, "distance", "euclidean", 4, seed=0)
     with pytest.raises(InputError, match="occupied"):
-        sp.train(bundle, ds, sp.TrainConfig(epochs=1, eval_interval=0, stop_gradient_at_source=False))
+        sp.train(bundle, ds, sp.TrainConfig(epochs=1, eval_interval=0))
     with pytest.raises(InputError, match="occupied"):
         sp.predict_fields(bundle, wall)
 

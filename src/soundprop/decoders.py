@@ -42,10 +42,9 @@ heads, the levels head's local term, the diagonal metric's products and
 its adjoint's ``n x n`` products, and the dot product's ``(B, R)`` inner
 products and gradient contractions. The metric and MLP families form
 each pair's difference (the full metric also its midpoint) or
-concatenation, so a pair has the same bits in every block of two or
-more pairs. A block swaps into its transpose bit for bit, and a one-row
-side of a many-row block is projected through the many-row BLAS path,
-like the other side (``_side_product``).
+concatenation, and every product on their rows goes through
+``_product``, so a pair decodes to the same bits in every block, a 1x1
+block included, and a block swaps into its transpose bit for bit.
 
 The three metric distances are one core, ``_MetricDecoder``: its
 forward and backward take the difference, the row norm and its adjoint;
@@ -128,14 +127,19 @@ def _receiver_sums(rows: np.ndarray, B: int, R: int) -> np.ndarray:
     return rows.reshape(B, R, -1).sum(axis=0)
 
 
-def _side_product(X: np.ndarray, W: np.ndarray, rows: int) -> np.ndarray:
-    """``X @ W`` for one side of a block whose larger side has ``rows``
-    rows. A one-row ``X`` of a many-row block is padded to two rows: a
-    one-row product (BLAS gemv) can differ in the last bit from the same
-    row of a many-row one (gemm). With both sides of a pair on one path,
-    the one-source block of ``a`` decodes ``(a, b)`` to the bits that the
-    one-source block of ``b`` decodes ``(b, a)`` to."""
-    if len(X) == 1 and rows > 1:
+def _product(X: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """``X @ W`` on latent or pair rows ``X``, each row's bits independent
+    of the row count. A one-row or narrow product would take BLAS's
+    matrix-vector path (gemv), whose rows can differ in the last bit from
+    a matrix product's (gemm). So a ``W`` of one or two columns goes
+    through ``einsum``, which sums each entry in one order, a one-row
+    ``X`` is padded to two rows, and ``W`` is made contiguous: every other
+    product is one gemm layout, whose rows the block gate
+    (``test_block_matches_per_pair_decodes``) checks on the BLAS build."""
+    if W.shape[1] <= 2:
+        return np.einsum("ij,jk->ik", X, W)
+    W = np.ascontiguousarray(W)
+    if len(X) == 1:
         return (np.concatenate([X, X]) @ W)[:1]
     return X @ W
 
@@ -236,7 +240,7 @@ class PsdDecoder(_MetricDecoder):
         M += V
         M *= 0.5
         M = M.reshape(B * R, n)
-        A = (M @ self.weights.T).reshape(B * R, n, n)
+        A = _product(M, self.weights.T).reshape(B * R, n, n)
         A[:, np.arange(n), np.arange(n)] += 1.0
         return np.einsum("bij,bj->bi", A, delta), (A, M)
 
@@ -284,15 +288,14 @@ class DiagDecoder(_MetricDecoder):
 
     def _lam(self, U, V) -> np.ndarray:
         """``lambda`` of every pair of the block, one row per pair, source
-        by source. Each side's product runs on one BLAS path
-        (``_side_product``), and the sum commutes, so a pair has the same
-        bits in either input order and in every block of two or more
-        pairs. The sources' rows are repeated, not broadcast, so every
-        elementwise op runs on contiguous rows."""
+        by source. Both sides go through one ``_product`` and the sum
+        commutes, so a pair has the same bits in either input order and
+        in every block. The sources' rows are repeated, not broadcast, so
+        every elementwise op runs on contiguous rows."""
         B, R = len(U), len(V)
-        half, rows = 0.5 * self.weights.T, max(B, R)
-        lam = _side_product(U, half, rows).repeat(R, axis=0).reshape(B, R, self.n)
-        lam += _side_product(V, half, rows)
+        half = _product(np.concatenate([U, V]), 0.5 * self.weights.T)  # both sides in one product
+        lam = half[:B].repeat(R, axis=0).reshape(B, R, self.n)
+        lam += half[B:]
         lam += 1.0
         return lam.reshape(B * R, self.n)
 
@@ -362,9 +365,7 @@ class MlpDecoder(_Decoder):
         pre = []
         a = z
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            # a one-unit layer through ``@`` would be a matrix-vector product
-            # (BLAS gemv), whose rows depend on their position in the block
-            s = (a @ w.T if len(w) > 1 else np.einsum("ij,kj->ik", a, w)) + b
+            s = _product(a, w.T) + b
             if i < len(self.weights) - 1:
                 pre.append(s)
                 a = np.maximum(s, 0.0)
@@ -512,9 +513,9 @@ class _PairHead(_Head):
         if self.proj is None:
             h, cache = self.decoder.forward(U, V)  # (B, R, 2)
             return h[..., 0], h[..., 1], (U, V, [cache])
-        rows = max(len(U), len(V))
         h1, c1 = self.decoder.forward(U, V)
-        h2, c2 = self.decoder.forward(_side_product(U, self.proj.T, rows), _side_product(V, self.proj.T, rows))
+        P = _product(np.concatenate([U, V]), self.proj.T)  # both sides in one product
+        h2, c2 = self.decoder.forward(P[: len(U)], P[len(U) :])
         return h1, h2, (U, V, [c1, c2])
 
     def _decode_backward(self, cache, up1, up2, grads, gU=None, gV=None):
@@ -566,7 +567,8 @@ class LevelsModel(_PairHead):
 
     def forward(self, U, V):
         U, V = _as_rows(U), _as_rows(V)
-        local = 0.5 * ((U @ self.w)[:, None] + (V @ self.w)[None]) + self.beta[0]
+        uw = _product(np.concatenate([U, V]), self.w[:, None])[:, 0]  # both sides in one product
+        local = 0.5 * (uw[: len(U), None] + uw[None, len(U) :]) + self.beta[0]
         h_ds, h_er, cache = self._decode(U, V)
         return {"l_ds": self.l0[0] - h_ds, "l_er": local - h_er}, cache
 

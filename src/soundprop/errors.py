@@ -30,7 +30,7 @@ class DegenerateGradientError(InputError):
 
 
 class DivergenceError(SoundPropError):
-    """Training produced a non-finite loss.
+    """Training produced a non-finite loss or parameter.
 
     Carries the snapshot training had kept, the parameters it restored
     before raising, so callers can recover.

@@ -173,16 +173,18 @@ class InterpBatch:
 def interp_points(scene: VoxelScene, points, value_mask: np.ndarray | None = None) -> InterpBatch:
     """Visibility-masked trilinear stencils of the ``(N, 3)`` ``points``.
 
-    A cell corner contributes if its trilinear weight is positive, it is
-    usable (free, and set in the optional ``value_mask``, e.g. finite field
-    samples) and it sees the point; the surviving weights are
-    renormalized. A point with no such corner falls back to the nearest
-    usable vertex that sees it, in the lowest Chebyshev shell (radius 0 to
-    2) around its nearest vertex, ties to the first in C order. A corner
-    ray stays in the point's cell, so whether it sees the point is read
-    from ``_CHAIN``; only the corner rays of points whose offsets tie or
-    near a face, and the fallback rays, walk ``scene.lines_of_sight``'s
-    core, one walk each, and neither checks the points again.
+    A point within 1e-9 voxel of a usable voxel centre on every axis reads
+    that voxel alone. Elsewhere a cell corner contributes if its trilinear
+    weight is positive, it is usable (free, and set in the optional
+    ``value_mask``, e.g. finite field samples) and it sees the point; the
+    surviving weights are renormalized. A point with no such corner falls
+    back to the nearest usable vertex that sees it, in the lowest
+    Chebyshev shell (radius 0 to 2) around its nearest vertex, ties to the
+    first in C order. A corner ray stays in the point's cell, so whether
+    it sees the point is read from ``_CHAIN``; only the corner rays of the
+    other points whose offsets tie or near a face, and the fallback rays,
+    walk ``scene.lines_of_sight``'s core, one walk each, and neither
+    checks the points again.
     Unresolvable points are reported in ``status``, not raised.
     """
     P = np.asarray(points, dtype=float).reshape(-1, 3)
@@ -206,8 +208,15 @@ def interp_points(scene: VoxelScene, points, value_mask: np.ndarray | None = Non
     # ray stays in the cell, so they are in the grid.
     beta = np.abs(v - voxel)
     order = beta[:, _PAIR_A] - beta[:, _PAIR_B]
-    near = ((np.abs(order) <= _NEAR) | (beta >= 0.5 - _NEAR)).any(axis=1)
-    chain = _CHAIN[(voxel - base) @ _BITS, (order > 0.0) @ _BITS]
+    near = ((np.abs(order) <= _NEAR) | (beta >= 0.5 - _NEAR)).any(axis=1) & ok
+    pv = (voxel - base) @ _BITS
+    snap = None
+    if near.any():  # a point on a voxel centre is near: its offsets tie
+        snap = np.flatnonzero(near & (beta <= 1e-9).all(axis=1))
+        if value_mask is not None:
+            snap = snap[value_mask[tuple(voxel[snap].T)]]
+        near[snap] = False
+    chain = _CHAIN[pv, (order > 0.0) @ _BITS]
     cells = ((base + 1) @ scene._strides)[:, None, None] + (_CORNERS @ scene._strides)[chain]
     free = scene._labels[cells] == _FREE
     keep = (w > 0.0) & free[..., 0] & ok[:, None]
@@ -218,6 +227,9 @@ def interp_points(scene: VoxelScene, points, value_mask: np.ndarray | None = Non
     if row.size:
         keep[row, slot] = _sees(scene, corners[row, slot], v[row], voxel[row])
     w = np.where(keep, w, 0.0)
+    if snap is not None:
+        w[snap] = 0.0
+        w[snap, pv[snap]] = 1.0
     total = w.sum(axis=1)
     hit = total > 0.0
     w /= np.where(hit, total, 1.0)[:, None]

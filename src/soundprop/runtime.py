@@ -340,11 +340,12 @@ def query_params(bundles: dict, scene: VoxelScene, a, b) -> AcousticParamSet:
     trained model bundles over ``scene``. One masked interpolation finds
     the stencils of ``a``, ``b`` and the 12 DOA stencil points around
     ``b``; the corners and weights depend only on the scene and the point,
-    so every bundle's latents reuse them. Each bundle decodes the pair as
-    a 1x1 block. The direction of arrival is the negated gradient of the
-    distance field predicted for ``a`` at the stencil points, decoded as
-    one 1x12 block; a stencil point that cannot be resolved is a missing
-    sample. A pure function of the checkpoints and positions.
+    so every bundle's latents reuse them. Each bundle makes one decode,
+    the distance bundle of ``a`` against ``b`` and the stencil points as
+    one 1x13 block, the others of the pair as a 1x1 block. The direction
+    of arrival is the negated gradient of the predicted distance field at
+    the stencil points; a stencil point that cannot be resolved is a
+    missing sample. A pure function of the checkpoints and positions.
     """
     if "distance" not in bundles:
         raise ConfigurationError("query needs at least a distance bundle")
@@ -360,17 +361,13 @@ def query_params(bundles: dict, scene: VoxelScene, a, b) -> AcousticParamSet:
     out = {}
     for group, bundle in bundles.items():
         latents = batch.sample(bundle.grid.values)
-        # The pair is its own 1x1 block: a row of a many-row BLAS product
-        # can differ in the last bit from the same row alone.
-        out.update(bundle.head.predict(latents[:1], latents[1:2]))
-        if group == "distance":
-            samples = bundle.head.predict(latents[:1], latents[2:])["pi"][0]
+        out.update(bundle.head.predict(latents[:1], latents[1:] if group == "distance" else latents[1:2]))
     pi, l_ds, l_er, tau_er, tau_lr = (
         float(out[name][0, 0]) if name in out else float("nan")
         for name in PARAM_KINDS
     )
 
-    doa = doa_from_samples(pi, samples, h)
+    doa = doa_from_samples(pi, out["pi"][0, 1:], h)
     l_lr = derive_l_lr(l_er, tau_er) if np.isfinite(l_er) and tau_er > 0 else None
     return AcousticParamSet(
         pi=pi, l_ds=l_ds, l_er=l_er, tau_er=tau_er, tau_lr=tau_lr, doa=doa, l_lr=l_lr

@@ -282,29 +282,11 @@ def build_dataset(scene: VoxelScene, sources, split: str = "train") -> Dataset:
 
 
 def _source_stencils(scene: VoxelScene, sources) -> InterpBatch:
-    """Stencils the source latents are read from. A source within
-    ``1e-9 * spacing`` of a free voxel's centre on every axis reads that
-    voxel (weight 1); the others go through one ``interp_points`` call, so
-    every stencil vertex is free. Raises for a source that does not
-    resolve."""
+    """Stencils the source latents are read from, by ``interp_points``;
+    raises for a source that does not resolve."""
     P = np.asarray(sources, dtype=float).reshape(-1, 3)
-    k = np.rint((P - scene.origin) / scene.spacing)
-    on_centre = np.all(
-        (np.abs(scene.voxel_center(k) - P) <= 1e-9 * scene.spacing) & (k >= 0) & (k < scene.dims),
-        axis=1,
-    )
-    on_centre[on_centre] = ~scene.occupancy[tuple(k[on_centre].astype(int).T)]
-    corners = np.zeros((len(P), 8, 3), dtype=int)
-    weights = np.zeros((len(P), 8))
-    status = np.full(len(P), RESOLVED, dtype=np.int8)
-    corners[on_centre, 0] = k[on_centre]
-    weights[on_centre, 0] = 1.0
-    off = np.flatnonzero(~on_centre)
-    if off.size:
-        batch = interp_points(scene, P[off])
-        corners[off], weights[off], status[off] = batch.corners, batch.weights, batch.status
-    stencils = InterpBatch(corners=corners, weights=weights, status=status)
-    for i in np.flatnonzero(status != RESOLVED):
+    stencils = interp_points(scene, P)
+    for i in np.flatnonzero(stencils.status != RESOLVED):
         stencils.check(i, P[i])
     return stencils
 
@@ -381,8 +363,9 @@ def train(
     is no validation set. At the end the bundle is restored to it; with
     ``eval_interval`` 0 nothing is evaluated and the bundle keeps its final
     parameters. If the loss goes non-finite, which is checked block by
-    block before its backward, the bundle is restored to the kept snapshot
-    and ``DivergenceError`` is raised carrying it as ``last_good``.
+    block before its backward, or a step leaves a parameter non-finite,
+    the bundle is restored to the kept snapshot and ``DivergenceError`` is
+    raised carrying it as ``last_good``.
 
     A batch decodes its sources as one block against their shared
     receivers (one block per receiver set, in order of first appearance,
@@ -459,12 +442,13 @@ def train(
             grid_grad, grads = np.zeros_like(table), None
             batch_loss = 0.0
             keys = set_of[batch]
-            for k in dict.fromkeys(keys.tolist()):
-                block = np.flatnonzero(keys == k)
-                rows, d = row_in_set[batch[block]], denom[block]
-                half_d = d * 0.5  # r / (d / 2) is 2 r / d to the bit
-                # A diverging forward overflows; the loss check below reports it.
-                with np.errstate(over="ignore", invalid="ignore"):
+            # A diverging batch overflows: the loss, checked per block before
+            # its backward, or the parameters after the step report it.
+            with np.errstate(over="ignore", invalid="ignore"):
+                for k in dict.fromkeys(keys.tolist()):
+                    block = np.flatnonzero(keys == k)
+                    rows, d = row_in_set[batch[block]], denom[block]
+                    half_d = d * 0.5  # r / (d / 2) is 2 r / d to the bit
                     preds, cache = bundle.head.forward(U[block], table[at[k]])
                     upstream = {}
                     for h in heads:
@@ -473,18 +457,22 @@ def train(
                         sq /= d
                         batch_loss += float(sq.sum())
                         upstream[h] = np.divide(r, half_d, out=r)
-                if not np.isfinite(batch_loss):
-                    bundle.restore(kept)
-                    raise DivergenceError(f"non-finite loss at epoch {epoch}", last_good=kept)
-                _, gV, head_grads = bundle.head.backward(cache, upstream)
-                grid_grad[at[k]] += gV
-                if grads is None:
-                    grads = head_grads
+                    if not np.isfinite(batch_loss):
+                        break
+                    _, gV, head_grads = bundle.head.backward(cache, upstream)
+                    grid_grad[at[k]] += gV
+                    if grads is None:
+                        grads = head_grads
+                    else:
+                        for name, g in head_grads.items():
+                            grads[name] += g
                 else:
-                    for name, g in head_grads.items():
-                        grads[name] += g
-            grads["grid"] = grid_grad
-            opt.step(grads)
+                    grads["grid"] = grid_grad
+                    opt.step(grads)
+            if not (np.isfinite(batch_loss) and all(np.isfinite(p).all() for p in params.values())):
+                bundle.restore(kept)
+                what = "loss" if not np.isfinite(batch_loss) else "parameters"
+                raise DivergenceError(f"non-finite {what} at epoch {epoch}", last_good=kept)
             epoch_loss += batch_loss
             n_batches += 1
         epoch_loss /= max(n_batches, 1)

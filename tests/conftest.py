@@ -4,6 +4,13 @@ from hypothesis import settings
 
 import soundprop as sp
 
+# Every group with every family it trains.
+TRAIN_CASES = (
+    [("distance", f) for f in ("euclidean", "riemann-psd", "riemann-diag", "mlp")]
+    + [("levels", f) for f in ("euclidean", "riemann-psd", "riemann-diag", "mlp", "dot-product")]
+    + [("decays", f) for f in ("dot-product", "mlp")]
+)
+
 # Property and fuzz tests draw the same examples on every run and have no
 # per-example deadline, so a slow machine cannot fail them on timing.
 settings.register_profile("soundprop", derandomize=True, deadline=None)

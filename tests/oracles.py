@@ -235,10 +235,12 @@ def walk_interp_points(scene, points, value_mask=None):
     """``latentfield.interp_points`` with every corner ray walked: the
     reference for its chain-table visibility.
 
-    A cell corner contributes if its trilinear weight is positive, it is
-    usable and ``scene._walk`` sees the point from it; the surviving
-    weights are renormalized, and a point with no such corner falls back
-    as in ``interp_points``.
+    A point within 1e-9 voxel of a usable voxel centre on every axis takes
+    weight 1 on the cell corner that is that voxel. Elsewhere a cell corner
+    contributes if its trilinear weight is positive, it is usable and
+    ``scene._walk`` sees the point from it; the surviving weights are
+    renormalized, and a point with no such corner falls back as in
+    ``interp_points``.
     """
     P = np.asarray(points, dtype=float).reshape(-1, 3)
     dims = scene._dims
@@ -257,10 +259,13 @@ def walk_interp_points(scene, points, value_mask=None):
     f = np.where(_CORNERS == 1, t[:, None, :], 1.0 - t[:, None, :])
     w = f[..., 0] * f[..., 1] * f[..., 2]
 
-    row, slot = np.nonzero((w > 0.0) & usable[tuple(corners.T)].T & ok[:, None])
+    centre = ok & (np.abs(v - voxel) <= 1e-9).all(axis=1)
+    centre[centre] = usable[tuple(voxel[centre].T)]
+    row, slot = np.nonzero((w > 0.0) & usable[tuple(corners.T)].T & (ok & ~centre)[:, None])
     keep = np.zeros(w.shape, dtype=bool)
     keep[row, slot] = _sees(scene, corners[row, slot], v[row], voxel[row])
     w = np.where(keep, w, 0.0)
+    w[centre] = (corners[centre] == voxel[centre, None]).all(axis=2)
     total = w.sum(axis=1)
     hit = total > 0.0
     w[hit] /= total[hit, None]
@@ -506,7 +511,9 @@ def norm_decode(decoder, U, V, upstream):
 def levels_decode(model, U, V, upstream):
     """``LevelsModel`` block outputs and gradients with ``norm_decode`` for
     the decoder and the ``w`` gradient as column sums ``(U * up[:,
-    None]).sum(0)`` of each side's upstream sums: ``(out, gU, gV, grads)``."""
+    None]).sum(0)`` of each side's upstream sums: ``(out, gU, gV, grads)``.
+    The projection is one matrix product on both sides' rows, as in the
+    head, so a one-row side gets the projected bits the head decodes."""
     U, V = np.atleast_2d(U), np.atleast_2d(V)
     shape = (len(U), len(V))
     up_ds, up_er = (np.broadcast_to(upstream[h], shape) for h in ("l_ds", "l_er"))
@@ -522,7 +529,8 @@ def levels_decode(model, U, V, upstream):
     else:
         P = model.proj
         h_ds, dU, dV, dP = norm_decode(model.decoder, U, V, -up_ds)
-        h_er, pU, pV, pP = norm_decode(model.decoder, U @ P.T, V @ P.T, -up_er)
+        UV = np.vstack([U, V]) @ np.ascontiguousarray(P.T)
+        h_er, pU, pV, pP = norm_decode(model.decoder, UV[: len(U)], UV[len(U) :], -up_er)
         grads["proj"] = pU.T @ U + pV.T @ V
         dU, dV = dU + pU @ P, dV + pV @ P
         dP = {name: g + pP[name] for name, g in dP.items()}

@@ -114,6 +114,28 @@ def test_divergence_raises_before_numpy_warns(group, family):
         assert np.array_equal(arr, entry[name]), name
 
 
+@pytest.mark.parametrize("group,family", [
+    ("decays", "dot-product"), ("distance", "euclidean"), ("levels", "riemann-diag"), ("decays", "mlp"),
+])
+def test_divergence_with_a_finite_loss_raises(group, family):
+    """At one source per batch and learning rates of 1e200 the first steps
+    blow the parameters up. A dot product's sigmoid saturates on inf
+    latents, so its loss stays finite while a step leaves NaN parameters:
+    every family raises ``DivergenceError`` at epoch 1, with warnings as
+    errors, and the bundle holds its entry state."""
+    scene = sp.build_scene(sp.SceneSpec(kind="empty-box", dims=(6, 3, 6)))
+    ds = sp.build_dataset(scene, [scene.voxel_center(i) for i in ((1, 1, 1), (4, 1, 4), (2, 1, 3))])
+    bundle = sp.make_bundle(scene, group, family, 4, seed=0)
+    entry = bundle.snapshot()
+    cfg = sp.TrainConfig(epochs=5, batch_sources=1, eval_interval=0, lr_decoder=1e200, lr_grid=1e200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError, match="epoch 1$"):
+            sp.train(bundle, ds, cfg)
+    for name, arr in bundle.trainable().items():
+        assert np.array_equal(arr, entry[name]), name
+
+
 def test_field_file_truncation_detected(tmp_path, box_scene):
     geo = sp.geodesic_field(box_scene, box_scene.voxel_center((4, 2, 4)))
     path = tmp_path / "pi.fld"

@@ -7,7 +7,7 @@ from soundprop.errors import ConfigurationError, InputError, IsolationError
 from soundprop.irparams import DOA_STENCIL, ER_WINDOW, LR_WINDOW, anchored
 from soundprop.runtime import render_params
 
-from conftest import latent_at, random_free_position
+from conftest import TRAIN_CASES, latent_at, random_free_position
 from oracles import masked_interp as oracle_masked_interp
 from oracles import per_bundle_query, render_two_buses
 
@@ -409,9 +409,9 @@ def _near_degenerate(scene, p) -> bool:
 
 def test_query_interpolates_each_point_once(maze_scene, maze_bundles, monkeypatch):
     """One interpolation over ``a``, ``b`` and the 12 DOA stencil points,
-    no ray walk unless a point is near-degenerate or falls back, one 1x1
-    pair block per bundle and one 1x12 stencil block on the distance
-    bundle."""
+    no ray walk unless a point is near-degenerate or falls back, one 1x13
+    block of ``a`` against ``b`` and the stencil on the distance bundle and
+    one 1x1 pair block on each other bundle."""
     from soundprop import latentfield
 
     batches, rays, decodes = [], [], []
@@ -439,8 +439,29 @@ def test_query_interpolates_each_point_once(maze_scene, maze_bundles, monkeypatc
         walked = any(_near_degenerate(maze_scene, p) for p in batches[0])
         assert len(rays) == walked + fell_back
         assert sorted(decodes) == [
-            ("DecaysModel", 1, 1), ("DistanceModel", 1, 1), ("DistanceModel", 1, 12), ("LevelsModel", 1, 1)
+            ("DecaysModel", 1, 1), ("DistanceModel", 1, 13), ("LevelsModel", 1, 1)
         ]
+
+
+@pytest.mark.parametrize("spacing,origin", [(1.0, (0.0, 0.0, 0.0)), (0.37, (-3.1, 2.2, 0.7))])
+@pytest.mark.parametrize("n", [4, 8, 16])
+def test_query_at_voxel_centres_reads_predict_fields(spacing, origin, n):
+    """``query_params`` at 30 voxel-centre pairs returns, bit for bit,
+    ``predict_fields(bundle, a)[head]`` at b's voxel, for every group and
+    family: a point on a voxel centre reads that voxel on both paths, and
+    a pair decodes to the same bits in a 1x1, a 1x13 and a 1xF block."""
+    scene = sp.build_scene(sp.SceneSpec(kind="maze", dims=(15, 4, 15), spacing=spacing, origin=origin, seed=2))
+    free = scene.free_indices()
+    rng = np.random.default_rng(n)
+    for group, family in TRAIN_CASES:
+        bundles = {g: sp.make_bundle(scene, g, f, n, seed=7) for g, f in (("distance", "riemann-diag"), (group, family))}
+        for ia in rng.choice(len(free), 5, replace=False):
+            a = scene.voxel_center(free[ia])
+            fields = sp.predict_fields(bundles[group], a)
+            for ib in rng.choice(len(free), 6, replace=False):
+                q = sp.query_params(bundles, scene, a, scene.voxel_center(free[ib]))
+                for head, field in fields.items():
+                    assert getattr(q, head) == field.values[tuple(free[ib])], (group, family, head)
 
 
 def test_query_builds_no_grid_table(maze_scene, maze_bundles, monkeypatch):

@@ -10,6 +10,7 @@ from soundprop.oracle import PARAM_KINDS, FieldVolume
 from soundprop import training
 from soundprop.training import GROUP_HEADS
 
+from conftest import TRAIN_CASES
 from oracles import Adam as PerArrayAdam
 from oracles import (
     full_visibility_sources,
@@ -489,8 +490,8 @@ def test_off_centre_source_stencil_is_frozen(box_scene):
 def test_train_makes_one_decode_and_one_backward_per_batch(box_scene, monkeypatch):
     """A batch decodes its sources against their shared receivers as one
     block: one ``forward`` and one ``backward`` on that forward's cache,
-    and never ``predict``; the off-centre sources share one
-    ``interp_points`` call, made once for the whole run."""
+    and never ``predict``; all sources, on voxel centres or off them,
+    share one ``interp_points`` call, made once for the whole run."""
     offset = np.array([0.3, 0.2, -0.35]) * box_scene.spacing
     sources = [box_scene.voxel_center(i) for i in ((2, 1, 2), (5, 2, 5), (4, 1, 3))]
     sources += [box_scene.voxel_center(i) + offset for i in ((3, 1, 4), (5, 2, 2))]
@@ -522,7 +523,7 @@ def test_train_makes_one_decode_and_one_backward_per_batch(box_scene, monkeypatc
     n_free = np.count_nonzero(box_scene.free_mask())
     assert sum(b for b, _ in rows["forward"][:3]) == len(sources)
     assert {r for _, r in rows["forward"]} == {n_free}
-    assert stencil_points == [2]
+    assert stencil_points == [len(sources)]
 
 
 @pytest.mark.parametrize("group,family", [
@@ -574,13 +575,6 @@ def test_train_with_two_receiver_sets_matches_per_source_reference(box_scene, gr
         assert np.allclose(batched.trainable()[name], p, rtol=0.0, atol=1e-12), name
         assert np.array_equal(batched.trainable()[name], flat.trainable()[name]), name
     assert batched.grid.values[6, 2, 1].any()  # the other sources' receiver
-
-
-TRAIN_CASES = (
-    [("distance", f) for f in ("euclidean", "riemann-psd", "riemann-diag", "mlp")]
-    + [("levels", f) for f in ("euclidean", "riemann-psd", "riemann-diag", "mlp", "dot-product")]
-    + [("decays", f) for f in ("dot-product", "mlp")]
-)
 
 
 @pytest.fixture(scope="module")

@@ -22,12 +22,12 @@ rng = np.random.default_rng(0)
 for sources, receivers in ((1, 1), (1, 64), (4, 1024), (16, 4096)):
     U = rng.normal(size=(sources, n))
     V = rng.normal(size=(receivers, n))
-    decoder.pairwise(U, V)  # warm up
+    decoder.forward(U, V)[0]  # warm up
     pairs = sources * receivers
     reps = max(1, 200_000 // pairs)
     t0 = time.perf_counter()
     for _ in range(reps):
-        decoder.pairwise(U, V)
+        decoder.forward(U, V)[0]
     per_pair = (time.perf_counter() - t0) / (reps * pairs) * 1e6
     print(f"block decode, {sources:2d} x {receivers:4d} pairs: {per_pair:9.3f} us/pair")
 

@@ -269,12 +269,6 @@ def _cmd_eval(args):
 def _cmd_ablate(args):
     scene, _ = read_scene(args.scene)
     families = args.families.split(",")
-    # Refuse a family the group cannot use or a latent size below 1 before
-    # any cell trains, not after the cells before it (``ablation_run``
-    # records only a diverging cell as data).
-    for family in families:
-        for n in args.n_values:
-            make_bundle(scene, args.group, family, n)
     train_ds = _load_field_dataset(scene, args.train_fields, "train")
     val_ds = _load_field_dataset(scene, args.val_fields, "val")
     test_ds = _load_field_dataset(scene, args.test_fields, "test")

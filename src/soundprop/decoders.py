@@ -25,17 +25,17 @@ receiver latents, every source with every receiver. Every decoder and
 head has one forward/backward pair:
 
 * ``forward(U, V) -> (out, cache)`` decodes the ``(B, n)`` rows ``U``
-  against the ``(R, n)`` rows ``V`` (a single pair is a 1x1 block, a 1-D
-  vector one row) into ``(B, R)`` outputs, and returns, beside them, the
-  intermediates its adjoint needs (midpoints, metric values, norms,
-  activations, sigmoids).
+  against the ``(R, n)`` rows ``V`` (a single pair is a 1x1 block) into
+  ``(B, R)`` outputs, and returns, beside them, the intermediates its
+  adjoint needs (midpoints, metric values, norms, activations, sigmoids).
 * ``backward(cache, upstream) -> (gU, gV, grads)`` is the analytic adjoint
-  for the ``(B, R)`` ``upstream`` gradient of the outputs: ``gU`` holds
-  each source's gradient summed over its receivers, and ``gV`` each
-  receiver's summed over the sources, each in a fixed order. It
-  reads every intermediate from ``cache`` and recomputes none, so a
-  training step decodes once. The cache does not copy the parameters, so
-  a training step updates them only after its backward.
+  for the ``upstream`` gradient of the outputs, an array of their exact
+  shape (a dict of them for a head): ``gU`` holds each source's gradient
+  summed over its receivers, and ``gV`` each receiver's summed over the
+  sources, each in a fixed order. It reads every intermediate from
+  ``cache`` and recomputes none, so a training step decodes once. The
+  cache does not copy the parameters, so a training step updates them
+  only after its backward.
 
 Work that reads one side runs once per side: the projection of the pair
 heads, the levels head's local term, the diagonal metric's products and
@@ -49,12 +49,11 @@ block included, and a block swaps into its transpose bit for bit.
 The three metric distances are one core, ``_MetricDecoder``: its
 forward and backward take the difference, the row norm and its adjoint;
 each family supplies only its metric map and that map's adjoint, summed
-per side. Every decoder
-inherits ``pairwise`` (``forward(...)[0]``) and ``param_count`` from
-``_Decoder``, every head ``family`` and ``predict`` (``forward(...)[0]``)
-from ``_Head``. ``make_distance_decoder`` builds every family and is the
-one place decoder weights are drawn. Gradients at coincident inputs use
-the zero subgradient so the source voxel never produces NaNs.
+per side. Every decoder inherits ``param_count`` from ``_Decoder``, every
+head ``family`` and ``predict`` (``forward(...)[0]``) from ``_Head``.
+``make_distance_decoder`` builds every family and is the one place
+decoder weights are drawn. Gradients at coincident inputs use the zero
+subgradient so the source voxel never produces NaNs.
 
 ``flop_count`` approximates the float operations of one inference. Dense
 linear maps and matrix-vector products count one fused multiply-add per
@@ -85,33 +84,17 @@ def _sigmoid(x):
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
-def _as_rows(u) -> np.ndarray:
-    a = np.asarray(u, dtype=float)
-    return a[None, :] if a.ndim == 1 else a
-
-
 def _row_norm(y: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row of ``y``: one ``einsum`` pass, about three
     times faster than ``np.linalg.norm(y, axis=1)`` on narrow rows."""
     return np.sqrt(np.einsum("ij,ij->i", y, y))
 
 
-def _norm_adjoint(y: np.ndarray, d: np.ndarray, upstream) -> np.ndarray:
+def _norm_adjoint(y: np.ndarray, d: np.ndarray, upstream: np.ndarray) -> np.ndarray:
     """Adjoint of the row norm ``d = |y|``: ``upstream * y / d``, with the
     zero subgradient where ``d == 0``."""
-    upstream = np.atleast_1d(np.asarray(upstream, dtype=float))
     scale = np.divide(upstream, d, out=np.zeros_like(d), where=d > 0)
     return y * scale[:, None]
-
-
-def _pair_upstream(upstream, B: int, R: int, k: int = 1) -> np.ndarray:
-    """The upstream gradient of a ``(B, R)`` block (``(B, R, k)`` for ``k``
-    outputs; a scalar broadcasts) as one row per pair, source by source."""
-    shape = (B, R) if k == 1 else (B, R, k)
-    upstream = np.asarray(upstream, dtype=float)
-    if upstream.shape != shape:
-        upstream = np.broadcast_to(upstream, shape)
-    return upstream.reshape(B * R, -1)
 
 
 def _source_sums(rows: np.ndarray, B: int, R: int) -> np.ndarray:
@@ -151,7 +134,7 @@ def _product(X: np.ndarray, W: np.ndarray) -> np.ndarray:
 
 class _Decoder:
     """Base of every decoder: latent size ``n``, parameters (none unless a
-    family adds them), their count, and ``pairwise``."""
+    family adds them) and their count."""
 
     def __init__(self, n: int):
         self.n = int(n)
@@ -161,9 +144,6 @@ class _Decoder:
 
     def param_count(self) -> int:
         return sum(p.size for p in self.trainable().values())
-
-    def pairwise(self, U, V) -> np.ndarray:
-        return self.forward(U, V)[0]
 
 
 class _MetricDecoder(_Decoder):
@@ -180,7 +160,6 @@ class _MetricDecoder(_Decoder):
     """
 
     def forward(self, U, V):
-        U, V = _as_rows(U), _as_rows(V)
         B, R = len(U), len(V)
         delta = U.repeat(R, axis=0).reshape(B, R, self.n)
         delta -= V  # V broadcasts over the sources
@@ -191,7 +170,7 @@ class _MetricDecoder(_Decoder):
 
     def backward(self, cache, upstream):
         U, V, delta, T, y, d = cache
-        gy = _norm_adjoint(y, d, _pair_upstream(upstream, len(U), len(V))[:, 0])
+        gy = _norm_adjoint(y, d, upstream.reshape(-1))
         return self._map_adjoint(U, V, delta, T, gy)
 
 
@@ -385,7 +364,6 @@ class MlpDecoder(_Decoder):
 
     def forward(self, U, V):
         """Symmetrized outputs, shape (B, R) if k == 1 else (B, R, k)."""
-        U, V = _as_rows(U), _as_rows(V)
         B, R = len(U), len(V)
         U_pairs, V_pairs = np.repeat(U, R, axis=0), np.tile(V, (B, 1))  # source by source
         out1, acts1, pre1 = self._forward_pass(np.concatenate([U_pairs, V_pairs], axis=1))
@@ -395,11 +373,10 @@ class MlpDecoder(_Decoder):
 
     def backward(self, cache, upstream):
         acts1, pre1, acts2, pre2, B, R = cache
-        upstream = _pair_upstream(upstream, B, R, self.k)
-        n = self.n
+        half, n = 0.5 * upstream.reshape(B * R, self.k), self.n
         grads = {name: np.zeros_like(p) for name, p in self.trainable().items()}
-        gz1 = self._backward_pass(0.5 * upstream, acts1, pre1, grads)
-        gz2 = self._backward_pass(0.5 * upstream, acts2, pre2, grads)
+        gz1 = self._backward_pass(half, acts1, pre1, grads)
+        gz2 = self._backward_pass(half, acts2, pre2, grads)
         gU = _source_sums(gz1[:, :n] + gz2[:, n:], B, R)
         return gU, _receiver_sums(gz1[:, n:] + gz2[:, :n], B, R), grads
 
@@ -415,7 +392,6 @@ class DotProductDecoder(_Decoder):
         return 2 * self.n + 1
 
     def forward(self, U, V):
-        U, V = _as_rows(U), _as_rows(V)
         # every inner product sums in the same order in any block and in
         # either input order, unlike a BLAS block product
         s = _sigmoid(np.einsum("bi,ri->br", U, V))
@@ -425,7 +401,7 @@ class DotProductDecoder(_Decoder):
 
     def backward(self, cache, upstream):
         U, V, s = cache
-        gs = np.asarray(upstream, dtype=float) * self.K * s * (1.0 - s)
+        gs = upstream * self.K * s * (1.0 - s)
         return gs @ V, gs.T @ U, {}
 
 
@@ -539,12 +515,6 @@ class _PairHead(_Head):
         grads.update((f"decoder.{name}", g) for name, g in dP.items())
         return gU, gV
 
-    @staticmethod
-    def _upstreams(cache, upstream: dict, names) -> list:
-        """The heads' ``(B, R)`` upstream gradients (a scalar broadcasts)."""
-        B, R = len(cache[0]), len(cache[1])
-        return [_pair_upstream(upstream[h], B, R).reshape(B, R) for h in names]
-
 
 class LevelsModel(_PairHead):
     """Two level heads over one shared latent grid.
@@ -566,7 +536,6 @@ class LevelsModel(_PairHead):
         return self._core_trainable({"l0": self.l0, "w": self.w, "beta": self.beta})
 
     def forward(self, U, V):
-        U, V = _as_rows(U), _as_rows(V)
         uw = _product(np.concatenate([U, V]), self.w[:, None])[:, 0]  # both sides in one product
         local = 0.5 * (uw[: len(U), None] + uw[None, len(U) :]) + self.beta[0]
         h_ds, h_er, cache = self._decode(U, V)
@@ -574,7 +543,7 @@ class LevelsModel(_PairHead):
 
     def backward(self, cache, upstream: dict[str, np.ndarray]):
         U, V, _ = cache
-        up_ds, up_er = self._upstreams(cache, upstream, ("l_ds", "l_er"))
+        up_ds, up_er = upstream["l_ds"], upstream["l_er"]
         # the local term reads each side once: its upstream sums over the other side
         er_U, er_V = up_er.sum(axis=1), up_er.sum(axis=0)
         grads = {"l0": np.array([up_ds.sum()]), "w": 0.5 * (er_U @ U + er_V @ V), "beta": np.array([up_er.sum()])}
@@ -601,13 +570,12 @@ class DecaysModel(_PairHead):
         return self._core_trainable({})
 
     def forward(self, U, V):
-        tau_er, tau_lr, cache = self._decode(_as_rows(U), _as_rows(V))
+        tau_er, tau_lr, cache = self._decode(U, V)
         return {"tau_er": tau_er, "tau_lr": tau_lr}, cache
 
     def backward(self, cache, upstream: dict[str, np.ndarray]):
-        up_er, up_lr = self._upstreams(cache, upstream, ("tau_er", "tau_lr"))
         grads = {}
-        gU, gV = self._decode_backward(cache, up_er, up_lr, grads)
+        gU, gV = self._decode_backward(cache, upstream["tau_er"], upstream["tau_lr"], grads)
         return gU, gV, grads
 
 

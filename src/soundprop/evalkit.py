@@ -109,44 +109,25 @@ def ablation_run(
 ) -> list[dict]:
     """Train every (family, latent-size) cell with identical configs.
 
+    Every cell's bundle is built before any cell trains, so a family the
+    group cannot use or a latent size below 1 raises before any training.
     Returns one row dict per (cell, head): ``family, n, param, mae`` plus
     cost columns. A cell whose training diverges records the error and the
     run continues; any other error propagates.
     """
+    cells = [(family, n, make_bundle(scene, group, family, n, seed=cfg.seed))
+             for family in families for n in n_values]
     rows = []
-    for family in families:
-        for n in n_values:
-            try:
-                bundle = make_bundle(scene, group, family, n, seed=cfg.seed)
-                train(bundle, train_ds, cfg, val_ds=val_ds)
-                maes = evaluate_mae(bundle, test_ds)
-                report = cost_report(scene.dims, n, model=bundle.head.decoder)
-                for head, mae in maes.items():
-                    rows.append(
-                        {
-                            "family": family,
-                            "n": n,
-                            "param": head,
-                            "mae": mae,
-                            "params": report.params,
-                            "flops": report.flops,
-                            "rlf_bytes": report.rlf_bytes,
-                            "wavecoding_bytes": report.wavecoding_bytes,
-                            "error": "",
-                        }
-                    )
-            except DivergenceError as exc:
-                rows.append(
-                    {
-                        "family": family,
-                        "n": n,
-                        "param": "",
-                        "mae": float("nan"),
-                        "params": 0,
-                        "flops": 0,
-                        "rlf_bytes": 0,
-                        "wavecoding_bytes": 0,
-                        "error": str(exc),
-                    }
-                )
+    for family, n, bundle in cells:
+        row = {"family": family, "n": n, "param": "", "mae": float("nan"), "params": 0, "flops": 0,
+               "rlf_bytes": 0, "wavecoding_bytes": 0, "error": ""}
+        try:
+            train(bundle, train_ds, cfg, val_ds=val_ds)
+        except DivergenceError as exc:
+            rows.append(dict(row, error=str(exc)))
+            continue
+        report = cost_report(scene.dims, n, model=bundle.head.decoder)
+        row.update(params=report.params, flops=report.flops, rlf_bytes=report.rlf_bytes,
+                   wavecoding_bytes=report.wavecoding_bytes)
+        rows += [dict(row, param=head, mae=mae) for head, mae in evaluate_mae(bundle, test_ds).items()]
     return rows

@@ -183,16 +183,15 @@ def window_level(ir: ImpulseResponse, window: tuple[float, float]) -> float:
     return 10.0 * float(np.log10(energy))
 
 
-def level_lr_matched(ir: ImpulseResponse, t_ds: float | None = None) -> float:
-    """Late-reverberation level with a smooth hand-over from the ER regime.
+def level_lr_matched(ir: ImpulseResponse, t_ds: float) -> float:
+    """Late-reverberation level with a smooth hand-over from the ER regime,
+    for the direct-sound arrival at ``t_ds`` (``arrival_and_distance``).
 
     The raw LR-window level is offset by the energy gap between the final
     25 ms of the ER window and the first 25 ms of the LR window, so that a
     late tail scaled to the returned level starts where the early
     reflections left off.
     """
-    if t_ds is None:
-        t_ds, _ = arrival_and_distance(ir)
     er_end, lr_start = t_ds + ER_WINDOW[1], t_ds + LR_WINDOW[0]
     tail_db = window_level(ir, (er_end - MATCH_LEN, er_end))
     head_db = window_level(ir, (lr_start, lr_start + MATCH_LEN))

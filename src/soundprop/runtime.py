@@ -31,7 +31,7 @@ from .irparams import (
     _decaying_noise,
     doa_from_samples,
 )
-from .latentfield import interp_points
+from .latentfield import InterpBatch, interp_points
 from .oracle import PARAM_KINDS
 from .scene import VoxelScene
 
@@ -164,19 +164,12 @@ def vbap_gains(delta, layout: SpeakerLayout) -> np.ndarray:
     return gains
 
 
-def spatialize_wet(wet_gain: float, delta, layout: SpeakerLayout) -> np.ndarray:
-    """Per-speaker amplitude gains for one wet path.
-
-    One third of the wet energy follows the panned direction, the rest is
-    spread equally over all speakers; components combine in the energy
-    domain so the emitted energy equals ``wet_gain**2`` exactly.
-    """
-    if wet_gain < 0:
-        raise InputError("wet gain must be non-negative")
-    v = vbap_gains(delta, layout)
-    s = layout.n_speakers
-    energy = v * v / 3.0 + 2.0 / (3.0 * s)
-    return wet_gain * np.sqrt(energy)
+def spatialize_wet(gains: np.ndarray) -> np.ndarray:
+    """Per-speaker amplitude gains of a unit-energy wet path panned by the
+    power-normalized ``gains`` of ``vbap_gains``: one third of the energy
+    follows the panning, the rest is spread equally over all speakers, and
+    the two combine in the energy domain, so the emitted energy is one."""
+    return np.sqrt(gains * gains / 3.0 + 2.0 / (3.0 * gains.size))
 
 
 @dataclass(frozen=True)
@@ -311,7 +304,8 @@ def render_offline(
     Returns an ``(n_speakers, n_samples)`` array: panned dry path plus the
     early and late wet buses. Both buses get the same speaker gains, so by
     linearity they are one wet convolution with the gain-weighted blend of
-    all six reference tails.
+    all six reference tails. The panning is solved once, for the dry path
+    and the wet spread.
     """
     x = np.asarray(x_in, dtype=float)
     if x.ndim != 1:
@@ -323,8 +317,9 @@ def render_offline(
                                    (refs.lr_irs, params.lr_gain, params.lr_weights))
         for ir, w in zip(irs, weights)
     ]
-    out = np.outer(spatialize_wet(1.0, params.doa, layout), _wet_bus(x, parts, x.size + max_ref - 1))
-    out[:, : x.size] += np.outer(vbap_gains(params.doa, layout), params.dry * x)
+    gains = vbap_gains(params.doa, layout)
+    out = np.outer(spatialize_wet(gains), _wet_bus(x, parts, x.size + max_ref - 1))
+    out[:, : x.size] += np.outer(gains, params.dry * x)
     return out
 
 
@@ -340,16 +335,19 @@ def query_params(bundles: dict, scene: VoxelScene, a, b) -> AcousticParamSet:
     trained model bundles over ``scene``. One masked interpolation finds
     the stencils of ``a``, ``b`` and the 12 DOA stencil points around
     ``b``; the corners and weights depend only on the scene and the point,
-    so every bundle's latents reuse them. Each bundle makes one decode,
-    the distance bundle of ``a`` against ``b`` and the stencil points as
-    one 1x13 block, the others of the pair as a 1x1 block. The direction
-    of arrival is the negated gradient of the predicted distance field at
-    the stencil points; a stencil point that cannot be resolved is a
-    missing sample. A pure function of the checkpoints and positions.
+    so every bundle's latents reuse them. Each bundle samples the rows it
+    decodes and makes one decode, the distance bundle of ``a`` against
+    ``b`` and the stencil points as one 1x13 block, the others of the pair
+    as a 1x1 block. The direction of arrival is the negated gradient of
+    the predicted distance field at the stencil points; a stencil point
+    that cannot be resolved is a missing sample. A bundle must be of the
+    group it is given for. A pure function of the checkpoints and positions.
     """
     if "distance" not in bundles:
         raise ConfigurationError("query needs at least a distance bundle")
     for group, bundle in bundles.items():
+        if bundle.group != group:
+            raise ConfigurationError(f"the {group} checkpoint holds a {bundle.group} model")
         if bundle.grid.dims != scene.dims:
             raise InputError(f"{group} grid dims do not match scene dims")
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
@@ -357,11 +355,12 @@ def query_params(bundles: dict, scene: VoxelScene, a, b) -> AcousticParamSet:
     batch = interp_points(scene, np.vstack([a, b, b + h * DOA_STENCIL]))
     batch.check(0, a)
     batch.check(1, b)
+    pair = InterpBatch(batch.corners[:2], batch.weights[:2], batch.status[:2])
 
     out = {}
     for group, bundle in bundles.items():
-        latents = batch.sample(bundle.grid.values)
-        out.update(bundle.head.predict(latents[:1], latents[1:] if group == "distance" else latents[1:2]))
+        latents = (batch if group == "distance" else pair).sample(bundle.grid.values)
+        out.update(bundle.head.predict(latents[:1], latents[1:]))
     pi, l_ds, l_er, tau_er, tau_lr = (
         float(out[name][0, 0]) if name in out else float("nan")
         for name in PARAM_KINDS

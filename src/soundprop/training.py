@@ -37,7 +37,8 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
 
 @dataclass
 class Dataset:
-    """Oracle fields for a list of sources over one scene."""
+    """Oracle fields for a list of sources over one scene: every field has
+    the scene's dims, spacing and origin (``InputError`` otherwise)."""
 
     scene: VoxelScene
     sources: list
@@ -49,6 +50,11 @@ class Dataset:
             raise InputError("one field dict per source required")
         if not self.sources:
             raise InputError(f"the {self.split} dataset has no sources")
+        scene = self.scene
+        for fields in self.fields:
+            for name, fv in fields.items():
+                if not (fv.dims == scene.dims and fv.spacing == scene.spacing and (fv.origin == scene.origin).all()):
+                    raise InputError(f"a {self.split} {name} field was baked on another scene grid")
 
     def __len__(self) -> int:
         return len(self.sources)
@@ -121,14 +127,19 @@ class Adam:
             p -= a[sl].reshape(p.shape)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelBundle:
-    """One latent grid plus the parameter head decoding it."""
+    """One latent grid plus the parameter head decoding it, over a scene
+    of the grid's dims (``InputError`` otherwise)."""
 
     group: str
     grid: LatentGrid
     head: object  # DistanceModel | LevelsModel | DecaysModel
     scene: VoxelScene
+
+    def __post_init__(self):
+        if self.grid.dims != self.scene.dims:
+            raise InputError("latent grid dims do not match scene dims")
 
     def trainable(self) -> dict:
         params = {"grid": self.grid.values}
@@ -296,8 +307,6 @@ def _predictions(bundle: ModelBundle, sources):
     the source stencils are built once, then each source decodes one
     one-source block over the free voxels."""
     scene = bundle.scene
-    if bundle.grid.dims != scene.dims:
-        raise InputError("latent grid dims do not match scene dims")
     latents = _source_stencils(scene, sources).sample(bundle.grid.values)
     free = tuple(scene.free_indices().T)
     V = bundle.grid.values[free]
@@ -377,8 +386,6 @@ def train(
     each eval and at the end.
     """
     scene = bundle.scene
-    if bundle.grid.dims != scene.dims:
-        raise InputError("latent grid dims do not match scene dims")
     heads = GROUP_HEADS[bundle.group]
     stencils = _source_stencils(scene, train_ds.sources)
     # Receiver sets: the free voxels valid in every field of the group,

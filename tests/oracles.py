@@ -755,7 +755,7 @@ def render_two_buses(x, params, refs, layout):
     for gain, irs, weights in ((params.er_gain, refs.er_irs, params.er_weights),
                                (params.lr_gain, refs.lr_irs, params.lr_weights)):
         bus = gain * _wet_bus(x, irs, weights, n_out)
-        out += np.outer(sp.spatialize_wet(1.0, params.doa, layout), bus)
+        out += np.outer(sp.spatialize_wet(sp.vbap_gains(params.doa, layout)), bus)
     return out
 
 

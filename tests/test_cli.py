@@ -116,6 +116,40 @@ def test_query_checkpoint_of_another_grid_exit_code(tmp_path, capsys, monkeypatc
         assert "spacing or origin" in capsys.readouterr().err
 
 
+def test_query_checkpoint_of_another_group_exit_code(tmp_path, capsys, monkeypatch):
+    """A checkpoint given for another group than its own is refused with
+    exit 3, as ``--distance`` or as ``--levels``."""
+    monkeypatch.chdir(tmp_path)
+    scene_path = tmp_path / "box.scn"
+    run(["scene", "gen", "--kind", "empty-box", "--dims", "8x4x8", "--out", str(scene_path)])
+    scene = fileio.read_scene(scene_path)[0]
+    distance, levels = tmp_path / "distance.ckpt", tmp_path / "levels.ckpt"
+    fileio.save_checkpoint(distance, sp.make_bundle(scene, "distance", "euclidean", 2))
+    fileio.save_checkpoint(levels, sp.make_bundle(scene, "levels", "euclidean", 2))
+    query = ["query", "--scene", str(scene_path), "--a", "1.2,1,1.3", "--b", "2.1,1.1,2.2"]
+    assert run([*query, "--distance", str(distance), "--levels", str(levels)]) == 0
+    for swapped in (["--distance", str(levels)], ["--distance", str(distance), "--levels", str(distance)]):
+        assert "checkpoint holds a" in _exits_3(capsys, [*query, *swapped])
+
+
+def test_fields_of_another_scene_grid_exit_code(tmp_path, capsys, monkeypatch):
+    """Fields baked on an 8x4x8 box at spacing 1.0 do not describe a 9x4x8
+    box or an 8x4x8 box at spacing 2.0: ``train`` and ``eval`` on either
+    refuse them with exit 3 and write nothing."""
+    monkeypatch.chdir(tmp_path)
+    _, fields = _baked_box(tmp_path)
+    for dims, spacing in (("9x4x8", "1.0"), ("8x4x8", "2.0")):
+        other = tmp_path / f"box-{dims}-{spacing}.scn"
+        run(["scene", "gen", "--kind", "empty-box", "--dims", dims, "--spacing", spacing, "--out", str(other)])
+        ckpt = tmp_path / f"box-{dims}-{spacing}.ckpt"
+        fileio.save_checkpoint(ckpt, sp.make_bundle(fileio.read_scene(other)[0], "distance", "euclidean", 2))
+        before = set(tmp_path.rglob("*"))
+        for args in (["train", "--train-fields", str(fields), "--epochs", "2", "--out", "t.ckpt"],
+                     ["eval", "--checkpoint", str(ckpt), "--fields", str(fields), "--out", "e.csv"]):
+            assert "another scene grid" in _exits_3(capsys, [*args, "--scene", str(other)])
+        assert set(tmp_path.rglob("*")) == before
+
+
 def test_scene_gen_and_bake_single_source(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     scene_path = tmp_path / "box.scn"

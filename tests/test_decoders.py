@@ -33,10 +33,10 @@ FAMILIES = ("euclidean", "riemann-psd", "riemann-diag", "mlp")
 def test_euclid_identity_and_pythagoras():
     d = EuclideanDecoder(8)
     u = np.zeros(8)
-    assert d.pairwise(u, u)[0, 0] == 0.0
+    assert d.forward(u[None], u[None])[0][0, 0] == 0.0
     v = np.zeros(8)
     v[0], v[1] = 3.0, 4.0
-    assert d.pairwise(u, v)[0, 0] == pytest.approx(5.0, abs=1e-12)
+    assert d.forward(u[None], v[None])[0][0, 0] == pytest.approx(5.0, abs=1e-12)
 
 
 def test_euclid_matches_two_pass_sum():
@@ -47,7 +47,7 @@ def test_euclid_matches_two_pass_sum():
         total = 0.0
         for i in range(16):
             total += (u[i] - v[i]) * (u[i] - v[i])
-        assert EuclideanDecoder(16).pairwise(u, v)[0, 0] == pytest.approx(np.sqrt(total), abs=1e-12)
+        assert EuclideanDecoder(16).forward(u[None], v[None])[0][0, 0] == pytest.approx(np.sqrt(total), abs=1e-12)
 
 
 @settings(max_examples=100, deadline=None)
@@ -57,7 +57,7 @@ def test_euclid_metric_axioms(seed):
     u, v, w = rng.normal(size=(3, 8))
 
     def d(a, b):
-        return EuclideanDecoder(8).pairwise(a, b)[0, 0]
+        return EuclideanDecoder(8).forward(a[None], b[None])[0][0, 0]
 
     assert d(u, v) >= 0.0
     assert d(u, u) == 0.0
@@ -76,8 +76,8 @@ def test_psd_identity_map_reduces_to_euclid():
     rng = np.random.default_rng(1)
     for _ in range(50):
         u, v = rng.normal(size=(2, n))
-        assert model.pairwise(u, v)[0, 0] == pytest.approx(
-            EuclideanDecoder(n).pairwise(u, v)[0, 0], abs=1e-12
+        assert model.forward(u[None], v[None])[0][0, 0] == pytest.approx(
+            EuclideanDecoder(n).forward(u[None], v[None])[0][0, 0], abs=1e-12
         )
 
 
@@ -87,8 +87,8 @@ def test_diag_unit_weights_reduce_to_euclid():
     rng = np.random.default_rng(2)
     for _ in range(50):
         u, v = rng.normal(size=(2, n))
-        assert model.pairwise(u, v)[0, 0] == pytest.approx(
-            EuclideanDecoder(n).pairwise(u, v)[0, 0], abs=1e-12
+        assert model.forward(u[None], v[None])[0][0, 0] == pytest.approx(
+            EuclideanDecoder(n).forward(u[None], v[None])[0][0, 0], abs=1e-12
         )
 
 
@@ -102,8 +102,8 @@ def test_diag_constant_two_doubles_distance():
     m = 0.5 * (u + v)
     row = m / (m @ m)
     model = DiagDecoder(n, np.tile(row, (n, 1)))
-    base = EuclideanDecoder(n).pairwise(u, v)[0, 0]
-    assert model.pairwise(u, v)[0, 0] == pytest.approx(2.0 * base, rel=1e-12)
+    base = EuclideanDecoder(n).forward(u[None], v[None])[0][0, 0]
+    assert model.forward(u[None], v[None])[0][0, 0] == pytest.approx(2.0 * base, rel=1e-12)
 
 
 def test_riemann_symmetry_and_positivity():
@@ -112,11 +112,11 @@ def test_riemann_symmetry_and_positivity():
         model = make_distance_decoder(family, 8, seed=9)
         for _ in range(50):
             u, v = rng.normal(size=(2, 8))
-            d_uv = model.pairwise(u, v)[0, 0]
-            d_vu = model.pairwise(v, u)[0, 0]
+            d_uv = model.forward(u[None], v[None])[0][0, 0]
+            d_vu = model.forward(v[None], u[None])[0][0, 0]
             assert d_uv == pytest.approx(d_vu, abs=1e-12)
             assert d_uv >= 0.0
-            assert model.pairwise(u, u)[0, 0] == 0.0
+            assert model.forward(u[None], u[None])[0][0, 0] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +129,7 @@ def test_mlp_swap_bit_identical():
     rng = np.random.default_rng(6)
     for _ in range(50):
         u, v = rng.normal(size=(2, 8))
-        assert model.pairwise(u, v)[0, 0] == model.pairwise(v, u)[0, 0]
+        assert model.forward(u[None], v[None])[0][0, 0] == model.forward(v[None], u[None])[0][0, 0]
 
 
 def test_mlp_zero_weights_constant_bias():
@@ -139,7 +139,7 @@ def test_mlp_zero_weights_constant_bias():
     model.biases[-1][:] = -2.5
     rng = np.random.default_rng(7)
     u, v = rng.normal(size=(2, 4))
-    assert model.pairwise(u, v)[0, 0] == pytest.approx(-2.5, abs=1e-15)
+    assert model.forward(u[None], v[None])[0][0, 0] == pytest.approx(-2.5, abs=1e-15)
 
 
 def test_mlp_matches_independent_forward():
@@ -156,7 +156,7 @@ def test_mlp_matches_independent_forward():
         return a[0]
 
     expected = 0.5 * (phi(np.concatenate([u, v])) + phi(np.concatenate([v, u])))
-    assert model.pairwise(u, v)[0, 0] == pytest.approx(expected, abs=1e-10)
+    assert model.forward(u[None], v[None])[0][0, 0] == pytest.approx(expected, abs=1e-10)
 
 
 def test_mlp_standard_shapes():
@@ -176,12 +176,12 @@ def test_decay_dot_pinned_values():
     d = DotProductDecoder(n)
     u = np.zeros(n)
     v = np.zeros(n)
-    assert d.pairwise(u, v)[0, 0] == pytest.approx(1.0, abs=1e-12)  # K/2
+    assert d.forward(u[None], v[None])[0][0, 0] == pytest.approx(1.0, abs=1e-12)  # K/2
     u = np.array([np.log(3.0), 0.0, 0.0, 0.0])
     v = np.array([1.0, 0.0, 0.0, 0.0])
-    assert d.pairwise(u, v)[0, 0] == pytest.approx(1.5, abs=1e-12)
+    assert d.forward(u[None], v[None])[0][0, 0] == pytest.approx(1.5, abs=1e-12)
     u = np.array([30.0, 0.0, 0.0, 0.0])
-    assert d.pairwise(u, v)[0, 0] == pytest.approx(2.0, abs=1e-9 * 2.0)
+    assert d.forward(u[None], v[None])[0][0, 0] == pytest.approx(2.0, abs=1e-9 * 2.0)
 
 
 def test_decay_dot_strict_range_and_symmetry():
@@ -190,9 +190,9 @@ def test_decay_dot_strict_range_and_symmetry():
     d = DotProductDecoder(8)
     for _ in range(200):
         u, v = rng.normal(size=(2, 8)) * 3.0
-        tau = d.pairwise(u, v)[0, 0]
+        tau = d.forward(u[None], v[None])[0][0, 0]
         assert 0.0 < tau < K
-        assert tau == d.pairwise(v, u)[0, 0]
+        assert tau == d.forward(v[None], u[None])[0][0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +204,7 @@ def test_level_heads_identity_pair():
     model = LevelsModel(EuclideanDecoder(6), 6, seed=0)
     model.l0[0] = -3.0
     u = np.random.default_rng(10).normal(size=6)
-    l_ds = model.predict(u, u)["l_ds"][0, 0]
+    l_ds = model.predict(u[None], u[None])["l_ds"][0, 0]
     assert l_ds == pytest.approx(-3.0, abs=1e-12)
 
 
@@ -215,7 +215,7 @@ def test_level_heads_constant_local_field():
     u = np.array([2.0, 0.0, 0.0, 0.0])
     v = np.array([0.0, 0.0, 0.0, 0.0])  # h(Pu, Pv) with P = I-ish
     model.proj[:] = np.eye(4)
-    l_er = model.predict(u, v)["l_er"][0, 0]
+    l_er = model.predict(u[None], v[None])["l_er"][0, 0]
     assert l_er == pytest.approx(-12.0, abs=1e-12)
 
 
@@ -225,7 +225,7 @@ def test_level_heads_symmetric():
         k = 2 if family == "mlp" else 1
         model = LevelsModel(make_distance_decoder(family, 8, seed=1, k=k), 8, seed=1)
         u, v = rng.normal(size=(2, 8))
-        uv, vu = model.predict(u, v), model.predict(v, u)
+        uv, vu = model.predict(u[None], v[None]), model.predict(v[None], u[None])
         assert (uv["l_ds"][0, 0], uv["l_er"][0, 0]) == (vu["l_ds"][0, 0], vu["l_er"][0, 0])
 
 
@@ -238,7 +238,7 @@ def test_euclid_gradient_pinned():
     u = np.array([3.0, 4.0])
     v = np.zeros(2)
     d = EuclideanDecoder(2)
-    gU, gV, _ = d.backward(d.forward(u, v)[1], 1.0)
+    gU, gV, _ = d.backward(d.forward(u[None], v[None])[1], np.ones((1, 1)))
     assert np.allclose(gU[0], [0.6, 0.8], atol=1e-12)
     assert np.allclose(gV[0], [-0.6, -0.8], atol=1e-12)
 
@@ -248,7 +248,7 @@ def test_decay_dot_gradient_pinned():
     u = np.zeros(n)
     v = np.array([1.0, -2.0, 0.5])
     d = DotProductDecoder(n)
-    gU, _, _ = d.backward(d.forward(u, v)[1], 1.0)
+    gU, _, _ = d.backward(d.forward(u[None], v[None])[1], np.ones((1, 1)))
     assert np.allclose(gU[0], 0.25 * 2.0 * v, atol=1e-12)
 
 
@@ -276,11 +276,12 @@ def _finite_difference_check(decoder, n, rng, k=1, trials=10, tol=1e-4):
         u = rng.normal(size=n)
         v = rng.normal(size=n)
         up = rng.normal(size=k) if k > 1 else float(rng.normal())
-        gU, gV, gP = decoder.backward(decoder.forward(u, v)[1], np.reshape(up, (1, k)) if k > 1 else up)
+        gU, gV, gP = decoder.backward(decoder.forward(u[None], v[None])[1],
+                                      np.reshape(up, (1, 1, k)) if k > 1 else np.full((1, 1), up))
         g = {"u": gU[0], "v": gV[0], "params": gP}
 
         def objective():
-            out = np.atleast_1d(decoder.pairwise(u, v)[0, 0])
+            out = np.atleast_1d(decoder.forward(u[None], v[None])[0][0, 0])
             return float(out @ np.atleast_1d(up))
 
         eps = 1e-5
@@ -332,7 +333,7 @@ def test_gradient_zero_at_coincident_inputs():
     u = rng.normal(size=8)
     for family in ("euclidean", "riemann-psd", "riemann-diag"):
         d = make_distance_decoder(family, 8, seed=2)
-        gU, gV, _ = d.backward(d.forward(u, u.copy())[1], 1.0)
+        gU, gV, _ = d.backward(d.forward(u[None], u.copy()[None])[1], np.ones((1, 1)))
         assert np.all(gU == 0.0) and np.all(gV == 0.0)
 
 
@@ -360,10 +361,10 @@ def _assert_relative(pairs, what):
 
 
 def _blocks(U, V):
-    """A 1-D pair as it is; of rows, each pair ``(U[i], V[i])`` as a 1x1
-    block, then the block of every row of ``U`` against every row of ``V``."""
+    """A 1-D pair as a 1x1 block; of rows, each pair ``(U[i], V[i])`` as a
+    1x1 block, then the block of every row of ``U`` against every row of ``V``."""
     if U.ndim == 1:
-        return [(U, V)]
+        return [(U[None], V[None])]
     return list(zip(U[:, None], V[:, None])) + [(U, V)]
 
 
@@ -589,7 +590,7 @@ def test_block_matches_per_pair_decodes(name, model):
                 V[: min(B, R) : 3] = U[: min(B, R) : 3]  # a few coincident pairs
                 for key, out in _outputs(head, U, V).items():
                     assert out.shape[:2] == (B, R), (key, B, R)
-                    pairs = np.array([[_outputs(head, u, v)[key][0, 0] for v in V] for u in U])
+                    pairs = np.array([[_outputs(head, u[None], v[None])[key][0, 0] for v in V] for u in U])
                     assert np.array_equal(out, pairs), (key, n, B, R, build)
         U, V = rng.normal(size=(1, n)), rng.normal(size=(300, n))
         V[::7] = U

@@ -154,9 +154,10 @@ def test_pgm_export_rejects_direction_fields(tmp_path, box_scene):
 
 def test_interp_grid_scene_mismatch(box_scene, maze_scene):
     bundle = sp.make_bundle(box_scene, "distance", "euclidean", 3, seed=0)
-    bundle.grid = sp.init_latent_grid(maze_scene, 3, seed=0)
     with pytest.raises(InputError):
-        sp.predict_fields(bundle, box_scene.voxel_center((4, 2, 4)))
+        mismatched = sp.ModelBundle(group=bundle.group, grid=sp.init_latent_grid(maze_scene, 3, seed=0),
+                                    head=bundle.head, scene=box_scene)
+        sp.predict_fields(mismatched, box_scene.voxel_center((4, 2, 4)))
 
 
 def test_geodesic_matches_scipy_in_maze(maze_scene):

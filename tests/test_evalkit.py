@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import soundprop as sp
+from soundprop import evalkit
 from soundprop.errors import ConfigurationError, InputError
 from soundprop.evalkit import format_bytes_si
 from soundprop.oracle import FieldVolume
@@ -155,3 +156,15 @@ def test_ablation_records_cell_failures(box_scene, box_datasets):
     assert rows[0]["error"].startswith("non-finite loss") and np.isnan(rows[0]["mae"])
     with pytest.raises(ConfigurationError, match="no-such-family"):
         sp.ablation_run(box_scene, train_ds, val_ds, test_ds, ["no-such-family"], [2], cfg)
+
+
+def test_ablation_builds_every_cell_before_any_trains(box_scene, box_datasets, monkeypatch):
+    """A family that cannot be built, listed after one that can, is
+    refused before any cell trains."""
+    train_ds, val_ds, test_ds = box_datasets
+    trained = []
+    monkeypatch.setattr(evalkit, "train", lambda bundle, *args, **kwargs: trained.append(bundle))
+    cfg = sp.TrainConfig(epochs=2, eval_interval=0, seed=0)
+    with pytest.raises(ConfigurationError, match="bogus"):
+        sp.ablation_run(box_scene, train_ds, val_ds, test_ds, ["euclidean", "bogus"], [2, 4], cfg)
+    assert trained == []

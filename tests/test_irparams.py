@@ -172,14 +172,14 @@ def test_level_lr_matched_zero_offset():
     ir = _ir_with_boundary_gap(0.0)
     t_ds, _ = sp.arrival_and_distance(ir)
     raw = sp.window_level(ir, anchored(LR_WINDOW, t_ds))
-    assert sp.level_lr_matched(ir) == pytest.approx(raw, abs=1e-9)
+    assert sp.level_lr_matched(ir, sp.arrival_and_distance(ir)[0]) == pytest.approx(raw, abs=1e-9)
 
 
 def test_level_lr_matched_positive_offset():
     ir = _ir_with_boundary_gap(6.02)
     t_ds, _ = sp.arrival_and_distance(ir)
     raw = sp.window_level(ir, anchored(LR_WINDOW, t_ds))
-    assert sp.level_lr_matched(ir) - raw == pytest.approx(6.02, abs=1e-6)
+    assert sp.level_lr_matched(ir, sp.arrival_and_distance(ir)[0]) - raw == pytest.approx(6.02, abs=1e-6)
 
 
 def test_level_lr_matched_continuous_decay_consistency():
@@ -189,7 +189,7 @@ def test_level_lr_matched_continuous_decay_consistency():
     ir = sp.synth_ir(params, seed=6)
     t_ds, _ = sp.arrival_and_distance(ir)
     raw = sp.window_level(ir, anchored(LR_WINDOW, t_ds))
-    offset = sp.level_lr_matched(ir) - raw
+    offset = sp.level_lr_matched(ir, sp.arrival_and_distance(ir)[0]) - raw
     # boundary windows sit 325 ms apart on a -60/tau dB/s decay
     expected = 60.0 * 0.325 / tau
     assert offset == pytest.approx(expected, abs=1.0)

@@ -117,7 +117,7 @@ def test_spatialize_wet_energy_split():
         directions=np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1.0], [-1, 0, 0]]),
         triples=((0, 1, 2), (3, 1, 2)),
     )
-    g = sp.spatialize_wet(1.0, np.array([1.0, 0.0, 0.0]), layout)
+    g = sp.spatialize_wet(sp.vbap_gains(np.array([1.0, 0.0, 0.0]), layout))
     # panned speaker carries one third plus its omni share
     assert g[0] ** 2 == pytest.approx(1.0 / 3.0 + (2.0 / 3.0) / 4.0, abs=1e-12)
     assert np.sum(g * g) == pytest.approx(1.0, abs=1e-9)
@@ -130,13 +130,13 @@ def test_spatialize_wet_energy_preserved_random():
         d = rng.normal(size=3)
         d /= np.linalg.norm(d)
         wet = float(rng.uniform(0.1, 3.0))
-        g = sp.spatialize_wet(wet, d, layout)
+        g = wet * sp.spatialize_wet(sp.vbap_gains(d, layout))
         assert np.sum(g * g) == pytest.approx(wet * wet, abs=1e-9 * wet * wet)
 
 
 def test_spatialize_single_speaker():
     layout = sp.SpeakerLayout(directions=np.array([[0.0, 0.0, 1.0]]), triples=())
-    g = sp.spatialize_wet(2.0, np.array([1.0, 0.0, 0.0]), layout)
+    g = 2.0 * sp.spatialize_wet(sp.vbap_gains(np.array([1.0, 0.0, 0.0]), layout))
     assert g[0] ** 2 == pytest.approx(4.0, abs=1e-9)
 
 
@@ -176,8 +176,17 @@ def test_render_matches_direct_convolution(tau_er, tau_lr):
         for ir, w in zip(irs, weights):
             conv = np.convolve(x, ir.samples)
             bus[: conv.size] += w * conv
-        want += np.outer(sp.spatialize_wet(1.0, rp.doa, layout), gain * bus)
+        want += np.outer(sp.spatialize_wet(sp.vbap_gains(rp.doa, layout)), gain * bus)
     assert np.abs(out - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_render_solves_the_panning_once(monkeypatch):
+    """The dry path and the wet spread share one ``vbap_gains`` solve."""
+    solve, calls = runtime.vbap_gains, []
+    monkeypatch.setattr(runtime, "vbap_gains", lambda *args: calls.append(args) or solve(*args))
+    rp, refs = _params(doa=(0.6, 0.0, 0.8), l_ds=-3.0, l_er=-6.0)
+    sp.render_offline(np.random.default_rng(4).normal(size=300), rp, refs, sp.octahedral_layout())
+    assert len(calls) == 1
 
 
 def test_fft_size_is_the_smallest_5_smooth_length():
@@ -233,7 +242,7 @@ def test_render_impulse_er_path_reproduces_reference():
     x = np.zeros(64)
     x[0] = 1.0
     out = sp.render_offline(x, rp, refs, layout)
-    sp_gain = sp.spatialize_wet(1.0, rp.doa, layout)
+    sp_gain = sp.spatialize_wet(sp.vbap_gains(rp.doa, layout))
     ref = refs.er_irs[0].samples
     for s in range(layout.n_speakers):
         channel = out[s, : ref.size]

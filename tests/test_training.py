@@ -637,15 +637,18 @@ def test_batch_source_latents_equal_the_stencil_sample_rows(box_scene, five_sour
 def test_grid_dims_mismatch_is_an_input_error(box_scene, entry):
     """A latent grid made for another scene is bad input to every entry
     point that reads it against the scene."""
-    bundle = sp.make_bundle(sp.build_scene(sp.SceneSpec(kind="empty-box", dims=(6, 4, 6))),
-                            "distance", "euclidean", 4, seed=0)
-    bundle.scene = box_scene
+    other = sp.make_bundle(sp.build_scene(sp.SceneSpec(kind="empty-box", dims=(6, 4, 6))),
+                           "distance", "euclidean", 4, seed=0)
     src = box_scene.voxel_center((2, 1, 2))
     ds = sp.build_dataset(box_scene, [src])
+
+    def bundle():
+        return sp.ModelBundle(group=other.group, grid=other.grid, head=other.head, scene=box_scene)
+
     calls = {
-        "train": lambda: sp.train(bundle, ds, sp.TrainConfig(epochs=1, eval_interval=0)),
-        "predict_fields": lambda: sp.predict_fields(bundle, src),
-        "evaluate_mae": lambda: sp.evaluate_mae(bundle, ds),
+        "train": lambda: sp.train(bundle(), ds, sp.TrainConfig(epochs=1, eval_interval=0)),
+        "predict_fields": lambda: sp.predict_fields(bundle(), src),
+        "evaluate_mae": lambda: sp.evaluate_mae(bundle(), ds),
     }
     with pytest.raises(InputError, match="grid dims"):
         calls[entry]()

@@ -27,6 +27,7 @@ from .errors import FormatError, InputError, SoundPropError
 from .evalkit import ablation_run, cost_report
 from .fileio import (
     _read_input,
+    _write_ir_blocks,
     _writing,
     read_field,
     read_ir_mono,
@@ -36,7 +37,6 @@ from .fileio import (
     save_checkpoint,
     write_csv,
     write_field,
-    write_ir,
     write_manifest,
     write_pgm_slice,
     write_scene,
@@ -44,10 +44,10 @@ from .fileio import (
 from .irparams import extract_params
 from .oracle import PARAM_KINDS, bake_source
 from .runtime import (
+    _render_blocks,
     default_reference_irs,
     octahedral_layout,
     query_params,
-    render_offline,
     render_params,
 )
 from .scene import GEOMETRY_KEY, SceneSpec, build_scene
@@ -126,23 +126,27 @@ def _read_sources(path) -> list:
     return out
 
 
-def _load_field_dataset(scene, directory: Path, split: str) -> Dataset:
-    """Dataset from a directory of ``srcNNN_<param>.fld`` files, in the
-    numeric order of ``NNN`` (the order of the baked sources file)."""
+def _load_field_dataset(scene, directory: Path, split: str, group: str) -> Dataset:
+    """Dataset of the ``group``'s fields from a directory of
+    ``srcNNN_<param>.fld`` files, in the numeric order of ``NNN`` (the
+    order of the baked sources file). Only the group's parameters are
+    read, and a source with a file of one of them must have them all.
+    ``InputError`` for a file of the group not named so, or for a number
+    that two names share (``src0`` and ``src000``)."""
     directory = Path(directory)
-    prefixes = {p.name.split("_")[0] for p in directory.glob("src*_pi.fld")}
-    for prefix in prefixes:
-        if not re.fullmatch(r"src[0-9]+", prefix):
-            raise InputError(f"field file {prefix}_pi.fld is not named srcNNN_pi.fld")
-    indices = sorted(prefixes, key=lambda prefix: int(prefix[3:]))
-    sources, fields = [], []
-    for idx in indices:
-        per_source = {}
-        for name in PARAM_KINDS:
-            per_source[name] = read_field(directory / f"{idx}_{name}.fld")
-        sources.append(per_source["pi"].source)
-        fields.append(per_source)
-    return Dataset(scene=scene, sources=sources, fields=fields, split=split)
+    names = GROUP_HEADS[group]
+    prefixes = {}  # source number: its file names' prefix
+    for name in names:
+        for path in sorted(directory.glob(f"src*_{name}.fld")):
+            prefix = path.name[: -len(f"_{name}.fld")]
+            if not re.fullmatch(r"src[0-9]+", prefix):
+                raise InputError(f"field file {path.name} is not named srcNNN_{name}.fld")
+            number = int(prefix[3:])
+            if prefixes.setdefault(number, prefix) != prefix:
+                raise InputError(f"field files {prefixes[number]}_* and {path.name} share source number {number}")
+    fields = [{name: read_field(directory / f"{prefixes[i]}_{name}.fld") for name in names}
+              for i in sorted(prefixes)]
+    return Dataset(scene=scene, sources=[f[names[0]].source for f in fields], fields=fields, split=split)
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +216,8 @@ def _cmd_bake(args):
 
 def _cmd_train(args):
     scene, _ = read_scene(args.scene)
-    train_ds = _load_field_dataset(scene, args.train_fields, "train")
-    val_ds = _load_field_dataset(scene, args.val_fields, "val") if args.val_fields else None
+    train_ds = _load_field_dataset(scene, args.train_fields, "train", args.group)
+    val_ds = _load_field_dataset(scene, args.val_fields, "val", args.group) if args.val_fields else None
     args.family = args.family or DEFAULT_FAMILY[args.group]
     bundle = make_bundle(scene, args.group, args.family, args.n, seed=args.seed)
     cfg = TrainConfig(
@@ -254,7 +258,7 @@ def _cmd_train(args):
 def _cmd_eval(args):
     scene, _ = read_scene(args.scene)
     bundle = load_checkpoint(args.checkpoint, scene)
-    ds = _load_field_dataset(scene, args.fields, "test")
+    ds = _load_field_dataset(scene, args.fields, "test", bundle.group)
     maes = evaluate_mae(bundle, ds)
     rows = [
         {"family": bundle.head.decoder.family, "n": bundle.grid.n, "param": k, "mae": v}
@@ -269,9 +273,9 @@ def _cmd_eval(args):
 def _cmd_ablate(args):
     scene, _ = read_scene(args.scene)
     families = args.families.split(",")
-    train_ds = _load_field_dataset(scene, args.train_fields, "train")
-    val_ds = _load_field_dataset(scene, args.val_fields, "val")
-    test_ds = _load_field_dataset(scene, args.test_fields, "test")
+    train_ds = _load_field_dataset(scene, args.train_fields, "train", args.group)
+    val_ds = _load_field_dataset(scene, args.val_fields, "val", args.group)
+    test_ds = _load_field_dataset(scene, args.test_fields, "test", args.group)
     cfg = TrainConfig(epochs=args.epochs, seed=args.seed, eval_interval=args.eval_interval)
     rows = ablation_run(scene, train_ds, val_ds, test_ds, families, args.n_values, cfg, group=args.group)
     write_csv(
@@ -318,10 +322,9 @@ def _cmd_render(args):
         doa=args.doa,
         l_lr=args.l_lr,
     )
-    rp = render_params(pset, refs)
-    out = render_offline(samples, rp, refs, layout)
-    write_ir(args.out, out, rate, t0)
-    print(f"rendered {out.shape[0]} channels x {out.shape[1]} samples -> {args.out}")
+    shape, blocks = _render_blocks(samples, render_params(pset, refs), refs, layout)
+    _write_ir_blocks(args.out, blocks, shape[0], rate, t0)
+    print(f"rendered {shape[0]} channels x {shape[1]} samples -> {args.out}")
     return [args.input] + ([args.layout] if args.layout else []), [args.out], args.out
 
 

@@ -36,10 +36,11 @@ import numpy as np
 from .decoders import ALL_FAMILIES, DEFAULT_MAX_DECAY
 from .errors import ConfigurationError, FormatError, InputError
 from .irparams import ImpulseResponse
+from .latentfield import LatentGrid
 from .oracle import FIELD_KINDS, FieldVolume
 from .runtime import SpeakerLayout
 from .scene import RegionAcoustics, VoxelScene
-from .training import GROUP_HEADS, ModelBundle, make_bundle
+from .training import GROUP_HEADS, ModelBundle, _make_head
 
 SCENE_MAGIC = b"SPSCENE1"
 FIELD_MAGIC = b"SPFIELD1\x00\x00\x00\x00\x00\x00\x00\x01"  # 16 bytes incl. version
@@ -278,17 +279,27 @@ def write_ir(path, samples: np.ndarray, sample_rate: float, t0: float = 0.0) -> 
     if samples.ndim not in (1, 2) or samples.size == 0:
         raise InputError(f"cannot write {path}: samples of shape {samples.shape} are not non-empty "
                          "(N,) or (C, N)")
+    _write_ir_blocks(path, lambda: (samples,), 1 if samples.ndim == 1 else samples.shape[0],
+                     sample_rate, t0)
+
+
+def _write_ir_blocks(path, blocks, channels: int, sample_rate: float, t0: float) -> None:
+    """Write the IR whose frames are those of the ``(N,)`` or ``(channels,
+    N)`` arrays that ``blocks()`` yields, in order. One pass over the
+    blocks raises ``InputError``, before the file is opened, for a sample
+    that is not finite as float32; a second pass writes them, so a block
+    may be a buffer that the next one overwrites."""
     with np.errstate(over="ignore"):
-        if not all(np.isfinite(block).all() for block in _f4_blocks(samples)):
+        if not all(np.isfinite(f4).all() for block in blocks() for f4 in _f4_blocks(block)):
             raise InputError(f"cannot write {path}: a sample is not finite as float32")
-    channels = 1 if samples.ndim == 1 else samples.shape[0]
     header = (
         f"{IR_MAGIC.decode()}\nsample_rate={float(sample_rate)!r}\nt0={float(t0)!r}\n"
         f"channels={channels}\n\n"
     ).encode()
     with _writing(path), open(path, "wb") as fh:
         fh.write(header)
-        _write_f4(fh, samples.T)  # (N, C) in C order: interleaved frames
+        for block in blocks():
+            _write_f4(fh, block.T)  # (N, C) in C order: interleaved frames
 
 
 def read_ir(path):
@@ -426,18 +437,19 @@ def load_checkpoint(path, scene: VoxelScene) -> ModelBundle:
     if n * math.prod(dims) + sum(hidden) > sum(math.prod(s) for s, _ in arrays.values()):
         raise FormatError(f"{path}: checkpoint header claims more parameters than it stores")
     try:
-        bundle = make_bundle(scene, group, family, n, hidden=tuple(hidden))
+        head = _make_head(group, family, n, hidden=tuple(hidden))
     except ConfigurationError as exc:
         raise FormatError(f"{path}: {exc}") from None
-    params = bundle.trainable()
-    if bundle.head.decoder.family != family or set(arrays) != set(params):
+    # the grid is read straight into its array, with no draw to overwrite
+    params = {"grid": np.empty((*scene.dims, n)), **head.trainable()}
+    if head.decoder.family != family or set(arrays) != set(params):
         raise FormatError(f"{path}: checkpoint sections do not match a {group}/{family} bundle")
     for name, (shape, at) in arrays.items():
         if shape != params[name].shape:
             raise FormatError(f"{path}: checkpoint section {name!r} has shape {shape}")
         if not np.isfinite(_read_f4(blob, math.prod(shape), at, out=params[name])).all():
             raise FormatError(f"{path}: checkpoint section {name!r} holds a non-finite value")
-    return bundle
+    return ModelBundle(group=group, grid=LatentGrid(params["grid"]), head=head, scene=scene)
 
 
 # ---------------------------------------------------------------------------

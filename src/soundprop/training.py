@@ -163,17 +163,20 @@ def make_bundle(scene: VoxelScene, group: str, family: str, n: int, seed: int = 
     start in the responsive range of the sigmoid; distance and level grids
     warm-start at physical scale.
     """
-    if group not in GROUP_HEADS:
-        raise ConfigurationError(f"unknown parameter group {group!r}")
-    k = len(GROUP_HEADS[group])
-    decoder = make_distance_decoder(family, n, seed=seed, hidden=hidden, k=k)
-    if group == "distance":
-        head = DistanceModel(decoder)
-    else:
-        head = (LevelsModel if group == "levels" else DecaysModel)(decoder, n, seed=seed)
+    head = _make_head(group, family, n, seed, hidden)
     coord_scale = 1.0 / scene.diagonal if group == "decays" else 1.0
     grid = init_latent_grid(scene, n, seed=seed, coord_scale=coord_scale)
     return ModelBundle(group=group, grid=grid, head=head, scene=scene)
+
+
+def _make_head(group: str, family: str, n: int, seed: int = 0, hidden=None):
+    """The parameter head of a fresh ``group`` bundle, drawn without its grid."""
+    if group not in GROUP_HEADS:
+        raise ConfigurationError(f"unknown parameter group {group!r}")
+    decoder = make_distance_decoder(family, n, seed=seed, hidden=hidden, k=len(GROUP_HEADS[group]))
+    if group == "distance":
+        return DistanceModel(decoder)
+    return (LevelsModel if group == "levels" else DecaysModel)(decoder, n, seed=seed)
 
 
 # ---------------------------------------------------------------------------

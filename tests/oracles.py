@@ -4,6 +4,7 @@ import heapq
 import json
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 
@@ -866,3 +867,14 @@ def one_shot_save_checkpoint(path, bundle, extra=None) -> None:
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
         fh.write(bytes(payload))
+
+
+def transient_bytes(call) -> int:
+    """Peak traced allocation of ``call()`` above what was live before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()

@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import inspect
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -10,6 +11,9 @@ import soundprop as sp
 from soundprop import fileio, runtime
 from soundprop.cli import _load_field_dataset, build_parser, main
 from soundprop.oracle import PARAM_KINDS
+from soundprop.training import DEFAULT_FAMILY, GROUP_HEADS
+
+from oracles import transient_bytes
 
 
 def run(args):
@@ -273,7 +277,7 @@ def test_ablate_without_evals_scores_each_final_model(tmp_path, monkeypatch):
     header, *rows = [line.split(",") for line in (tmp_path / "a.csv").read_text().splitlines()]
     assert [row[header.index("error")] for row in rows] == [""]
     scene = fileio.read_scene(scene_path)[0]
-    ds = _load_field_dataset(scene, tmp_path / "fields", "train")
+    ds = _load_field_dataset(scene, tmp_path / "fields", "train", "distance")
     bundle = sp.make_bundle(scene, "distance", "euclidean", 2)
     sp.train(bundle, ds, sp.TrainConfig(epochs=3, eval_interval=0))
     assert float(rows[0][header.index("mae")]) == sp.evaluate_mae(bundle, ds)["pi"]
@@ -417,6 +421,116 @@ def test_render_that_overflows_float32_exit_code(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "big.ir.manifest.json").exists()
 
 
+RENDER_ARGS = ["--l-ds=-6", "--l-er=-12", "--tau-er=0.3", "--tau-lr=0.9", "--doa=0.6,0,0.8"]
+
+
+@pytest.mark.parametrize("frames", [6000, runtime._BLOCK_FRAMES, 3 * runtime._BLOCK_FRAMES + 17],
+                         ids=["under-one-block", "one-block", "several-blocks"])
+def test_render_file_is_write_ir_of_render_offline(tmp_path, monkeypatch, frames):
+    """The CLI makes and writes a render a block of frames at a time, and
+    its file is byte-identical to ``write_ir`` of ``render_offline``."""
+    monkeypatch.chdir(tmp_path)
+    rate = 1000.0
+    refs = runtime.default_reference_irs(sample_rate=rate, seed=0)
+    longest = max(ir.samples.size for ir in (*refs.er_irs, *refs.lr_irs))
+    fileio.write_ir("dry.ir", np.random.default_rng(5).normal(size=frames - longest + 1), rate, 0.25)
+    assert run(["render", "--input", "dry.ir", *RENDER_ARGS, "--out", "cli.ir"]) == 0
+    pset = sp.AcousticParamSet(pi=0.0, l_ds=-6.0, l_er=-12.0, tau_er=0.3, tau_lr=0.9, doa=(0.6, 0.0, 0.8))
+    x = fileio.read_ir_mono("dry.ir").samples
+    out = sp.render_offline(x, runtime.render_params(pset, refs), refs, sp.octahedral_layout())
+    assert out.shape == (6, frames)
+    fileio.write_ir("lib.ir", out, rate, 0.25)
+    assert (tmp_path / "cli.ir").read_bytes() == (tmp_path / "lib.ir").read_bytes()
+
+
+def test_render_holds_no_copy_of_its_output(tmp_path, monkeypatch):
+    """A 0.5 s input at 16 kHz renders to (6, 94 399) frames, 4.5 MB as
+    float64. The CLI renders it with under 5.2 MB of transient memory, the
+    reference tails and the wet convolution included; making the whole
+    array and then writing it took 7.2 MB."""
+    monkeypatch.chdir(tmp_path)
+    fileio.write_ir("dry.ir", 0.1 * np.random.default_rng(0).normal(size=8000), 16000.0)
+    codes = []
+    peak = transient_bytes(lambda: codes.append(run(["render", "--input", "dry.ir", *RENDER_ARGS,
+                                                     "--out", "r.ir"])))
+    assert codes == [0] and fileio.read_ir("r.ir")[0].shape == (6, 94_399)
+    assert peak < 5_200_000
+
+
+def _three_source_box(tmp_path) -> None:
+    """A 6x3x6 box, ``box.scn``, and the fields of three sources in ``fields``."""
+    run(["scene", "gen", "--kind", "empty-box", "--dims", "6x3x6", "--out", str(tmp_path / "box.scn")])
+    (tmp_path / "s.txt").write_text("1.0 1.0 1.0\n4.0 1.0 3.0\n2.0 1.0 4.0\n")
+    run(["bake", "--scene", str(tmp_path / "box.scn"), "--sources", str(tmp_path / "s.txt"),
+         "--out-dir", str(tmp_path / "fields")])
+
+
+def _group_commands(group: str, fields: str, tag: str) -> list:
+    """A ``train``, an ``eval`` of ``model.ckpt`` and an ``ablate`` of
+    ``group`` on the fields in ``fields``, writing files tagged ``tag``."""
+    family = DEFAULT_FAMILY[group]
+    return [
+        ["train", "--scene", "box.scn", "--train-fields", fields, "--val-fields", fields, "--group", group,
+         "--family", family, "--n", "3", "--epochs", "4", "--eval-interval", "2",
+         "--out", f"{tag}.ckpt", "--log", f"{tag}.csv"],
+        ["eval", "--scene", "box.scn", "--checkpoint", "model.ckpt", "--fields", fields,
+         "--out", f"{tag}_mae.csv"],
+        ["ablate", "--scene", "box.scn", "--train-fields", fields, "--val-fields", fields,
+         "--test-fields", fields, "--group", group, "--families", family, "--n-values", "2",
+         "--epochs", "3", "--eval-interval", "3", "--out", f"{tag}_ablate.csv"],
+    ]
+
+
+@pytest.mark.parametrize("group", list(GROUP_HEADS))
+def test_group_commands_read_only_their_group_fields(tmp_path, monkeypatch, group):
+    """``train``, ``eval`` and ``ablate`` write the same bytes with the
+    other groups' field files deleted."""
+    monkeypatch.chdir(tmp_path)
+    _three_source_box(tmp_path)
+    scene = fileio.read_scene("box.scn")[0]
+    fileio.save_checkpoint("model.ckpt", sp.make_bundle(scene, group, DEFAULT_FAMILY[group], 3, seed=2))
+    shutil.copytree("fields", "own")
+    for path in (tmp_path / "own").iterdir():
+        if not any(path.name.endswith(f"_{name}.fld") for name in GROUP_HEADS[group]):
+            path.unlink()
+    for fields in ("fields", "own"):
+        for args in _group_commands(group, fields, tag=fields):
+            assert run(args) == 0
+    for suffix in (".ckpt", ".csv", "_mae.csv", "_ablate.csv"):
+        assert (tmp_path / f"fields{suffix}").read_bytes() == (tmp_path / f"own{suffix}").read_bytes()
+
+
+@pytest.mark.parametrize("group, name", [(g, n) for g in ("levels", "decays") for n in GROUP_HEADS[g]])
+def test_group_commands_missing_a_group_field_exit_code(tmp_path, capsys, monkeypatch, group, name):
+    """A source with a file of one of the group's parameters but not the
+    other is an input error for ``train``, ``eval`` and ``ablate``: exit 3.
+    (The distance group has one parameter, so its missing file is a
+    missing source.)"""
+    monkeypatch.chdir(tmp_path)
+    _three_source_box(tmp_path)
+    scene = fileio.read_scene("box.scn")[0]
+    fileio.save_checkpoint("model.ckpt", sp.make_bundle(scene, group, DEFAULT_FAMILY[group], 3, seed=2))
+    (tmp_path / "fields" / f"src001_{name}.fld").unlink()
+    for args in _group_commands(group, "fields", tag="out"):
+        assert f"src001_{name}.fld" in _exits_3(capsys, args)
+    assert not list(tmp_path.glob("out*"))
+
+
+def test_two_names_of_one_source_number_exit_code(tmp_path, capsys, monkeypatch):
+    """``src0_*`` and ``src000_*`` name one source number, so their load
+    order is not defined: ``train``, ``eval`` and ``ablate`` refuse them
+    (exit 3) instead of loading them in a hash-seed-dependent order."""
+    monkeypatch.chdir(tmp_path)
+    _three_source_box(tmp_path)
+    scene = fileio.read_scene("box.scn")[0]
+    fileio.save_checkpoint("model.ckpt", sp.make_bundle(scene, "distance", "euclidean", 3, seed=2))
+    for path in (tmp_path / "fields").glob("src001_*"):
+        path.rename(path.with_name(path.name.replace("src001_", "src0_")))
+    for args in _group_commands("distance", "fields", tag="out"):
+        assert "share source number 0" in _exits_3(capsys, args)
+    assert not list(tmp_path.glob("out*"))
+
+
 def test_train_family_defaults_to_the_group_family(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     scene_path = tmp_path / "box.scn"
@@ -465,12 +579,12 @@ def test_field_sets_load_in_numeric_source_order(tmp_path):
     for name, src in zip(names, sources):
         for field_name, fv in sp.bake_source(scene, src).items():
             fileio.write_field(tmp_path / f"{name}_{field_name}.fld", fv)
-    ds = _load_field_dataset(scene, tmp_path, "train")
+    ds = _load_field_dataset(scene, tmp_path, "train", "distance")
     assert [tuple(s) for s in ds.sources] == [tuple(s) for s in sources]
 
     (tmp_path / "srcx_pi.fld").write_bytes(b"")
     with pytest.raises(InputError):
-        _load_field_dataset(scene, tmp_path, "train")
+        _load_field_dataset(scene, tmp_path, "train", "distance")
 
 
 def _baked_box(tmp_path):

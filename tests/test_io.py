@@ -1,7 +1,6 @@
 import csv
 import json
 import tempfile
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +12,7 @@ import soundprop as sp
 from soundprop import fileio
 from soundprop.errors import FormatError, InputError
 
-from oracles import one_shot_save_checkpoint, one_shot_write_field, one_shot_write_ir
+from oracles import one_shot_save_checkpoint, one_shot_write_field, one_shot_write_ir, transient_bytes
 
 
 def test_scene_round_trip(tmp_path, maze_scene):
@@ -193,22 +192,11 @@ def test_write_ir_rejects_what_read_ir_rejects(tmp_path, samples):
     assert not path.exists()
 
 
-def _transient_bytes(write) -> int:
-    """Peak traced allocation of ``write()`` above what was live before it."""
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        write()
-        return tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-
-
 def test_write_ir_holds_no_copy_of_a_render(tmp_path):
     """A (6, 94 399) float64 render (4.5 MB) is written with under 1 MB of
     transient memory; the one-shot writer took 9.1 MB."""
     out = np.random.default_rng(0).normal(size=(6, 94_399))
-    assert _transient_bytes(lambda: fileio.write_ir(tmp_path / "r.ir", out, 16000.0)) < 1_000_000
+    assert transient_bytes(lambda: fileio.write_ir(tmp_path / "r.ir", out, 16000.0)) < 1_000_000
 
 
 def test_save_checkpoint_holds_no_copy_of_its_payload(tmp_path):
@@ -219,8 +207,21 @@ def test_save_checkpoint_holds_no_copy_of_its_payload(tmp_path):
                                         geometry={"n_cylinders": 12}))
     bundle = sp.make_bundle(scene, "levels", "riemann-diag", 16, seed=1)
     path = tmp_path / "gym.ckpt"
-    assert _transient_bytes(lambda: fileio.save_checkpoint(path, bundle)) < 1_000_000
+    assert transient_bytes(lambda: fileio.save_checkpoint(path, bundle)) < 1_000_000
     assert path.stat().st_size > 1_780_000
+
+
+def test_load_checkpoint_draws_no_grid_to_overwrite(tmp_path):
+    """Loading that gym-size checkpoint holds its file, the float64 grid
+    (3.57 MB) and no random grid beside them: under 6 MB of transient
+    memory, where building the bundle by ``make_bundle`` and overwriting
+    it took 8.10 MB."""
+    scene = sp.build_scene(sp.SceneSpec(kind="cylinder-forest", dims=(59, 8, 59), seed=11,
+                                        geometry={"n_cylinders": 12}))
+    bundle = sp.make_bundle(scene, "levels", "riemann-diag", 16, seed=1)
+    path = tmp_path / "gym.ckpt"
+    fileio.save_checkpoint(path, bundle)
+    assert transient_bytes(lambda: fileio.load_checkpoint(path, scene)) < 6_000_000
 
 
 def test_checkpoint_scene_mismatch(tmp_path, box_scene, maze_scene):

@@ -189,6 +189,21 @@ def test_render_solves_the_panning_once(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("size", [300, runtime._BLOCK_FRAMES, 2 * runtime._BLOCK_FRAMES + 5])
+def test_render_blocks_are_render_offline_bit_for_bit(size):
+    """Every pass over a streamed render's blocks, laid end to end, is
+    ``render_offline``'s output bit for bit, whichever block the dry
+    path ends in."""
+    rp, refs = _params(doa=(0.6, 0.0, 0.8), l_ds=-3.0, l_er=-6.0)
+    layout = sp.octahedral_layout()
+    x = np.random.default_rng(6).normal(size=size)
+    whole = sp.render_offline(x, rp, refs, layout)
+    shape, blocks = runtime._render_blocks(x, rp, refs, layout)
+    assert shape == whole.shape
+    for _ in range(2):  # the IR writer passes over the blocks twice
+        assert np.array_equal(np.concatenate([block.copy() for block in blocks()], axis=1), whole)
+
+
 def test_fft_size_is_the_smallest_5_smooth_length():
     """The wet convolution's FFT length is the smallest 2^a 3^b 5^c >= n,
     against a search over every length from n up, for n = 1..5000."""

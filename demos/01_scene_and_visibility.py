@@ -25,7 +25,9 @@ scene = sp.build_scene(specs[1])
 mid = scene.dims[0] // 2
 j, k = np.argwhere(~scene.occupancy[mid])[0]
 p = scene.voxel_center((2, j, k))
-mask = sp.visible_voxels(scene, p)
+cells = scene.free_indices()
+mask = np.zeros(scene.dims, dtype=bool)
+mask[tuple(cells.T)] = sp.lines_of_sight(scene, p, scene.voxel_center(cells))
 near = mask[: mid].sum()
 far = mask[mid + 1 :].sum()
 total_far = scene.free_mask()[mid + 1 :].sum()

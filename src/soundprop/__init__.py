@@ -16,18 +16,16 @@ from .errors import (
     DivergenceError,
     FormatError,
     InputError,
-    IsolationError,
     NoArrivalError,
     SoundPropError,
     UndefinedDecayError,
 )
-from .evalkit import CostReport, ablation_run, cost_report, doa_error, mae_field
+from .evalkit import CostReport, ablation_run, cost_report, mae_field
 from .irparams import (
     AcousticParamSet,
     ImpulseResponse,
     arrival_and_distance,
     decay_time,
-    doa_from_field,
     doa_from_samples,
     extract_params,
     fd_derivative,
@@ -64,7 +62,6 @@ from .scene import (
     VoxelScene,
     build_scene,
     lines_of_sight,
-    visible_voxels,
 )
 from .training import (
     Adam,

@@ -21,10 +21,6 @@ class UndefinedDecayError(InputError):
     """Decay slope is non-negative; no decay time can be derived."""
 
 
-class IsolationError(InputError):
-    """No visible grid vertex near the query point; interpolation impossible."""
-
-
 class DegenerateGradientError(InputError):
     """Field gradient magnitude below threshold; direction is undefined."""
 

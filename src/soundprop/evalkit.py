@@ -1,14 +1,13 @@
-"""Error metrics, cost accounting, and the latent-size ablation driver."""
+"""The field error metric (``mae_field``, re-exported from ``oracle``),
+cost accounting, and the latent-size ablation driver."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .decoders import make_distance_decoder
 from .errors import DivergenceError, InputError
-from .oracle import FieldVolume, mae_field, valid_pairs  # noqa: F401 - mae_field is public here
+from .oracle import mae_field  # noqa: F401 - mae_field is public here
 from .training import (
     Dataset,
     TrainConfig,
@@ -18,17 +17,6 @@ from .training import (
 )
 
 BYTES_PER_VALUE = 4  # float32 storage
-
-
-def doa_error(pred: FieldVolume, truth: FieldVolume) -> float:
-    """Mean angular error between two direction fields, in degrees."""
-    p, t = valid_pairs(pred, truth)
-    for name, vecs in (("pred", p), ("truth", t)):
-        norms = np.linalg.norm(vecs, axis=-1)
-        if np.any(np.abs(norms - 1.0) > 1e-3):
-            raise InputError(f"{name} directions are not unit vectors")
-    dots = np.clip(np.einsum("ij,ij->i", p, t), -1.0, 1.0)
-    return float(np.degrees(np.arccos(dots)).mean())
 
 
 def format_bytes_si(n_bytes: float) -> str:

@@ -16,11 +16,13 @@ All binary payloads are little-endian. Formats:
   header describing the bundle (group, family, n, dims, section table),
   then flat float32 parameter payloads in the order listed.
 * Speaker layout (``.spk``): text lines ``s x y z`` per speaker and
-  ``t i j k`` per panning triple.
+  ``t i j k`` per panning triple. Layouts are only read here; the tests'
+  oracle writes them.
 
-Every write has a matching read; reading back yields the float32-rounded
-values that were stored. Array payloads are cast to float32 through one
-buffer of ``_BLOCK`` values, so a writer holds no copy of what it writes.
+Every other format's write has a matching read; reading back yields the
+float32-rounded values that were stored. Array payloads are cast to
+float32 through one buffer of ``_BLOCK`` values, so a writer holds no copy
+of what it writes.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import struct
 from contextlib import contextmanager
 
@@ -279,27 +282,34 @@ def write_ir(path, samples: np.ndarray, sample_rate: float, t0: float = 0.0) -> 
     if samples.ndim not in (1, 2) or samples.size == 0:
         raise InputError(f"cannot write {path}: samples of shape {samples.shape} are not non-empty "
                          "(N,) or (C, N)")
-    _write_ir_blocks(path, lambda: (samples,), 1 if samples.ndim == 1 else samples.shape[0],
-                     sample_rate, t0)
+    _write_ir_blocks(path, (samples,), 1 if samples.ndim == 1 else samples.shape[0], sample_rate, t0)
 
 
 def _write_ir_blocks(path, blocks, channels: int, sample_rate: float, t0: float) -> None:
     """Write the IR whose frames are those of the ``(N,)`` or ``(channels,
-    N)`` arrays that ``blocks()`` yields, in order. One pass over the
-    blocks raises ``InputError``, before the file is opened, for a sample
-    that is not finite as float32; a second pass writes them, so a block
-    may be a buffer that the next one overwrites."""
-    with np.errstate(over="ignore"):
-        if not all(np.isfinite(f4).all() for block in blocks() for f4 in _f4_blocks(block)):
-            raise InputError(f"cannot write {path}: a sample is not finite as float32")
+    N)`` arrays of the iterable ``blocks``, in order, in one pass; a block
+    may be a buffer that the next one overwrites. The file is written
+    beside ``path`` and moved onto it once whole, so a sample that is not
+    finite as float32 raises ``InputError`` and leaves ``path`` as it was."""
     header = (
         f"{IR_MAGIC.decode()}\nsample_rate={float(sample_rate)!r}\nt0={float(t0)!r}\n"
         f"channels={channels}\n\n"
     ).encode()
-    with _writing(path), open(path, "wb") as fh:
-        fh.write(header)
-        for block in blocks():
-            _write_f4(fh, block.T)  # (N, C) in C order: interleaved frames
+    staging = f"{os.fspath(path)}.partial"
+    try:
+        with _writing(path):
+            with open(staging, "wb") as fh, np.errstate(over="ignore"):
+                fh.write(header)
+                for block in blocks:
+                    for f4 in _f4_blocks(block.T):  # (N, C) in C order: interleaved frames
+                        if not np.isfinite(f4).all():
+                            raise InputError(f"cannot write {path}: a sample is not finite as float32")
+                        fh.write(f4)
+            os.replace(staging, path)
+    except BaseException:
+        if os.path.exists(staging):
+            os.remove(staging)
+        raise
 
 
 def read_ir(path):
@@ -455,13 +465,6 @@ def load_checkpoint(path, scene: VoxelScene) -> ModelBundle:
 # ---------------------------------------------------------------------------
 # Speaker layouts, slices, manifests
 # ---------------------------------------------------------------------------
-
-
-def write_layout(path, layout: SpeakerLayout) -> None:
-    lines = [f"s {float(d[0])!r} {float(d[1])!r} {float(d[2])!r}" for d in layout.directions]
-    lines += [f"t {a} {b} {c}" for a, b, c in layout.triples]
-    with _writing(path), open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def read_layout(path) -> SpeakerLayout:

@@ -25,8 +25,6 @@ from .errors import (
     NoArrivalError,
     UndefinedDecayError,
 )
-from .latentfield import interp_points
-from .scene import VoxelScene
 
 SPEED_OF_SOUND = 343.0  # m/s
 
@@ -275,19 +273,3 @@ def doa_from_samples(center, samples, h: float) -> np.ndarray:
     if not norm >= _GRAD_EPS:  # also rejects a NaN gradient
         raise DegenerateGradientError("field gradient is degenerate at the query point")
     return -g / norm
-
-
-def doa_from_field(field, b, scene: VoxelScene) -> np.ndarray:
-    """Unit direction of arrival from a path-distance field at ``b``.
-
-    The direction is the negated, normalized spatial gradient of the field
-    with respect to the receiver, estimated by ``doa_from_samples`` on the
-    field at ``b`` and its stencil points at a one-grid-spacing step,
-    sampled in one masked interpolation over the finite field values.
-    """
-    b = np.asarray(b, dtype=float)
-    h = scene.spacing
-    batch = interp_points(scene, b + h * np.vstack([np.zeros(3), DOA_STENCIL]),
-                          value_mask=np.isfinite(field.values))
-    values = batch.sample(field.values[..., None])[:, 0]
-    return doa_from_samples(values[0], values[1:], h)

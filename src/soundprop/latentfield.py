@@ -8,30 +8,27 @@ keeps interpolated values from leaking across walls.
 
 One batched core, ``interp_points``, finds the stencils of many points at
 once. Its ``InterpBatch`` samples latents or scalar field volumes at those
-points (``sample``) and scatters gradients back onto the grid
-(``backward``, the adjoint of ``sample``).
+points (``sample``).
+
+A point in a free voxel always resolves: that voxel's centre is one of
+its cell corners, within half a voxel of the point on every axis, so its
+trilinear weight is at least 1/8, and it sees the point, since the ray
+between them stays in one free voxel. No fallback search is needed.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, IsolationError
+from .errors import InputError
 from .scene import _FREE, _OCCUPIED, _OUTSIDE, _voxel_cells, _walk, VoxelScene
 
 # Corner offsets of one interpolation cell, x fastest.
 _CORNERS = np.array(
     [(i, j, k) for k in (0, 1) for j in (0, 1) for i in (0, 1)], dtype=int
 )
-_FALLBACK_SHELLS = 2  # deeper isolation is a scene-authoring error
-# Vertex offsets of the fallback search in C order, and their shell radius.
-_SHELL_OFFSETS = np.array(
-    list(itertools.product(range(-_FALLBACK_SHELLS, _FALLBACK_SHELLS + 1), repeat=3))
-)
-_SHELL_RADIUS = np.abs(_SHELL_OFFSETS).max(axis=1)
 
 
 def _chain_table() -> np.ndarray:
@@ -66,7 +63,7 @@ _NEAR = 1e-6
 
 # Per-point outcome of ``interp_points``, and the outcome of a point in a
 # cell of each label of the scene's padded grid.
-RESOLVED, OUTSIDE, OCCUPIED, ISOLATED = 0, 1, 2, 3
+RESOLVED, OUTSIDE, OCCUPIED = 0, 1, 2
 _STATUS_OF_LABEL = np.zeros(3, dtype=np.int8)
 _STATUS_OF_LABEL[[_FREE, _OCCUPIED, _OUTSIDE]] = RESOLVED, OCCUPIED, OUTSIDE
 
@@ -132,7 +129,7 @@ class InterpBatch:
     ``corners`` holds ``(N, 8, 3)`` vertex indices and ``weights`` their
     ``(N, 8)`` renormalized weights, zero on the slots that do not
     contribute. ``status`` says per point whether it resolved or why not
-    (``RESOLVED``, ``OUTSIDE``, ``OCCUPIED``, ``ISOLATED``); an unresolved
+    (``RESOLVED``, ``OUTSIDE``, ``OCCUPIED``); an unresolved
     point has all-zero weights.
     """
 
@@ -150,13 +147,6 @@ class InterpBatch:
         out[self.status != RESOLVED] = np.nan
         return out
 
-    def backward(self, upstream: np.ndarray, grad: np.ndarray) -> None:
-        """Adjoint of ``sample``: add each point's ``(N, c)`` ``upstream``
-        row, times its weights, to the stencil vertices of ``grad`` (shape
-        ``(nx, ny, nz, c)``), in place."""
-        row, slot = np.nonzero(self.weights > 0.0)
-        np.add.at(grad, tuple(self.corners[row, slot].T), self.weights[row, slot, None] * upstream[row])
-
     def check(self, i: int, p) -> None:
         """Raise the error that says why point ``i`` (at ``p``) did not resolve."""
         status = self.status[i]
@@ -164,28 +154,21 @@ class InterpBatch:
             raise InputError(f"point {np.asarray(p).tolist()} outside the scene bounding box")
         if status == OCCUPIED:
             raise InputError("interpolation query inside an occupied voxel")
-        if status == ISOLATED:
-            raise IsolationError(
-                f"no visible vertex within {_FALLBACK_SHELLS} shells of {np.asarray(p).tolist()}"
-            )
 
 
-def interp_points(scene: VoxelScene, points, value_mask: np.ndarray | None = None) -> InterpBatch:
+def interp_points(scene: VoxelScene, points) -> InterpBatch:
     """Visibility-masked trilinear stencils of the ``(N, 3)`` ``points``.
 
-    A point within 1e-9 voxel of a usable voxel centre on every axis reads
+    A point within 1e-9 voxel of its voxel's centre on every axis reads
     that voxel alone. Elsewhere a cell corner contributes if its trilinear
-    weight is positive, it is usable (free, and set in the optional
-    ``value_mask``, e.g. finite field samples) and it sees the point; the
-    surviving weights are renormalized. A point with no such corner falls
-    back to the nearest usable vertex that sees it, in the lowest
-    Chebyshev shell (radius 0 to 2) around its nearest vertex, ties to the
-    first in C order. A corner ray stays in the point's cell, so whether
-    it sees the point is read from ``_CHAIN``; only the corner rays of the
-    other points whose offsets tie or near a face, and the fallback rays,
-    walk ``scene.lines_of_sight``'s core, one walk each, and neither
-    checks the points again.
-    Unresolvable points are reported in ``status``, not raised.
+    weight is positive, it is free and it sees the point; the surviving
+    weights are renormalized. A corner ray stays in the point's cell, so
+    whether it sees the point is read from ``_CHAIN``; only the corner
+    rays of the points whose offsets tie or near a face walk
+    ``scene.lines_of_sight``'s core, one walk each, which does not check
+    the points again. A point in a free voxel always resolves (see the
+    module docstring); points outside the scene or in an occupied voxel
+    are reported in ``status``, not raised.
     """
     P = np.asarray(points, dtype=float).reshape(-1, 3)
     dims = scene._dims
@@ -196,7 +179,6 @@ def interp_points(scene: VoxelScene, points, value_mask: np.ndarray | None = Non
     label = np.where(inside, scene._labels[(voxel + 1) @ scene._strides], _OUTSIDE)
     status = _STATUS_OF_LABEL[label]
     ok = status == RESOLVED
-    usable = scene._free if value_mask is None else scene._free & value_mask
 
     base = np.minimum(np.maximum(np.floor(v).astype(int), 0), dims - 2)
     t = np.minimum(np.maximum(v - base, 0.0), 1.0)
@@ -213,15 +195,11 @@ def interp_points(scene: VoxelScene, points, value_mask: np.ndarray | None = Non
     snap = None
     if near.any():  # a point on a voxel centre is near: its offsets tie
         snap = np.flatnonzero(near & (beta <= 1e-9).all(axis=1))
-        if value_mask is not None:
-            snap = snap[value_mask[tuple(voxel[snap].T)]]
         near[snap] = False
     chain = _CHAIN[pv, (order > 0.0) @ _BITS]
     cells = ((base + 1) @ scene._strides)[:, None, None] + (_CORNERS @ scene._strides)[chain]
     free = scene._labels[cells] == _FREE
     keep = (w > 0.0) & free[..., 0] & ok[:, None]
-    if value_mask is not None:
-        keep &= value_mask[tuple(corners.T)].T
     row, slot = np.nonzero(keep & near[:, None])
     keep &= free.all(axis=2)
     if row.size:
@@ -231,15 +209,7 @@ def interp_points(scene: VoxelScene, points, value_mask: np.ndarray | None = Non
         w[snap] = 0.0
         w[snap, pv[snap]] = 1.0
     total = w.sum(axis=1)
-    hit = total > 0.0
-    w /= np.where(hit, total, 1.0)[:, None]
-
-    lost = np.flatnonzero(ok & ~hit)
-    if lost.size:
-        vertex, found = _nearest_visible_vertex(scene, P[lost], v[lost], voxel[lost], usable)
-        w[lost[found], 0] = 1.0
-        corners[lost[found], 0] = vertex[found]
-        status[lost[~found]] = ISOLATED
+    w /= np.where(total > 0.0, total, 1.0)[:, None]  # the total is 0 only where unresolved
     return InterpBatch(corners=corners, weights=w, status=status)
 
 
@@ -249,22 +219,3 @@ def _sees(scene: VoxelScene, vertices: np.ndarray, v: np.ndarray, voxel: np.ndar
     and placement are the ones ``interp_points`` already made."""
     a = (scene.voxel_center(vertices) - scene.origin) / scene.spacing + 0.5
     return _walk(scene, a, v + 0.5, vertices, voxel)
-
-
-def _nearest_visible_vertex(scene: VoxelScene, P: np.ndarray, v: np.ndarray, voxel: np.ndarray,
-                            usable: np.ndarray):
-    """Fallback vertex of each point in ``P`` (with ``v`` and ``voxel`` as
-    in ``_sees``), and whether one was found."""
-    dims = scene._dims
-    cand = np.clip(np.rint(v).astype(int), 0, dims - 1)[:, None, :] + _SHELL_OFFSETS
-    valid = np.all((cand >= 0) & (cand < dims), axis=2)
-    cand = np.clip(cand, 0, dims - 1)
-    valid &= usable[tuple(cand.T)].T
-    row, slot = np.nonzero(valid)
-    seen = np.zeros(valid.shape, dtype=bool)
-    seen[row, slot] = _sees(scene, cand[row, slot], v[row], voxel[row])
-    shell = np.where(seen, _SHELL_RADIUS, _FALLBACK_SHELLS + 1).min(axis=1)
-    d = np.linalg.norm(scene.voxel_center(cand) - P[:, None, :], axis=2)
-    d = np.where(seen & (_SHELL_RADIUS == shell[:, None]), d, np.inf)
-    pick = d.argmin(axis=1)  # the first of equals, in C order
-    return cand[np.arange(len(P)), pick], seen.any(axis=1)

@@ -337,19 +337,15 @@ def _speaker_feeds(wet: np.ndarray, out: np.ndarray, start: int, x: np.ndarray, 
 
 def _render_blocks(x_in: np.ndarray, params: RenderParams, refs: ReferenceIRSet,
                    layout: SpeakerLayout) -> tuple:
-    """The ``(n_speakers, n_samples)`` shape of a render and a function
-    each call of which yields the render's frames in order,
-    ``_BLOCK_FRAMES`` at a time, each made into one reused buffer: the
-    render is never held whole, and its wet bus is convolved once for
-    every call."""
+    """The ``(n_speakers, n_samples)`` shape of a render and an iterator
+    over the render's frames in order, ``_BLOCK_FRAMES`` at a time, each
+    made into one reused buffer: the render is never held whole, and its
+    wet bus is convolved once."""
     x, gains, parts, frames = _render_inputs(x_in, params, refs, layout)
     wet = _wet_bus(x, parts, frames)
     buffer = np.empty((gains.size, min(frames, _BLOCK_FRAMES)))
-
-    def blocks():
-        for start in range(0, frames, buffer.shape[1]):
-            yield _speaker_feeds(wet, buffer[:, : frames - start], start, x, params.dry, gains)
-
+    blocks = (_speaker_feeds(wet, buffer[:, : frames - start], start, x, params.dry, gains)
+              for start in range(0, frames, buffer.shape[1]))
     return (gains.size, frames), blocks
 
 

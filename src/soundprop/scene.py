@@ -482,19 +482,3 @@ def _walk(scene: VoxelScene, a, b, start, end) -> np.ndarray:
             x.compress(keep, axis=-1) for x in (rays, cur, stop, t_max, t_delta, step)
         )
     return out
-
-
-def visible_voxels(scene: VoxelScene, p) -> np.ndarray:
-    """Boolean mask of voxels whose centers are visible from ``p``.
-
-    Occupied voxels are always ``False``. If ``p`` sits inside an occupied
-    voxel the whole mask is ``False`` (defined fallback, not an error).
-    """
-    p = np.asarray(p, dtype=float)
-    if not scene.contains(p):
-        raise InputError("query point outside the scene bounding box")
-    mask = np.zeros(scene.dims, dtype=bool)
-    if not scene.occupancy[scene.voxel_of(p)]:
-        idx = scene.free_indices()
-        mask[tuple(idx.T)] = lines_of_sight(scene, p, scene.voxel_center(idx))
-    return mask

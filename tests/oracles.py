@@ -10,11 +10,10 @@ import numpy as np
 
 import soundprop as sp
 from soundprop import fileio
-from soundprop.errors import ConfigurationError, InputError, IsolationError
-from soundprop.oracle import _DIFFRACTION_DB_PER_M, _L0_DB, FieldVolume
-from soundprop.latentfield import (
-    _STATUS_OF_LABEL, ISOLATED, RESOLVED, InterpBatch, _nearest_visible_vertex, _sees,
-)
+from soundprop.errors import ConfigurationError, InputError
+from soundprop.oracle import _DIFFRACTION_DB_PER_M, _L0_DB, FieldVolume, valid_pairs
+from soundprop.irparams import DOA_STENCIL, doa_from_samples
+from soundprop.latentfield import _STATUS_OF_LABEL, RESOLVED, InterpBatch, _sees
 from soundprop.scene import (
     _FREE, _OCCUPIED, _OUTSIDE, _PROBE_MASK, _TIE_EPS, _TIE_PROBES, _segment_cells, _shell,
     _voxel_cells,
@@ -161,18 +160,24 @@ _CORNERS = np.array([(i, j, k) for k in (0, 1) for j in (0, 1) for i in (0, 1)],
 _FALLBACK_SHELLS = 2
 
 
+class IsolationError(InputError):
+    """No usable vertex that sees the point within the fallback shells."""
+
+
 def masked_interp(data, scene, p, value_mask=None):
     """Visibility-masked trilinear sampling of ``data`` at one point, vertex
     by vertex with ``line_of_sight``: the reference for
-    ``latentfield.interp_points``.
+    ``latentfield.interp_points``, which has no value mask and needs no
+    fallback (a point in a free voxel sees that voxel's centre).
 
     Returns ``(value, corners, weights)`` over the contributing vertices.
-    Cell corners of positive trilinear weight that are usable and see
-    ``p`` share the weight, renormalized; when there is none, the nearest
-    usable vertex that sees ``p`` in the lowest Chebyshev shell (radius 0
-    to 2) around the nearest vertex takes it all, ties to the first in C
-    order. Raises ``InputError`` for a point outside the scene or inside
-    an obstacle and ``IsolationError`` when no vertex qualifies.
+    Cell corners of positive trilinear weight that are usable (free, and
+    set in ``value_mask``, e.g. finite field samples) and see ``p`` share
+    the weight, renormalized; when there is none, the nearest usable
+    vertex that sees ``p`` in the lowest Chebyshev shell (radius 0 to 2)
+    around the nearest vertex takes it all, ties to the first in C order.
+    Raises ``InputError`` for a point outside the scene or inside an
+    obstacle and ``IsolationError`` when no vertex qualifies.
     """
     p = np.asarray(p, dtype=float)
     if not scene.contains(p):
@@ -232,16 +237,24 @@ def masked_interp(data, scene, p, value_mask=None):
     raise IsolationError(f"no visible vertex within {_FALLBACK_SHELLS} shells of {p.tolist()}")
 
 
-def walk_interp_points(scene, points, value_mask=None):
+def interp_backward(batch, upstream, grad) -> None:
+    """The adjoint of ``InterpBatch.sample``: add each point's ``(N, c)``
+    ``upstream`` row, times its weights, to the stencil vertices of
+    ``grad`` (shape ``(nx, ny, nz, c)``), in place. Training never needs
+    it, as the gradient stops at the source; the gradient suite checks it."""
+    row, slot = np.nonzero(batch.weights > 0.0)
+    np.add.at(grad, tuple(batch.corners[row, slot].T), batch.weights[row, slot, None] * upstream[row])
+
+
+def walk_interp_points(scene, points):
     """``latentfield.interp_points`` with every corner ray walked: the
     reference for its chain-table visibility.
 
-    A point within 1e-9 voxel of a usable voxel centre on every axis takes
-    weight 1 on the cell corner that is that voxel. Elsewhere a cell corner
-    contributes if its trilinear weight is positive, it is usable and
+    A point within 1e-9 voxel of its free voxel's centre on every axis
+    takes weight 1 on the cell corner that is that voxel. Elsewhere a cell
+    corner contributes if its trilinear weight is positive, it is free and
     ``scene._walk`` sees the point from it; the surviving weights are
-    renormalized, and a point with no such corner falls back as in
-    ``interp_points``.
+    renormalized.
     """
     P = np.asarray(points, dtype=float).reshape(-1, 3)
     dims = scene._dims
@@ -252,7 +265,6 @@ def walk_interp_points(scene, points, value_mask=None):
     label = np.where(inside, scene._labels[(voxel + 1) @ scene._strides], _OUTSIDE)
     status = _STATUS_OF_LABEL[label]
     ok = status == RESOLVED
-    usable = scene._free if value_mask is None else scene._free & value_mask
 
     base = np.clip(np.floor(v).astype(int), 0, dims - 2)
     t = np.clip(v - base, 0.0, 1.0)
@@ -261,8 +273,7 @@ def walk_interp_points(scene, points, value_mask=None):
     w = f[..., 0] * f[..., 1] * f[..., 2]
 
     centre = ok & (np.abs(v - voxel) <= 1e-9).all(axis=1)
-    centre[centre] = usable[tuple(voxel[centre].T)]
-    row, slot = np.nonzero((w > 0.0) & usable[tuple(corners.T)].T & (ok & ~centre)[:, None])
+    row, slot = np.nonzero((w > 0.0) & scene._free[tuple(corners.T)].T & (ok & ~centre)[:, None])
     keep = np.zeros(w.shape, dtype=bool)
     keep[row, slot] = _sees(scene, corners[row, slot], v[row], voxel[row])
     w = np.where(keep, w, 0.0)
@@ -270,13 +281,6 @@ def walk_interp_points(scene, points, value_mask=None):
     total = w.sum(axis=1)
     hit = total > 0.0
     w[hit] /= total[hit, None]
-
-    lost = np.flatnonzero(ok & ~hit)
-    if lost.size:
-        vertex, found = _nearest_visible_vertex(scene, P[lost], v[lost], voxel[lost], usable)
-        w[lost[found], 0] = 1.0
-        corners[lost[found], 0] = vertex[found]
-        status[lost[~found]] = ISOLATED
     return InterpBatch(corners=corners, weights=w, status=status)
 
 
@@ -382,6 +386,24 @@ def loop_synth_fields(scene, source, geo) -> dict:
     }
 
 
+def visible_voxels(scene, p) -> np.ndarray:
+    """Boolean mask of the voxels whose centres are visible from ``p``, by
+    one ``lines_of_sight`` batch to every free voxel centre.
+
+    Occupied voxels are always ``False``, and so is the whole mask when
+    ``p`` sits in an occupied voxel. ``InputError`` for a point outside
+    the scene.
+    """
+    p = np.asarray(p, dtype=float)
+    if not scene.contains(p):
+        raise InputError("query point outside the scene bounding box")
+    mask = np.zeros(scene.dims, dtype=bool)
+    if not scene.occupancy[scene.voxel_of(p)]:
+        idx = scene.free_indices()
+        mask[tuple(idx.T)] = sp.lines_of_sight(scene, p, scene.voxel_center(idx))
+    return mask
+
+
 def full_visibility_sources(scene, seed=0, init_count=20) -> list:
     """Adaptive source placement that casts a ray to every free voxel.
 
@@ -396,14 +418,14 @@ def full_visibility_sources(scene, seed=0, init_count=20) -> list:
 
     covered = np.zeros(scene.dims, dtype=bool)
     for src in sources:
-        covered |= sp.visible_voxels(scene, src)
+        covered |= visible_voxels(scene, src)
     uncovered = scene.free_mask() & ~covered
     while uncovered.any():
         candidates = np.argwhere(uncovered)
         pick = candidates[rng.integers(len(candidates))]
         src = scene.voxel_center(pick)
         sources.append(src)
-        covered |= sp.visible_voxels(scene, src)
+        covered |= visible_voxels(scene, src)
         uncovered = scene.free_mask() & ~covered
     return sources
 
@@ -421,14 +443,14 @@ def per_source_sampler(scene, seed=0, init_count=20):
 
     uncovered = scene.free_mask()
     for src in sources:
-        uncovered &= ~sp.visible_voxels(scene, src)
+        uncovered &= ~visible_voxels(scene, src)
     after_initial = uncovered.copy()
     while uncovered.any():
         candidates = np.argwhere(uncovered)
         pick = candidates[rng.integers(len(candidates))]
         src = scene.voxel_center(pick)
         sources.append(src)
-        uncovered &= ~sp.visible_voxels(scene, src)
+        uncovered &= ~visible_voxels(scene, src)
     return sources, after_initial
 
 
@@ -732,6 +754,35 @@ def fd_derivative(c, p1, p2, m1, m2, h: float):
     )
 
 
+def doa_from_field(field, b, scene) -> np.ndarray:
+    """Unit direction of arrival from a path-distance field at ``b``: the
+    field at ``b`` and at its ``DOA_STENCIL`` points a grid spacing apart,
+    each sampled by ``masked_interp`` over the finite field values (NaN
+    where that raises), through ``doa_from_samples``."""
+    b = np.asarray(b, dtype=float)
+    h = scene.spacing
+    finite = np.isfinite(field.values)
+    values = np.full(1 + len(DOA_STENCIL), np.nan)
+    for i, p in enumerate(b + h * np.vstack([np.zeros(3), DOA_STENCIL])):
+        try:
+            values[i] = masked_interp(field.values, scene, p, finite)[0]
+        except InputError:  # outside, in a wall or isolated: a missing sample
+            pass
+    return doa_from_samples(values[0], values[1:], h)
+
+
+def doa_error(pred, truth) -> float:
+    """Mean angular error between two direction fields, in degrees, over
+    the voxels where both are finite."""
+    p, t = valid_pairs(pred, truth)
+    for name, vecs in (("pred", p), ("truth", t)):
+        norms = np.linalg.norm(vecs, axis=-1)
+        if np.any(np.abs(norms - 1.0) > 1e-3):
+            raise InputError(f"{name} directions are not unit vectors")
+    dots = np.clip(np.einsum("ij,ij->i", p, t), -1.0, 1.0)
+    return float(np.degrees(np.arccos(dots)).mean())
+
+
 def _wet_bus(x, irs, weights, n_out):
     """``x`` convolved with one bus's weight-blended tail, zero-padded to
     ``n_out`` samples: one FFT convolution."""
@@ -801,6 +852,15 @@ def build_coupled_rooms(spec):
     reg = np.ones(spec.dims, dtype=np.int32)
     reg[mid:, :, :] = 2
     return occ, reg
+
+
+def write_layout(path, layout) -> None:
+    """A speaker layout as ``fileio.read_layout`` reads it: one ``s x y z``
+    line per speaker direction, then one ``t i j k`` line per triple."""
+    lines = [f"s {float(d[0])!r} {float(d[1])!r} {float(d[2])!r}" for d in layout.directions]
+    lines += [f"t {a} {b} {c}" for a, b, c in layout.triples]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 # The array writers as they were before they streamed through

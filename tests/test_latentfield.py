@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 import soundprop as sp
-from soundprop.errors import InputError, IsolationError
+from soundprop.errors import InputError
 from soundprop.latentfield import _CORNERS as CORNERS
-from soundprop.latentfield import ISOLATED, OCCUPIED, OUTSIDE, RESOLVED
+from soundprop.latentfield import OCCUPIED, OUTSIDE, RESOLVED
 from soundprop.scene import SCENE_KINDS
 
 from conftest import latent_at, random_free_position
+from oracles import interp_backward
 from oracles import masked_interp as oracle_masked_interp
 from oracles import walk_interp_points
 
@@ -103,11 +104,11 @@ def test_affine_along_segment_fixed_mask(box, grid):
 
 
 def _backward(scene, grid, p, upstream):
-    """Contributing vertices of ``p`` and the gradient ``InterpBatch.backward``
-    scatters onto each of them."""
+    """Contributing vertices of ``p`` and the gradient the adjoint of
+    ``InterpBatch.sample`` scatters onto each of them."""
     r = sp.interp_points(scene, p[None])
     grad = np.zeros_like(grid.values)
-    r.backward(upstream[None, :], grad)
+    interp_backward(r, upstream[None, :], grad)
     corners = r.corners[0, r.weights[0] > 0]
     return corners, grad[tuple(corners.T)]
 
@@ -151,26 +152,6 @@ def test_interp_inside_obstacle_raises(box, grid):
         latent_at(grid, box, box.voxel_center((0, 0, 0)))
 
 
-def test_isolation_when_no_usable_vertices(box):
-    data = np.zeros((8, 4, 8, 1))
-    usable = np.zeros((8, 4, 8), bool)  # nothing is usable anywhere
-    with pytest.raises(IsolationError):
-        p = box.voxel_center((4, 2, 4))
-        sp.interp_points(box, p[None], usable).check(0, p)
-
-
-def test_fallback_uses_nearest_usable_vertex(box):
-    data = np.arange(8 * 4 * 8, dtype=float).reshape(8, 4, 8)[..., None]
-    usable = np.zeros((8, 4, 8), bool)
-    usable[5, 2, 4] = True  # two shells away from the cell corners
-    p = box.voxel_center((3, 2, 4)) + np.array([0.4, 0.2, 0.1])
-    r = sp.interp_points(box, p[None], usable)
-    used = r.weights[0] > 0
-    assert r.corners[0, used].tolist() == [[5, 2, 4]]
-    assert r.weights[0, used].tolist() == [1.0]
-    assert r.sample(data)[0, 0] == data[5, 2, 4, 0]
-
-
 def test_init_grid_structure(box):
     grid = sp.init_latent_grid(box, 5, seed=2)
     assert grid.dims == box.dims and grid.n == 5
@@ -188,35 +169,26 @@ def test_init_grid_structure(box):
 # ---------------------------------------------------------------------------
 
 
-def _reference_outcome(data, scene, p, value_mask):
+def _reference_outcome(data, scene, p):
     try:
-        return RESOLVED, oracle_masked_interp(data, scene, p, value_mask)
-    except IsolationError:
-        return ISOLATED, None
+        return RESOLVED, oracle_masked_interp(data, scene, p)
     except InputError:
         return (OUTSIDE if not scene.contains(p) else OCCUPIED), None
 
 
-@pytest.mark.parametrize("usable_share", [None, 0.5, 0.08])
-def test_interp_points_matches_scalar_reference(maze_scene, usable_share):
+def test_interp_points_matches_scalar_reference(maze_scene):
     """Corners, weights, values and per-point outcome agree with the scalar
-    walk over points in free voxels, in walls and outside the scene. The
-    sparser value masks send points to the first and second fallback
-    shells and isolate some."""
+    walk over points in free voxels, in walls and outside the scene."""
     rng = np.random.default_rng(7)
     data = rng.normal(size=maze_scene.dims + (3,))
-    mask = None if usable_share is None else rng.random(maze_scene.dims) < usable_share
-    if mask is not None:
-        data[~mask] = np.nan  # unusable vertices must not leak into values
     points = [random_free_position(maze_scene, rng) for _ in range(300)]
     points += [maze_scene.voxel_center(i) for i in np.argwhere(maze_scene.occupancy)[:5]]
     points += [np.array([-5.0, 1.0, 1.0]), np.array([np.nan, 1.0, 1.0])]
 
-    batch = sp.interp_points(maze_scene, np.array(points), mask)
+    batch = sp.interp_points(maze_scene, np.array(points))
     values = batch.sample(data)
-    shells = set()
     for i, p in enumerate(points):
-        status, ref = _reference_outcome(data, maze_scene, p, mask)
+        status, ref = _reference_outcome(data, maze_scene, p)
         assert batch.status[i] == status, i
         if status != RESOLVED:
             assert np.isnan(values[i]).all()
@@ -226,12 +198,6 @@ def test_interp_points_matches_scalar_reference(maze_scene, usable_share):
         assert np.array_equal(batch.corners[i, used], corners)
         assert np.allclose(batch.weights[i, used], weights, rtol=1e-14, atol=0.0)
         assert np.allclose(values[i], value, rtol=1e-12, atol=1e-15)
-        centre = np.rint((p - maze_scene.origin) / maze_scene.spacing)
-        if len(weights) == 1:
-            shells.add(int(np.abs(corners[0] - centre).max()))
-    if usable_share == 0.08:
-        assert {1, 2} <= shells
-        assert (batch.status == ISOLATED).any()
 
 
 def test_interp_points_rows_do_not_depend_on_the_batch(maze_scene):
@@ -285,20 +251,45 @@ def _chain_points(scene, rng):
 @pytest.mark.parametrize("kind", SCENE_KINDS)
 def test_interp_points_matches_walked_corner_rays(kind, placement):
     """The chain table gives the corners, weights and status of the walk
-    over every corner ray, with and without a value mask, on uniform,
-    quarter- and half-grid points and on points whose offsets tie or sit
-    at a face to within 1e-7, 1e-9, 1e-12 or exactly."""
+    over every corner ray, on uniform, quarter- and half-grid points and on
+    points whose offsets tie or sit at a face to within 1e-7, 1e-9, 1e-12
+    or exactly."""
     spacing, origin = placement
     k = SCENE_KINDS.index(kind)
     scene = sp.build_scene(sp.SceneSpec(kind=kind, dims=(10, 5, 11), spacing=spacing, origin=origin, seed=k))
     rng = np.random.default_rng(50 + k)
     points = _chain_points(scene, rng)
-    for mask in (None, rng.random(scene.dims) < 0.7):
-        got, want = sp.interp_points(scene, points, mask), walk_interp_points(scene, points, mask)
-        assert np.array_equal(got.status, want.status)
-        assert np.array_equal(got.corners, want.corners)
-        assert np.array_equal(got.weights, want.weights)
+    got, want = sp.interp_points(scene, points), walk_interp_points(scene, points)
+    assert np.array_equal(got.status, want.status)
+    assert np.array_equal(got.corners, want.corners)
+    assert np.array_equal(got.weights, want.weights)
     assert (got.status == RESOLVED).sum() > 1600
+
+
+@pytest.mark.parametrize("placement", _PLACEMENTS, ids=["unit", "0.37", "2.5"])
+@pytest.mark.parametrize("kind", SCENE_KINDS)
+def test_every_point_in_a_free_voxel_resolves(kind, placement):
+    """A point whose voxel is free resolves, and the cell corner at its
+    own voxel's centre keeps a positive weight: that corner is within half
+    a voxel of the point on every axis and sees it, so no point needs a
+    fallback. Checked on the chain test's point sets, near-degenerate
+    points included."""
+    spacing, origin = placement
+    k = SCENE_KINDS.index(kind)
+    scene = sp.build_scene(sp.SceneSpec(kind=kind, dims=(10, 5, 11), spacing=spacing, origin=origin, seed=k))
+    points = _chain_points(scene, np.random.default_rng(70 + k))
+    batch = sp.interp_points(scene, points)
+    inside = scene._inside(points)
+    voxel = np.full((len(points), 3), -1)
+    voxel[inside] = [scene.voxel_of(p) for p in points[inside]]
+    free = inside.copy()
+    free[inside] = ~scene.occupancy[tuple(voxel[inside].T)]
+    assert free.sum() > 1600
+    assert np.array_equal(batch.status == RESOLVED, free)
+    own = (batch.corners[free] == voxel[free, None, :]).all(axis=2)
+    assert (own.sum(axis=1) == 1).all()
+    assert (batch.weights[free][own] > 0.0).all()
+    assert np.allclose(batch.weights[free].sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
 
 
 def test_chain_table_matches_walk_on_every_block_pattern(monkeypatch):

@@ -3,12 +3,11 @@ import pytest
 
 import soundprop as sp
 from soundprop import runtime
-from soundprop.errors import ConfigurationError, InputError, IsolationError
+from soundprop.errors import ConfigurationError, InputError
 from soundprop.irparams import DOA_STENCIL, ER_WINDOW, LR_WINDOW, anchored
 from soundprop.runtime import render_params
 
 from conftest import TRAIN_CASES, latent_at, random_free_position
-from oracles import masked_interp as oracle_masked_interp
 from oracles import per_bundle_query, render_two_buses
 
 
@@ -191,7 +190,7 @@ def test_render_solves_the_panning_once(monkeypatch):
 
 @pytest.mark.parametrize("size", [300, runtime._BLOCK_FRAMES, 2 * runtime._BLOCK_FRAMES + 5])
 def test_render_blocks_are_render_offline_bit_for_bit(size):
-    """Every pass over a streamed render's blocks, laid end to end, is
+    """A streamed render's blocks, laid end to end, are
     ``render_offline``'s output bit for bit, whichever block the dry
     path ends in."""
     rp, refs = _params(doa=(0.6, 0.0, 0.8), l_ds=-3.0, l_er=-6.0)
@@ -200,8 +199,7 @@ def test_render_blocks_are_render_offline_bit_for_bit(size):
     whole = sp.render_offline(x, rp, refs, layout)
     shape, blocks = runtime._render_blocks(x, rp, refs, layout)
     assert shape == whole.shape
-    for _ in range(2):  # the IR writer passes over the blocks twice
-        assert np.array_equal(np.concatenate([block.copy() for block in blocks()], axis=1), whole)
+    assert np.array_equal(np.concatenate([block.copy() for block in blocks], axis=1), whole)
 
 
 def test_fft_size_is_the_smallest_5_smooth_length():
@@ -407,19 +405,6 @@ def test_query_scalars_match_per_bundle_interpolation(maze_scene, maze_bundles):
             assert getattr(got, name) == want[name], name
 
 
-def _falls_back(scene, p) -> bool:
-    """Whether interpolating at ``p`` searches the fallback shells: no cell
-    corner serves it, by the scalar reference."""
-    try:
-        _, corners, _ = oracle_masked_interp(np.zeros(scene.dims + (1,)), scene, p)
-    except IsolationError:
-        return True
-    except InputError:
-        return False
-    base = np.floor((p - scene.origin) / scene.spacing)
-    return not np.isin(corners - base, (0, 1)).all()
-
-
 def _near_degenerate(scene, p) -> bool:
     """Whether ``p`` resolves to a free voxel and two of its offsets from
     the voxel centre tie or one nears a face, within 1e-6 voxel: the
@@ -433,7 +418,7 @@ def _near_degenerate(scene, p) -> bool:
 
 def test_query_interpolates_each_point_once(maze_scene, maze_bundles, monkeypatch):
     """One interpolation over ``a``, ``b`` and the 12 DOA stencil points,
-    no ray walk unless a point is near-degenerate or falls back, one 1x13
+    no ray walk unless a point is near-degenerate, one 1x13
     block of ``a`` against ``b`` and the stencil on the distance bundle and
     one 1x1 pair block on each other bundle."""
     from soundprop import latentfield
@@ -441,7 +426,7 @@ def test_query_interpolates_each_point_once(maze_scene, maze_bundles, monkeypatc
     batches, rays, decodes = [], [], []
     interp = runtime.interp_points
     monkeypatch.setattr(
-        runtime, "interp_points", lambda s, P, m=None: batches.append(np.array(P)) or interp(s, P, m)
+        runtime, "interp_points", lambda s, P: batches.append(np.array(P)) or interp(s, P)
     )
     cast = latentfield._walk
     monkeypatch.setattr(
@@ -459,9 +444,8 @@ def test_query_interpolates_each_point_once(maze_scene, maze_bundles, monkeypatc
         sp.query_params(maze_bundles, maze_scene, a, b)
         assert len(batches) == 1
         assert np.array_equal(batches[0], np.vstack([a, b, b + h * DOA_STENCIL]))
-        fell_back = any(_falls_back(maze_scene, p) for p in batches[0])
         walked = any(_near_degenerate(maze_scene, p) for p in batches[0])
-        assert len(rays) == walked + fell_back
+        assert len(rays) == walked
         assert sorted(decodes) == [
             ("DecaysModel", 1, 1), ("DistanceModel", 1, 13), ("LevelsModel", 1, 1)
         ]

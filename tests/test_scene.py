@@ -12,7 +12,9 @@ from soundprop import fileio, latentfield
 from soundprop.latentfield import OCCUPIED, OUTSIDE
 
 from conftest import random_free_position
-from oracles import build_coupled_rooms, build_wall_with_aperture, line_of_sight, row_walk
+from oracles import (
+    build_coupled_rooms, build_wall_with_aperture, line_of_sight, row_walk, visible_voxels,
+)
 
 
 def los(scene, p, q) -> bool:
@@ -85,7 +87,7 @@ def test_scene_keeps_read_only_copies_of_its_arrays():
     assert not scene.occupancy.any() and (scene.regions == 1).all()
     assert (scene.origin == 0.0).all() and scene.contains(p)
     assert los(scene, p, q)
-    assert sp.visible_voxels(scene, p).all()
+    assert visible_voxels(scene, p).all()
     for arr in (scene.occupancy, scene.regions):
         with pytest.raises(ValueError):
             arr[1, 1, 1] = arr[0, 0, 0]
@@ -300,13 +302,13 @@ def test_los_conservative_on_diagonal_seam():
 
 
 # ---------------------------------------------------------------------------
-# Visible voxels
+# Visible voxels (the test oracle that the sampler tests read)
 # ---------------------------------------------------------------------------
 
 
 def test_visible_voxels_open_box(box_scene):
     p = box_scene.voxel_center((4, 2, 4))
-    mask = sp.visible_voxels(box_scene, p)
+    mask = visible_voxels(box_scene, p)
     assert (mask == box_scene.free_mask()).all()
 
 
@@ -315,7 +317,7 @@ def test_visible_voxels_matches_per_voxel_los(aperture_scene):
     mid = aperture_scene.dims[0] // 2
     j, k = np.argwhere(~aperture_scene.occupancy[mid])[0]
     p = aperture_scene.voxel_center((1, j, k))
-    mask = sp.visible_voxels(aperture_scene, p)
+    mask = visible_voxels(aperture_scene, p)
     shadowed = visible = 0
     mid = aperture_scene.dims[0] // 2
     for idx in aperture_scene.free_indices():
@@ -333,14 +335,12 @@ def test_visible_voxels_matches_per_voxel_los(aperture_scene):
 
 def test_visible_voxels_from_occupied_point(box_scene):
     p = box_scene.voxel_center((0, 0, 0))
-    assert not sp.visible_voxels(box_scene, p).any()
+    assert not visible_voxels(box_scene, p).any()
 
 
 def test_query_outside_bbox_raises(box_scene):
     with pytest.raises(InputError):
         sp.lines_of_sight(box_scene, (-100.0, 0.0, 0.0), [(1.0, 1.0, 1.0)])
-    with pytest.raises(InputError):
-        sp.visible_voxels(box_scene, (-100.0, 0.0, 0.0))
 
 
 def test_lines_of_sight_to_voxel_centres_is_masked_visibility(aperture_scene):
@@ -354,7 +354,7 @@ def test_lines_of_sight_to_voxel_centres_is_masked_visibility(aperture_scene):
     ]
     free = aperture_scene.free_indices()
     for p in points:
-        full = sp.visible_voxels(aperture_scene, p)
+        full = visible_voxels(aperture_scene, p)
         for _ in range(3):
             idx = free[rng.random(len(free)) < 0.3]
             got = sp.lines_of_sight(aperture_scene, p, aperture_scene.voxel_center(idx))
@@ -584,15 +584,21 @@ def test_walk_matches_row_walk_on_half_integer_segments(name):
 
 
 def test_interp_points_rays_match_row_walk(maze_scene, monkeypatch):
-    """The stencil and fallback rays of 300 off-centre points give the same
-    corners, weights and status on either walker."""
+    """300 off-centre points, and 300 whose x and y offsets from their
+    voxel centre tie to within 5e-7 voxel, so that their corner rays are
+    walked, give the same corners, weights and status on either walker."""
     rng = np.random.default_rng(23)
-    P = np.array([random_free_position(maze_scene, rng) for _ in range(300)])
-    mask = rng.random(maze_scene.dims) < 0.7
-    got = [sp.interp_points(maze_scene, P), sp.interp_points(maze_scene, P, mask)]
-    monkeypatch.setattr(latentfield, "_walk", row_walk)
-    want = [sp.interp_points(maze_scene, P), sp.interp_points(maze_scene, P, mask)]
-    for g, w in zip(got, want):
-        assert np.array_equal(g.corners, w.corners)
-        assert np.array_equal(g.weights, w.weights)
-        assert np.array_equal(g.status, w.status)
+    off_centre = [random_free_position(maze_scene, rng) for _ in range(300)]
+    free = maze_scene.free_indices()
+    beta = rng.uniform(-0.45, 0.45, size=(300, 3))
+    beta[:, 1] = beta[:, 0] + rng.choice([-5e-7, 5e-7], size=300)
+    tied = maze_scene.voxel_center(free[rng.integers(len(free), size=300)]) + beta * maze_scene.spacing
+    P = np.vstack([off_centre, tied])
+    got = sp.interp_points(maze_scene, P)
+    rays = []
+    monkeypatch.setattr(latentfield, "_walk", lambda s, a, *rest: rays.append(len(a)) or row_walk(s, a, *rest))
+    want = sp.interp_points(maze_scene, P)
+    assert sum(rays) > 300
+    assert np.array_equal(got.corners, want.corners)
+    assert np.array_equal(got.weights, want.weights)
+    assert np.array_equal(got.status, want.status)

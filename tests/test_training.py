@@ -18,6 +18,7 @@ from oracles import (
     per_source_train,
     reference_train,
     select_from_every_eval,
+    visible_voxels,
 )
 
 
@@ -39,7 +40,7 @@ def test_sample_sources_covers_sealed_rooms():
         sources = sp.sample_sources(scene, seed=seed)
         covered = np.zeros(scene.dims, bool)
         for src in sources:
-            covered |= sp.visible_voxels(scene, src)
+            covered |= visible_voxels(scene, src)
         assert (covered | scene.occupancy).all()
 
 
@@ -379,7 +380,7 @@ def test_sample_sources_casts_one_ray_per_uncovered_voxel(monkeypatch):
     for start, end in initial:
         for cell, voxel in zip(map(tuple, start), map(tuple, end)):
             cast_to.setdefault(voxel, []).append(cell)
-    sees = np.array([sp.visible_voxels(scene, src) for src in sources[:20]])
+    sees = np.array([visible_voxels(scene, src) for src in sources[:20]])
     free = scene.free_indices()
     assert sorted(cast_to) == sorted(map(tuple, free))
     later = 0
@@ -401,7 +402,7 @@ def test_sample_sources_casts_one_ray_per_uncovered_voxel(monkeypatch):
     for src, count in zip(sources[20:], adaptive):
         assert count == np.count_nonzero(uncovered)
         expected += np.count_nonzero(uncovered)
-        uncovered &= ~sp.visible_voxels(scene, src)
+        uncovered &= ~visible_voxels(scene, src)
     assert not uncovered.any()
     assert sum(adaptive) == expected
 
@@ -515,7 +516,7 @@ def test_train_makes_one_decode_and_one_backward_per_batch(box_scene, monkeypatc
     stencil_points = []
     real_interp = training.interp_points
     monkeypatch.setattr(training, "interp_points",
-                        lambda scene, P, m=None: stencil_points.append(len(P)) or real_interp(scene, P, m))
+                        lambda scene, P: stencil_points.append(len(P)) or real_interp(scene, P))
     sp.train(bundle, ds, sp.TrainConfig(epochs=3, batch_sources=2, eval_interval=0, seed=0))
     assert len(rows["forward"]) == len(rows["backward"]) == 3 * 3  # 3 batches a epoch
     assert rows["forward"] == rows["backward"]
